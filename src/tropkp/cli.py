@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graph_jacobian import build_banana, delaunay_set, frac, frac_vector
+from .graph_jacobian import build_banana, frac, frac_vector
 from .hirota_parametrization import (
     alpha_from_beta,
     beta_lambda_convert,
@@ -102,12 +103,14 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         try:
-            kappas = frac_vector(raw["kappas"])
+            kappas = _rational_list(raw, "kappas")
             class_k = int(raw["class_k"])
         except KeyError as exc:
             raise ConfigError(f"config is missing required key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad kappas/class_k: {exc}") from exc
+        if not 1 <= class_k <= len(kappas) - 1:
+            raise ConfigError(f"class_k must be in 1..{len(kappas) - 1}")
         vertex_choice = raw.get("vertex_choice", "v1")
         if vertex_choice not in ("v1", "v2"):
             raise ConfigError(f"vertex_choice must be v1 or v2, got {vertex_choice!r}")
@@ -119,30 +122,38 @@ class RunConfig:
             )
         try:
             if weight_keys[0] == "beta":
-                beta = frac_vector(raw["beta"])
+                beta = _rational_list(raw, "beta")
             elif weight_keys[0] == "lambda":
-                lambdas = frac_vector(raw["lambda"])
+                lambdas = _rational_list(raw, "lambda")
             else:
                 dv = raw["divisor"]
                 divisor = make_divisor(
-                    dv["points"], int(dv["split_k"]), dv.get("p0_component", "X+")
+                    _rational_list(dv, "points"), int(dv["split_k"]),
+                    dv.get("p0_component", "X+"),
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad weight data: {exc}") from exc
         try:
-            return cls(
-                kappas=kappas,
-                class_k=class_k,
-                vertex_choice=vertex_choice,
-                beta=beta,
-                lambdas=lambdas,
-                divisor=divisor,
-                samples=int(raw.get("samples", 20)),
-                seed=int(raw.get("seed", 0)),
-                tolerance=float(raw.get("tolerance", 1e-8)),
-            )
-        except (TypeError, ValueError) as exc:
+            samples = int(raw.get("samples", 20))
+            seed = int(raw.get("seed", 0))
+            tolerance = float(raw.get("tolerance", 1e-8))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad samples/seed/tolerance: {exc}") from exc
+        if samples < 1:
+            raise ConfigError(f"samples must be at least 1, got {samples}")
+        if not (math.isfinite(tolerance) and tolerance >= 0):
+            raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance}")
+        return cls(
+            kappas=kappas,
+            class_k=class_k,
+            vertex_choice=vertex_choice,
+            beta=beta,
+            lambdas=lambdas,
+            divisor=divisor,
+            samples=samples,
+            seed=seed,
+            tolerance=tolerance,
+        )
 
     def resolved_weights(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """(beta, lambda), deriving the missing family from the one given."""
@@ -157,6 +168,14 @@ class RunConfig:
         assert self.divisor is not None
         lam = lambda_from_divisor(kc, self.divisor)
         return beta_lambda_convert(kc, self.class_k, lambdas=lam), lam
+
+
+def _rational_list(raw: dict, key: str) -> tuple[Fraction, ...]:
+    """The JSON list ``raw[key]`` as Fractions; a string is not a list."""
+    value = raw[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a JSON list of rationals, got {value!r}")
+    return frac_vector(value)
 
 
 def _s(x: Fraction) -> str:
@@ -221,20 +240,20 @@ def _cmd_delaunay(args) -> int:
     else:
         k = args.class_k if args.class_k is not None else 1
         coords = canonical_vertex(g, k).coords
-    ds = delaunay_set(data, coords)
-    s = shift_vector(data, coords)
     labels = normalize_delaunay(data, coords)
+    s = shift_vector(data, coords)
+    k = len(next(iter(labels.values())))
     payload = {
         "genus": g,
         "vertex": _svec(coords),
-        "class": ds.anchor.class_k,
+        "class": k,
         "shift_vector": list(s.s),
         "points": [
             {"c": list(c), "label": list(labels[c])} for c in sorted(labels)
         ],
     }
     lines = [
-        f"vertex (" + ", ".join(_svec(coords)) + f") of class {ds.anchor.class_k}",
+        f"vertex (" + ", ".join(_svec(coords)) + f") of class {k}",
         f"shift vector {s.s}",
         f"{len(labels)} Delaunay points:",
     ]
@@ -324,8 +343,6 @@ def _cmd_matroid(args) -> int:
 def _cmd_limits(args) -> int:
     cfg = RunConfig.from_file(args.config)
     kc = kappa_config(cfg.kappas)
-    if cfg.class_k < 1 or cfg.class_k > kc.genus:
-        raise ConfigError(f"class_k must be in 1..{kc.genus}")
     R = limit_R(kc)
     g = kc.genus
     component = "X+" if cfg.vertex_choice == "v1" else "X-"
@@ -364,8 +381,6 @@ def _cmd_param(args) -> int:
     cfg = RunConfig.from_file(args.config)
     kc = kappa_config(cfg.kappas)
     k = cfg.class_k
-    if k < 1 or k > kc.genus:
-        raise ConfigError(f"class_k must be in 1..{kc.genus}")
     beta, lam = cfg.resolved_weights()
     alphas = alpha_from_beta(kc, k, beta)
     A = matrix_A(kc, k, beta)
@@ -409,8 +424,6 @@ def _cmd_certify(args) -> int:
     cfg = RunConfig.from_file(args.config)
     kc = kappa_config(cfg.kappas)
     k = cfg.class_k
-    if k < 1 or k > kc.genus:
-        raise ConfigError(f"class_k must be in 1..{kc.genus}")
     beta, lam = cfg.resolved_weights()
     checks: list[tuple[str, bool, str]] = []
 
@@ -519,8 +532,6 @@ def _cmd_eqs(args) -> int:
 def _cmd_field(args) -> int:
     cfg = RunConfig.from_file(args.config)
     kc = kappa_config(cfg.kappas)
-    if not 1 <= cfg.class_k <= kc.genus:
-        raise ConfigError(f"class_k must be in 1..{kc.genus}")
     beta, _ = cfg.resolved_weights()
     hp = hirota_point(kc, cfg.class_k, beta, cfg.vertex_choice)
     tau = tau_from_hirota_point(hp)

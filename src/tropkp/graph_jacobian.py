@@ -11,7 +11,11 @@ Positive rational edge lengths ``l`` then give the Gram matrix
 Everything in this module is exact: points are tuples of ``Fraction``, and the
 two geometric predicates (membership in the Voronoi cell of the origin, and
 the set of lattice points equidistant from a given Voronoi vertex) are decided
-with integer arithmetic after clearing denominators.
+in rational and integer arithmetic.  Both rest on the cycle criterion: the
+Voronoi-relevant vectors of a graph's lattice are its simple cycles (Bacher,
+de la Harpe and Nagnibeda, 1997), which on the banana graph are the n(n-1)/2
+two-edge cycles, lifting under B^T to the vectors +-(e_i - e_j).  For unit
+lengths the cell is the permutohedral cell of the root lattice A_g.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
@@ -98,8 +100,10 @@ class DelaunaySet:
     """Lattice points as close to the anchor vertex as the origin is.
 
     For a vertex ``a`` of the Voronoi cell these are the c in Z^g with
-    ``|a - c|_Q = |a|_Q``; there are binomial(n, class_k) of them, they all
-    lie in {-1, 0, 1}^g, and 0 is always one of them.
+    ``|a - c|_Q = |a|_Q``, sorted; 0 is always one of them and together they
+    span Z^g affinely.  For unit edge lengths there are binomial(n, class_k)
+    of them and they all lie in {-1, 0, 1}^g; other lengths can give other
+    counts, down to a simplex of g + 1 points.
     """
 
     points: tuple[tuple[int, ...], ...]
@@ -136,80 +140,76 @@ def build_banana(genus: int, edge_lengths: Optional[Sequence[RationalLike]] = No
     return BananaData(genus=genus, n=n, edge_lengths=lengths, B=B, Q=Q)
 
 
-def _int_scaled(data: BananaData, point: Sequence[RationalLike]):
-    """Clear denominators: returns (Qd, P, d, m) with Q = Qd/d and point = P/m."""
-    pt = frac_vector(point)
-    if len(pt) != data.genus:
-        raise ValueError(f"expected a point of length {data.genus}, got {len(pt)}")
-    d = math.lcm(*(entry.denominator for row in data.Q for entry in row))
-    m = math.lcm(*(x.denominator for x in pt)) if pt else 1
-    Qd = np.array([[int(entry * d) for entry in row] for row in data.Q], dtype=np.int64)
-    P = np.array([int(x * m) for x in pt], dtype=np.int64)
-    return Qd, P, d, m, pt
-
-
-def _candidate_box(genus: int, radius: int) -> np.ndarray:
-    """All integer vectors with sup-norm <= radius, excluding the origin."""
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * genus), indexing="ij")
-    cand = np.stack([gr.ravel() for gr in grids], axis=1)
-    return cand[np.any(cand != 0, axis=1)]
-
-
-def _search_radius(data: BananaData, pt: Sequence[Fraction]) -> int:
-    # If p lies outside the cell, the Q-nearest lattice point c* is a
-    # violator, and |c*_i - p_i| <= |c* - p|_2 <= |c* - p|_Q / sqrt(min l)
-    # is at most the covering radius over that factor.  For unit lengths the
-    # covering radius is max_k sqrt(k(n-k)/n) <= sqrt(n)/2 <= 2 up to n = 16,
-    # so a box of sup-norm ceil(2 max|p_i|) + 2 always contains a violator.
-    # For general lengths the Babai-box bound mu^2 <= (1/4) sum_i Q_ii gives
-    # the wider slack computed below.
-    peak = max((abs(x) for x in pt), default=Fraction(0))
-    base = int(math.ceil(2 * peak))
-    if data.is_unit():
-        return base + 2
-    lens = data.edge_lengths
-    ratio = Fraction(data.genus) * (lens[0] + max(lens)) / min(lens)
-    return base + max(2, int(math.ceil(0.5 * math.sqrt(float(ratio)))) + 1)
-
-
 def voronoi_contains(data: BananaData, point: Sequence[RationalLike]) -> bool:
     """Exact test that ``point`` lies in the Voronoi cell of the origin.
 
     Membership means |p|_Q <= |p - c|_Q for every lattice vector c, i.e.
-    2 p^T Q c <= c^T Q c.  Any violating c can be taken to be the Q-nearest
-    lattice point to p, which lies within the sup-norm box computed by
-    ``_search_radius``, so scanning that box decides membership exactly.
+    2 p^T Q c <= c^T Q c, and it suffices to test the Voronoi-relevant c.
+    For the lattice of a graph these are its simple cycles (Bacher, de la
+    Harpe and Nagnibeda, 1997); on the banana graph they are the two-edge
+    cycles, whose lifts B^T c are the n(n-1) vectors e_i - e_j.  With
+    y = B^T p this leaves n(n-1)/2 inequalities
+    2 |l_i y_i - l_j y_j| <= l_i + l_j, valid for any positive lengths.
     """
-    Qd, P, d, m, pt = _int_scaled(data, point)
-    cand = _candidate_box(data.genus, _search_radius(data, pt))
-    _guard_int64(Qd, cand, m)
-    lhs = 2 * m * (cand @ (Qd @ P))
-    rhs = (m * m) * np.einsum("ij,jk,ik->i", cand, Qd, cand)
-    return bool(np.all(lhs <= rhs))
+    lengths = data.edge_lengths
+    weighted = [l * y for l, y in zip(lengths, data.lift_coords(point))]
+    return all(
+        2 * abs(weighted[i] - weighted[j]) <= lengths[i] + lengths[j]
+        for i, j in itertools.combinations(range(data.n), 2)
+    )
 
 
-def _guard_int64(Qd: np.ndarray, cand: np.ndarray, m: int) -> None:
-    # Keep the vectorized integer path honest: bail out rather than overflow.
-    qmax = int(np.abs(Qd).max(initial=0))
-    cmax = int(np.abs(cand).max(initial=0))
-    g = Qd.shape[0]
-    bound = 4 * m * m * qmax * g * g * max(cmax, 1) * max(cmax, 1)
-    if bound >= 2**62:
-        raise OverflowError("inputs too large for the int64 lattice scan")
+def _equidistant_points(data: BananaData, pt: Sequence[Fraction]) -> list[tuple[int, ...]]:
+    """Lattice points c with |pt - c|_Q = |pt|_Q, for ``pt`` in the cell.
+
+    In lift coordinates x = B^T c the condition reads
+    f(x) = sum_m l_m x_m (x_m - 2 y_m) = 0 with y = B^T pt, and f >= 0 on the
+    whole lattice because pt is in the cell.  These points are the vertices
+    of a Delaunay face whose edges are dual to Voronoi facets, so a walk from
+    0 over the moves e_i - e_j that stays on f = 0 reaches all of them.
+    """
+    lengths = data.edge_lengths
+    y = data.lift_coords(pt)
+    # d f = sum_m A_m x_m^2 - Y_m x_m with integer A_m = d l_m, Y_m = 2 d l_m y_m
+    linear = [2 * l * v for l, v in zip(lengths, y)]
+    d = math.lcm(*(l.denominator for l in lengths), *(c.denominator for c in linear))
+    A = [int(d * l) for l in lengths]
+    Y = [int(d * c) for c in linear]
+    n = data.n
+    seen = {(0,) * n}
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        # change of d f when x_m rises or falls by one
+        up = [A[m] * (2 * x[m] + 1) - Y[m] for m in range(n)]
+        down = [A[m] * (1 - 2 * x[m]) + Y[m] for m in range(n)]
+        for i, j in itertools.permutations(range(n), 2):
+            if up[i] + down[j] == 0:
+                step = list(x)
+                step[i] += 1
+                step[j] -= 1
+                step = tuple(step)
+                if step not in seen:
+                    seen.add(step)
+                    stack.append(step)
+    return sorted(tuple(-v for v in x[1:]) for x in seen)
 
 
-def _equality_points(data: BananaData, a: Sequence[Fraction], radius: int) -> list[tuple[int, ...]]:
-    Qd, P, d, m, _ = _int_scaled(data, a)
-    cand = _candidate_box(data.genus, radius)
-    _guard_int64(Qd, cand, m)
-    lhs = 2 * (cand @ (Qd @ P))
-    rhs = m * np.einsum("ij,jk,ik->i", cand, Qd, cand)
-    hits = cand[lhs == rhs]
-    points = [tuple(int(v) for v in row) for row in hits]
-    points.append(tuple(0 for _ in range(data.genus)))
-    points.sort()
-    return points
+def _rank(vectors: Iterable[Sequence[int]]) -> int:
+    """Rank of a set of integer vectors, by fraction-free elimination."""
+    pivots: dict[int, list[int]] = {}  # pivot column -> reduced row
+    for v in vectors:
+        row = list(v)
+        for col, base in pivots.items():
+            scale = row[col]
+            if scale:
+                row = [base[col] * r - scale * b for r, b in zip(row, base)]
+        col = next((i for i, r in enumerate(row) if r), None)
+        if col is not None:
+            pivots[col] = row
+            if len(pivots) == len(row):
+                break
+    return len(pivots)
 
 
 def classify_point(data: BananaData, point: Sequence[RationalLike]) -> int:
@@ -220,27 +220,22 @@ def classify_point(data: BananaData, point: Sequence[RationalLike]) -> int:
 def delaunay_set(data: BananaData, a: Sequence[RationalLike]) -> DelaunaySet:
     """Lattice points c with 2 a^T Q c = c^T Q c, anchored at the vertex a.
 
-    Raises ValueError if ``a`` is not a vertex of the Voronoi cell (detected
-    by the equality count differing from binomial(n, k) for its class k, or
-    by ``a`` falling outside the cell).
+    Raises ValueError if ``a`` falls outside the Voronoi cell, or if it is
+    not a vertex of it: a point of the cell is a vertex exactly when its
+    equidistant lattice points, 0 among them, span an affine space of
+    dimension g.
     """
     pt = frac_vector(a)
     if not voronoi_contains(data, pt):
         raise ValueError(f"{pt} is not in the Voronoi cell of the origin")
-    radius = max(_search_radius(data, pt), 2)
-    points = _equality_points(data, pt, radius)
-    k = classify_point(data, pt)
-    expected = math.comb(data.n, k)
-    if k == 0 or len(points) != expected:
+    points = _equidistant_points(data, pt)
+    rank = _rank(points)
+    if rank != data.genus:
         raise ValueError(
-            f"{pt} is not a Voronoi vertex: {len(points)} equidistant lattice "
-            f"points, expected {expected} for class {k}"
+            f"{pt} is not a Voronoi vertex: its {len(points)} equidistant lattice "
+            f"points span dimension {rank}, not {data.genus}"
         )
-    if data.is_unit():
-        # Shell check: for unit lengths the whole set must sit in {-1,0,1}^g,
-        # and the scan above already covered sup-norm radius >= 2.
-        assert all(max(abs(v) for v in c) <= 1 for c in points), points
-    anchor = VoronoiVertex(coords=pt, class_k=k)
+    anchor = VoronoiVertex(coords=pt, class_k=classify_point(data, pt))
     return DelaunaySet(points=tuple(points), anchor=anchor)
 
 

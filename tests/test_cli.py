@@ -1,9 +1,15 @@
 """End-to-end tests of the tropkp command line interface."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tropkp
 from tropkp.cli import run
 
 BETA_CONFIG = {
@@ -68,6 +74,16 @@ class TestCombinatoricsCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["class"] == 2
         assert len(payload["points"]) == 3
+
+    @pytest.mark.parametrize("genus,k", [(8, 4), (12, 6)])
+    def test_delaunay_large_genus(self, genus, k, capsys):
+        """The Delaunay set of the canonical vertex has binomial(n, k)
+        points well past the genera a box scan could reach."""
+        args = ["delaunay", "--genus", str(genus), "--class-k", str(k), "--json"]
+        assert run(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class"] == k
+        assert len(payload["points"]) == math.comb(genus + 1, k)
 
     def test_delaunay_rejects_non_vertex(self, capsys):
         assert run(["delaunay", "--genus", "2", "--vertex", "0,0"]) == 1
@@ -213,6 +229,41 @@ class TestErrorHandling:
         assert run([]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"class_k": 4}, "class_k must be in 1..3"),
+            ({"samples": 0}, "samples must be at least 1"),
+            ({"samples": -5}, "samples must be at least 1"),
+            ({"kappas": "0123"}, "kappas must be a JSON list"),
+            ({"beta": "111"}, "beta must be a JSON list"),
+            ({"tolerance": float("nan")}, "tolerance must be finite"),
+            ({"tolerance": float("inf")}, "tolerance must be finite"),
+            ({"tolerance": -1e-8}, "tolerance must be finite and >= 0"),
+        ],
+    )
+    def test_bad_config_values(self, config_file, capsys, overrides, message):
+        """Each of these was once accepted and certified, or read a string
+        character by character; now each is a config error."""
+        bad = dict(BETA_CONFIG, **overrides)
+        assert run(["certify", "--config", config_file(bad)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "PASSED" not in captured.out
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "tropkp" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_numpy():
+    """The package is pure Python plus mpmath: importing the CLI in a fresh
+    interpreter must not pull in numpy."""
+    src = str(Path(tropkp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, tropkp.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"

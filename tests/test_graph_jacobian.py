@@ -1,6 +1,8 @@
 """Tests for the exact lattice geometry: Gram matrices, cell membership,
 Delaunay sets, and vertex equivalence."""
 
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,105 @@ from tropkp.graph_jacobian import (
     vertices_equivalent,
     voronoi_contains,
 )
+
+# A genus-3 vertex for the lengths (1, 7, 9/2, 1/3) whose Delaunay cell is a
+# simplex: 4 equidistant points, not the 6 a unit-length class-2 vertex has.
+WEIGHTED_LENGTHS = (1, 7, F(9, 2), F(1, 3))
+WEIGHTED_VERTEX = (F(293, 550), F(-247, 550), F(103, 550))
+
+
+def box_scan(data, point):
+    """Reference oracle: (inside the cell, sorted equidistant lattice points),
+    found by scanning every integer vector in a box.  Meant for g <= 4.
+
+    |p - c|_Q^2 = sum_m l_m (y_m - x_m)^2 with y, x the lifts of p and c, and
+    x_{j+1} = -c_j, so every c with |p - c|_Q <= r has
+    l_{j+1} (c_j - p_j)^2 <= r^2.  Take r^2 = min(|p|_Q^2, |p - round(p)|_Q^2):
+    the lattice point nearest to p is no farther than 0 or round(p), so the
+    box holds a violator whenever p is outside the cell, and every
+    equidistant point when p is inside.
+    """
+    pt = tuple(F(x) for x in point)
+    lengths = data.edge_lengths
+    y = data.lift_coords(pt)
+
+    def excess(c):  # |p - c|_Q^2 - |p|_Q^2
+        x = data.lift_coords(c)
+        return sum(l * xm * (xm - 2 * ym) for l, xm, ym in zip(lengths, x, y))
+
+    r2 = sum(l * ym * ym for l, ym in zip(lengths, y))
+    r2 += min(0, excess(tuple(round(x) for x in pt)))
+    ranges = []
+    for p_j, l in zip(pt, lengths[1:]):
+        reach = math.isqrt(math.floor(r2 / l)) + 1
+        ranges.append(
+            [
+                c
+                for c in range(math.floor(p_j) - reach, math.ceil(p_j) + reach + 1)
+                if l * (c - p_j) ** 2 <= r2
+            ]
+        )
+    inside = True
+    equal = []
+    for c in itertools.product(*ranges):
+        e = excess(c)
+        inside = inside and e >= 0
+        if e == 0:
+            equal.append(c)
+    return inside, sorted(equal)
+
+
+def lengths_strategy(max_denominator):
+    return st.one_of(
+        st.none(),
+        st.lists(
+            st.fractions(min_value=F(1, 2), max_value=2, max_denominator=max_denominator),
+            min_size=5,
+            max_size=5,
+        ),
+    )
+
+
+DENOMINATORS = st.sampled_from([6, 10**12])
+
+
+def circumcentre(data, tree):
+    """The point equidistant from 0 and the g lattice vectors whose lifts are
+    e_p - e_q for the oriented edges (p, q) of a spanning tree on the n lift
+    coordinates.  Those vectors are linearly independent, so the point is a
+    Voronoi vertex exactly when it lies in the cell.
+
+    With z_m = l_m y_m for the lift y of the point, each edge asks
+    z_p - z_q = (l_p + l_q) / 2, and the lift sums to zero.
+    """
+    lengths = data.edge_lengths
+    offset = {tree[0][0]: F(0)}
+    while len(offset) < data.n:
+        for p, q in tree:
+            half = (lengths[p] + lengths[q]) / 2
+            if p in offset and q not in offset:
+                offset[q] = offset[p] - half
+            elif q in offset and p not in offset:
+                offset[p] = offset[q] + half
+    shift = -sum(offset[m] / lengths[m] for m in offset) / sum(1 / l for l in lengths)
+    y = [(offset[m] + shift) / lengths[m] for m in range(data.n)]
+    return tuple(-v for v in y[1:])
+
+
+@st.composite
+def weighted_trees(draw):
+    """(data, oriented spanning tree on its lift coordinates)."""
+    genus = draw(st.integers(min_value=1, max_value=4))
+    lengths = draw(lengths_strategy(draw(DENOMINATORS)))
+    data = build_banana(genus, None if lengths is None else lengths[: genus + 1])
+    order = draw(st.permutations(range(data.n)))
+    tree = []
+    for i in range(1, data.n):
+        parent = order[draw(st.integers(min_value=0, max_value=i - 1))]
+        edge = (parent, order[i])
+        tree.append(edge if draw(st.booleans()) else edge[::-1])
+    return data, tree
+
 
 HEX_VERTICES = [
     (F(-1, 3), F(-1, 3)),
@@ -93,8 +194,12 @@ class TestVoronoiContains:
         for v in HEX_VERTICES:
             assert voronoi_contains(data, v), f"vertex {v} should lie in the cell"
 
-    @pytest.mark.parametrize("point", [(2, 0), (1, 1), (F(2, 3), F(2, 3))])
+    @pytest.mark.parametrize(
+        "point", [(2, 0), (1, 1), (F(2, 3), F(2, 3)), (F(-3, 5), F(3, 5))]
+    )
     def test_outside_points(self, point):
+        """The last point is closer to (-1, 1), whose lift is the cycle
+        e_2 - e_3 on edges 2 and 3, than to the origin."""
         data = build_banana(2)
         assert not voronoi_contains(data, point)
 
@@ -109,9 +214,32 @@ class TestVoronoiContains:
         assert not voronoi_contains(data, (5, 5))
 
     def test_overflow_guard(self):
+        """Denominators of 10^12 are decided exactly, with no overflow path."""
         data = build_banana(2)
-        with pytest.raises(OverflowError):
-            voronoi_contains(data, (F(1, 10**12), F(1, 10**12)))
+        assert voronoi_contains(data, (F(1, 10**12), F(1, 10**12)))
+        assert box_scan(data, (F(1, 10**12), F(1, 10**12))) == (True, [(0, 0)])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_box_scan(self, data_strategy):
+        """Membership and the vertex test agree with the box-scan oracle on
+        random points, unit and random lengths, small and huge denominators."""
+        genus = data_strategy.draw(st.integers(min_value=1, max_value=4))
+        den = data_strategy.draw(DENOMINATORS)
+        lengths = data_strategy.draw(lengths_strategy(den))
+        data = build_banana(genus, None if lengths is None else lengths[: genus + 1])
+        point = data_strategy.draw(
+            st.lists(
+                st.fractions(min_value=-1, max_value=1, max_denominator=den),
+                min_size=genus,
+                max_size=genus,
+            )
+        )
+        inside, equal = box_scan(data, point)
+        assert voronoi_contains(data, point) == inside, (data.edge_lengths, point)
+        if inside and len(equal) <= genus:
+            with pytest.raises(ValueError, match="not a Voronoi vertex"):
+                delaunay_set(data, point)
 
     @given(
         st.lists(
@@ -164,14 +292,41 @@ class TestDelaunaySet:
         assert (0, 0) in ds.points
         assert all(max(abs(x) for x in c) <= 1 for c in ds.points)
 
-    @pytest.mark.parametrize("point", [(0, 0), (F(1, 10), F(0))])
+    @pytest.mark.parametrize("point", [(0, 0), (F(1, 10), F(0)), (F(1, 2), F(0))])
     def test_rejects_non_vertices(self, point):
+        """Cell points whose equidistant set spans less than the plane; the
+        last is a facet centre, equidistant from 0 and (1, 0)."""
         with pytest.raises(ValueError, match="not a Voronoi vertex"):
             delaunay_set(build_banana(2), point)
 
     def test_rejects_outside_points(self):
         with pytest.raises(ValueError, match="not in the Voronoi cell"):
             delaunay_set(build_banana(2), (3, 3))
+
+    @given(weighted_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_circumcentres_match_box_scan(self, case):
+        """At the circumcentre of a spanning tree of two-edge cycles, the
+        Delaunay set is the oracle's equidistant set whenever the oracle
+        puts the point in the cell, and the point is rejected otherwise."""
+        data, tree = case
+        a = circumcentre(data, tree)
+        inside, equal = box_scan(data, a)
+        if not inside:
+            with pytest.raises(ValueError, match="not in the Voronoi cell"):
+                delaunay_set(data, a)
+            return
+        ds = delaunay_set(data, a)
+        assert list(ds.points) == equal, (data.edge_lengths, a)
+
+    def test_weighted_simplex_vertex(self):
+        """Vertexhood is decided by affine rank, not by the unit-length count
+        binomial(n, k)."""
+        data = build_banana(3, WEIGHTED_LENGTHS)
+        ds = delaunay_set(data, WEIGHTED_VERTEX)
+        assert ds.points == ((0, 0, 0), (1, -1, 0), (1, 0, -1), (1, 0, 0))
+        assert ds.anchor.class_k == 2
+        assert box_scan(data, WEIGHTED_VERTEX) == (True, list(ds.points))
 
     def test_genus_three_counts(self):
         data = build_banana(3)
