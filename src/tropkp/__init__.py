@@ -62,7 +62,6 @@ from .tau_kp import (
 from .tropical_limit import (
     Divisor,
     KappaConfig,
-    LogRational,
     PeriodVectors,
     RMatrix,
     abel_map,

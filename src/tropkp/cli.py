@@ -10,7 +10,7 @@ written as "p/q" strings, never floats; JSON output is emitted with sorted
 keys; randomness is seeded from the config; the environment variable
 TROPKP_PRECISION sets the working decimal precision of the numeric layer.
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
-certification check fails.
+certification check fails or two exact routes to the same object disagree.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 from .graph_jacobian import build_banana, frac, frac_vector
 from .hirota_parametrization import (
+    RouteMismatchError,
     alpha_from_beta,
     beta_lambda_convert,
     check_dn_interlacing,
@@ -36,13 +37,12 @@ from .hirota_parametrization import (
     matrix_A,
     matrix_A_dual,
     matrix_A_tilde,
-    vandermonde_minor,
     verify_minor_identity,
 )
 from .hirota_variety_eqs import (
     face_direction_classes,
-    face_values_match_residual,
-    instantiate_and_check,
+    face_table,
+    faces_match_residual,
     relations_to_json,
     relations_to_text,
 )
@@ -61,7 +61,15 @@ from .tau_kp import (
     tau_from_grassmannian,
     tau_from_hirota_point,
 )
-from .tropical_limit import Divisor, abel_map, kappa_config, limit_R, make_divisor, uvw
+from .tropical_limit import (
+    Divisor,
+    KappaConfig,
+    abel_map,
+    kappa_config,
+    limit_R,
+    make_divisor,
+    uvw,
+)
 from .voronoi_combinatorics import (
     canonical_vertex,
     f_vector,
@@ -77,13 +85,15 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Everything one certification run needs, parsed from a JSON file."""
+    """One resolved problem, parsed and validated once from a JSON config:
+    the node configuration, the class, and both weight families (the one not
+    given is derived from the one that is)."""
 
-    kappas: tuple[Fraction, ...]
+    kc: KappaConfig
     class_k: int
+    beta: tuple[Fraction, ...]
+    lambdas: tuple[Fraction, ...]
     vertex_choice: str = "v1"
-    beta: Optional[tuple[Fraction, ...]] = None
-    lambdas: Optional[tuple[Fraction, ...]] = None
     divisor: Optional[Divisor] = None
     samples: int = 20
     seed: int = 0
@@ -103,18 +113,18 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         try:
-            kappas = _rational_list(raw, "kappas")
-            class_k = int(raw["class_k"])
+            kc = kappa_config(_rational_list(raw, "kappas"))
+            class_k = _json_int(raw, "class_k")
         except KeyError as exc:
             raise ConfigError(f"config is missing required key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad kappas/class_k: {exc}") from exc
-        if not 1 <= class_k <= len(kappas) - 1:
-            raise ConfigError(f"class_k must be in 1..{len(kappas) - 1}")
+        if not 1 <= class_k <= kc.genus:
+            raise ConfigError(f"class_k must be in 1..{kc.genus}")
         vertex_choice = raw.get("vertex_choice", "v1")
         if vertex_choice not in ("v1", "v2"):
             raise ConfigError(f"vertex_choice must be v1 or v2, got {vertex_choice!r}")
-        beta = lambdas = divisor = None
+        divisor = None
         weight_keys = [key for key in ("beta", "lambda", "divisor") if key in raw]
         if len(weight_keys) != 1:
             raise ConfigError(
@@ -123,51 +133,58 @@ class RunConfig:
         try:
             if weight_keys[0] == "beta":
                 beta = _rational_list(raw, "beta")
+                lambdas = beta_lambda_convert(kc, class_k, beta=beta)
             elif weight_keys[0] == "lambda":
                 lambdas = _rational_list(raw, "lambda")
+                beta = beta_lambda_convert(kc, class_k, lambdas=lambdas)
             else:
                 dv = raw["divisor"]
                 divisor = make_divisor(
-                    _rational_list(dv, "points"), int(dv["split_k"]),
+                    _rational_list(dv, "points"), _json_int(dv, "split_k"),
                     dv.get("p0_component", "X+"),
                 )
+                if divisor.split_k != class_k:
+                    raise ConfigError(
+                        f"divisor split_k must equal class_k ({class_k}), "
+                        f"got {divisor.split_k}"
+                    )
+                lambdas = lambda_from_divisor(kc, divisor)
+                beta = beta_lambda_convert(kc, class_k, lambdas=lambdas)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad weight data: {exc}") from exc
+        samples = _json_int(raw, "samples", 20)
+        seed = _json_int(raw, "seed", 0)
+        tolerance = raw.get("tolerance", 1e-8)
+        if isinstance(tolerance, bool):
+            raise ConfigError(f"tolerance must be a number, got {tolerance!r}")
         try:
-            samples = int(raw.get("samples", 20))
-            seed = int(raw.get("seed", 0))
-            tolerance = float(raw.get("tolerance", 1e-8))
+            tolerance = float(tolerance)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad samples/seed/tolerance: {exc}") from exc
+            raise ConfigError(f"bad tolerance: {exc}") from exc
         if samples < 1:
             raise ConfigError(f"samples must be at least 1, got {samples}")
         if not (math.isfinite(tolerance) and tolerance >= 0):
             raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance}")
         return cls(
-            kappas=kappas,
+            kc=kc,
             class_k=class_k,
-            vertex_choice=vertex_choice,
             beta=beta,
             lambdas=lambdas,
+            vertex_choice=vertex_choice,
             divisor=divisor,
             samples=samples,
             seed=seed,
             tolerance=tolerance,
         )
 
-    def resolved_weights(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """(beta, lambda), deriving the missing family from the one given."""
-        kc = kappa_config(self.kappas)
-        if self.beta is not None:
-            return self.beta, beta_lambda_convert(kc, self.class_k, beta=self.beta)
-        if self.lambdas is not None:
-            return (
-                beta_lambda_convert(kc, self.class_k, lambdas=self.lambdas),
-                self.lambdas,
-            )
-        assert self.divisor is not None
-        lam = lambda_from_divisor(kc, self.divisor)
-        return beta_lambda_convert(kc, self.class_k, lambdas=lam), lam
+
+def _json_int(raw: dict, key: str, default: Optional[int] = None) -> int:
+    """``raw[key]`` (or the default when absent and one is given) as a JSON
+    integer; floats, strings and booleans are refused, not truncated."""
+    value = raw[key] if default is None else raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _rational_list(raw: dict, key: str) -> tuple[Fraction, ...]:
@@ -342,7 +359,7 @@ def _cmd_matroid(args) -> int:
 
 def _cmd_limits(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    kc = kappa_config(cfg.kappas)
+    kc = cfg.kc
     R = limit_R(kc)
     g = kc.genus
     component = "X+" if cfg.vertex_choice == "v1" else "X-"
@@ -370,8 +387,7 @@ def _cmd_limits(args) -> int:
         "dispersion residuals: (" + ", ".join(payload["dispersion_residuals"]) + ")"
     )
     if cfg.divisor is not None:
-        sums = abel_map(kc, cfg.divisor)
-        payload["abel_exp"] = _svec(sl.exp_value() for sl in sums)
+        payload["abel_exp"] = _svec(abel_map(kc, cfg.divisor))
         lines.append("abel sums (as signed exponentials): (" + ", ".join(payload["abel_exp"]) + ")")
     _emit(payload, args.json, lines)
     return 0
@@ -379,9 +395,7 @@ def _cmd_limits(args) -> int:
 
 def _cmd_param(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    kc = kappa_config(cfg.kappas)
-    k = cfg.class_k
-    beta, lam = cfg.resolved_weights()
+    kc, k, beta, lam = cfg.kc, cfg.class_k, cfg.beta, cfg.lambdas
     alphas = alpha_from_beta(kc, k, beta)
     A = matrix_A(kc, k, beta)
     At = matrix_A_tilde(kc, k, lam)
@@ -422,24 +436,21 @@ def _cmd_param(args) -> int:
 
 def _cmd_certify(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    kc = kappa_config(cfg.kappas)
-    k = cfg.class_k
-    beta, lam = cfg.resolved_weights()
+    kc, k, beta = cfg.kc, cfg.class_k, cfg.beta
     checks: list[tuple[str, bool, str]] = []
 
-    alphas = alpha_from_beta(kc, k, beta)  # raises if the two routes disagree
+    hp1 = hirota_point(kc, k, beta, "v1")  # raises if the two alpha routes disagree
     checks.append(("alpha-double-route", True, "theta and product formulas agree"))
+    hp2 = hp1.other_vertex()
 
     A = matrix_A(kc, k, beta)
-    ok = verify_minor_identity(A, alphas, kc)
+    ok = verify_minor_identity(A, hp1.alphas, kc)
     checks.append(("minor-identity", ok, "A_J K_J = alpha_J K_base for all J"))
 
-    At = matrix_A_tilde(kc, k, lam)
+    At = matrix_A_tilde(kc, k, cfg.lambdas)
     ok = A.normalized_pluecker() == At.normalized_pluecker()
     checks.append(("parametrization-match", ok, "echelon vs Vandermonde minors"))
 
-    hp1 = hirota_point(kc, k, beta, "v1")
-    hp2 = hirota_point(kc, k, beta, "v2")
     tau1 = tau_from_hirota_point(hp1)
     tau2 = tau_from_hirota_point(hp2)
     tau_gr = tau_from_grassmannian(A, kc)
@@ -451,19 +462,20 @@ def _cmd_certify(args) -> int:
     ok = all(v == 0 for v in res.values())
     checks.append(("bilinear-residual", ok, f"{len(res)} residual groups all zero"))
 
-    disp = uvw(kc, "X+").dispersion_residuals()
+    disp = hp1.uvw.dispersion_residuals()
     ok = all(v == 0 for v in disp)
     checks.append(("dispersion", ok, "U^4 + 3V^2 - 4UW = 0 per column"))
 
-    k_eff = k if cfg.vertex_choice == "v1" else kc.n - k
-    hp_sel = hp1 if cfg.vertex_choice == "v1" else hp2
+    if cfg.vertex_choice == "v1":
+        hp_sel, tau_sel, res_sel, k_eff = hp1, tau1, res, k
+    else:
+        hp_sel, tau_sel, res_sel, k_eff = hp2, tau2, hirota_residual(tau2), kc.n - k
+    faces = face_table(hp_sel)
     rels = face_direction_classes(k_eff, kc.n)
-    vals = instantiate_and_check(rels, hp_sel)
-    ok = all(v == 0 for v in vals.values())
+    ok = all(faces[rel.squared_point(kc.n)] == 0 for rel in rels)
     checks.append(("face-quartics", ok, f"{len(rels)} face equations vanish"))
 
-    tau_sel = tau1 if cfg.vertex_choice == "v1" else tau2
-    ok = face_values_match_residual(hp_sel, tau_sel)
+    ok = faces_match_residual(faces, res_sel, k_eff, cfg.vertex_choice)
     checks.append(("face-vs-residual", ok, "face values equal residual groups"))
 
     kc_back, beta_back = invert_psi(hp1)
@@ -531,9 +543,7 @@ def _cmd_eqs(args) -> int:
 
 def _cmd_field(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    kc = kappa_config(cfg.kappas)
-    beta, _ = cfg.resolved_weights()
-    hp = hirota_point(kc, cfg.class_k, beta, cfg.vertex_choice)
+    hp = hirota_point(cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
     tau = tau_from_hirota_point(hp)
     nx, ny = args.nx, args.ny
     if nx < 1 or ny < 1:
@@ -638,6 +648,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RouteMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

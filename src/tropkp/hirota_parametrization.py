@@ -13,11 +13,11 @@ same point of the Grassmannian Gr(k, n) is produced three ways:
 The tie between them is the coefficient family alpha_J indexed by k-element
 column sets J: alpha arises once as exp(c^T R c / 2) times a beta monomial
 (the theta route) and once as an explicit product of squared differences
-(the Grassmann route); ``alpha_from_beta`` computes both and insists they
-agree.  The maximal minors satisfy A_J * K_J = alpha_J * K_{I_k} where K_J is
-the Vandermonde minor of columns J, which is what ``verify_minor_identity``
-checks, and a permutation expansion of K-products underlies it
-(``pluecker_vandermonde_sum``).
+(the Grassmann route); ``alpha_from_beta`` computes both and raises
+``RouteMismatchError`` unless they agree.  The maximal minors satisfy
+A_J * K_J = alpha_J * K_{I_k} where K_J is the Vandermonde minor of columns
+J, which is what ``verify_minor_identity`` checks, and a permutation
+expansion of K-products underlies it (``pluecker_vandermonde_sum``).
 
 All arithmetic is over Fraction; nothing here ever touches floats.
 """
@@ -45,6 +45,7 @@ from .tropical_limit import (
 __all__ = [
     "GrassmannPoint",
     "HirotaPoint",
+    "RouteMismatchError",
     "grassmann_point",
     "exact_det",
     "hypersimplex_labels",
@@ -67,6 +68,11 @@ __all__ = [
 ]
 
 Label = tuple[int, ...]
+
+
+class RouteMismatchError(Exception):
+    """Two exact routes to the same object disagree: an internal
+    inconsistency, not bad input."""
 
 
 def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -217,8 +223,8 @@ def alpha_from_beta(
 
     Computed as exp(c_J^T R c_J / 2) times the beta monomial of c_J, and
     cross-checked entry by entry against the closed product formula; a
-    mismatch would mean the two parametrizations disagree, so it is a hard
-    error rather than a warning.
+    mismatch would mean the two parametrizations disagree, so it raises
+    ``RouteMismatchError`` rather than warning.
     """
     if not 1 <= k <= kc.genus:
         raise ValueError(f"class k must be between 1 and {kc.genus}, got {k}")
@@ -237,7 +243,7 @@ def alpha_from_beta(
         val = a_coeffs[c] * _beta_monomial(bt, c)
         check = _alpha_product_form(kc, k, bt, J)
         if val != check:
-            raise AssertionError(
+            raise RouteMismatchError(
                 f"alpha_{J} disagrees between the theta route ({val}) and the "
                 f"product route ({check})"
             )
@@ -351,10 +357,9 @@ def matrix_A_tilde(
     return grassmann_point(rows)
 
 
-def _beta_lambda_factor(kc: KappaConfig, k: int, j: int) -> Fraction:
+def _beta_lambda_factor(R: RMatrix, k: int, j: int) -> Fraction:
     """exp(k/2 R_jj - sum_{l=1}^{k-1} R_jl); converts between the two weight
     families in either direction."""
-    R = limit_R(kc)
     val = R.exp_half_diag(j) ** k
     for l in range(1, k):
         if l == j:
@@ -382,10 +387,10 @@ def beta_lambda_convert(
         raise ValueError(f"expected {kc.genus} weights, got {len(values)}")
     if any(v == 0 for v in values):
         raise ValueError("weights must be nonzero")
-    out = []
-    for j in range(1, kc.genus + 1):
-        out.append(_beta_lambda_factor(kc, k, j) / values[j - 1])
-    return tuple(out)
+    R = limit_R(kc)
+    return tuple(
+        _beta_lambda_factor(R, k, j) / values[j - 1] for j in range(1, kc.genus + 1)
+    )
 
 
 def lambda_from_divisor(kc: KappaConfig, d: Divisor) -> tuple[Fraction, ...]:
@@ -464,6 +469,26 @@ class HirotaPoint:
     class_k: int
     vertex_choice: str
 
+    def other_vertex(self) -> "HirotaPoint":
+        """The same solution read at the other graph vertex: complemented
+        labels with equal coefficients, and negated period vectors on the
+        other component."""
+        pv = self.uvw
+        full = frozenset(range(1, len(pv.U) + 2))
+        return HirotaPoint(
+            alphas={
+                tuple(sorted(full - frozenset(J))): val for J, val in self.alphas.items()
+            },
+            uvw=PeriodVectors(
+                U=tuple(-u for u in pv.U),
+                V=tuple(-v for v in pv.V),
+                W=tuple(-w for w in pv.W),
+                component_choice="X-" if pv.component_choice == "X+" else "X+",
+            ),
+            class_k=self.class_k,
+            vertex_choice="v2" if self.vertex_choice == "v1" else "v1",
+        )
+
 
 def hirota_point(
     kc: KappaConfig, k: int, beta: Sequence[RationalLike], vertex_choice: str = "v1"
@@ -475,18 +500,13 @@ def hirota_point(
     """
     if vertex_choice not in ("v1", "v2"):
         raise ValueError(f"vertex_choice must be 'v1' or 'v2', got {vertex_choice!r}")
-    alphas = alpha_from_beta(kc, k, beta)
-    if vertex_choice == "v1":
-        return HirotaPoint(
-            alphas=alphas, uvw=uvw(kc, "X+"), class_k=k, vertex_choice="v1"
-        )
-    full = frozenset(range(1, kc.n + 1))
-    flipped = {
-        tuple(sorted(full - frozenset(J))): val for J, val in alphas.items()
-    }
-    return HirotaPoint(
-        alphas=flipped, uvw=uvw(kc, "X-"), class_k=k, vertex_choice="v2"
+    hp = HirotaPoint(
+        alphas=alpha_from_beta(kc, k, beta),
+        uvw=uvw(kc, "X+"),
+        class_k=k,
+        vertex_choice="v1",
     )
+    return hp if vertex_choice == "v1" else hp.other_vertex()
 
 
 def invert_psi(hp: HirotaPoint) -> tuple[KappaConfig, tuple[Fraction, ...]]:
@@ -524,13 +544,7 @@ def invert_psi(hp: HirotaPoint) -> tuple[KappaConfig, tuple[Fraction, ...]]:
     if (expected.U, expected.V, expected.W) != (U, V, W):
         raise ValueError("period vectors do not come from a node configuration")
 
-    if hp.vertex_choice == "v1":
-        alphas = dict(hp.alphas)
-    else:
-        full = frozenset(range(1, n + 1))
-        alphas = {
-            tuple(sorted(full - frozenset(J))): val for J, val in hp.alphas.items()
-        }
+    alphas = hp.alphas if hp.vertex_choice == "v1" else hp.other_vertex().alphas
     base_label = tuple(range(1, k + 1))
     if base_label not in alphas or alphas[base_label] == 0:
         raise ValueError("coefficient at the base label is missing or zero")

@@ -16,7 +16,8 @@ P(delta . scr_u, delta . scr_v, delta . scr_w), where delta = e_S - e_{I1-S},
 P(x, y, t) = x^4 - 4 x t + 3 y^2, and scr_u/v/w are any n-vectors whose
 consecutive differences against the first coordinate reproduce the period
 vectors (delta sums to zero, so the gauge never matters).
-``instantiate_and_check`` evaluates them exactly on a coefficient family.
+``instantiate_and_check`` evaluates them exactly on a coefficient family,
+and ``face_table`` does so over every doubled point of the family.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hirota_parametrization import HirotaPoint, hypersimplex_labels, label_lattice_point
+from .hirota_parametrization import HirotaPoint, hypersimplex_labels
 from .tau_kp import TauFunction, hirota_residual
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
     "face_direction_classes",
     "quartic_for_point",
     "instantiate_and_check",
+    "face_table",
+    "faces_match_residual",
     "face_values_match_residual",
     "relations_to_json",
     "relations_to_text",
@@ -70,9 +73,9 @@ class QuarticRelation:
 
     def squared_point(self, n: int) -> tuple[int, ...]:
         """The doubled-hypersimplex point this face sits over."""
+        fixed, direction = set(self.fixed_ones), set(self.direction)
         return tuple(
-            2 * (1 if i in set(self.fixed_ones) else 0)
-            + (1 if i in set(self.direction) else 0)
+            2 * (1 if i in fixed else 0) + (1 if i in direction else 0)
             for i in range(1, n + 1)
         )
 
@@ -88,11 +91,9 @@ def squared_set(k: int, n: int) -> tuple[SquaredPoint, ...]:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     found: dict[tuple[int, ...], list[tuple[Label, Label]]] = {}
     labels = hypersimplex_labels(n, k)
+    indicator = {J: tuple(1 if i in J else 0 for i in range(1, n + 1)) for J in labels}
     for J1, J2 in itertools.combinations(labels, 2):
-        ind = tuple(
-            (1 if i in set(J1) else 0) + (1 if i in set(J2) else 0)
-            for i in range(1, n + 1)
-        )
+        ind = tuple(a + b for a, b in zip(indicator[J1], indicator[J2]))
         found.setdefault(ind, []).append((J1, J2))
     out = []
     for d in sorted(found):
@@ -112,7 +113,8 @@ def _relation_for(
     terms = []
     for extra in itertools.combinations(rest, half - 1):
         S = (lead,) + extra
-        other = tuple(x for x in direction if x not in set(S))
+        chosen = set(S)
+        other = tuple(x for x in direction if x not in chosen)
         lab1 = tuple(sorted(fixed_ones + S))
         lab2 = tuple(sorted(fixed_ones + other))
         terms.append((lab1, lab2, _delta_vector(n, S, other)))
@@ -141,7 +143,8 @@ def face_direction_classes(k: int, n: int) -> tuple[QuarticRelation, ...]:
     out = []
     for ell in range(1, min(k, n - k) + 1):
         for direction in itertools.combinations(range(1, n + 1), 2 * ell):
-            outside = [i for i in range(1, n + 1) if i not in set(direction)]
+            inside = set(direction)
+            outside = [i for i in range(1, n + 1) if i not in inside]
             fixed = tuple(outside[: k - ell])
             out.append(_relation_for(n, direction, fixed))
     out.sort(key=lambda rel: (rel.dimension, rel.direction))
@@ -196,6 +199,42 @@ def instantiate_and_check(
     return out
 
 
+def face_table(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:
+    """Exact value of the face quartic over every doubled point of the
+    family's (k, n), each with its own frozen coordinates; the class
+    representatives of ``face_direction_classes`` are among the keys."""
+    n = len(hp.uvw.U) + 1
+    k_eff = len(next(iter(hp.alphas)))
+    return instantiate_and_check(
+        (quartic_for_point(sp) for sp in squared_set(k_eff, n)), hp
+    )
+
+
+def _residual_key(d: Sequence[int], k: int, vertex_choice: str) -> tuple[int, ...]:
+    """The bilinear-residual group of the pairs over doubled point d.
+
+    Summing the label bijection c_m = [m+1 <= k] - [m+1 in J] over a pair
+    gives c_m = 2 [m+1 <= k] - d_{m+1} for m = 1..n-1 (d read 1-based); a
+    second-vertex family's lattice points are negated, and so is the key.
+    """
+    sign = 1 if vertex_choice == "v1" else -1
+    return tuple(sign * (2 * (m + 1 <= k) - d[m]) for m in range(1, len(d)))
+
+
+def faces_match_residual(
+    faces: dict[tuple[int, ...], Fraction],
+    residual: dict[tuple[int, ...], Fraction],
+    k: int,
+    vertex_choice: str,
+) -> bool:
+    """A face table and a residual grouping agree: the doubled points map
+    onto exactly the residual keys, with equal values on each."""
+    translation = {d: _residual_key(d, k, vertex_choice) for d in faces}
+    if set(translation.values()) != set(residual):
+        return False
+    return all(faces[d] == residual[c] for d, c in translation.items())
+
+
 def face_values_match_residual(hp: HirotaPoint, tau: TauFunction) -> bool:
     """Exact agreement of the two residual routes.
 
@@ -205,23 +244,10 @@ def face_values_match_residual(hp: HirotaPoint, tau: TauFunction) -> bool:
     the other, and on matching keys the values must agree exactly (the
     quartic arguments are the same wave differences in a different gauge).
     """
-    n = len(hp.uvw.U) + 1
     k_eff = len(next(iter(hp.alphas)))
-    points = squared_set(k_eff, n)
-    values = instantiate_and_check((quartic_for_point(sp) for sp in points), hp)
-    residual = hirota_residual(tau)
-    translation = {}
-    for sp in points:
-        lab1, lab2 = sp.pairs[0]
-        c1 = label_lattice_point(n, k_eff, lab1)
-        c2 = label_lattice_point(n, k_eff, lab2)
-        key = tuple(a + b for a, b in zip(c1, c2))
-        if hp.vertex_choice == "v2":
-            key = tuple(-x for x in key)
-        translation[sp.d] = key
-    if set(translation.values()) != set(residual):
-        return False
-    return all(values[d] == residual[c] for d, c in translation.items())
+    return faces_match_residual(
+        face_table(hp), hirota_residual(tau), k_eff, hp.vertex_choice
+    )
 
 
 def relations_to_json(k: int, n: int, relations: Iterable[QuarticRelation]) -> str:

@@ -2,9 +2,9 @@
 
 A configuration of n distinct rational constants kappa_1..kappa_n plays the
 role of the node parameters.  All period-like quantities attached to it are
-logarithms of nonzero rationals, so instead of floating point we carry the
-arguments around exactly: ``LogRational`` stores log(arg) by its positive
-rational argument, and signed variants keep a sign tag alongside.
+logarithms of nonzero rationals, so instead of floating point we carry their
+exponentials exactly: the limit period matrix is stored as the rationals
+exp(R_ij), and each Abel sum as the signed rational it is the log of.
 
 The pieces computed here:
 
@@ -20,7 +20,6 @@ The pieces computed here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,8 +28,6 @@ from .graph_jacobian import RationalLike, frac, frac_vector
 
 __all__ = [
     "KappaConfig",
-    "LogRational",
-    "SignedLog",
     "RMatrix",
     "PeriodVectors",
     "Divisor",
@@ -79,62 +76,12 @@ def kappa_config(values: Iterable[RationalLike]) -> KappaConfig:
 
 
 @dataclass(frozen=True)
-class LogRational:
-    """log(arg) for a positive rational arg, stored exactly.
-
-    Addition and subtraction of logs multiply and divide the arguments;
-    integer scaling raises the argument to a power.  ``value()`` is the only
-    place a float appears.
-    """
-
-    arg: Fraction
-
-    def __post_init__(self) -> None:
-        if self.arg <= 0:
-            raise ValueError(f"argument must be a positive rational, got {self.arg}")
-
-    def __add__(self, other: "LogRational") -> "LogRational":
-        return LogRational(self.arg * other.arg)
-
-    def __sub__(self, other: "LogRational") -> "LogRational":
-        return LogRational(self.arg / other.arg)
-
-    def __neg__(self) -> "LogRational":
-        return LogRational(1 / self.arg)
-
-    def scale(self, m: int) -> "LogRational":
-        return LogRational(self.arg**m)
-
-    def value(self) -> float:
-        return math.log(self.arg)
-
-
-@dataclass(frozen=True)
-class SignedLog:
-    """A real number written as sign * exp(log_abs), with exact pieces."""
-
-    sign: int
-    log_abs: LogRational
-
-    def exp_value(self) -> Fraction:
-        """The rational sign * arg the log was taken of."""
-        return self.sign * self.log_abs.arg
-
-
-def signed_log(value: Fraction) -> SignedLog:
-    if value == 0:
-        raise ValueError("cannot take the log of zero")
-    sign = 1 if value > 0 else -1
-    return SignedLog(sign=sign, log_abs=LogRational(abs(value)))
-
-
-@dataclass(frozen=True)
 class RMatrix:
-    """Limit period matrix, entries as exact logs; index 0 plays the role of
-    the distinguished first node and contributes zero rows/columns where the
-    formulas below ask for them."""
+    """Limit period matrix, stored entrywise as the exact rationals exp(R_ij);
+    index 0 plays the role of the distinguished first node and contributes
+    zero rows/columns where the formulas below ask for them."""
 
-    entries: tuple[tuple[LogRational, ...], ...]
+    entries: tuple[tuple[Fraction, ...], ...]
     kappas: KappaConfig
 
     @property
@@ -145,7 +92,7 @@ class RMatrix:
         """exp(R_ij), 1-based in 1..g; index 0 is allowed and gives 1."""
         if i == 0 or j == 0:
             return Fraction(1)
-        return self.entries[i - 1][j - 1].arg
+        return self.entries[i - 1][j - 1]
 
     def exp_half_diag(self, i: int) -> Fraction:
         """exp(R_ii / 2) = (kappa_{i+1} - kappa_1)^(-2); index 0 gives 1."""
@@ -162,11 +109,10 @@ def limit_R(kc: KappaConfig) -> RMatrix:
         row = []
         for j in range(1, g + 1):
             if i == j:
-                arg = kc.diff(i + 1, 1) ** -4
+                row.append(kc.diff(i + 1, 1) ** -4)
             else:
                 f = kc.diff(i + 1, j + 1) / (kc.diff(i + 1, 1) * kc.diff(j + 1, 1))
-                arg = f**2
-            row.append(LogRational(arg))
+                row.append(f**2)
         rows.append(tuple(row))
     return RMatrix(entries=tuple(rows), kappas=kc)
 
@@ -269,9 +215,10 @@ def make_divisor(
     return Divisor(points=frac_vector(points), split_k=split_k, p0_component=p0_component)
 
 
-def abel_map(kc: KappaConfig, d: Divisor) -> tuple[SignedLog, ...]:
-    """Abel sums of the divisor: entry i is the exact log of
-    P(kappa_{i+1}) Q(kappa_{i+1}) / (P(kappa_1) Q(kappa_1)), sign tagged.
+def abel_map(kc: KappaConfig, d: Divisor) -> tuple[Fraction, ...]:
+    """Abel sums of the divisor as exponentials: entry i is the nonzero
+    rational P(kappa_{i+1}) Q(kappa_{i+1}) / (P(kappa_1) Q(kappa_1)), whose
+    signed log is the sum.
 
     The divisor must have g = n - 1 points, none of them equal to a node
     parameter (those would be zeros or poles of the integrand).
@@ -281,8 +228,4 @@ def abel_map(kc: KappaConfig, d: Divisor) -> tuple[SignedLog, ...]:
     if set(d.points) & set(kc.kappas):
         raise ValueError("divisor points must avoid the node parameters")
     base = d.P_at(kc.kappa(1)) * d.Q_prod_at(kc.kappa(1))
-    out = []
-    for i in range(1, kc.genus + 1):
-        z = kc.kappa(i + 1)
-        out.append(signed_log(d.P_at(z) * d.Q_prod_at(z) / base))
-    return tuple(out)
+    return tuple(d.P_at(z) * d.Q_prod_at(z) / base for z in kc.kappas[1:])

@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tropkp
 from tropkp.cli import run
+
+REPO = Path(__file__).resolve().parent.parent
 
 BETA_CONFIG = {
     "kappas": ["0", "1", "2", "3"],
@@ -141,12 +144,56 @@ class TestConfigCommands:
         names = {c["name"] for c in payload["checks"]}
         assert {"minor-identity", "bilinear-residual", "kp-numeric"} <= names
 
+    @pytest.mark.parametrize("command", ["limits", "param", "certify"])
+    @pytest.mark.parametrize("config", ["g3k2", "divisor"])
+    def test_payload_pinned(self, config, command, config_file, capsys):
+        """The whole JSON payload on the README example and on a divisor
+        config, as recorded in cli_payloads.json.  The numeric checks'
+        detail strings quote float residuals, so only their verdicts are
+        pinned."""
+        path = (
+            str(REPO / "g3k2.json") if config == "g3k2" else config_file(DIVISOR_CONFIG)
+        )
+        assert run([command, "--config", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for check in payload.get("checks", ()):
+            if check["name"] in ("kp-numeric", "spacetime-inversion"):
+                del check["detail"]
+        pinned = json.loads((REPO / "tests" / "cli_payloads.json").read_text())
+        assert payload == pinned[config][command]
+
     def test_certify_fails_on_impossible_tolerance(self, config_file, capsys):
         strict = dict(BETA_CONFIG, tolerance=0.0)
         assert run(["certify", "--config", config_file(strict)]) == 2
         out = capsys.readouterr().out
         assert "[FAIL] kp-numeric" in out
         assert "certification FAILED" in out
+
+    @pytest.mark.parametrize("choice", ["v1", "v2"])
+    def test_certify_catches_a_perturbed_family(
+        self, choice, config_file, capsys, monkeypatch
+    ):
+        """One coefficient scaled by 7/5 breaks the face quartics, while the
+        face table and the residual of the same family still agree."""
+        import tropkp.cli as cli_mod
+        from tropkp.hirota_parametrization import HirotaPoint
+
+        real = cli_mod.hirota_point
+
+        def perturbed(*args):
+            hp = real(*args)
+            alphas = dict(hp.alphas)
+            alphas[(1, 3)] *= Fraction(7, 5)
+            return HirotaPoint(alphas, hp.uvw, hp.class_k, hp.vertex_choice)
+
+        monkeypatch.setattr(cli_mod, "hirota_point", perturbed)
+        cfg = dict(BETA_CONFIG, vertex_choice=choice)
+        assert run(["certify", "--config", config_file(cfg), "--json"]) == 2
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        verdicts = {c["name"]: c["ok"] for c in checks}
+        assert verdicts["face-quartics"] is False
+        assert verdicts["bilinear-residual"] is False
+        assert verdicts["face-vs-residual"] is True
 
     def test_field_csv(self, config_file, tmp_path, capsys):
         out_path = tmp_path / "grid.csv"
@@ -212,6 +259,13 @@ class TestErrorHandling:
         assert run(["limits", "--config", config_file(bad)]) == 1
         capsys.readouterr()
 
+    def test_limits_rejects_malformed_weights(self, config_file, capsys):
+        """Weights are resolved when the config is read, so a command that
+        never uses them still refuses a config whose weights are bad."""
+        bad = dict(BETA_CONFIG, beta=["1", "1"])
+        assert run(["limits", "--config", config_file(bad)]) == 1
+        assert "expected 3 weights, got 2" in capsys.readouterr().err
+
     def test_float_weight_rejected(self, config_file, capsys):
         bad = dict(BETA_CONFIG, beta=[0.5, 1, 1])
         assert run(["param", "--config", config_file(bad)]) == 1
@@ -240,15 +294,61 @@ class TestErrorHandling:
             ({"tolerance": float("nan")}, "tolerance must be finite"),
             ({"tolerance": float("inf")}, "tolerance must be finite"),
             ({"tolerance": -1e-8}, "tolerance must be finite and >= 0"),
+            ({"class_k": 2.9}, "class_k must be a JSON integer"),
+            ({"class_k": True}, "class_k must be a JSON integer"),
+            ({"samples": 2.7}, "samples must be a JSON integer"),
+            ({"seed": "12"}, "seed must be a JSON integer"),
+            ({"tolerance": True}, "tolerance must be a number"),
+            (
+                {
+                    "beta": None,
+                    "class_k": 1,
+                    "divisor": dict(DIVISOR_CONFIG["divisor"], split_k=1.0),
+                },
+                "split_k must be a JSON integer",
+            ),
         ],
     )
     def test_bad_config_values(self, config_file, capsys, overrides, message):
-        """Each of these was once accepted and certified, or read a string
-        character by character; now each is a config error."""
-        bad = dict(BETA_CONFIG, **overrides)
+        """Each of these was once accepted and certified (non-integers were
+        truncated, booleans read as 0 or 1), or read a string character by
+        character; now each is a config error.  A None override drops the
+        key."""
+        bad = {
+            k: v for k, v in dict(BETA_CONFIG, **overrides).items() if v is not None
+        }
         assert run(["certify", "--config", config_file(bad)]) == 1
         captured = capsys.readouterr()
         assert message in captured.err
+        assert "PASSED" not in captured.out
+
+    @pytest.mark.parametrize("command", ["param", "certify"])
+    def test_divisor_split_must_match_class(self, command, config_file, capsys):
+        """With split_k != class_k the dual matrix has the wrong shape and
+        its minors are not those of the lambda matrix; the config is
+        rejected instead of certified."""
+        bad = dict(DIVISOR_CONFIG, class_k=2)
+        assert run([command, "--config", config_file(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "split_k must equal class_k (2), got 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["param", "certify"])
+    def test_alpha_route_mismatch_is_a_failure(
+        self, command, config_file, capsys, monkeypatch
+    ):
+        """Disagreeing alpha routes are an internal inconsistency: one
+        error line and exit 2, not a traceback."""
+        import tropkp.hirota_parametrization as hp_mod
+
+        real = hp_mod._alpha_product_form
+        monkeypatch.setattr(
+            hp_mod, "_alpha_product_form", lambda *a: 2 * real(*a)
+        )
+        assert run([command, "--config", config_file(BETA_CONFIG)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: alpha_")
+        assert captured.err.count("\n") == 1
         assert "PASSED" not in captured.out
 
     def test_help_exits_zero(self, capsys):

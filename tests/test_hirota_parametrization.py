@@ -310,6 +310,8 @@ class TestHirotaPointAndInverse:
         for J, val in hp1.alphas.items():
             comp = tuple(sorted(full - frozenset(J)))
             assert hp2.alphas[comp] == val
+        assert hp2.uvw == uvw(KC4, "X-")
+        assert hp2.other_vertex() == hp1
 
     @pytest.mark.parametrize("choice", ["v1", "v2"])
     def test_roundtrip_fixed_config(self, choice):
