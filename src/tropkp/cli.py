@@ -542,12 +542,15 @@ def _cmd_eqs(args) -> int:
 
 
 def _cmd_field(args) -> int:
-    cfg = RunConfig.from_file(args.config)
-    hp = hirota_point(cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
-    tau = tau_from_hirota_point(hp)
+    for name in ("xmin", "xmax", "ymin", "ymax", "t"):
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigError(f"--{name} must be finite, got {getattr(args, name)}")
     nx, ny = args.nx, args.ny
     if nx < 1 or ny < 1:
         raise ConfigError("grid must have at least one point per axis")
+    cfg = RunConfig.from_file(args.config)
+    hp = hirota_point(cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
+    tau = tau_from_hirota_point(hp)
     rows = ["x,y,t,u"]
     for iy in range(ny):
         y = args.ymin + (args.ymax - args.ymin) * (iy / (ny - 1) if ny > 1 else 0.0)

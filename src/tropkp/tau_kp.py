@@ -12,18 +12,20 @@ triple.  Two layers of certification operate on them:
   equation, so an all-zero dictionary is a proof, not an approximation.
 * numeric: ``kp_residual_numeric`` evaluates
   (-4 u_t + 6 u u_x + u_xxx)_x + 3 u_yy for u = 2 (log tau)_xx at sample
-  points via truncated Taylor jets in multiple precision (mpmath); the x
-  partials are carried to order 6, which the fourth x-derivative of u needs.
+  points in multiple precision (mpmath).  For tau = sum_i a_i exp(theta_i),
+  every partial derivative of log tau is a joint cumulant of the wave
+  triples (u_i, v_i, w_i) under the weights p_i = a_i exp(theta_i) / tau,
+  which sum to 1 (they may be negative), so each derivative of u is a
+  polynomial in the central moments of the triples under p.
 
 Per-point exponent shifts keep the numerics stable: subtracting the largest
-exponent at a sample is a constant shift of log tau and drops out of every
-derivative taken here.
+exponent at a sample scales every weight by the same factor, so p is
+unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,11 +188,8 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# numeric layer: truncated Taylor jets of log tau in multiple precision
+# numeric layer: cumulants of the wave triples under the tau weights
 # ---------------------------------------------------------------------------
-
-_XCAP, _YCAP, _TCAP = 6, 2, 1
-_MAX_TOTAL = _XCAP + _YCAP + _TCAP
 
 
 def _precision() -> int:
@@ -206,78 +205,40 @@ def _to_mpf(q: Fraction):
     return mp.mpf(q.numerator) / mp.mpf(q.denominator)
 
 
-def _jet_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for (a1, b1, c1), v1 in f.items():
-        for (a2, b2, c2), v2 in g.items():
-            a, b, c = a1 + a2, b1 + b2, c1 + c2
-            if a > _XCAP or b > _YCAP or c > _TCAP:
-                continue
-            key = (a, b, c)
-            prev = out.get(key)
-            out[key] = v1 * v2 if prev is None else prev + v1 * v2
-    return out
-
-
-def _jet_log(f: dict) -> dict:
-    """log of a jet with nonzero constant term, via the alternating series in
-    eps = f/f0 - 1 (nilpotent to order > total degree cap)."""
-    f0 = f[(0, 0, 0)]
-    eps = {k: v / f0 for k, v in f.items() if k != (0, 0, 0)}
-    out = {(0, 0, 0): mp.log(f0)}
-    power = dict(eps)
-    for m in range(1, _MAX_TOTAL + 1):
-        if not power:
-            break
-        coef = mp.mpf(1 if m % 2 else -1) / m
-        for k, v in power.items():
-            prev = out.get(k)
-            out[k] = coef * v if prev is None else prev + coef * v
-        power = _jet_mul(power, eps)
-    return out
-
-
-def _log_tau_derivatives(tau: TauFunction, x: float, y: float, t: float) -> dict:
-    """Partial derivatives of log tau at a point, keyed by (a, b, c) with
-    a <= 6, b <= 2, c <= 1."""
+def _centred(tau: TauFunction, x: float, y: float, t: float):
+    """The weights p_i = coeff_i exp(theta_i) / tau at (x, y, t), and each
+    wave triple minus its p-mean, as mpf values."""
     if not tau.terms:
         raise ValueError("tau function has no terms")
-    mx, my, mt = mp.mpf(x), mp.mpf(y), mp.mpf(t)
-    exps = []
-    for term in tau.terms:
-        u, v, w = (_to_mpf(q) for q in term.wave)
-        exps.append((u, v, w, u * mx + v * my + w * mt))
-    peak = max(e[3] for e in exps)
-    jet: dict = {}
-    for term, (u, v, w, theta) in zip(tau.terms, exps):
-        weight = _to_mpf(term.coeff) * mp.e ** (theta - peak)
-        ua = mp.mpf(1)
-        for a in range(_XCAP + 1):
-            vb = mp.mpf(1)
-            for b in range(_YCAP + 1):
-                wc = mp.mpf(1)
-                for c in range(_TCAP + 1):
-                    key = (a, b, c)
-                    contrib = weight * ua * vb * wc / (
-                        math.factorial(a) * math.factorial(b) * math.factorial(c)
-                    )
-                    prev = jet.get(key)
-                    jet[key] = contrib if prev is None else prev + contrib
-                    wc *= w
-                vb *= v
-            ua *= u
-    log_jet = _jet_log(jet)
-    return {
-        key: val * math.factorial(key[0]) * math.factorial(key[1]) * math.factorial(key[2])
-        for key, val in log_jet.items()
-    }
+    waves = [tuple(_to_mpf(q) for q in term.wave) for term in tau.terms]
+    thetas = [u * x + v * y + w * t for u, v, w in waves]
+    peak = max(thetas)
+    weights = [
+        _to_mpf(term.coeff) * mp.exp(theta - peak)
+        for term, theta in zip(tau.terms, thetas)
+    ]
+    total = mp.fsum(weights)
+    p = [wt / total for wt in weights]
+    mean = [mp.fsum(pi * wave[i] for pi, wave in zip(p, waves)) for i in range(3)]
+    return p, [tuple(wave[i] - mean[i] for i in range(3)) for wave in waves]
+
+
+def _moment(p, centred, a: int, b: int = 0, c: int = 0):
+    """E[du^a dv^b dw^c] under the weights p."""
+    return mp.fsum(pi * du**a * dv**b * dw**c for pi, (du, dv, dw) in zip(p, centred))
+
+
+def _samples(samples: Iterable[tuple[float, float, float]]) -> list:
+    samples = list(samples)
+    if not samples:
+        raise ValueError("no sample points given")
+    return samples
 
 
 def evaluate_u(tau: TauFunction, x: float, y: float, t: float) -> float:
     """u(x, y, t) = 2 (log tau)_xx."""
     with mp.workdps(_precision()):
-        d = _log_tau_derivatives(tau, x, y, t)
-        return float(2 * d[(2, 0, 0)])
+        return float(2 * _moment(*_centred(tau, x, y, t), 2))
 
 
 def kp_residual_numeric(
@@ -287,14 +248,19 @@ def kp_residual_numeric(
     -4 u_xt + 6 u_x^2 + 6 u u_xx + u_xxxx + 3 u_yy over the samples."""
     worst = mp.mpf(0)
     with mp.workdps(_precision()):
-        for x, y, t in samples:
-            d = _log_tau_derivatives(tau, x, y, t)
-            u = 2 * d[(2, 0, 0)]
-            u_x = 2 * d[(3, 0, 0)]
-            u_xx = 2 * d[(4, 0, 0)]
-            u_xxxx = 2 * d[(6, 0, 0)]
-            u_xt = 2 * d[(3, 0, 1)]
-            u_yy = 2 * d[(2, 2, 0)]
+        for x, y, t in _samples(samples):
+            p, d = _centred(tau, x, y, t)
+            m2, m3, m4 = (_moment(p, d, a) for a in (2, 3, 4))
+            u = 2 * m2
+            u_x = 2 * m3
+            u_xx = 2 * (m4 - 3 * m2**2)
+            u_xxxx = 2 * (_moment(p, d, 6) - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3)
+            u_xt = 2 * (_moment(p, d, 3, 0, 1) - 3 * m2 * _moment(p, d, 1, 0, 1))
+            u_yy = 2 * (
+                _moment(p, d, 2, 2)
+                - m2 * _moment(p, d, 0, 2)
+                - 2 * _moment(p, d, 1, 1) ** 2
+            )
             res = -4 * u_xt + 6 * u_x**2 + 6 * u * u_xx + u_xxxx + 3 * u_yy
             worst = max(worst, abs(res))
     return float(worst)
@@ -307,7 +273,7 @@ def spacetime_inversion_check(
 ) -> float:
     """max over samples of |u_2(x, y, t) - u_1(-x, -y, -t)|."""
     worst = 0.0
-    for x, y, t in samples:
+    for x, y, t in _samples(samples):
         u2 = evaluate_u(tau_v2, x, y, t)
         u1 = evaluate_u(tau_v1, -x, -y, -t)
         worst = max(worst, abs(u2 - u1))

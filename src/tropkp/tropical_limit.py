@@ -180,15 +180,16 @@ def uvw(kc: KappaConfig, component: str = "X+") -> PeriodVectors:
 @dataclass(frozen=True)
 class Divisor:
     """A degree-g rational divisor: the first split_k points share the
-    component of the base point p0, the rest sit on the other component."""
+    component of the base point p0, the rest sit on the other component.
+    p0 on X+ is the only placement implemented; any other is refused."""
 
     points: tuple[Fraction, ...]
     split_k: int
     p0_component: str
 
     def __post_init__(self) -> None:
-        if self.p0_component not in COMPONENTS:
-            raise ValueError(f"p0_component must be one of {COMPONENTS}")
+        if self.p0_component != "X+":
+            raise ValueError(f"p0_component must be 'X+', got {self.p0_component!r}")
         if not 0 <= self.split_k <= len(self.points):
             raise ValueError(
                 f"split_k must be between 0 and {len(self.points)}, got {self.split_k}"

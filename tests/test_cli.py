@@ -223,6 +223,34 @@ class TestConfigCommands:
         assert lines[0] == "x,y,t,u"
         assert len(lines) == 1 + 6
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--xmin=nan"],
+            ["--xmax=inf"],
+            ["--ymin=-inf"],
+            ["--ymax=nan"],
+            ["--t=-inf"],
+            ["--nx", "0"],
+            ["--ny", "-1"],
+        ],
+        ids="".join,
+    )
+    def test_field_rejects_bad_grid(self, grid, config_file, capsys, monkeypatch):
+        """A non-finite bound or an empty axis is a usage error (non-finite
+        bounds once printed rows of nan and exited 0), and it is found
+        before any tau function is built."""
+        import tropkp.cli as cli_mod
+
+        built = []
+        monkeypatch.setattr(cli_mod, "tau_from_hirota_point", built.append)
+        assert run(["field", "--config", config_file(BETA_CONFIG), *grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert built == []
+
     def test_eqs_text_and_json(self, capsys):
         assert run(["eqs", "--k", "2", "--n", "4"]) == 0
         out = capsys.readouterr().out
@@ -306,6 +334,14 @@ class TestErrorHandling:
                     "divisor": dict(DIVISOR_CONFIG["divisor"], split_k=1.0),
                 },
                 "split_k must be a JSON integer",
+            ),
+            (
+                {
+                    "beta": None,
+                    "class_k": 1,
+                    "divisor": dict(DIVISOR_CONFIG["divisor"], p0_component="X-"),
+                },
+                "p0_component must be 'X+', got 'X-'",
             ),
         ],
     )

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from mpmath import mp
 
 from tropkp.hirota_parametrization import (
     HirotaPoint,
@@ -209,3 +210,64 @@ class TestNumericEvaluation:
         monkeypatch.setenv("TROPKP_PRECISION", "plenty")
         with pytest.raises(ValueError, match="TROPKP_PRECISION"):
             evaluate_u(tau, 0.0, 0.0, 0.0)
+
+    def test_no_samples_rejected(self):
+        """An empty sample list would report a zero residual, which reads
+        as a pass without anything having been checked."""
+        tau = tau_from_hirota_point(hirota_point(KC4, 2, (1, 1, 1), "v1"))
+        with pytest.raises(ValueError, match="no sample points"):
+            kp_residual_numeric(tau, [])
+        with pytest.raises(ValueError, match="no sample points"):
+            spacetime_inversion_check(tau, tau, [])
+
+
+def reference_derivatives(tau, x, y, t):
+    """2 (log tau)_{x^a y^b t^c} by mpmath.diff at 50 digits, with log tau
+    summed straight from the exact terms."""
+
+    def mpq(q):
+        return mp.mpf(q.numerator) / q.denominator
+
+    with mp.workdps(50):
+        terms = [(mpq(term.coeff), [mpq(q) for q in term.wave]) for term in tau.terms]
+
+        def log_tau(x, y, t):
+            return mp.log(
+                mp.fsum(a * mp.exp(u * x + v * y + w * t) for a, (u, v, w) in terms)
+            )
+
+        point = [mp.mpf(x), mp.mpf(y), mp.mpf(t)]
+        orders = {
+            "u": (2, 0, 0),
+            "u_x": (3, 0, 0),
+            "u_xx": (4, 0, 0),
+            "u_xxxx": (6, 0, 0),
+            "u_xt": (3, 0, 1),
+            "u_yy": (2, 2, 0),
+        }
+        return {
+            name: 2 * mp.diff(log_tau, point, order) for name, order in orders.items()
+        }
+
+
+def test_numeric_layer_matches_finite_difference_reference():
+    """u and the KP residual agree to 12 relative digits with an
+    independent 50-digit mpmath.diff reference.  The family is perturbed
+    off the solution set, so its residual is nonzero and every one of the
+    six derivatives in it counts."""
+    hp = hirota_point(KC4, 2, (1, 1, 1), "v1")
+    tau = tau_from_hirota_point(perturbed(hp, (1, 3), F(7, 5)))
+    for x, y, t in SAMPLES:
+        d = reference_derivatives(tau, x, y, t)
+        with mp.workdps(50):
+            residual = abs(
+                -4 * d["u_xt"]
+                + 6 * d["u_x"] ** 2
+                + 6 * d["u"] * d["u_xx"]
+                + d["u_xxxx"]
+                + 3 * d["u_yy"]
+            )
+        assert evaluate_u(tau, x, y, t) == pytest.approx(float(d["u"]), rel=1e-12)
+        assert kp_residual_numeric(tau, [(x, y, t)]) == pytest.approx(
+            float(residual), rel=1e-12
+        )
