@@ -27,19 +27,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graph_jacobian import RationalLike, frac, frac_vector
+from .graph_jacobian import RationalLike, frac_vector
 from .tropical_limit import (
     Divisor,
     KappaConfig,
     PeriodVectors,
     RMatrix,
-    abel_map,
     kappa_config,
     limit_R,
     theta_coefficients,
     uvw,
+    validate_divisor,
 )
 
 __all__ = [
@@ -396,10 +396,7 @@ def beta_lambda_convert(
 def lambda_from_divisor(kc: KappaConfig, d: Divisor) -> tuple[Fraction, ...]:
     """Column weights determined by a degree-g divisor:
     lambda_j is the ratio of P * K' * Q evaluated at kappa_1 and kappa_{j+1}."""
-    if len(d.points) != kc.genus:
-        raise ValueError(f"divisor must have {kc.genus} points, got {len(d.points)}")
-    if set(d.points) & set(kc.kappas):
-        raise ValueError("divisor points must avoid the node parameters")
+    validate_divisor(kc, d)
 
     def weight(i: int) -> Fraction:
         z = kc.kappa(i)
@@ -414,13 +411,10 @@ def matrix_A_dual(kc: KappaConfig, d: Divisor) -> GrassmannPoint:
     vertex: row l evaluates P * Q_l / K' at each node, where Q_1 = 1 and
     Q_l for l >= 2 is the reciprocal of (z - p) at the l-th far-side divisor
     point."""
+    validate_divisor(kc, d)
     k = d.split_k
-    if len(d.points) != kc.genus:
-        raise ValueError(f"divisor must have {kc.genus} points, got {len(d.points)}")
     if not 1 <= k <= kc.genus:
         raise ValueError(f"split_k must be between 1 and {kc.genus}, got {k}")
-    if set(d.points) & set(kc.kappas):
-        raise ValueError("divisor points must avoid the node parameters")
     rows = []
     for l in range(1, kc.n - k + 1):
         row = []
@@ -517,31 +511,24 @@ def invert_psi(hp: HirotaPoint) -> tuple[KappaConfig, tuple[Fraction, ...]]:
     and the recovered configuration is cross-checked against all three period
     vectors before the weights are extracted from exchange coefficients.
     """
-    U, V, W = hp.uvw.U, hp.uvw.V, hp.uvw.W
+    U, V = hp.uvw.U, hp.uvw.V
     g = len(U)
     n = g + 1
     k = hp.class_k
     if any(u == 0 for u in U):
         raise ValueError("degenerate parameters: a period coordinate vanishes")
-    # On "X+", kappa_1 = (V_j + U_j^2)/(2 U_j) for every j; on "X-" the sign
-    # of U and V flips, which swaps the two quadratic roots.
-    flip = 1 if hp.uvw.component_choice == "X+" else -1
-    if flip == 1:
-        base_candidates = {(V[j] + U[j] ** 2) / (2 * U[j]) for j in range(g)}
-    else:
-        base_candidates = {(V[j] - U[j] ** 2) / (2 * U[j]) for j in range(g)}
+    # On "X+", kappa_1 = (V_j + U_j^2)/(2 U_j) for every j and
+    # kappa_{j+1} = (V_j - U_j^2)/(2 U_j); "X-" negates U and V, so undo that
+    # first.
+    if hp.uvw.component_choice == "X-":
+        U, V = tuple(-u for u in U), tuple(-v for v in V)
+    base_candidates = {(V[j] + U[j] ** 2) / (2 * U[j]) for j in range(g)}
     if len(base_candidates) != 1:
         raise ValueError("period vectors are inconsistent: no common base node")
-    kappa1 = base_candidates.pop()
-    kappas = [kappa1]
-    for j in range(g):
-        if flip == 1:
-            kappas.append((V[j] - U[j] ** 2) / (2 * U[j]))
-        else:
-            kappas.append((V[j] + U[j] ** 2) / (2 * U[j]))
-    kc = kappa_config(kappas)
-    expected = uvw(kc, hp.uvw.component_choice)
-    if (expected.U, expected.V, expected.W) != (U, V, W):
+    kc = kappa_config(
+        [base_candidates.pop()] + [(V[j] - U[j] ** 2) / (2 * U[j]) for j in range(g)]
+    )
+    if uvw(kc, hp.uvw.component_choice) != hp.uvw:
         raise ValueError("period vectors do not come from a node configuration")
 
     alphas = hp.alphas if hp.vertex_choice == "v1" else hp.other_vertex().alphas

@@ -11,26 +11,30 @@ coefficients, so one representative per direction suffices;
 ``face_direction_classes`` picks the lexicographically first frozen set.
 
 The quartic itself sums, over unordered splittings of I1 into halves S and
-I1 - S, the products alpha_{F u S} alpha_{F u (I1 - S)} times
-P(delta . scr_u, delta . scr_v, delta . scr_w), where delta = e_S - e_{I1-S},
-P(x, y, t) = x^4 - 4 x t + 3 y^2, and scr_u/v/w are any n-vectors whose
-consecutive differences against the first coordinate reproduce the period
-vectors (delta sums to zero, so the gauge never matters).
-``instantiate_and_check`` evaluates them exactly on a coefficient family,
-and ``face_table`` does so over every doubled point of the family.
+I1 - S, the products alpha_{J1} alpha_{J2} P(w_{J1} - w_{J2}) for
+J1 = F u S and J2 = F u (I1 - S), where P is the Hirota symbol
+``tropical_limit.quartic`` and w_J is the wave of label J: minus the sum of
+(U, V, W)_{j-1} over the columns j >= 2 of J.  That is e_J . scr for the
+n-vectors scr = (0, -U) (likewise V, W), whose consecutive differences
+against the first coordinate reproduce the period vectors, so
+w_{J1} - w_{J2} = delta . scr with delta = e_S - e_{I1-S} the term's sign
+vector; delta sums to zero, so the zero first coordinate (the gauge) never
+matters.  ``instantiate_and_check`` evaluates the quartics exactly on a
+coefficient family from one wave per label, and ``face_table`` does so over
+every doubled point of the family.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .hirota_parametrization import HirotaPoint, hypersimplex_labels
 from .tau_kp import TauFunction, hirota_residual
+from .tropical_limit import quartic
 
 __all__ = [
     "SquaredPoint",
@@ -159,17 +163,6 @@ def quartic_for_point(sp: SquaredPoint) -> QuarticRelation:
     return _relation_for(len(sp.d), direction, fixed)
 
 
-def _lift_triple(hp: HirotaPoint, n: int) -> tuple[list, list, list]:
-    """n-vectors whose banana-lift differences give back (U, V, W): gauge
-    fixed by a zero first coordinate."""
-    scr_u = [Fraction(0)] + [-u for u in hp.uvw.U]
-    scr_v = [Fraction(0)] + [-v for v in hp.uvw.V]
-    scr_w = [Fraction(0)] + [-w for w in hp.uvw.W]
-    if len(scr_u) != n:
-        raise ValueError("period vectors do not match the label size")
-    return scr_u, scr_v, scr_w
-
-
 def instantiate_and_check(
     relations: Iterable[QuarticRelation], hp: HirotaPoint
 ) -> dict[tuple[int, ...], Fraction]:
@@ -178,24 +171,26 @@ def instantiate_and_check(
 
     The relations must be built for the same (k, n) as the family's labels
     (for a second-vertex family that means k -> n - k)."""
-    n = len(hp.uvw.U) + 1
-    scr_u, scr_v, scr_w = _lift_triple(hp, n)
+    pv = hp.uvw
+    n = len(pv.U) + 1
+    waves = {
+        J: tuple(
+            -sum((vec[j - 2] for j in J if j >= 2), Fraction(0))
+            for vec in (pv.U, pv.V, pv.W)
+        )
+        for J in hp.alphas
+    }
     out: dict[tuple[int, ...], Fraction] = {}
     for rel in relations:
         total = Fraction(0)
-        for lab1, lab2, delta in rel.terms:
-            if lab1 not in hp.alphas or lab2 not in hp.alphas:
+        for lab1, lab2, _ in rel.terms:
+            if lab1 not in waves or lab2 not in waves:
                 raise KeyError(
                     f"relation labels {lab1}, {lab2} missing from the family"
                 )
-            dx = sum((d * u for d, u in zip(delta, scr_u)), Fraction(0))
-            dy = sum((d * v for d, v in zip(delta, scr_v)), Fraction(0))
-            dt = sum((d * w for d, w in zip(delta, scr_w)), Fraction(0))
-            total += hp.alphas[lab1] * hp.alphas[lab2] * (
-                dx**4 - 4 * dx * dt + 3 * dy**2
-            )
-        key = rel.squared_point(n)
-        out[key] = total
+            dw = (a - b for a, b in zip(waves[lab1], waves[lab2]))
+            total += hp.alphas[lab1] * hp.alphas[lab2] * quartic(*dw)
+        out[rel.squared_point(n)] = total
     return out
 
 

@@ -40,7 +40,7 @@ from .hirota_parametrization import (
     label_lattice_point,
     vandermonde_minor,
 )
-from .tropical_limit import KappaConfig, PeriodVectors
+from .tropical_limit import KappaConfig, PeriodVectors, quartic
 
 __all__ = [
     "TauTerm",
@@ -164,17 +164,12 @@ def tau_from_hirota_point(hp: HirotaPoint) -> TauFunction:
     return tau_from_theta(lattice_alphas(hp), hp.uvw)
 
 
-def _quartic(dx: Fraction, dy: Fraction, dt: Fraction) -> Fraction:
-    """P(x, y, t) = x^4 - 4 x t + 3 y^2, the symbol of the bilinear operator."""
-    return dx**4 - 4 * dx * dt + 3 * dy**2
-
-
 def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
     """Exact bilinear residual, grouped by the label sum of each term pair.
 
     Every unordered pair of distinct terms contributes
-    coeff_i coeff_j P(wave_i - wave_j) to the group of label_i + label_j
-    (P is even, so the pair order is immaterial).  Diagonal pairs would
+    coeff_i coeff_j P(wave_i - wave_j) to the group of label_i + label_j,
+    where P is the ``quartic`` symbol (even, so the pair order is immaterial).  Diagonal pairs would
     contribute P(0) = 0 and are omitted.  tau solves the bilinear equation
     iff every returned value is zero.
     """
@@ -182,7 +177,7 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
     for t1, t2 in itertools.combinations(tau.terms, 2):
         d = tuple(a + b for a, b in zip(t1.label, t2.label))
         dw = tuple(a - b for a, b in zip(t1.wave, t2.wave))
-        val = t1.coeff * t2.coeff * _quartic(*dw)
+        val = t1.coeff * t2.coeff * quartic(*dw)
         groups[d] = groups.get(d, Fraction(0)) + val
     return groups
 
@@ -207,7 +202,8 @@ def _to_mpf(q: Fraction):
 
 def _centred(tau: TauFunction, x: float, y: float, t: float):
     """The weights p_i = coeff_i exp(theta_i) / tau at (x, y, t), and each
-    wave triple minus its p-mean, as mpf values."""
+    wave triple minus its p-mean, as mpf values.  A tau that vanishes at the
+    point (possible when coefficients differ in sign) is a ValueError."""
     if not tau.terms:
         raise ValueError("tau function has no terms")
     waves = [tuple(_to_mpf(q) for q in term.wave) for term in tau.terms]
@@ -218,6 +214,8 @@ def _centred(tau: TauFunction, x: float, y: float, t: float):
         for term, theta in zip(tau.terms, thetas)
     ]
     total = mp.fsum(weights)
+    if total == 0:
+        raise ValueError(f"tau vanishes at (x, y, t) = ({x}, {y}, {t})")
     p = [wt / total for wt in weights]
     mean = [mp.fsum(pi * wave[i] for pi, wave in zip(p, waves)) for i in range(3)]
     return p, [tuple(wave[i] - mean[i] for i in range(3)) for wave in waves]

@@ -34,6 +34,8 @@ __all__ = [
     "limit_R",
     "theta_coefficients",
     "uvw",
+    "quartic",
+    "validate_divisor",
     "abel_map",
 ]
 
@@ -144,6 +146,12 @@ def theta_coefficients(
     return out
 
 
+def quartic(x: Fraction, y: Fraction, t: Fraction) -> Fraction:
+    """P(x, y, t) = x^4 - 4 x t + 3 y^2, the symbol of the KP bilinear
+    operator D_x^4 - 4 D_x D_t + 3 D_y^2."""
+    return x**4 - 4 * x * t + 3 * y**2
+
+
 @dataclass(frozen=True)
 class PeriodVectors:
     """First three period vectors; component_choice flips the overall sign."""
@@ -154,11 +162,9 @@ class PeriodVectors:
     component_choice: str
 
     def dispersion_residuals(self) -> tuple[Fraction, ...]:
-        """U_j^4 + 3 V_j^2 - 4 U_j W_j per coordinate; identically zero on
+        """``quartic(U_j, V_j, W_j)`` per coordinate; identically zero on
         period vectors coming from a node configuration."""
-        return tuple(
-            u**4 + 3 * v**2 - 4 * u * w for u, v, w in zip(self.U, self.V, self.W)
-        )
+        return tuple(quartic(*uvw_j) for uvw_j in zip(self.U, self.V, self.W))
 
 
 def uvw(kc: KappaConfig, component: str = "X+") -> PeriodVectors:
@@ -216,17 +222,20 @@ def make_divisor(
     return Divisor(points=frac_vector(points), split_k=split_k, p0_component=p0_component)
 
 
-def abel_map(kc: KappaConfig, d: Divisor) -> tuple[Fraction, ...]:
-    """Abel sums of the divisor as exponentials: entry i is the nonzero
-    rational P(kappa_{i+1}) Q(kappa_{i+1}) / (P(kappa_1) Q(kappa_1)), whose
-    signed log is the sum.
-
-    The divisor must have g = n - 1 points, none of them equal to a node
-    parameter (those would be zeros or poles of the integrand).
-    """
+def validate_divisor(kc: KappaConfig, d: Divisor) -> None:
+    """Refuse a divisor that does not have g = n - 1 points or that meets a
+    node parameter (a zero or pole of every integrand built from it)."""
     if len(d.points) != kc.genus:
         raise ValueError(f"divisor must have {kc.genus} points, got {len(d.points)}")
     if set(d.points) & set(kc.kappas):
         raise ValueError("divisor points must avoid the node parameters")
+
+
+def abel_map(kc: KappaConfig, d: Divisor) -> tuple[Fraction, ...]:
+    """Abel sums of the divisor as exponentials: entry i is the nonzero
+    rational P(kappa_{i+1}) Q(kappa_{i+1}) / (P(kappa_1) Q(kappa_1)), whose
+    signed log is the sum.  The divisor must pass ``validate_divisor``.
+    """
+    validate_divisor(kc, d)
     base = d.P_at(kc.kappa(1)) * d.Q_prod_at(kc.kappa(1))
     return tuple(d.P_at(z) * d.Q_prod_at(z) / base for z in kc.kappas[1:])

@@ -387,6 +387,29 @@ class TestErrorHandling:
         assert captured.err.count("\n") == 1
         assert "PASSED" not in captured.out
 
+    @pytest.mark.parametrize("command", ["field", "certify"])
+    def test_vanishing_tau_is_one_error_line(
+        self, command, config_file, capsys, monkeypatch
+    ):
+        """tau = 1 - exp(x + y + t) vanishes at x + y = 0, t = 0: a sample
+        there is refused by name with exit 1, not a ZeroDivisionError
+        traceback.  certify draws random samples, so one is placed there."""
+        import tropkp.cli as cli_mod
+
+        cfg = config_file({"kappas": ["0", "1"], "class_k": 1, "beta": ["-1"]})
+        if command == "field":
+            argv = ["field", "--config", cfg, "--nx", "3", "--ny", "3",
+                    "--xmin=-1", "--xmax=1", "--ymin=-1", "--ymax=1"]
+        else:
+            monkeypatch.setattr(
+                cli_mod, "_sample_points", lambda samples, seed: [(1.0, -1.0, 0.0)]
+            )
+            argv = ["certify", "--config", cfg]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: tau vanishes at (x, y, t) = (1.0, -1.0, 0.0)\n"
+        assert captured.out == ""
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "tropkp" in capsys.readouterr().out

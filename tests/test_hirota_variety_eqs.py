@@ -159,6 +159,69 @@ class TestInstantiation:
         assert lhs == rhs
 
 
+def lifted_dot_values(relations, hp):
+    """The face values by the per-term formula: three length-n dot products
+    of the stored sign vector delta with the lifted period vectors
+    scr = (0, -U), (0, -V), (0, -W)."""
+    scr = [(F(0),) + tuple(-x for x in vec) for vec in (hp.uvw.U, hp.uvw.V, hp.uvw.W)]
+    n = len(scr[0])
+    out = {}
+    for rel in relations:
+        total = F(0)
+        for lab1, lab2, delta in rel.terms:
+            dx, dy, dt = (sum((d * x for d, x in zip(delta, vec)), F(0)) for vec in scr)
+            total += hp.alphas[lab1] * hp.alphas[lab2] * (dx**4 - 4 * dx * dt + 3 * dy**2)
+        out[rel.squared_point(n)] = total
+    return out
+
+
+def oracle_family(k, n, kind):
+    """A (k, n) coefficient family: on the parametrization's image at either
+    vertex, with one coefficient perturbed, or with synthetic periods."""
+    kc = kappa_config([F(-3), F(-1, 2), F(0), F(2), F(7, 3), F(4)][:n])
+    beta = (F(2), F(1, 3), F(3), F(1), F(3, 2))[: n - 1]
+    hp = hirota_point(kc, k, beta, "v2" if kind == "v2" else "v1")
+    if kind == "perturbed":
+        alphas = dict(hp.alphas)
+        alphas[tuple(range(2, k + 2))] *= F(7, 5)
+        return HirotaPoint(alphas=alphas, uvw=hp.uvw, class_k=k, vertex_choice="v1")
+    if kind == "synthetic":
+        synthetic = PeriodVectors(
+            U=tuple(F(j) for j in range(1, n)),
+            V=tuple(F(j * j - 3, 2) for j in range(1, n)),
+            W=tuple(F(5 - j) for j in range(1, n)),
+            component_choice="X+",
+        )
+        return HirotaPoint(alphas=hp.alphas, uvw=synthetic, class_k=k, vertex_choice="v1")
+    return hp
+
+
+class TestWaveTable:
+    @pytest.mark.parametrize("kind", ["v1", "v2", "perturbed", "synthetic"])
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
+    def test_matches_lifted_dot_products(self, k, n, kind):
+        """Differences of per-label waves give exactly the delta . scr
+        values, over every doubled point of the family."""
+        hp = oracle_family(k, n, kind)
+        k_eff = len(next(iter(hp.alphas)))
+        rels = [quartic_for_point(sp) for sp in squared_set(k_eff, n)]
+        expected = lifted_dot_values(rels, hp)
+        assert instantiate_and_check(rels, hp) == expected
+        if kind in ("perturbed", "synthetic"):
+            assert any(v != 0 for v in expected.values())
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_delta_is_the_label_difference(self, n):
+        """Each stored sign vector is e_{lab1} - e_{lab2}, which is what lets
+        a term be evaluated from its two labels' waves alone."""
+        for k in range(1, n):
+            for rel in face_direction_classes(k, n):
+                for lab1, lab2, delta in rel.terms:
+                    assert delta == tuple(
+                        (i in lab1) - (i in lab2) for i in range(1, n + 1)
+                    )
+
+
 class TestFaceResidualAgreement:
     @pytest.mark.parametrize("choice", ["v1", "v2"])
     def test_match_on_image_families(self, choice):

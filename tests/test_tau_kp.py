@@ -195,6 +195,17 @@ class TestNumericEvaluation:
         with pytest.raises(ValueError):
             evaluate_u(TauFunction(terms=()), 0.0, 0.0, 0.0)
 
+    def test_vanishing_tau_is_a_value_error(self):
+        """tau = 1 - exp(x + y + t) vanishes on x + y + t = 0: the weights
+        are undefined there, so the point is refused by name instead of
+        dividing by zero."""
+        tau = tau_from_hirota_point(hirota_point(kappa_config([0, 1]), 1, (-1,), "v1"))
+        message = r"tau vanishes at \(x, y, t\) = \(0.5, -0.5, 0.0\)"
+        with pytest.raises(ValueError, match=message):
+            evaluate_u(tau, 0.5, -0.5, 0.0)
+        with pytest.raises(ValueError, match=message):
+            kp_residual_numeric(tau, [(0.3, 0.2, 0.1), (0.5, -0.5, 0.0)])
+
     def test_precision_env_override(self, monkeypatch):
         kc = kappa_config([F(-1, 2), F(3, 4)])
         tau = tau_from_hirota_point(hirota_point(kc, 1, (F(2),), "v1"))

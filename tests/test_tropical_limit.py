@@ -6,7 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropkp.hirota_parametrization import kprime, vandermonde_minor
+from tropkp.hirota_parametrization import (
+    kprime,
+    lambda_from_divisor,
+    matrix_A_dual,
+    vandermonde_minor,
+)
 from tropkp.tropical_limit import (
     Divisor,
     PeriodVectors,
@@ -14,8 +19,10 @@ from tropkp.tropical_limit import (
     kappa_config,
     limit_R,
     make_divisor,
+    quartic,
     theta_coefficients,
     uvw,
+    validate_divisor,
 )
 
 KC = kappa_config([0, 1, 2, 3])
@@ -156,6 +163,16 @@ class TestPeriodVectors:
             uvw(KC, "Y+")
 
 
+class TestQuartic:
+    def test_vanishes_on_single_node_waves(self):
+        """A wave (kappa, kappa^2, kappa^3) satisfies the dispersion relation."""
+        for kappa in (F(-2), F(1, 3), F(5)):
+            assert quartic(kappa, kappa**2, kappa**3) == 0
+
+    def test_value(self):
+        assert quartic(F(1, 2), F(2), F(3)) == F(1, 16) - 6 + 12
+
+
 class TestDivisorAndAbel:
     def test_products(self):
         d = make_divisor([F(1, 2), F(3, 2), F(5, 2)], 1)
@@ -193,3 +210,17 @@ class TestDivisorAndAbel:
     def test_abel_rejects_node_collision(self):
         with pytest.raises(ValueError, match="avoid"):
             abel_map(KC, make_divisor([F(1), F(3, 2), F(5, 2)], 1))
+
+    @pytest.mark.parametrize(
+        "consumer", [validate_divisor, abel_map, lambda_from_divisor, matrix_A_dual]
+    )
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ([F(1, 2)], "divisor must have 3 points, got 1"),
+            ([F(1), F(3, 2), F(5, 2)], "divisor points must avoid the node parameters"),
+        ],
+    )
+    def test_every_consumer_refuses_a_bad_divisor(self, consumer, points, message):
+        with pytest.raises(ValueError, match=message):
+            consumer(KC, make_divisor(points, 1))
