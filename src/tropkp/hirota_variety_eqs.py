@@ -21,7 +21,11 @@ w_{J1} - w_{J2} = delta . scr with delta = e_S - e_{I1-S} the term's sign
 vector; delta sums to zero, so the zero first coordinate (the gauge) never
 matters.  ``instantiate_and_check`` evaluates the quartics exactly on a
 coefficient family from one wave per label, and ``face_table`` does so over
-every doubled point of the family.
+every doubled point of the family.  The sums run in Python integers: the
+alphas and the columns of (U, V, W) are scaled once by
+``tropical_limit.clear_denominators``, each label's wave is summed from the
+scaled columns, and each relation's total is divided by the common
+denominator once.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Iterable, Sequence
 
 from .hirota_parametrization import HirotaPoint, hypersimplex_labels
 from .tau_kp import TauFunction, hirota_residual
-from .tropical_limit import quartic
+from .tropical_limit import clear_denominators, quartic
 
 __all__ = [
     "SquaredPoint",
@@ -173,24 +177,25 @@ def instantiate_and_check(
     (for a second-vertex family that means k -> n - k)."""
     pv = hp.uvw
     n = len(pv.U) + 1
-    waves = {
-        J: tuple(
-            -sum((vec[j - 2] for j in J if j >= 2), Fraction(0))
-            for vec in (pv.U, pv.V, pv.W)
-        )
-        for J in hp.alphas
+    alphas, columns, denom = clear_denominators(
+        list(hp.alphas.values()), list(zip(pv.U, pv.V, pv.W))
+    )
+    table = {
+        J: (a, tuple(-sum(columns[j - 2][i] for j in J if j >= 2) for i in range(3)))
+        for J, a in zip(hp.alphas, alphas)
     }
     out: dict[tuple[int, ...], Fraction] = {}
     for rel in relations:
-        total = Fraction(0)
+        total = 0
         for lab1, lab2, _ in rel.terms:
-            if lab1 not in waves or lab2 not in waves:
+            if lab1 not in table or lab2 not in table:
                 raise KeyError(
                     f"relation labels {lab1}, {lab2} missing from the family"
                 )
-            dw = (a - b for a, b in zip(waves[lab1], waves[lab2]))
-            total += hp.alphas[lab1] * hp.alphas[lab2] * quartic(*dw)
-        out[rel.squared_point(n)] = total
+            a1, (x1, y1, t1) = table[lab1]
+            a2, (x2, y2, t2) = table[lab2]
+            total += a1 * a2 * quartic(x1 - x2, y1 - y2, t1 - t2)
+        out[rel.squared_point(n)] = Fraction(total, denom)
     return out
 
 

@@ -16,11 +16,10 @@ orientation counting, which is kept as an independent route.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph_jacobian import BananaData, RationalLike, VoronoiVertex, frac_vector
+from .graph_jacobian import BananaData, RationalLike, VoronoiVertex
 from .voronoi_combinatorics import lift, normalize_delaunay, vertex_from_lift_signs
 
 __all__ = [

@@ -7,8 +7,9 @@ triple.  Two layers of certification operate on them:
 
 * exact: ``hirota_residual`` groups the quadratic terms of the bilinear
   operator D_x^4 - 4 D_x D_t + 3 D_y^2 applied to tau * tau by the label sum
-  of the contributing pair and returns every group value as a Fraction.  The
-  sum vanishes group by group precisely when tau solves the bilinear
+  of the contributing pair and returns every group value as a Fraction (the
+  sums themselves run in integers after the denominators are cleared once).
+  The sum vanishes group by group precisely when tau solves the bilinear
   equation, so an all-zero dictionary is a proof, not an approximation.
 * numeric: ``kp_residual_numeric`` evaluates
   (-4 u_t + 6 u u_x + u_xxx)_x + 3 u_yy for u = 2 (log tau)_xx at sample
@@ -26,6 +27,7 @@ unchanged.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +42,7 @@ from .hirota_parametrization import (
     label_lattice_point,
     vandermonde_minor,
 )
-from .tropical_limit import KappaConfig, PeriodVectors, quartic
+from .tropical_limit import KappaConfig, PeriodVectors, clear_denominators, quartic
 
 __all__ = [
     "TauTerm",
@@ -169,17 +171,25 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
 
     Every unordered pair of distinct terms contributes
     coeff_i coeff_j P(wave_i - wave_j) to the group of label_i + label_j,
-    where P is the ``quartic`` symbol (even, so the pair order is immaterial).  Diagonal pairs would
-    contribute P(0) = 0 and are omitted.  tau solves the bilinear equation
-    iff every returned value is zero.
+    where P is the ``quartic`` symbol (even, so the pair order is
+    immaterial).  Diagonal pairs would contribute P(0) = 0 and are omitted.
+    tau solves the bilinear equation iff every returned value is zero.
+
+    The sums run in Python integers: ``clear_denominators`` scales the
+    coefficients and waves once, so every pair value is an integer over one
+    common denominator, and each group is divided by it once at the end.
     """
-    groups: dict[tuple[int, ...], Fraction] = {}
-    for t1, t2 in itertools.combinations(tau.terms, 2):
-        d = tuple(a + b for a, b in zip(t1.label, t2.label))
-        dw = tuple(a - b for a, b in zip(t1.wave, t2.wave))
-        val = t1.coeff * t2.coeff * quartic(*dw)
-        groups[d] = groups.get(d, Fraction(0)) + val
-    return groups
+    coeffs, waves, denom = clear_denominators(
+        [term.coeff for term in tau.terms], [term.wave for term in tau.terms]
+    )
+    terms = zip((term.label for term in tau.terms), coeffs, waves)
+    sums: dict[tuple[int, ...], int] = {}
+    for (l1, a1, (x1, y1, t1)), (l2, a2, (x2, y2, t2)) in itertools.combinations(
+        terms, 2
+    ):
+        d = tuple(map(operator.add, l1, l2))
+        sums[d] = sums.get(d, 0) + a1 * a2 * quartic(x1 - x2, y1 - y2, t1 - t2)
+    return {d: Fraction(v, denom) for d, v in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +210,26 @@ def _to_mpf(q: Fraction):
     return mp.mpf(q.numerator) / mp.mpf(q.denominator)
 
 
-def _centred(tau: TauFunction, x: float, y: float, t: float):
-    """The weights p_i = coeff_i exp(theta_i) / tau at (x, y, t), and each
-    wave triple minus its p-mean, as mpf values.  A tau that vanishes at the
-    point (possible when coefficients differ in sign) is a ValueError."""
+def _mpf_terms(tau: TauFunction) -> tuple[list, list]:
+    """The coefficients and the wave triples of the terms as mpf values at
+    the working precision; call it inside ``mp.workdps`` once per tau, not
+    once per sample."""
     if not tau.terms:
         raise ValueError("tau function has no terms")
+    coeffs = [_to_mpf(term.coeff) for term in tau.terms]
     waves = [tuple(_to_mpf(q) for q in term.wave) for term in tau.terms]
+    return coeffs, waves
+
+
+def _centred(terms: tuple[list, list], x: float, y: float, t: float):
+    """The weights p_i = coeff_i exp(theta_i) / tau at (x, y, t), and each
+    wave triple minus its p-mean, as mpf values, for the terms of
+    ``_mpf_terms``.  A tau that vanishes at the point (possible when
+    coefficients differ in sign) is a ValueError."""
+    coeffs, waves = terms
     thetas = [u * x + v * y + w * t for u, v, w in waves]
     peak = max(thetas)
-    weights = [
-        _to_mpf(term.coeff) * mp.exp(theta - peak)
-        for term, theta in zip(tau.terms, thetas)
-    ]
+    weights = [coeff * mp.exp(theta - peak) for coeff, theta in zip(coeffs, thetas)]
     total = mp.fsum(weights)
     if total == 0:
         raise ValueError(f"tau vanishes at (x, y, t) = ({x}, {y}, {t})")
@@ -233,10 +250,15 @@ def _samples(samples: Iterable[tuple[float, float, float]]) -> list:
     return samples
 
 
+def _u(terms: tuple[list, list], x: float, y: float, t: float) -> float:
+    """u(x, y, t) = 2 (log tau)_xx for the terms of ``_mpf_terms``."""
+    return float(2 * _moment(*_centred(terms, x, y, t), 2))
+
+
 def evaluate_u(tau: TauFunction, x: float, y: float, t: float) -> float:
     """u(x, y, t) = 2 (log tau)_xx."""
     with mp.workdps(_precision()):
-        return float(2 * _moment(*_centred(tau, x, y, t), 2))
+        return _u(_mpf_terms(tau), x, y, t)
 
 
 def kp_residual_numeric(
@@ -245,9 +267,11 @@ def kp_residual_numeric(
     """Largest absolute value of
     -4 u_xt + 6 u_x^2 + 6 u u_xx + u_xxxx + 3 u_yy over the samples."""
     worst = mp.mpf(0)
+    samples = _samples(samples)
     with mp.workdps(_precision()):
-        for x, y, t in _samples(samples):
-            p, d = _centred(tau, x, y, t)
+        terms = _mpf_terms(tau)
+        for x, y, t in samples:
+            p, d = _centred(terms, x, y, t)
             m2, m3, m4 = (_moment(p, d, a) for a in (2, 3, 4))
             u = 2 * m2
             u_x = 2 * m3
@@ -271,8 +295,11 @@ def spacetime_inversion_check(
 ) -> float:
     """max over samples of |u_2(x, y, t) - u_1(-x, -y, -t)|."""
     worst = 0.0
-    for x, y, t in _samples(samples):
-        u2 = evaluate_u(tau_v2, x, y, t)
-        u1 = evaluate_u(tau_v1, -x, -y, -t)
-        worst = max(worst, abs(u2 - u1))
+    samples = _samples(samples)
+    with mp.workdps(_precision()):
+        terms_v1, terms_v2 = _mpf_terms(tau_v1), _mpf_terms(tau_v2)
+        for x, y, t in samples:
+            u2 = _u(terms_v2, x, y, t)
+            u1 = _u(terms_v1, -x, -y, -t)
+            worst = max(worst, abs(u2 - u1))
     return worst

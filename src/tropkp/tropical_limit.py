@@ -20,11 +20,12 @@ The pieces computed here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph_jacobian import RationalLike, frac, frac_vector
+from .graph_jacobian import RationalLike, frac_vector
 
 __all__ = [
     "KappaConfig",
@@ -35,6 +36,7 @@ __all__ = [
     "theta_coefficients",
     "uvw",
     "quartic",
+    "clear_denominators",
     "validate_divisor",
     "abel_map",
 ]
@@ -148,8 +150,29 @@ def theta_coefficients(
 
 def quartic(x: Fraction, y: Fraction, t: Fraction) -> Fraction:
     """P(x, y, t) = x^4 - 4 x t + 3 y^2, the symbol of the KP bilinear
-    operator D_x^4 - 4 D_x D_t + 3 D_y^2."""
+    operator D_x^4 - 4 D_x D_t + 3 D_y^2; exact on Fractions and on the
+    integers of ``clear_denominators`` alike."""
     return x**4 - 4 * x * t + 3 * y**2
+
+
+def clear_denominators(
+    coeffs: Sequence[Fraction], waves: Sequence[Sequence[Fraction]]
+) -> tuple[list[int], list[tuple[int, int, int]], int]:
+    """Integer form of coefficients a_i and wave triples w_i = (x, y, t).
+
+    With C the lcm of the coefficient denominators and D the lcm of the wave
+    denominators, returns the integers C a_i, the integer triples
+    (x D, y D^2, t D^3) and the common denominator C^2 D^4.  P is
+    weighted-homogeneous of degree 4 in the weights 1, 2, 3 on x, y, t, and
+    the scaling is linear in each slot, so
+    a_i a_j P(w) = (C a_i)(C a_j) P(W) / (C^2 D^4) whenever W is the same
+    integer combination of the scaled triples that w is of the w_i.
+    """
+    C = math.lcm(*(a.denominator for a in coeffs))
+    D = math.lcm(*(q.denominator for wave in waves for q in wave))
+    ints = [int(a * C) for a in coeffs]
+    scaled = [(int(x * D), int(y * D**2), int(t * D**3)) for x, y, t in waves]
+    return ints, scaled, C * C * D**4
 
 
 @dataclass(frozen=True)

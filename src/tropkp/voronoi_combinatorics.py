@@ -24,10 +24,8 @@ from typing import Sequence
 
 from .graph_jacobian import (
     BananaData,
-    DelaunaySet,
     RationalLike,
     VoronoiVertex,
-    build_banana,
     delaunay_set,
     frac_vector,
 )

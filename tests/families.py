@@ -1,0 +1,40 @@
+"""Hypothesis strategy for coefficient families with large denominators,
+shared by the Fraction-oracle properties of the exact residual loops."""
+
+from fractions import Fraction as F
+
+from hypothesis import strategies as st
+
+from tropkp.hirota_parametrization import HirotaPoint, hirota_point
+from tropkp.tropical_limit import PeriodVectors, kappa_config
+
+RATIONALS = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+NONZERO = RATIONALS.filter(bool)
+KINDS = ("genuine", "perturbed", "random", "synthetic")
+
+
+@st.composite
+def families(draw) -> HirotaPoint:
+    """A (k, n) family, n <= 6, at either vertex, on node parameters of
+    mixed signs with denominators up to 10^6.  "genuine" is the
+    parametrization's image; "perturbed" rescales one coefficient by a
+    random rational other than 1; "random" draws every coefficient;
+    "synthetic" keeps the coefficients and draws the period vectors."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(1, n - 1))
+    kappas = draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
+    beta = draw(st.lists(NONZERO, min_size=n - 1, max_size=n - 1))
+    hp = hirota_point(kappa_config(kappas), k, beta, draw(st.sampled_from(["v1", "v2"])))
+    alphas, pv = dict(hp.alphas), hp.uvw
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "perturbed":
+        label = draw(st.sampled_from(sorted(alphas)))
+        alphas[label] *= draw(NONZERO.filter(lambda q: q != 1))
+    elif kind == "random":
+        alphas = {J: draw(NONZERO) for J in alphas}
+    elif kind == "synthetic":
+        vec = st.lists(RATIONALS, min_size=n - 1, max_size=n - 1).map(tuple)
+        pv = PeriodVectors(
+            U=draw(vec), V=draw(vec), W=draw(vec), component_choice=pv.component_choice
+        )
+    return HirotaPoint(alphas=alphas, uvw=pv, class_k=k, vertex_choice=hp.vertex_choice)

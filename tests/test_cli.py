@@ -144,6 +144,21 @@ class TestConfigCommands:
         names = {c["name"] for c in payload["checks"]}
         assert {"minor-identity", "bilinear-residual", "kp-numeric"} <= names
 
+    def test_positivity_check_needs_an_interlacing_divisor(self, config_file, capsys):
+        """Two divisor points share the gap (0, 1), so the divisor does not
+        interlace the nodes and positivity is not claimed: the check must be
+        absent, not a vacuous PASS."""
+        crowded = dict(DIVISOR_CONFIG)
+        crowded["divisor"] = dict(DIVISOR_CONFIG["divisor"], points=["1/4", "1/2", "5/2"])
+        path = config_file(crowded)
+        assert run(["param", "--config", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["interlacing"] is False
+        assert run(["certify", "--config", path, "--json"]) == 0
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert "interlacing-positivity" not in names
+        assert run(["certify", "--config", path]) == 0
+        assert "interlacing" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["limits", "param", "certify"])
     @pytest.mark.parametrize("config", ["g3k2", "divisor"])
     def test_payload_pinned(self, config, command, config_file, capsys):

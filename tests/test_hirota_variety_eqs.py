@@ -6,6 +6,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from families import families
+from hypothesis import given, settings
 
 from tropkp.hirota_parametrization import HirotaPoint, alpha_from_beta, hirota_point
 from tropkp.hirota_variety_eqs import (
@@ -196,6 +198,25 @@ def oracle_family(k, n, kind):
     return hp
 
 
+def fraction_wave_values(relations, hp):
+    """The face values summed term by term in Fractions from per-label
+    waves, w_J = -(sum of (U, V, W) over the columns j >= 2 of J)."""
+    pv = hp.uvw
+    n = len(pv.U) + 1
+    waves = {
+        J: tuple(-sum((vec[j - 2] for j in J if j >= 2), F(0)) for vec in (pv.U, pv.V, pv.W))
+        for J in hp.alphas
+    }
+    out = {}
+    for rel in relations:
+        total = F(0)
+        for lab1, lab2, _ in rel.terms:
+            x, y, t = (a - b for a, b in zip(waves[lab1], waves[lab2]))
+            total += hp.alphas[lab1] * hp.alphas[lab2] * (x**4 - 4 * x * t + 3 * y**2)
+        out[rel.squared_point(n)] = total
+    return out
+
+
 class TestWaveTable:
     @pytest.mark.parametrize("kind", ["v1", "v2", "perturbed", "synthetic"])
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
@@ -209,6 +230,21 @@ class TestWaveTable:
         assert instantiate_and_check(rels, hp) == expected
         if kind in ("perturbed", "synthetic"):
             assert any(v != 0 for v in expected.values())
+
+    @given(families())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_sums_match_fraction_oracle(self, hp):
+        """The integer form, with wave and coefficient denominators up to
+        10^6 and beyond, returns the Fraction loop's values over every
+        doubled point: same keys in the same order, equal values, every
+        value a Fraction."""
+        k_eff = len(next(iter(hp.alphas)))
+        rels = [quartic_for_point(sp) for sp in squared_set(k_eff, len(hp.uvw.U) + 1)]
+        vals = instantiate_and_check(rels, hp)
+        expected = fraction_wave_values(rels, hp)
+        assert list(vals) == list(expected)
+        assert vals == expected
+        assert all(type(v) is F for v in vals.values())
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_delta_is_the_label_difference(self, n):

@@ -18,3 +18,53 @@ def test_no_assert_statements():
         if lines:
             found[path.name] = lines
     assert found == {}, f"assert statements (module: lines): {found}"
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name a module-level import binds, with its line."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            return {
+                elt.value
+                for elt in node.value.elts
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            }
+    return set()
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read in that module or exported by
+    its ``__all__``; the package ``__init__`` only re-exports and is skipped."""
+    package = Path(tropkp.__file__).resolve().parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = {}
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported_names(tree)
+        unused = {
+            name: line
+            for name, line in _imported_names(tree).items()
+            if name not in used
+        }
+        if unused:
+            found[path.name] = unused
+    assert found == {}, f"unused imports (module: name -> line): {found}"

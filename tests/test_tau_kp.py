@@ -1,10 +1,13 @@
 """Tests for tau assembly, the exact bilinear residual, and the numeric
 evaluation of u = 2 (log tau)_xx."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
+from families import families
+from hypothesis import given, settings
 from mpmath import mp
 
 from tropkp.hirota_parametrization import (
@@ -128,6 +131,17 @@ class TestTauAssembly:
             tau.normalized_signature()
 
 
+def fraction_residual(tau):
+    """The bilinear residual summed pair by pair in Fractions."""
+    groups = {}
+    for t1, t2 in itertools.combinations(tau.terms, 2):
+        d = tuple(a + b for a, b in zip(t1.label, t2.label))
+        x, y, t = (a - b for a, b in zip(t1.wave, t2.wave))
+        val = t1.coeff * t2.coeff * (x**4 - 4 * x * t + 3 * y**2)
+        groups[d] = groups.get(d, F(0)) + val
+    return groups
+
+
 class TestHirotaResidual:
     def test_two_term_value(self):
         tau = TauFunction(
@@ -154,6 +168,19 @@ class TestHirotaResidual:
         hp = hirota_point(KC4, 2, (1, 1, 1), "v1")
         tau = tau_from_hirota_point(perturbed(hp, (1, 2), F(7, 5)))
         assert any(v != 0 for v in hirota_residual(tau).values())
+
+    @given(families())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_sums_match_fraction_oracle(self, hp):
+        """The integer form, with wave and coefficient denominators up to
+        10^6 and beyond, returns the Fraction loop's groups: same keys in
+        the same order, equal values, every value a Fraction."""
+        tau = tau_from_hirota_point(hp)
+        res = hirota_residual(tau)
+        expected = fraction_residual(tau)
+        assert list(res) == list(expected)
+        assert res == expected
+        assert all(type(v) is F for v in res.values())
 
 
 class TestNumericEvaluation:
