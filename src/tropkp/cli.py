@@ -8,7 +8,9 @@ grid sampling of the solution field (field).
 Conventions shared by every subcommand: rational numbers are read and
 written as "p/q" strings, never floats; JSON output is emitted with sorted
 keys; randomness is seeded from the config; the environment variable
-TROPKP_PRECISION sets the working decimal precision of the numeric layer.
+TROPKP_PRECISION sets the decimal digits (default 30, at least 15) to which
+the numeric layer rounds each exponential weight of tau, the only rounding
+in u and the KP residual: every moment after it is an exact integer sum.
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
 certification check fails or two exact routes to the same object disagree.
 """

@@ -177,7 +177,7 @@ def instantiate_and_check(
     (for a second-vertex family that means k -> n - k)."""
     pv = hp.uvw
     n = len(pv.U) + 1
-    alphas, columns, denom = clear_denominators(
+    alphas, columns, denom, _ = clear_denominators(
         list(hp.alphas.values()), list(zip(pv.U, pv.V, pv.W))
     )
     table = {
@@ -199,15 +199,28 @@ def instantiate_and_check(
     return out
 
 
+def _doubled_point_relations(k: int, n: int) -> Iterable[QuarticRelation]:
+    """The face quartic over every doubled point of the (k, n) hypersimplex:
+    for each two-count f, each frozen set F of size f and each direction set
+    of size 2(k - f) among the other coordinates.  Unlike ``squared_set``,
+    no realizing label pair is built."""
+    columns = range(1, n + 1)
+    for f in range(max(0, 2 * k - n), k):
+        for fixed in itertools.combinations(columns, f):
+            rest = [i for i in columns if i not in fixed]
+            for direction in itertools.combinations(rest, 2 * (k - f)):
+                yield _relation_for(n, direction, fixed)
+
+
 def face_table(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:
     """Exact value of the face quartic over every doubled point of the
-    family's (k, n), each with its own frozen coordinates; the class
-    representatives of ``face_direction_classes`` are among the keys."""
+    family's (k, n), each with its own frozen coordinates, keyed and sorted
+    by doubled point; the class representatives of
+    ``face_direction_classes`` are among the keys."""
     n = len(hp.uvw.U) + 1
     k_eff = len(next(iter(hp.alphas)))
-    return instantiate_and_check(
-        (quartic_for_point(sp) for sp in squared_set(k_eff, n)), hp
-    )
+    faces = instantiate_and_check(_doubled_point_relations(k_eff, n), hp)
+    return dict(sorted(faces.items()))
 
 
 def _residual_key(d: Sequence[int], k: int, vertex_choice: str) -> tuple[int, ...]:

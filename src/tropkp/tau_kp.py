@@ -13,11 +13,15 @@ triple.  Two layers of certification operate on them:
   equation, so an all-zero dictionary is a proof, not an approximation.
 * numeric: ``kp_residual_numeric`` evaluates
   (-4 u_t + 6 u u_x + u_xxx)_x + 3 u_yy for u = 2 (log tau)_xx at sample
-  points in multiple precision (mpmath).  For tau = sum_i a_i exp(theta_i),
-  every partial derivative of log tau is a joint cumulant of the wave
-  triples (u_i, v_i, w_i) under the weights p_i = a_i exp(theta_i) / tau,
-  which sum to 1 (they may be negative), so each derivative of u is a
-  polynomial in the central moments of the triples under p.
+  points.  For tau = sum_i a_i exp(theta_i), every partial derivative of
+  log tau is a joint cumulant of the wave triples (u_i, v_i, w_i) under the
+  weights p_i = a_i exp(theta_i) / tau, which sum to 1 (they may be
+  negative), so each derivative of u is a polynomial in the central moments
+  of the triples under p.  Only the exponentials are rounded: each weight is
+  rounded once to an integer at the working precision (mpmath), and from
+  there every moment is an exact integer sum over the tau's integer view
+  (the integer waves of ``clear_denominators``), combined in Fractions and
+  converted to float once.
 
 Per-point exponent shifts keep the numerics stable: subtracting the largest
 exponent at a sample scales every weight by the same factor, so p is
@@ -26,6 +30,7 @@ unchanged.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import os
@@ -72,6 +77,18 @@ class TauFunction:
     """Sum of coeff * exp(wave . (x, y, t)) over the terms."""
 
     terms: tuple[TauTerm, ...]
+
+    @functools.cached_property
+    def integer_view(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], int, int]:
+        """``clear_denominators`` of the terms, built once per tau and shared
+        by every reader: the integer coefficients C a_i, the integer waves
+        (x D, y D^2, t D^3), the common denominator C^2 D^4 of a pair value,
+        and D."""
+        return clear_denominators(
+            [term.coeff for term in self.terms], [term.wave for term in self.terms]
+        )
 
     def normalized_signature(self) -> tuple[tuple[Wave, Fraction], ...]:
         """Gauge-invariant fingerprint: merge equal waves, shift so the
@@ -175,13 +192,11 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
     immaterial).  Diagonal pairs would contribute P(0) = 0 and are omitted.
     tau solves the bilinear equation iff every returned value is zero.
 
-    The sums run in Python integers: ``clear_denominators`` scales the
-    coefficients and waves once, so every pair value is an integer over one
-    common denominator, and each group is divided by it once at the end.
+    The sums run in Python integers on the tau's cached ``integer_view``,
+    where every pair value is an integer over one common denominator, and
+    each group is divided by it once at the end.
     """
-    coeffs, waves, denom = clear_denominators(
-        [term.coeff for term in tau.terms], [term.wave for term in tau.terms]
-    )
+    coeffs, waves, denom, _ = tau.integer_view
     terms = zip((term.label for term in tau.terms), coeffs, waves)
     sums: dict[tuple[int, ...], int] = {}
     for (l1, a1, (x1, y1, t1)), (l2, a2, (x2, y2, t2)) in itertools.combinations(
@@ -196,6 +211,10 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
 # numeric layer: cumulants of the wave triples under the tau weights
 # ---------------------------------------------------------------------------
 
+# bits kept below the working precision when a weight is truncated to an
+# integer
+_GUARD_BITS = 16
+
 
 def _precision() -> int:
     raw = os.environ.get("TROPKP_PRECISION", "30")
@@ -206,41 +225,48 @@ def _precision() -> int:
     return max(dps, 15)
 
 
-def _to_mpf(q: Fraction):
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
+def _weights(
+    tau: TauFunction, x: float, y: float, t: float
+) -> tuple[list[int], int]:
+    """The integer weights E_i of the terms at (x, y, t) and S0 = sum E_i.
 
-
-def _mpf_terms(tau: TauFunction) -> tuple[list, list]:
-    """The coefficients and the wave triples of the terms as mpf values at
-    the working precision; call it inside ``mp.workdps`` once per tau, not
-    once per sample."""
-    if not tau.terms:
+    E_i = int(2^(prec + guard) C a_i exp(theta_i - peak)) for the phases
+    theta_i = X_i x/D + Y_i y/D^2 + T_i t/D^3 of the integer view.  A float
+    is a dyadic rational, so each phase is an exact integer over q D^3 (q
+    the largest of the coordinates' power-of-two denominators), and so is
+    its distance to the peak.  Only the exponential is rounded, once, at the
+    working precision and relative to itself; all that follows is exact, so
+    E_i / S0 is the weight p_i = a_i exp(theta_i) / tau.  The peak term
+    alone makes |S0| >= 2^(prec + guard) unless weights of opposite signs
+    cancel, so truncating a small weight to an integer costs less than
+    rounding.  Call it inside ``mp.workdps``.  A tau that vanishes at the
+    point (possible when coefficients differ in sign) is a ValueError.
+    """
+    coeffs, waves, _, D = tau.integer_view
+    if not coeffs:
         raise ValueError("tau function has no terms")
-    coeffs = [_to_mpf(term.coeff) for term in tau.terms]
-    waves = [tuple(_to_mpf(q) for q in term.wave) for term in tau.terms]
-    return coeffs, waves
-
-
-def _centred(terms: tuple[list, list], x: float, y: float, t: float):
-    """The weights p_i = coeff_i exp(theta_i) / tau at (x, y, t), and each
-    wave triple minus its p-mean, as mpf values, for the terms of
-    ``_mpf_terms``.  A tau that vanishes at the point (possible when
-    coefficients differ in sign) is a ValueError."""
-    coeffs, waves = terms
-    thetas = [u * x + v * y + w * t for u, v, w in waves]
-    peak = max(thetas)
-    weights = [coeff * mp.exp(theta - peak) for coeff, theta in zip(coeffs, thetas)]
-    total = mp.fsum(weights)
+    (px, qx), (py, qy), (pt, qt) = (float(v).as_integer_ratio() for v in (x, y, t))
+    q = max(qx, qy, qt)
+    cx, cy, ct = px * (q // qx) * D * D, py * (q // qy) * D, pt * (q // qt)
+    phases = [X * cx + Y * cy + T * ct for X, Y, T in waves]
+    peak = max(phases)
+    scale = mp.mpf(q * D**3)
+    bits = mp.prec + _GUARD_BITS
+    weights = [
+        int(mp.ldexp(coeff * mp.exp((phase - peak) / scale), bits))
+        for coeff, phase in zip(coeffs, phases)
+    ]
+    total = sum(weights)
     if total == 0:
         raise ValueError(f"tau vanishes at (x, y, t) = ({x}, {y}, {t})")
-    p = [wt / total for wt in weights]
-    mean = [mp.fsum(pi * wave[i] for pi, wave in zip(p, waves)) for i in range(3)]
-    return p, [tuple(wave[i] - mean[i] for i in range(3)) for wave in waves]
+    return weights, total
 
 
-def _moment(p, centred, a: int, b: int = 0, c: int = 0):
-    """E[du^a dv^b dw^c] under the weights p."""
-    return mp.fsum(pi * du**a * dv**b * dw**c for pi, (du, dv, dw) in zip(p, centred))
+def _centred(weights: list[int], total: int, column: Sequence[int]) -> list[int]:
+    """S0 W_i - sum_j E_j W_j for one integer wave column: S0 times each
+    wave's offset from its weighted mean, an exact integer."""
+    mean = sum(map(operator.mul, weights, column))
+    return [total * w - mean for w in column]
 
 
 def _samples(samples: Iterable[tuple[float, float, float]]) -> list:
@@ -250,39 +276,72 @@ def _samples(samples: Iterable[tuple[float, float, float]]) -> list:
     return samples
 
 
-def _u(terms: tuple[list, list], x: float, y: float, t: float) -> float:
-    """u(x, y, t) = 2 (log tau)_xx for the terms of ``_mpf_terms``."""
-    return float(2 * _moment(*_centred(terms, x, y, t), 2))
+def _u(tau: TauFunction, x: float, y: float, t: float) -> float:
+    """u = 2 m(2, 0, 0), in the notation of ``kp_residual_numeric``."""
+    _, waves, _, D = tau.integer_view
+    weights, total = _weights(tau, x, y, t)
+    dx = _centred(weights, total, [X for X, _, _ in waves])
+    m2 = sum(e * d * d for e, d in zip(weights, dx))
+    return float(Fraction(2 * m2, total**3 * D**2))
 
 
 def evaluate_u(tau: TauFunction, x: float, y: float, t: float) -> float:
     """u(x, y, t) = 2 (log tau)_xx."""
     with mp.workdps(_precision()):
-        return _u(_mpf_terms(tau), x, y, t)
+        return _u(tau, x, y, t)
+
+
+# (a, b, c) of the moments m(a, b, c) that the KP residual reads, in the
+# order in which ``_moment_terms`` lists them
+_ORDERS = (
+    (2, 0, 0), (3, 0, 0), (4, 0, 0), (6, 0, 0), (3, 0, 1),
+    (1, 0, 1), (2, 2, 0), (0, 2, 0), (1, 1, 0),
+)
+
+
+def _moment_terms(e: int, dx: int, dy: int, dt: int) -> tuple[int, ...]:
+    """One term's share of each moment sum of ``_ORDERS``, from shared powers."""
+    ex = e * dx
+    ex2 = ex * dx
+    ex3 = ex2 * dx
+    ex4 = ex3 * dx
+    dy2 = dy * dy
+    return (
+        ex2, ex3, ex4, ex4 * dx * dx, ex3 * dt, ex * dt, ex2 * dy2, e * dy2, ex * dy
+    )
 
 
 def kp_residual_numeric(
     tau: TauFunction, samples: Iterable[tuple[float, float, float]]
 ) -> float:
     """Largest absolute value of
-    -4 u_xt + 6 u_x^2 + 6 u u_xx + u_xxxx + 3 u_yy over the samples."""
-    worst = mp.mpf(0)
+    -4 u_xt + 6 u_x^2 + 6 u u_xx + u_xxxx + 3 u_yy over the samples.
+
+    With the integer weights E_i, their sum S0 and the centred integer waves
+    (dx, dy, dt)_i of ``_centred``, the central moment E[du^a dv^b dw^c] of
+    the wave triples under the weights is the exact rational
+    m(a, b, c) = sum_i E_i dx_i^a dy_i^b dt_i^c / (S0^(1+a+b+c) D^(a+2b+3c)),
+    and the derivatives of u are cumulant polynomials in these moments.
+    """
     samples = _samples(samples)
+    _, waves, _, D = tau.integer_view
+    columns = list(zip(*waves))
+    worst = Fraction(0)
     with mp.workdps(_precision()):
-        terms = _mpf_terms(tau)
         for x, y, t in samples:
-            p, d = _centred(terms, x, y, t)
-            m2, m3, m4 = (_moment(p, d, a) for a in (2, 3, 4))
+            weights, total = _weights(tau, x, y, t)
+            centred = (_centred(weights, total, column) for column in columns)
+            sums = map(sum, zip(*map(_moment_terms, weights, *centred)))
+            m2, m3, m4, m6, m301, m101, m220, m020, m110 = (
+                Fraction(s, total ** (1 + a + b + c) * D ** (a + 2 * b + 3 * c))
+                for s, (a, b, c) in zip(sums, _ORDERS)
+            )
             u = 2 * m2
             u_x = 2 * m3
             u_xx = 2 * (m4 - 3 * m2**2)
-            u_xxxx = 2 * (_moment(p, d, 6) - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3)
-            u_xt = 2 * (_moment(p, d, 3, 0, 1) - 3 * m2 * _moment(p, d, 1, 0, 1))
-            u_yy = 2 * (
-                _moment(p, d, 2, 2)
-                - m2 * _moment(p, d, 0, 2)
-                - 2 * _moment(p, d, 1, 1) ** 2
-            )
+            u_xxxx = 2 * (m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3)
+            u_xt = 2 * (m301 - 3 * m2 * m101)
+            u_yy = 2 * (m220 - m2 * m020 - 2 * m110**2)
             res = -4 * u_xt + 6 * u_x**2 + 6 * u * u_xx + u_xxxx + 3 * u_yy
             worst = max(worst, abs(res))
     return float(worst)
@@ -297,9 +356,8 @@ def spacetime_inversion_check(
     worst = 0.0
     samples = _samples(samples)
     with mp.workdps(_precision()):
-        terms_v1, terms_v2 = _mpf_terms(tau_v1), _mpf_terms(tau_v2)
         for x, y, t in samples:
-            u2 = _u(terms_v2, x, y, t)
-            u1 = _u(terms_v1, -x, -y, -t)
+            u2 = _u(tau_v2, x, y, t)
+            u1 = _u(tau_v1, -x, -y, -t)
             worst = max(worst, abs(u2 - u1))
     return worst

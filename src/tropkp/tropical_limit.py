@@ -157,12 +157,12 @@ def quartic(x: Fraction, y: Fraction, t: Fraction) -> Fraction:
 
 def clear_denominators(
     coeffs: Sequence[Fraction], waves: Sequence[Sequence[Fraction]]
-) -> tuple[list[int], list[tuple[int, int, int]], int]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], int, int]:
     """Integer form of coefficients a_i and wave triples w_i = (x, y, t).
 
     With C the lcm of the coefficient denominators and D the lcm of the wave
     denominators, returns the integers C a_i, the integer triples
-    (x D, y D^2, t D^3) and the common denominator C^2 D^4.  P is
+    (x D, y D^2, t D^3), the common denominator C^2 D^4 and D.  P is
     weighted-homogeneous of degree 4 in the weights 1, 2, 3 on x, y, t, and
     the scaling is linear in each slot, so
     a_i a_j P(w) = (C a_i)(C a_j) P(W) / (C^2 D^4) whenever W is the same
@@ -170,9 +170,9 @@ def clear_denominators(
     """
     C = math.lcm(*(a.denominator for a in coeffs))
     D = math.lcm(*(q.denominator for wave in waves for q in wave))
-    ints = [int(a * C) for a in coeffs]
-    scaled = [(int(x * D), int(y * D**2), int(t * D**3)) for x, y, t in waves]
-    return ints, scaled, C * C * D**4
+    ints = tuple(int(a * C) for a in coeffs)
+    scaled = tuple((int(x * D), int(y * D**2), int(t * D**3)) for x, y, t in waves)
+    return ints, scaled, C * C * D**4, D
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,25 @@ from tropkp.tropical_limit import PeriodVectors, kappa_config
 
 RATIONALS = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
 NONZERO = RATIONALS.filter(bool)
+# rationals in [-2, 2] with denominators up to 10^6: waves of moderate size,
+# so that many terms of a tau weigh in at sample points of order 1
+SMALL_RATIONALS = st.integers(1, 10**6).flatmap(
+    lambda q: st.integers(-2 * q, 2 * q).map(lambda p: F(p, q))
+)
 KINDS = ("genuine", "perturbed", "random", "synthetic")
 
 
 @st.composite
-def families(draw) -> HirotaPoint:
+def families(draw, nodes=RATIONALS) -> HirotaPoint:
     """A (k, n) family, n <= 6, at either vertex, on node parameters of
-    mixed signs with denominators up to 10^6.  "genuine" is the
-    parametrization's image; "perturbed" rescales one coefficient by a
-    random rational other than 1; "random" draws every coefficient;
-    "synthetic" keeps the coefficients and draws the period vectors."""
+    mixed signs drawn from ``nodes`` (by default with numerators and
+    denominators up to 10^6).  "genuine" is the parametrization's image;
+    "perturbed" rescales one coefficient by a random rational other than 1;
+    "random" draws every coefficient; "synthetic" keeps the coefficients and
+    draws the period vectors from ``nodes``."""
     n = draw(st.integers(3, 6))
     k = draw(st.integers(1, n - 1))
-    kappas = draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
+    kappas = draw(st.lists(nodes, min_size=n, max_size=n, unique=True))
     beta = draw(st.lists(NONZERO, min_size=n - 1, max_size=n - 1))
     hp = hirota_point(kappa_config(kappas), k, beta, draw(st.sampled_from(["v1", "v2"])))
     alphas, pv = dict(hp.alphas), hp.uvw
@@ -33,7 +39,7 @@ def families(draw) -> HirotaPoint:
     elif kind == "random":
         alphas = {J: draw(NONZERO) for J in alphas}
     elif kind == "synthetic":
-        vec = st.lists(RATIONALS, min_size=n - 1, max_size=n - 1).map(tuple)
+        vec = st.lists(nodes, min_size=n - 1, max_size=n - 1).map(tuple)
         pv = PeriodVectors(
             U=draw(vec), V=draw(vec), W=draw(vec), component_choice=pv.component_choice
         )

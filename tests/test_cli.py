@@ -430,6 +430,56 @@ class TestErrorHandling:
         assert "tropkp" in capsys.readouterr().out
 
 
+class TestIntegerView:
+    """Each tau's integer view, ``clear_denominators`` of its terms, is
+    built once per tau and shared by every sample and check that reads it."""
+
+    @pytest.fixture
+    def views(self, monkeypatch):
+        import tropkp.tau_kp as tau_mod
+
+        built = []
+        real = tau_mod.clear_denominators
+
+        def counting(coeffs, waves):
+            built.append((tuple(coeffs), tuple(map(tuple, waves))))
+            return real(coeffs, waves)
+
+        monkeypatch.setattr(tau_mod, "clear_denominators", counting)
+        return built
+
+    def test_field_builds_one_view(self, views, capsys):
+        from tropkp.cli import RunConfig
+        from tropkp.hirota_parametrization import hirota_point
+        from tropkp.tau_kp import evaluate_u, tau_from_hirota_point
+
+        config = str(REPO / "g3k2.json")
+        argv = ["field", "--config", config, "--nx", "5", "--ny", "5",
+                "--xmin=-2", "--xmax=2", "--ymin=-1", "--ymax=3", "--t=0.5"]
+        assert run(argv) == 0
+        assert len(views) == 1
+        rows = capsys.readouterr().out.splitlines()
+        cfg = RunConfig.from_file(config)
+        tau = tau_from_hirota_point(
+            hirota_point(cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
+        )
+        expected = ["x,y,t,u"]
+        for y in (-1.0, 0.0, 1.0, 2.0, 3.0):
+            for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
+                u = evaluate_u(tau, x, y, 0.5)
+                expected.append(f"{x:.12g},{y:.12g},0.5,{u:.12g}")
+        assert rows == expected
+
+    @pytest.mark.parametrize("choice", ["v1", "v2"])
+    def test_certify_builds_one_view_per_tau(self, choice, views, config_file):
+        """certify reads two taus in integers, one per vertex (the
+        Grassmann-route tau is only compared by signature)."""
+        cfg = dict(json.loads((REPO / "g3k2.json").read_text()), vertex_choice=choice)
+        assert run(["certify", "--config", config_file(cfg)]) == 0
+        assert len(views) == 2
+        assert len(set(views)) == 2
+
+
 def test_cli_import_does_not_load_numpy():
     """The package is pure Python plus mpmath: importing the CLI in a fresh
     interpreter must not pull in numpy."""

@@ -6,8 +6,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from families import families
-from hypothesis import given, settings
+from families import SMALL_RATIONALS, families
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from tropkp.hirota_parametrization import (
@@ -309,3 +310,46 @@ def test_numeric_layer_matches_finite_difference_reference():
         assert kp_residual_numeric(tau, [(x, y, t)]) == pytest.approx(
             float(residual), rel=1e-12
         )
+
+
+POINTS = st.tuples(*[st.floats(-1, 1)] * 3)
+# absolute floor of the comparisons, far above the noise of the 50-digit
+# reference and of the rounded weights (waves stay below 100 in size here)
+NOISE = 1e-25
+
+
+@given(families(nodes=SMALL_RATIONALS), POINTS)
+@settings(max_examples=40, deadline=None)
+def test_numeric_layer_matches_reference_on_scaled_families(hp, point):
+    """With node denominators up to 10^6, families whose wave denominator D
+    and coefficient denominator C exceed 1: y enters the phases as y/D^2,
+    t as t/D^3 and each moment carries its own power of D.  u agrees with
+    the 50-digit reference to 12 relative digits, and the KP residual to 12
+    digits of its largest term (on genuine families the terms cancel, on
+    perturbed and random ones they do not, so every derivative counts),
+    both above an absolute floor of ``NOISE``.  Points where tau vanishes
+    or nearly cancels are skipped."""
+    tau = tau_from_hirota_point(hp)
+    assume(tau.integer_view[3] > 1)
+    assume(math.lcm(*(term.coeff.denominator for term in tau.terms)) > 1)
+    x, y, t = point
+    with mp.workdps(50):
+        parts = [
+            mp.mpf(term.coeff.numerator) / term.coeff.denominator
+            * mp.exp(sum(mp.mpf(q.numerator) / q.denominator * v
+                         for q, v in zip(term.wave, point)))
+            for term in tau.terms
+        ]
+        assume(abs(mp.fsum(parts)) > 1e-6 * mp.fsum(abs(p) for p in parts))
+    d = {name: mp.re(v) for name, v in reference_derivatives(tau, x, y, t).items()}
+    with mp.workdps(50):
+        terms = (-4 * d["u_xt"], 6 * d["u_x"] ** 2, 6 * d["u"] * d["u_xx"],
+                 d["u_xxxx"], 3 * d["u_yy"])
+        residual = abs(mp.fsum(terms))
+        scale = max(abs(term) for term in terms)
+    assert evaluate_u(tau, x, y, t) == pytest.approx(
+        float(d["u"]), rel=1e-12, abs=NOISE
+    )
+    assert kp_residual_numeric(tau, [point]) == pytest.approx(
+        float(residual), abs=1e-12 * float(scale) + NOISE
+    )
