@@ -33,6 +33,7 @@ __all__ = [
     "VoronoiVertex",
     "DelaunaySet",
     "build_banana",
+    "check_genus",
     "voronoi_contains",
     "delaunay_set",
     "vertices_equivalent",
@@ -110,14 +111,19 @@ class DelaunaySet:
     anchor: VoronoiVertex
 
 
+def check_genus(genus: int) -> None:
+    """Refuse a genus below 1: the banana graph needs at least two edges."""
+    if genus < 1:
+        raise ValueError(f"genus must be >= 1, got {genus}")
+
+
 def build_banana(genus: int, edge_lengths: Optional[Sequence[RationalLike]] = None) -> BananaData:
     """Construct the cycle basis and Gram matrix for the given genus.
 
     ``edge_lengths`` defaults to all ones; when given it must list n = genus+1
     positive rationals.
     """
-    if genus < 1:
-        raise ValueError(f"genus must be >= 1, got {genus}")
+    check_genus(genus)
     n = genus + 1
     if edge_lengths is None:
         lengths = tuple(Fraction(1) for _ in range(n))

@@ -11,6 +11,9 @@ triple.  Two layers of certification operate on them:
   sums themselves run in integers after the denominators are cleared once).
   The sum vanishes group by group precisely when tau solves the bilinear
   equation, so an all-zero dictionary is a proof, not an approximation.
+  ``spacetime_inversion_check`` decides u_2(x, y, t) = u_1(-x, -y, -t)
+  between the two vertex readings exactly, from the term lists: tau_2 with
+  its waves negated must have tau_1's ``normalized_signature``.
 * numeric: ``kp_residual_numeric`` evaluates
   (-4 u_t + 6 u u_x + u_xxx)_x + 3 u_yy for u = 2 (log tau)_xx at sample
   points.  For tau = sum_i a_i exp(theta_i), every partial derivative of
@@ -19,9 +22,10 @@ triple.  Two layers of certification operate on them:
   negative), so each derivative of u is a polynomial in the central moments
   of the triples under p.  Only the exponentials are rounded: each weight is
   rounded once to an integer at the working precision (mpmath), and from
-  there every moment is an exact integer sum over the tau's integer view
-  (the integer waves of ``clear_denominators``), combined in Fractions and
-  converted to float once.
+  there every moment sum is an exact integer over the tau's integer view
+  (the integer waves of ``clear_denominators``).  The residual at a sample
+  is one integer numerator N in those sums over S0^9 D^6 (S0 the weight
+  sum, D the wave denominator), converted to float once.
 
 Per-point exponent shifts keep the numerics stable: subtracting the largest
 exponent at a sample scales every weight by the same factor, so p is
@@ -269,38 +273,21 @@ def _centred(weights: list[int], total: int, column: Sequence[int]) -> list[int]
     return [total * w - mean for w in column]
 
 
-def _samples(samples: Iterable[tuple[float, float, float]]) -> list:
-    samples = list(samples)
-    if not samples:
-        raise ValueError("no sample points given")
-    return samples
-
-
-def _u(tau: TauFunction, x: float, y: float, t: float) -> float:
-    """u = 2 m(2, 0, 0), in the notation of ``kp_residual_numeric``."""
-    _, waves, _, D = tau.integer_view
-    weights, total = _weights(tau, x, y, t)
-    dx = _centred(weights, total, [X for X, _, _ in waves])
-    m2 = sum(e * d * d for e, d in zip(weights, dx))
-    return float(Fraction(2 * m2, total**3 * D**2))
-
-
 def evaluate_u(tau: TauFunction, x: float, y: float, t: float) -> float:
-    """u(x, y, t) = 2 (log tau)_xx."""
+    """u(x, y, t) = 2 (log tau)_xx = 2 m(2, 0, 0), in the notation of
+    ``kp_residual_numeric``."""
     with mp.workdps(_precision()):
-        return _u(tau, x, y, t)
-
-
-# (a, b, c) of the moments m(a, b, c) that the KP residual reads, in the
-# order in which ``_moment_terms`` lists them
-_ORDERS = (
-    (2, 0, 0), (3, 0, 0), (4, 0, 0), (6, 0, 0), (3, 0, 1),
-    (1, 0, 1), (2, 2, 0), (0, 2, 0), (1, 1, 0),
-)
+        _, waves, _, D = tau.integer_view
+        weights, total = _weights(tau, x, y, t)
+        dx = _centred(weights, total, [X for X, _, _ in waves])
+        m2 = sum(e * d * d for e, d in zip(weights, dx))
+        return float(Fraction(2 * m2, total**3 * D**2))
 
 
 def _moment_terms(e: int, dx: int, dy: int, dt: int) -> tuple[int, ...]:
-    """One term's share of each moment sum of ``_ORDERS``, from shared powers."""
+    """One term's share of the moment sums s_abc that the KP residual reads,
+    in the order s2 = s200, s3 = s300, s4 = s400, s6 = s600, s301, s101,
+    s220, s020, s110, from shared powers."""
     ex = e * dx
     ex2 = ex * dx
     ex3 = ex2 * dx
@@ -320,44 +307,68 @@ def kp_residual_numeric(
     With the integer weights E_i, their sum S0 and the centred integer waves
     (dx, dy, dt)_i of ``_centred``, the central moment E[du^a dv^b dw^c] of
     the wave triples under the weights is the exact rational
-    m(a, b, c) = sum_i E_i dx_i^a dy_i^b dt_i^c / (S0^(1+a+b+c) D^(a+2b+3c)),
-    and the derivatives of u are cumulant polynomials in these moments.
+    m(a, b, c) = s_abc / (S0^(1+a+b+c) D^(a+2b+3c)), with the integer sum
+    s_abc = sum_i E_i dx_i^a dy_i^b dt_i^c, and the derivatives of u are
+    the cumulant polynomials (m2 = m(2, 0, 0) and so on)
+
+        u      = 2 m2                u_xt = 2 (m301 - 3 m2 m101)
+        u_x    = 2 m3                u_yy = 2 (m220 - m2 m020 - 2 m110^2)
+        u_xx   = 2 (m4 - 3 m2^2)
+        u_xxxx = 2 (m6 - 15 m4 m2 - 10 m3^2 + 30 m2^3).
+
+    Substituted, the residual collapses to
+    2 (m6 - 3 m2 m4 + 2 m3^2 - 6 m2^3 - 4 m301 + 12 m2 m101 + 3 m220
+    - 3 m2 m020 - 6 m110^2).  Every term has D-weight 6 and its S0 power
+    runs from 5 (m301, m220) to 9 (m2^3), so the residual is
+    2 N / (S0^9 D^6) with the integer numerator
+
+        N = S0^2 s6 + S0 (2 s3^2 - 3 s2 s4) - 6 s2^3
+            + S0^3 (12 s2 s101 - 3 s2 s020 - 6 s110^2) + S0^4 (3 s220 - 4 s301),
+
+    one Fraction per sample and the same rational as the cumulant form.
     """
-    samples = _samples(samples)
+    samples = list(samples)
+    if not samples:
+        raise ValueError("no sample points given")
     _, waves, _, D = tau.integer_view
     columns = list(zip(*waves))
     worst = Fraction(0)
     with mp.workdps(_precision()):
         for x, y, t in samples:
-            weights, total = _weights(tau, x, y, t)
-            centred = (_centred(weights, total, column) for column in columns)
-            sums = map(sum, zip(*map(_moment_terms, weights, *centred)))
-            m2, m3, m4, m6, m301, m101, m220, m020, m110 = (
-                Fraction(s, total ** (1 + a + b + c) * D ** (a + 2 * b + 3 * c))
-                for s, (a, b, c) in zip(sums, _ORDERS)
+            weights, s0 = _weights(tau, x, y, t)
+            centred = (_centred(weights, s0, column) for column in columns)
+            s2, s3, s4, s6, s301, s101, s220, s020, s110 = map(
+                sum, zip(*map(_moment_terms, weights, *centred))
             )
-            u = 2 * m2
-            u_x = 2 * m3
-            u_xx = 2 * (m4 - 3 * m2**2)
-            u_xxxx = 2 * (m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3)
-            u_xt = 2 * (m301 - 3 * m2 * m101)
-            u_yy = 2 * (m220 - m2 * m020 - 2 * m110**2)
-            res = -4 * u_xt + 6 * u_x**2 + 6 * u * u_xx + u_xxxx + 3 * u_yy
-            worst = max(worst, abs(res))
+            numerator = (
+                s0**2 * s6 + s0 * (2 * s3**2 - 3 * s2 * s4) - 6 * s2**3
+                + s0**3 * (12 * s2 * s101 - 3 * s2 * s020 - 6 * s110**2)
+                + s0**4 * (3 * s220 - 4 * s301)
+            )
+            worst = max(worst, abs(Fraction(2 * numerator, s0**9 * D**6)))
     return float(worst)
 
 
 def spacetime_inversion_check(
     tau_v1: TauFunction,
     tau_v2: TauFunction,
-    samples: Iterable[tuple[float, float, float]],
-) -> float:
-    """max over samples of |u_2(x, y, t) - u_1(-x, -y, -t)|."""
-    worst = 0.0
-    samples = _samples(samples)
-    with mp.workdps(_precision()):
-        for x, y, t in samples:
-            u2 = _u(tau_v2, x, y, t)
-            u1 = _u(tau_v1, -x, -y, -t)
-            worst = max(worst, abs(u2 - u1))
-    return worst
+    signature_v1: Optional[tuple[tuple[Wave, Fraction], ...]] = None,
+) -> bool:
+    """Whether u_2(x, y, t) = u_1(-x, -y, -t) identically, decided exactly.
+
+    tau_2 with every wave negated is tau_2(-p); its ``normalized_signature``
+    equals tau_1's exactly when tau_2(-p) = c exp(l . p) tau_1(p) for a
+    constant c and a linear form l, a gauge that u = 2 (log tau)_xx does
+    not see.  ``signature_v1`` is tau_1's signature when the caller already
+    holds it.  An identically zero tau is a ValueError, never a pass.
+    """
+    mirrored = TauFunction(
+        terms=tuple(
+            TauTerm(coeff=term.coeff, label=term.label,
+                    wave=tuple(-w for w in term.wave))
+            for term in tau_v2.terms
+        )
+    )
+    if signature_v1 is None:
+        signature_v1 = tau_v1.normalized_signature()
+    return mirrored.normalized_signature() == signature_v1

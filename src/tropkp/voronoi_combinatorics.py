@@ -26,6 +26,7 @@ from .graph_jacobian import (
     BananaData,
     RationalLike,
     VoronoiVertex,
+    check_genus,
     delaunay_set,
     frac_vector,
 )
@@ -83,6 +84,7 @@ def voronoi_vertices(genus: int) -> dict[int, tuple[VoronoiVertex, ...]]:
     Class k holds binomial(n, k) vertices, one per k-subset of edges; the
     total count is 2^n - 2 = 2 (2^g - 1).
     """
+    check_genus(genus)
     n = genus + 1
     out: dict[int, tuple[VoronoiVertex, ...]] = {}
     for k in range(1, genus + 1):
@@ -97,6 +99,7 @@ def voronoi_vertices(genus: int) -> dict[int, tuple[VoronoiVertex, ...]]:
 def f_vector(genus: int) -> tuple[int, ...]:
     """Counts of proper faces by dimension 0..g-1:
     f_l = binomial(n, l) * (2^(n - l) - 2)."""
+    check_genus(genus)
     n = genus + 1
     return tuple(math.comb(n, l) * (2 ** (n - l) - 2) for l in range(genus))
 

@@ -36,6 +36,7 @@ from tropkp.orientations_matroids import (
     vertex_to_orientation,
 )
 from tropkp.tau_kp import (
+    evaluate_u,
     hirota_residual,
     kp_residual_numeric,
     spacetime_inversion_check,
@@ -395,16 +396,26 @@ class TestAcceptance:
                 )
 
     def test_criterion_08_spacetime_inversion(self):
+        """Decided exactly from the term lists, and confirmed on u itself at
+        seeded samples."""
         kc = kappa_config([0, 1, 2, 3])
         tau1 = tau_from_hirota_point(hirota_point(kc, 2, [1, 1, 1], "v1"))
         tau2 = tau_from_hirota_point(hirota_point(kc, 2, [1, 1, 1], "v2"))
-        worst = spacetime_inversion_check(tau1, tau2, seeded_samples(SEED + 8))
+        assert spacetime_inversion_check(tau1, tau2) is True
+        merged = len(tau1.normalized_signature())
+        assert merged == 6
+        worst = max(
+            abs(evaluate_u(tau2, x, y, t) - evaluate_u(tau1, -x, -y, -t))
+            for x, y, t in seeded_samples(SEED + 8)
+        )
         assert worst < 1e-9, worst
         _record(
             8,
             True,
-            f"max |u_v2(x,y,t) - u_v1(-x,-y,-t)| = {worst:.2e} < 1e-9 over 20 "
-            f"seeded samples at (k,n)=(2,4), kappa=(0,1,2,3), beta=(1,1,1)",
+            f"tau_v2(-p) = c e^(l.p) tau_v1(p) exactly over {merged} merged terms, "
+            f"so u_v2(x,y,t) = u_v1(-x,-y,-t) everywhere (max gap {worst:.2e} "
+            f"over 20 seeded samples) at (k,n)=(2,4), kappa=(0,1,2,3), "
+            f"beta=(1,1,1)",
         )
 
     def test_criterion_09_dispersion_relation(self):

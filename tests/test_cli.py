@@ -63,6 +63,13 @@ class TestCombinatoricsCommands:
         out = capsys.readouterr().out
         assert "6 Voronoi vertices" in out
 
+    @pytest.mark.parametrize("genus", ["0", "-1"])
+    def test_voronoi_refuses_impossible_genus(self, genus, capsys):
+        assert run(["voronoi", "--genus", genus]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: genus must be >= 1, got {genus}\n"
+
     def test_delaunay_canonical(self, capsys):
         assert run(["delaunay", "--genus", "3", "--class-k", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -183,6 +190,23 @@ class TestConfigCommands:
         out = capsys.readouterr().out
         assert "[FAIL] kp-numeric" in out
         assert "certification FAILED" in out
+        # the exact checks do not read the tolerance
+        assert "[PASS] spacetime-inversion" in out
+        assert "[PASS] bilinear-residual" in out
+
+    @pytest.mark.parametrize("choice", ["v1", "v2"])
+    def test_spacetime_inversion_detail_is_exact(self, choice, config_file, capsys):
+        """The inversion check names what it compared: the merged terms of
+        the two taus' signatures, not a sampled float."""
+        cfg = dict(BETA_CONFIG, vertex_choice=choice)
+        assert run(["certify", "--config", config_file(cfg), "--json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        check = next(c for c in checks if c["name"] == "spacetime-inversion")
+        assert check == {
+            "name": "spacetime-inversion",
+            "ok": True,
+            "detail": "tau_v2(-p) = c e^(l.p) tau_v1(p) exactly: 6 merged terms",
+        }
 
     @pytest.mark.parametrize("choice", ["v1", "v2"])
     def test_certify_catches_a_perturbed_family(
@@ -472,12 +496,14 @@ class TestIntegerView:
 
     @pytest.mark.parametrize("choice", ["v1", "v2"])
     def test_certify_builds_one_view_per_tau(self, choice, views, config_file):
-        """certify reads two taus in integers, one per vertex (the
-        Grassmann-route tau is only compared by signature)."""
+        """certify reads in integers only the taus it residuals: tau_v1, and
+        tau_v2 when the config selects v2 (the Grassmann-route tau and, at
+        v1, tau_v2 are only compared by signature)."""
         cfg = dict(json.loads((REPO / "g3k2.json").read_text()), vertex_choice=choice)
         assert run(["certify", "--config", config_file(cfg)]) == 0
-        assert len(views) == 2
-        assert len(set(views)) == 2
+        count = {"v1": 1, "v2": 2}[choice]
+        assert len(views) == count
+        assert len(set(views)) == count
 
 
 def test_cli_import_does_not_load_numpy():

@@ -3,6 +3,7 @@ evaluation of u = 2 (log tau)_xx."""
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from tropkp import tau_kp
 from tropkp.hirota_parametrization import (
     HirotaPoint,
     hirota_point,
@@ -207,17 +209,54 @@ class TestNumericEvaluation:
         assert kp_residual_numeric(tau, SAMPLES) > 1e-3
 
     def test_spacetime_inversion_pairs_v1_v2(self):
+        """The two vertex readings are exact mirror images: the check is
+        decided on the term lists, and u agrees at the samples as well."""
         beta = (F(2), F(1), F(1, 3))
         tau1 = tau_from_hirota_point(hirota_point(KC4, 2, beta, "v1"))
         tau2 = tau_from_hirota_point(hirota_point(KC4, 2, beta, "v2"))
-        assert spacetime_inversion_check(tau1, tau2, SAMPLES) < 1e-12
+        assert spacetime_inversion_check(tau1, tau2) is True
+        assert spacetime_inversion_check(tau2, tau1) is True
+        assert spacetime_inversion_check(tau1, tau2, tau1.normalized_signature()) is True
+        for x, y, t in SAMPLES:
+            assert evaluate_u(tau2, x, y, t) == pytest.approx(
+                evaluate_u(tau1, -x, -y, -t), abs=1e-12
+            )
 
     def test_spacetime_inversion_positive_control(self):
-        """u is not even in (x, y, t), so comparing a tau against itself
-        must leave a visible gap."""
+        """u is not even in (x, y, t), so a tau compared against itself
+        fails the check, and u shows a visible gap at the samples."""
         beta = (F(2), F(1), F(1, 3))
         tau1 = tau_from_hirota_point(hirota_point(KC4, 2, beta, "v1"))
-        assert spacetime_inversion_check(tau1, tau1, SAMPLES) > 1e-3
+        assert spacetime_inversion_check(tau1, tau1) is False
+        gap = max(
+            abs(evaluate_u(tau1, x, y, t) - evaluate_u(tau1, -x, -y, -t))
+            for x, y, t in SAMPLES
+        )
+        assert gap > 1e-3
+
+    def test_spacetime_inversion_rejects_perturbed_coefficient(self):
+        """Scaling any one coefficient of tau_v2 breaks the identity."""
+        beta = (F(2), F(1), F(1, 3))
+        tau1 = tau_from_hirota_point(hirota_point(KC4, 2, beta, "v1"))
+        hp2 = hirota_point(KC4, 2, beta, "v2")
+        for label in hp2.alphas:
+            tau2 = tau_from_hirota_point(perturbed(hp2, label, F(7, 5)))
+            assert spacetime_inversion_check(tau1, tau2) is False, label
+
+    def test_spacetime_inversion_rejects_unnegated_w(self):
+        """The second reading must negate W as well as U and V."""
+        beta = (F(2), F(1), F(1, 3))
+        hp1 = hirota_point(KC4, 2, beta, "v1")
+        hp2 = hp1.other_vertex()
+        pv = replace(hp2.uvw, W=hp1.uvw.W)
+        tau2 = tau_from_hirota_point(replace(hp2, uvw=pv))
+        assert spacetime_inversion_check(tau_from_hirota_point(hp1), tau2) is False
+
+    def test_spacetime_inversion_of_empty_tau_is_an_error(self):
+        """Comparing no terms raises instead of passing."""
+        empty = TauFunction(terms=())
+        with pytest.raises(ValueError, match="identically zero"):
+            spacetime_inversion_check(empty, empty)
 
     def test_empty_tau_rejected(self):
         with pytest.raises(ValueError):
@@ -256,8 +295,6 @@ class TestNumericEvaluation:
         tau = tau_from_hirota_point(hirota_point(KC4, 2, (1, 1, 1), "v1"))
         with pytest.raises(ValueError, match="no sample points"):
             kp_residual_numeric(tau, [])
-        with pytest.raises(ValueError, match="no sample points"):
-            spacetime_inversion_check(tau, tau, [])
 
 
 def reference_derivatives(tau, x, y, t):
@@ -353,3 +390,55 @@ def test_numeric_layer_matches_reference_on_scaled_families(hp, point):
     assert kp_residual_numeric(tau, [point]) == pytest.approx(
         float(residual), abs=1e-12 * float(scale) + NOISE
     )
+
+
+@given(families())
+@settings(max_examples=60, deadline=None)
+def test_spacetime_inversion_holds_on_families(hp):
+    """Every family, genuine or not, at either vertex and on fractional
+    nodes, is the exact mirror image of its reading at the other vertex:
+    ``other_vertex`` complements the labels, keeps the coefficients and
+    negates the period vectors."""
+    tau_here = tau_from_hirota_point(hp)
+    tau_there = tau_from_hirota_point(hp.other_vertex())
+    tau1, tau2 = (tau_here, tau_there) if hp.vertex_choice == "v1" else (tau_there, tau_here)
+    assert spacetime_inversion_check(tau1, tau2) is True
+
+
+def cumulant_residual(tau, point):
+    """|KP residual| at one point from the nine moment Fractions and the
+    cumulant formulas for u, u_x, u_xx, u_xxxx, u_xt and u_yy, on the same
+    integer weights as ``kp_residual_numeric``."""
+    _, waves, _, D = tau.integer_view
+    with mp.workdps(tau_kp._precision()):
+        weights, total = tau_kp._weights(tau, *point)
+    dx, dy, dt = (tau_kp._centred(weights, total, column) for column in zip(*waves))
+
+    def m(a, b, c):
+        s = sum(e * p**a * q**b * r**c for e, p, q, r in zip(weights, dx, dy, dt))
+        return F(s, total ** (1 + a + b + c) * D ** (a + 2 * b + 3 * c))
+
+    m2, m3, m4, m6 = m(2, 0, 0), m(3, 0, 0), m(4, 0, 0), m(6, 0, 0)
+    m301, m101, m220, m020, m110 = m(3, 0, 1), m(1, 0, 1), m(2, 2, 0), m(0, 2, 0), m(1, 1, 0)
+    u = 2 * m2
+    u_x = 2 * m3
+    u_xx = 2 * (m4 - 3 * m2**2)
+    u_xxxx = 2 * (m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3)
+    u_xt = 2 * (m301 - 3 * m2 * m101)
+    u_yy = 2 * (m220 - m2 * m020 - 2 * m110**2)
+    return abs(-4 * u_xt + 6 * u_x**2 + 6 * u * u_xx + u_xxxx + 3 * u_yy)
+
+
+@given(families(nodes=SMALL_RATIONALS), st.lists(POINTS, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_kp_residual_matches_cumulant_oracle(hp, points):
+    """The one-numerator sum returns the float of the same rational as the
+    cumulant formulas, bit for bit, over the same samples."""
+    tau = tau_from_hirota_point(hp)
+    try:
+        expected = max(cumulant_residual(tau, point) for point in points)
+    except ValueError:  # tau vanishes at one of the points
+        with pytest.raises(ValueError, match="tau vanishes"):
+            kp_residual_numeric(tau, points)
+        return
+    assert kp_residual_numeric(tau, points) == float(expected)

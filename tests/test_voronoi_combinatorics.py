@@ -95,6 +95,12 @@ class TestFVector:
             total = sum(len(v) for v in voronoi_vertices(genus).values())
             assert f_vector(genus)[0] == total
 
+    @pytest.mark.parametrize("genus", [0, -1])
+    @pytest.mark.parametrize("func", [f_vector, voronoi_vertices])
+    def test_impossible_genus_refused(self, func, genus):
+        with pytest.raises(ValueError, match=f"genus must be >= 1, got {genus}"):
+            func(genus)
+
 
 class TestLiftAndShift:
     def test_canonical_vertex_genus3(self):
