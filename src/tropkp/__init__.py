@@ -52,6 +52,7 @@ from .orientations_matroids import (
 from .tau_kp import (
     TauFunction,
     evaluate_u,
+    evaluate_u_grid,
     hirota_residual,
     kp_residual_numeric,
     spacetime_inversion_check,

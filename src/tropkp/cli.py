@@ -9,8 +9,13 @@ Conventions shared by every subcommand: rational numbers are read and
 written as "p/q" strings, never floats; JSON output is emitted with sorted
 keys; randomness is seeded from the config; the environment variable
 TROPKP_PRECISION sets the decimal digits (default 30, at least 15) to which
-the numeric layer rounds each exponential weight of tau, the only rounding
-in u and the KP residual: every moment after it is an exact integer sum.
+the numeric layer rounds its exponentials, the only rounding in u and the
+KP residual: one per tau term at each KP sample, and on a ``field`` grid one
+per term for each distinct x, each distinct y and t (terms of equal exact
+phase at a point share one product), after which every weight and moment is
+exact integer arithmetic.  ``field`` refuses grids of more than
+FIELD_MAX_POINTS points.  Run it as ``tropkp``, ``python -m tropkp`` or
+``python -m tropkp.cli``.
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
 certification check fails or two exact routes to the same object disagree.
 """
@@ -18,6 +23,7 @@ certification check fails or two exact routes to the same object disagree.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -56,7 +62,7 @@ from .orientations_matroids import (
     vertex_to_orientation,
 )
 from .tau_kp import (
-    evaluate_u,
+    evaluate_u_grid,
     hirota_residual,
     kp_residual_numeric,
     spacetime_inversion_check,
@@ -79,6 +85,10 @@ from .voronoi_combinatorics import (
     shift_vector,
     voronoi_vertices,
 )
+
+
+# largest nx * ny that ``field`` samples: its rows are built in memory
+FIELD_MAX_POINTS = 1_000_000
 
 
 class ConfigError(Exception):
@@ -559,16 +569,23 @@ def _cmd_field(args) -> int:
     nx, ny = args.nx, args.ny
     if nx < 1 or ny < 1:
         raise ConfigError("grid must have at least one point per axis")
+    if nx * ny > FIELD_MAX_POINTS:
+        raise ConfigError(
+            f"grid of {nx} x {ny} = {nx * ny} points exceeds the bound of "
+            f"{FIELD_MAX_POINTS} points (nx * ny)"
+        )
     cfg = RunConfig.from_file(args.config)
     hp = hirota_point(cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
     tau = tau_from_hirota_point(hp)
-    rows = ["x,y,t,u"]
-    for iy in range(ny):
-        y = args.ymin + (args.ymax - args.ymin) * (iy / (ny - 1) if ny > 1 else 0.0)
-        for ix in range(nx):
-            x = args.xmin + (args.xmax - args.xmin) * (ix / (nx - 1) if nx > 1 else 0.0)
-            u = evaluate_u(tau, x, y, args.t)
-            rows.append(f"{x:.12g},{y:.12g},{args.t:.12g},{u:.12g}")
+    ys = [args.ymin + (args.ymax - args.ymin) * (iy / (ny - 1) if ny > 1 else 0.0)
+          for iy in range(ny)]
+    xs = [args.xmin + (args.xmax - args.xmin) * (ix / (nx - 1) if nx > 1 else 0.0)
+          for ix in range(nx)]
+    us = evaluate_u_grid(tau, xs, ys, args.t)
+    rows = ["x,y,t,u"] + [
+        f"{x:.12g},{y:.12g},{args.t:.12g},{u:.12g}"
+        for (y, x), u in zip(itertools.product(ys, xs), us)
+    ]
     out = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -669,3 +686,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -20,16 +20,22 @@ triple.  Two layers of certification operate on them:
   log tau is a joint cumulant of the wave triples (u_i, v_i, w_i) under the
   weights p_i = a_i exp(theta_i) / tau, which sum to 1 (they may be
   negative), so each derivative of u is a polynomial in the central moments
-  of the triples under p.  Only the exponentials are rounded: each weight is
-  rounded once to an integer at the working precision (mpmath), and from
-  there every moment sum is an exact integer over the tau's integer view
-  (the integer waves of ``clear_denominators``).  The residual at a sample
-  is one integer numerator N in those sums over S0^9 D^6 (S0 the weight
-  sum, D the wave denominator), converted to float once.
+  of the triples under p.  Only the exponentials are rounded (mpmath, at
+  the working precision): at a sample, one exp(theta_i - peak) per term;
+  on a grid (``evaluate_u_grid``, which ``evaluate_u`` is the 1 x 1 case
+  of), the phase separates, so one exponential per term for each distinct
+  x, for each distinct y and for t, multiplied exactly as integers, with
+  terms of equal exact phase sharing one product.  Everything after the
+  exponentials is exact: each weight is shifted to the peak exponential and
+  truncated once to an integer, and every moment sum is an exact integer
+  over the tau's integer view (the integer waves of
+  ``clear_denominators``).  The residual at a sample is one integer
+  numerator N in those sums over S0^9 D^6 (S0 the weight sum, D the wave
+  denominator), converted to float once.
 
-Per-point exponent shifts keep the numerics stable: subtracting the largest
-exponent at a sample scales every weight by the same factor, so p is
-unchanged.
+Per-point shifts keep the numerics stable: aligning every weight to the
+exponential of the largest phase at a point scales them all by the same
+factor, so p is unchanged.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ __all__ = [
     "lattice_alphas",
     "hirota_residual",
     "evaluate_u",
+    "evaluate_u_grid",
     "kp_residual_numeric",
     "spacetime_inversion_check",
 ]
@@ -229,22 +236,74 @@ def _precision() -> int:
     return max(dps, 15)
 
 
+def _exp(arg) -> tuple[int, int]:
+    """exp(arg) rounded once at the working precision, as the exact dyadic
+    (man, exp) of the result, whose value is man * 2^exp.  Every exponential
+    of the numeric layer is made here."""
+    e = mp.exp(arg)
+    return e.man, e.exp
+
+
+def _exp_ratio(num: int, den: int) -> tuple[int, int]:
+    """``_exp`` of num / den, accurate to about the working precision
+    relative to the result however large the argument: the quotient and its
+    exponential carry two more bits than the argument's integer part has,
+    so rounding the argument moves the exponential by at most about
+    2^-(prec + 2).  A grid's factors have large arguments even where their
+    product, the term's exponential, is of order one."""
+    with mp.workprec(mp.prec + (abs(num) // den).bit_length() + 2):
+        return _exp(mp.mpf(num) / den)
+
+
+def _integer_weights(
+    coeffs: Sequence[int],
+    exps: Sequence[tuple[int, int]],
+    peak: tuple[int, int],
+    point: tuple[float, float, float],
+) -> tuple[list[int], int]:
+    """The integer weights E_i of the terms and S0 = sum E_i, from the
+    integer coefficients C a_i and the exact dyadic exponentials (m_i, e_i)
+    of the terms: E_i = C a_i m_i 2^(e_i + shift), truncated toward zero, where
+    the shift puts the leading bit of ``peak``, the exponential of the
+    largest phase without its coefficient, at 2^(prec + guard).  Every
+    product is exact, so truncation is the only step after the exponentials
+    that drops bits, and it drops them symmetrically: weights of opposite
+    signs cancel exactly.  The peak term alone makes |S0| >= 2^(prec + guard)
+    unless weights of opposite signs cancel, so truncating a small weight
+    costs less than rounding.  A tau that vanishes at ``point`` (possible
+    when coefficients differ in sign) is a ValueError."""
+    man, exp = peak
+    shift = mp.prec + _GUARD_BITS + 1 - exp - man.bit_length()
+    weights = []
+    for coeff, (m, e) in zip(coeffs, exps):
+        value, bits = coeff * m, e + shift
+        if bits >= 0:
+            weights.append(value << bits)
+        elif value >= 0:
+            weights.append(value >> -bits)
+        else:
+            weights.append(-(-value >> -bits))
+    total = sum(weights)
+    if total == 0:
+        x, y, t = point
+        raise ValueError(f"tau vanishes at (x, y, t) = ({x}, {y}, {t})")
+    return weights, total
+
+
 def _weights(
     tau: TauFunction, x: float, y: float, t: float
 ) -> tuple[list[int], int]:
-    """The integer weights E_i of the terms at (x, y, t) and S0 = sum E_i.
+    """The integer weights E_i of the terms at (x, y, t) and S0 = sum E_i,
+    one exponential per term.
 
-    E_i = int(2^(prec + guard) C a_i exp(theta_i - peak)) for the phases
-    theta_i = X_i x/D + Y_i y/D^2 + T_i t/D^3 of the integer view.  A float
-    is a dyadic rational, so each phase is an exact integer over q D^3 (q
-    the largest of the coordinates' power-of-two denominators), and so is
-    its distance to the peak.  Only the exponential is rounded, once, at the
-    working precision and relative to itself; all that follows is exact, so
-    E_i / S0 is the weight p_i = a_i exp(theta_i) / tau.  The peak term
-    alone makes |S0| >= 2^(prec + guard) unless weights of opposite signs
-    cancel, so truncating a small weight to an integer costs less than
-    rounding.  Call it inside ``mp.workdps``.  A tau that vanishes at the
-    point (possible when coefficients differ in sign) is a ValueError.
+    The phases theta_i = X_i x/D + Y_i y/D^2 + T_i t/D^3 of the integer
+    view are exact: a float is a dyadic rational, so each phase is an
+    integer over q D^3 (q the largest of the coordinates' power-of-two
+    denominators), and so is its distance to the peak.  Only
+    exp(theta_i - peak) is rounded, once, at the working precision and
+    relative to itself; ``_integer_weights`` does the rest exactly, so
+    E_i / S0 is the weight p_i = a_i exp(theta_i) / tau.  Call it inside
+    ``mp.workdps``.
     """
     coeffs, waves, _, D = tau.integer_view
     if not coeffs:
@@ -255,15 +314,9 @@ def _weights(
     phases = [X * cx + Y * cy + T * ct for X, Y, T in waves]
     peak = max(phases)
     scale = mp.mpf(q * D**3)
-    bits = mp.prec + _GUARD_BITS
-    weights = [
-        int(mp.ldexp(coeff * mp.exp((phase - peak) / scale), bits))
-        for coeff, phase in zip(coeffs, phases)
-    ]
-    total = sum(weights)
-    if total == 0:
-        raise ValueError(f"tau vanishes at (x, y, t) = ({x}, {y}, {t})")
-    return weights, total
+    exps = [_exp((phase - peak) / scale) for phase in phases]
+    # the peak's exponential is exp(0) = 1 exactly
+    return _integer_weights(coeffs, exps, (1, 0), (x, y, t))
 
 
 def _centred(weights: list[int], total: int, column: Sequence[int]) -> list[int]:
@@ -273,15 +326,78 @@ def _centred(weights: list[int], total: int, column: Sequence[int]) -> list[int]
     return [total * w - mean for w in column]
 
 
-def evaluate_u(tau: TauFunction, x: float, y: float, t: float) -> float:
-    """u(x, y, t) = 2 (log tau)_xx = 2 m(2, 0, 0), in the notation of
-    ``kp_residual_numeric``."""
+def evaluate_u_grid(
+    tau: TauFunction, xs: Sequence[float], ys: Sequence[float], t: float
+) -> list[float]:
+    """u = 2 (log tau)_xx = 2 m(2, 0, 0), in the notation of
+    ``kp_residual_numeric``, at every (x, y, t) with y in ``ys`` and x in
+    ``xs``, row-major with y outer and x inner.
+
+    On a grid the phase separates: exp(theta_i) is the product of
+    exp(X_i x/D), exp(Y_i y/D^2) and exp(T_i t/D^3), so each term needs one
+    exponential per distinct x, one per distinct y and one for t, and a grid
+    point multiplies their exact dyadics as integers.  At each point the
+    exact integer phases (over q D^3, q the largest power-of-two denominator
+    of the coordinates) decide two things: terms with equal phases share the
+    rounded product of the first of them, so that a group whose coefficients
+    sum to zero cancels exactly (tau vanishes at a rational point exactly
+    when every such group does, by Lindemann-Weierstrass), and the largest
+    phase picks the peak exponential that ``_integer_weights`` aligns to.
+    Each value depends only on its own point, so ``evaluate_u`` is the 1 x 1
+    grid.  The factor tables hold O((len(xs) + len(ys)) T) integers.
+    """
+    coeffs, waves, _, D = tau.integer_view
+    if not coeffs:
+        raise ValueError("tau function has no terms")
+    columns = list(zip(*waves))
+    ratios = {v: float(v).as_integer_ratio() for v in (*xs, *ys, t)}
+    q = max(r for _, r in ratios.values())
+
+    def axis(values, power):
+        """For each distinct coordinate v = p/r on the axis whose waves are
+        over D^power: the exact phase parts W_i v q D^3 / D^power and the
+        exponentials exp(W_i v / D^power) of the terms."""
+        column = columns[power - 1]
+        table = {}
+        for v in values:
+            if v not in table:
+                p, r = ratios[v]
+                lift = p * (q // r) * D ** (3 - power)
+                table[v] = (
+                    [w * lift for w in column],
+                    [_exp_ratio(w * p, r * D**power) for w in column],
+                )
+        return table
+
+    us = []
     with mp.workdps(_precision()):
-        _, waves, _, D = tau.integer_view
-        weights, total = _weights(tau, x, y, t)
-        dx = _centred(weights, total, [X for X, _, _ in waves])
-        m2 = sum(e * d * d for e, d in zip(weights, dx))
-        return float(Fraction(2 * m2, total**3 * D**2))
+        x_axis = axis(xs, 1)
+        y_axis = axis(ys, 2)
+        t_phases, t_exps = axis((t,), 3)[t]
+        for y in ys:
+            y_phases, y_exps = y_axis[y]
+            yt_phases = list(map(operator.add, y_phases, t_phases))
+            yt_exps = [(m1 * m2, e1 + e2) for (m1, e1), (m2, e2) in zip(y_exps, t_exps)]
+            for x in xs:
+                x_phases, x_exps = x_axis[x]
+                first: dict[int, int] = {}
+                exps: list[tuple[int, int]] = []
+                for phase, (m1, e1), (m2, e2) in zip(
+                    map(operator.add, x_phases, yt_phases), x_exps, yt_exps
+                ):
+                    i = first.setdefault(phase, len(exps))
+                    exps.append((m1 * m2, e1 + e2) if i == len(exps) else exps[i])
+                peak = exps[first[max(first)]]
+                weights, total = _integer_weights(coeffs, exps, peak, (x, y, t))
+                dx = _centred(weights, total, columns[0])
+                m2 = sum(e * d * d for e, d in zip(weights, dx))
+                us.append(float(Fraction(2 * m2, total**3 * D**2)))
+    return us
+
+
+def evaluate_u(tau: TauFunction, x: float, y: float, t: float) -> float:
+    """u(x, y, t) = 2 (log tau)_xx: the 1 x 1 ``evaluate_u_grid``."""
+    return evaluate_u_grid(tau, (x,), (y,), t)[0]
 
 
 def _moment_terms(e: int, dx: int, dy: int, dt: int) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tropkp
-from tropkp.cli import run
+from tropkp.cli import FIELD_MAX_POINTS, run
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -290,6 +290,29 @@ class TestConfigCommands:
         assert captured.out == ""
         assert built == []
 
+    @pytest.mark.parametrize(
+        "axes", [(FIELD_MAX_POINTS + 1, 1), (1, FIELD_MAX_POINTS + 1)], ids=str
+    )
+    def test_field_refuses_a_grid_past_the_budget(
+        self, axes, config_file, capsys, monkeypatch
+    ):
+        """A grid of one point more than ``FIELD_MAX_POINTS`` is refused with
+        exit 1 and a message that quotes the bound, before any tau function
+        is built."""
+        import tropkp.cli as cli_mod
+
+        built = []
+        monkeypatch.setattr(cli_mod, "tau_from_hirota_point", built.append)
+        cfg = config_file({"kappas": ["0", "1"], "class_k": 1, "beta": ["1"]})
+        nx, ny = axes
+        assert run(["field", "--config", cfg, "--nx", str(nx), "--ny", str(ny)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert f"bound of {FIELD_MAX_POINTS} points" in captured.err
+        assert captured.out == ""
+        assert built == []
+
     def test_eqs_text_and_json(self, capsys):
         assert run(["eqs", "--k", "2", "--n", "4"]) == 0
         out = capsys.readouterr().out
@@ -504,6 +527,80 @@ class TestIntegerView:
         count = {"v1": 1, "v2": 2}[choice]
         assert len(views) == count
         assert len(set(views)) == count
+
+
+class TestExponentialCount:
+    """On a grid the phase separates, so the numeric layer rounds one
+    exponential per term for each distinct x, each distinct y and t, not one
+    per term per grid point; a single sample rounds one per term."""
+
+    @pytest.fixture
+    def exps(self, monkeypatch):
+        import tropkp.tau_kp as tau_mod
+
+        made = []
+        real = tau_mod._exp
+
+        def counting(arg):
+            made.append(arg)
+            return real(arg)
+
+        monkeypatch.setattr(tau_mod, "_exp", counting)
+        return made
+
+    @staticmethod
+    def g3k2_terms():
+        from tropkp.cli import RunConfig
+        from tropkp.hirota_parametrization import hirota_point
+        from tropkp.tau_kp import tau_from_hirota_point
+
+        cfg = RunConfig.from_file(str(REPO / "g3k2.json"))
+        return tau_from_hirota_point(
+            hirota_point(cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
+        )
+
+    def test_field_rounds_one_exponential_per_term_per_grid_line(self, exps, capsys):
+        terms = len(self.g3k2_terms().terms)
+        argv = ["field", "--config", str(REPO / "g3k2.json"), "--nx", "5", "--ny", "4",
+                "--t=0.5"]
+        assert run(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 4
+        assert len(exps) == (5 + 4 + 1) * terms
+
+    def test_one_sample_rounds_one_exponential_per_term(self, exps):
+        from tropkp.tau_kp import kp_residual_numeric
+
+        tau = self.g3k2_terms()
+        kp_residual_numeric(tau, [(0.3, -0.2, 0.1)])
+        assert len(exps) == len(tau.terms)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["-m", "tropkp", "voronoi", "--genus", "2", "--json"], 0),
+        (["-m", "tropkp.cli", "voronoi", "--genus", "2", "--json"], 0),
+        (["-m", "tropkp.cli", "voronoi", "--genus", "0"], 1),
+        (["-m", "tropkp", "voronoi", "--genus", "0"], 1),
+    ],
+    ids=["package", "cli", "cli-error", "package-error"],
+)
+def test_module_entry_points(argv, code):
+    """``python -m tropkp`` and ``python -m tropkp.cli`` run the command line
+    from a plain checkout: JSON on success, one ``error:`` line and exit 1
+    on a usage error."""
+    src = str(Path(tropkp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == code
+    if code == 0:
+        assert json.loads(done.stdout)["genus"] == 2
+        assert done.stderr == ""
+    else:
+        assert done.stdout == ""
+        assert done.stderr == "error: genus must be >= 1, got 0\n"
 
 
 def test_cli_import_does_not_load_numpy():

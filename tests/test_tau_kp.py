@@ -23,6 +23,7 @@ from tropkp.tau_kp import (
     TauFunction,
     TauTerm,
     evaluate_u,
+    evaluate_u_grid,
     hirota_residual,
     kp_residual_numeric,
     lattice_alphas,
@@ -273,6 +274,68 @@ class TestNumericEvaluation:
         with pytest.raises(ValueError, match=message):
             kp_residual_numeric(tau, [(0.3, 0.2, 0.1), (0.5, -0.5, 0.0)])
 
+    def test_vanishing_tau_on_a_wide_grid_is_found(self):
+        """tau = 1 - exp(x + y + t) vanishes at (40, -43.5, 3.5), where the
+        grid's factors exp(40), exp(-43.5) and exp(3.5) are each rounded:
+        the two terms have equal exact phases there, so they share one
+        rounded exponential and cancel exactly, and the first such point in
+        row-major order (y outer, x inner) is named."""
+        tau = tau_from_hirota_point(hirota_point(kappa_config([0, 1]), 1, (-1,), "v1"))
+        message = r"tau vanishes at \(x, y, t\) = \(40.0, -43.5, 3.5\)"
+        with pytest.raises(ValueError, match=message):
+            evaluate_u_grid(tau, [0.0, 40.0, 41.0], [-44.0, -43.5], 3.5)
+        assert len(evaluate_u_grid(tau, [0.0, 41.0], [-44.0, -43.5], 3.5)) == 4
+
+    def test_integer_weights_align_to_the_peak_exponential(self):
+        """The peak's exponential, not its coefficient, sets the scale: its
+        leading bit lands at 2^(prec + guard), so the peak weight keeps its
+        coefficient's bits on top.  Weights truncate toward zero, so equal
+        and opposite ones cancel exactly."""
+        bits = mp.prec + tau_kp._GUARD_BITS
+        coeffs = [3, -3, 5]
+        exps = [(5, -2), (5, -2), (7, -3 - bits - 2)]  # 5/4, 5/4, 7 2^-(bits+5)
+        weights, total = tau_kp._integer_weights(coeffs, exps, (5, -2), (0, 0, 0))
+        assert weights == [3 * 5 << (bits - 2), -(3 * 5 << (bits - 2)), 1]
+        assert total == 1
+        with pytest.raises(ValueError, match="tau vanishes"):
+            tau_kp._integer_weights([3, -3], exps[:2], (5, -2), (0, 0, 0))
+        # with the peak at 5/4, -5 * 7 2^-(bits+5) scales to -35/32, which
+        # truncates to -1 (rounding down would give -2)
+        weights, _ = tau_kp._integer_weights([3, -5], exps[::2], (5, -2), (0, 0, 0))
+        assert weights == [3 * 5 << (bits - 2), -1]
+
+    def test_weights_keep_a_small_coefficient(self):
+        """tau = 10^60 + exp(x + y + t): the weights align to the peak's
+        exponential, not to 10^60 times it, so the second term keeps all its
+        bits and u, about 2e-60 near the origin, is right to 12 digits on a
+        grid as at single points."""
+        big = 10**60
+        tau = TauFunction(terms=(
+            TauTerm(coeff=F(big), label=(0,), wave=(F(0), F(0), F(0))),
+            TauTerm(coeff=F(1), label=(1,), wave=(F(1), F(1), F(1))),
+        ))
+        xs, ys, t = [-0.5, 0.0, 0.75], [0.25, -1.0], 0.5
+        grid = evaluate_u_grid(tau, xs, ys, t)
+        with mp.workdps(50):
+            for u, (y, x) in zip(grid, itertools.product(ys, xs)):
+                e = mp.exp(mp.mpf(x) + y + t)
+                closed = 2 * big * e / (big + e) ** 2
+                assert u == pytest.approx(float(closed), rel=1e-12, abs=0)
+                assert u == evaluate_u(tau, x, y, t)
+
+    def test_exp_ratio_is_relative_to_the_result(self):
+        """A grid factor exp(num / den) with a large argument is as accurate,
+        relative to itself, as one of order one: here the argument has 24
+        integer bits, which a quotient rounded at the working precision
+        would cost."""
+        num, den = 1234567890123, 98765
+        with mp.workdps(30):
+            man, exp = tau_kp._exp_ratio(num, den)
+            with mp.workdps(80):
+                exact = mp.exp(mp.mpf(num) / den)
+                err = abs(mp.ldexp(man, exp) / exact - 1)
+            assert err < mp.ldexp(1, -mp.prec)
+
     def test_precision_env_override(self, monkeypatch):
         kc = kappa_config([F(-1, 2), F(3, 4)])
         tau = tau_from_hirota_point(hirota_point(kc, 1, (F(2),), "v1"))
@@ -390,6 +453,50 @@ def test_numeric_layer_matches_reference_on_scaled_families(hp, point):
     assert kp_residual_numeric(tau, [point]) == pytest.approx(
         float(residual), abs=1e-12 * float(scale) + NOISE
     )
+
+
+# grid coordinates up to 40 in size, each axis drawn from a pool of at most
+# two values so that coordinates repeat
+WIDE = st.floats(-40, 40)
+AXIS = st.lists(WIDE, min_size=1, max_size=2).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+)
+NONZERO_T = st.floats(-2, 2).filter(lambda t: abs(t) > 1e-3)
+
+
+@given(families(nodes=SMALL_RATIONALS), AXIS, AXIS, NONZERO_T)
+@settings(max_examples=25, deadline=None)
+def test_grid_matches_points_and_reference(hp, xs, ys, t):
+    """``evaluate_u_grid`` on a small grid with repeated and wide
+    coordinates equals ``evaluate_u`` at every point bit for bit (the grid
+    shares factors across points, never rounding), and agrees with the
+    50-digit reference to 12 relative digits above ``NOISE``, skipping
+    points where tau vanishes or nearly cancels as the scaled-family
+    property does."""
+    tau = tau_from_hirota_point(hp)
+    points = [(x, y) for y in ys for x in xs]
+    try:
+        grid = evaluate_u_grid(tau, xs, ys, t)
+    except ValueError as exc:  # tau vanishes at a grid point
+        assert "tau vanishes" in str(exc)
+        with pytest.raises(ValueError, match="tau vanishes"):
+            for x, y in points:
+                evaluate_u(tau, x, y, t)
+        return
+    assert len(grid) == len(points)
+    for u, (x, y) in zip(grid, points):
+        assert u == evaluate_u(tau, x, y, t)
+        with mp.workdps(50):
+            parts = [
+                mp.mpf(term.coeff.numerator) / term.coeff.denominator
+                * mp.exp(sum(mp.mpf(q.numerator) / q.denominator * v
+                             for q, v in zip(term.wave, (x, y, t))))
+                for term in tau.terms
+            ]
+            if abs(mp.fsum(parts)) <= 1e-6 * mp.fsum(abs(p) for p in parts):
+                continue
+        reference = mp.re(reference_derivatives(tau, x, y, t)["u"])
+        assert u == pytest.approx(float(reference), rel=1e-12, abs=NOISE)
 
 
 @given(families())
