@@ -39,7 +39,6 @@ from .hirota_parametrization import (
     beta_lambda_convert,
     check_dn_interlacing,
     hirota_point,
-    hypersimplex_labels,
     invert_psi,
     lambda_from_divisor,
     matrix_A,
@@ -90,6 +89,11 @@ from .voronoi_combinatorics import (
 # largest nx * ny that ``field`` samples: its rows are built in memory
 FIELD_MAX_POINTS = 1_000_000
 
+# the keys a config and its divisor object may hold
+CONFIG_KEYS = ("kappas", "class_k", "vertex_choice", "beta", "lambda", "divisor",
+               "samples", "seed", "tolerance")
+DIVISOR_KEYS = ("points", "split_k", "p0_component")
+
 
 class ConfigError(Exception):
     pass
@@ -122,8 +126,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+        _refuse_unknown_keys(raw, "config", CONFIG_KEYS)
         try:
             kc = kappa_config(_rational_list(raw, "kappas"))
             class_k = _json_int(raw, "class_k")
@@ -151,6 +154,7 @@ class RunConfig:
                 beta = beta_lambda_convert(kc, class_k, lambdas=lambdas)
             else:
                 dv = raw["divisor"]
+                _refuse_unknown_keys(dv, "divisor", DIVISOR_KEYS)
                 divisor = make_divisor(
                     _rational_list(dv, "points"), _json_int(dv, "split_k"),
                     dv.get("p0_component", "X+"),
@@ -190,6 +194,19 @@ class RunConfig:
         )
 
 
+def _refuse_unknown_keys(raw, where: str, allowed: tuple[str, ...]) -> None:
+    """A config object holds only the keys it documents, so a misspelled key
+    is an error instead of a silently applied default."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} key {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(allowed)}"
+        )
+
+
 def _json_int(raw: dict, key: str, default: Optional[int] = None) -> int:
     """``raw[key]`` (or the default when absent and one is given) as a JSON
     integer; floats, strings and booleans are refused, not truncated."""
@@ -205,10 +222,6 @@ def _rational_list(raw: dict, key: str) -> tuple[Fraction, ...]:
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a JSON list of rationals, got {value!r}")
     return frac_vector(value)
-
-
-def _s(x: Fraction) -> str:
-    return str(x)
 
 
 def _svec(xs) -> list[str]:
@@ -236,23 +249,20 @@ def _sample_points(samples: int, seed: int) -> list[tuple[float, float, float]]:
 
 
 def _cmd_voronoi(args) -> int:
-    g = args.genus
-    classes = voronoi_vertices(g)
-    fv = f_vector(g)
-    total = sum(len(v) for v in classes.values())
+    classes = voronoi_vertices(args.genus)
     payload = {
-        "genus": g,
-        "f_vector": list(fv),
-        "vertex_count": total,
-        "classes": {
-            str(k): [_svec(v.coords) for v in verts] for k, verts in classes.items()
-        },
+        "genus": args.genus,
+        "f_vector": list(f_vector(args.genus)),
+        "vertex_count": sum(len(v) for v in classes.values()),
+        "classes": {str(k): [_svec(v.coords) for v in vs] for k, vs in classes.items()},
     }
-    lines = [f"genus {g}: {total} Voronoi vertices, f-vector {fv}"]
-    for k, verts in classes.items():
+    lines = [
+        f"genus {args.genus}: {payload['vertex_count']} Voronoi vertices, "
+        f"f-vector {tuple(payload['f_vector'])}"
+    ]
+    for k, verts in payload["classes"].items():
         lines.append(f"  class {k}: {len(verts)} vertices")
-        for v in verts:
-            lines.append("    (" + ", ".join(_svec(v.coords)) + ")")
+        lines += ["    (" + ", ".join(v) + ")" for v in verts]
     _emit(payload, args.json, lines)
     return 0
 
@@ -267,27 +277,25 @@ def _cmd_delaunay(args) -> int:
     if args.vertex is not None:
         coords = _parse_vertex(args.vertex)
     else:
-        k = args.class_k if args.class_k is not None else 1
-        coords = canonical_vertex(g, k).coords
+        coords = canonical_vertex(g, 1 if args.class_k is None else args.class_k).coords
     labels = normalize_delaunay(data, coords)
-    s = shift_vector(data, coords)
-    k = len(next(iter(labels.values())))
     payload = {
         "genus": g,
         "vertex": _svec(coords),
-        "class": k,
-        "shift_vector": list(s.s),
+        "class": len(next(iter(labels.values()))),
+        "shift_vector": list(shift_vector(data, coords).s),
         "points": [
             {"c": list(c), "label": list(labels[c])} for c in sorted(labels)
         ],
     }
     lines = [
-        f"vertex (" + ", ".join(_svec(coords)) + f") of class {k}",
-        f"shift vector {s.s}",
-        f"{len(labels)} Delaunay points:",
+        "vertex (" + ", ".join(payload["vertex"]) + f") of class {payload['class']}",
+        f"shift vector {tuple(payload['shift_vector'])}",
+        f"{len(payload['points'])} Delaunay points:",
     ]
-    for c in sorted(labels):
-        lines.append(f"  c={c} -> label {set(labels[c])}")
+    lines += [
+        f"  c={tuple(p['c'])} -> label {set(p['label'])}" for p in payload["points"]
+    ]
     _emit(payload, args.json, lines)
     return 0
 
@@ -296,49 +304,39 @@ def _cmd_orient(args) -> int:
     g = args.genus
     data = build_banana(g)
     classes = voronoi_vertices(g)
-    rows = []
-    for k in sorted(classes):
-        for v in classes[k]:
-            o = vertex_to_orientation(data, v.coords)
-            rows.append((v, o))
+    orients = {
+        k: [vertex_to_orientation(data, v.coords) for v in classes[k]]
+        for k in sorted(classes)
+    }
     payload = {
         "genus": g,
         "orientation_count": len(strongly_connected_orientations(g)),
         "pairs": [
-            {
-                "vertex": _svec(v.coords),
-                "class": v.class_k,
-                "signs": list(o.signs),
-                "out_degree_v1": o.out_degree_v1,
-            }
-            for v, o in rows
+            {"vertex": _svec(v.coords), "class": v.class_k,
+             "signs": list(o.signs), "out_degree_v1": o.out_degree_v1}
+            for k in orients
+            for v, o in zip(classes[k], orients[k])
         ],
     }
+    if args.circuits:
+        payload["circuits"] = [
+            {"class": k, "from": list(base.signs), "to": list(o.signs),
+             "flip": sorted(circuit_difference(base, o))}
+            for k, (base, *rest) in orients.items()
+            for o in rest
+        ]
     lines = [
         f"genus {g}: {payload['orientation_count']} strongly connected orientations"
     ]
-    for v, o in rows:
-        lines.append(
-            "  (" + ", ".join(_svec(v.coords)) + f")  signs {o.signs}  "
-            f"out-degree {o.out_degree_v1}"
-        )
+    lines += [
+        "  (" + ", ".join(p["vertex"]) + f")  signs {tuple(p['signs'])}  "
+        f"out-degree {p['out_degree_v1']}"
+        for p in payload["pairs"]
+    ]
     if args.circuits:
-        payload["circuits"] = []
         lines.append("circuit moves between same-class orientations:")
-        for k in sorted(classes):
-            base = vertex_to_orientation(data, classes[k][0].coords)
-            for v in classes[k][1:]:
-                o = vertex_to_orientation(data, v.coords)
-                circ = circuit_difference(base, o)
-                payload["circuits"].append(
-                    {
-                        "class": k,
-                        "from": list(base.signs),
-                        "to": list(o.signs),
-                        "flip": sorted(circ),
-                    }
-                )
-                lines.append(f"  class {k}: flip {sorted(circ)}")
+        lines += [f"  class {c['class']}: flip {c['flip']}"
+                  for c in payload["circuits"]]
     _emit(payload, args.json, lines)
     return 0
 
@@ -348,8 +346,6 @@ def _cmd_matroid(args) -> int:
     data = build_banana(g)
     coords = canonical_vertex(g, args.class_k).coords
     mb = matroid_bases(data, coords, args.vertex_choice)
-    dt = delaunaytroid(data, coords, args.vertex_choice)
-    agree = mb == dt
     payload = {
         "genus": g,
         "class_k": args.class_k,
@@ -357,16 +353,16 @@ def _cmd_matroid(args) -> int:
         "rank": mb.rank,
         "n": mb.n,
         "bases": sorted(sorted(b) for b in mb.bases),
-        "routes_agree": agree,
+        "routes_agree": mb == delaunaytroid(data, coords, args.vertex_choice),
     }
     lines = [
-        f"uniform matroid of rank {mb.rank} on {mb.n} edges "
-        f"({len(mb.bases)} bases); label and orientation routes "
-        + ("agree" if agree else "DISAGREE")
+        f"uniform matroid of rank {payload['rank']} on {payload['n']} edges "
+        f"({len(payload['bases'])} bases); label and orientation routes "
+        + ("agree" if payload["routes_agree"] else "DISAGREE")
     ]
-    lines += [f"  basis {sorted(b)}" for b in sorted(mb.bases, key=sorted)]
+    lines += [f"  basis {b}" for b in payload["bases"]]
     _emit(payload, args.json, lines)
-    return 0 if agree else 2
+    return 0 if payload["routes_agree"] else 2
 
 
 def _cmd_limits(args) -> int:
@@ -388,143 +384,133 @@ def _cmd_limits(args) -> int:
         "W": _svec(pv.W),
         "dispersion_residuals": _svec(pv.dispersion_residuals()),
     }
-    lines = [f"genus {g} limit data on component {component}"]
-    lines.append("exp(R):")
-    for row in payload["exp_R"]:
-        lines.append("  [" + ", ".join(row) + "]")
-    lines.append("U = (" + ", ".join(payload["U"]) + ")")
-    lines.append("V = (" + ", ".join(payload["V"]) + ")")
-    lines.append("W = (" + ", ".join(payload["W"]) + ")")
+    if cfg.divisor is not None:
+        payload["abel_exp"] = _svec(abel_map(kc, cfg.divisor))
+    lines = [f"genus {payload['genus']} limit data on component {payload['component']}"]
+    lines += ["exp(R):"] + ["  [" + ", ".join(row) + "]" for row in payload["exp_R"]]
+    lines += [f"{key} = (" + ", ".join(payload[key]) + ")" for key in "UVW"]
     lines.append(
         "dispersion residuals: (" + ", ".join(payload["dispersion_residuals"]) + ")"
     )
-    if cfg.divisor is not None:
-        payload["abel_exp"] = _svec(abel_map(kc, cfg.divisor))
-        lines.append("abel sums (as signed exponentials): (" + ", ".join(payload["abel_exp"]) + ")")
+    if "abel_exp" in payload:
+        lines.append("abel sums (as signed exponentials): ("
+                     + ", ".join(payload["abel_exp"]) + ")")
     _emit(payload, args.json, lines)
     return 0
 
 
+def _soliton_matrices(cfg: RunConfig, alphas: dict) -> tuple:
+    """``(A, At, minor_ok, prop_ok)``: the echelon and Vandermonde matrices
+    of the config's soliton, whether A's maximal minors satisfy the minor
+    identity with ``alphas``, and whether the two matrices have the same
+    normalized minors."""
+    A = matrix_A(cfg.kc, cfg.class_k, cfg.beta)
+    At = matrix_A_tilde(cfg.kc, cfg.class_k, cfg.lambdas)
+    minor_ok = verify_minor_identity(A, alphas, cfg.kc)
+    return A, At, minor_ok, A.normalized_pluecker() == At.normalized_pluecker()
+
+
 def _cmd_param(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    kc, k, beta, lam = cfg.kc, cfg.class_k, cfg.beta, cfg.lambdas
-    alphas = alpha_from_beta(kc, k, beta)
-    A = matrix_A(kc, k, beta)
-    At = matrix_A_tilde(kc, k, lam)
-    minor_ok = verify_minor_identity(A, alphas, kc)
-    prop_ok = A.normalized_pluecker() == At.normalized_pluecker()
+    kc, k = cfg.kc, cfg.class_k
+    alphas = alpha_from_beta(kc, k, cfg.beta)
+    A, At, minor_ok, prop_ok = _soliton_matrices(cfg, alphas)
     payload = {
         "kappas": _svec(kc.kappas),
         "class_k": k,
-        "beta": _svec(beta),
-        "lambda": _svec(lam),
-        "alphas": {",".join(map(str, J)): _s(v) for J, v in alphas.items()},
+        "beta": _svec(cfg.beta),
+        "lambda": _svec(cfg.lambdas),
+        "alphas": {",".join(map(str, J)): str(v) for J, v in alphas.items()},
         "matrix_A": _smatrix(A.matrix),
         "matrix_A_tilde": _smatrix(At.matrix),
         "minor_identity": minor_ok,
         "parametrizations_match": prop_ok,
     }
+    if cfg.divisor is not None:
+        payload["matrix_A_dual"] = _smatrix(matrix_A_dual(kc, cfg.divisor).matrix)
+        if kc.sorted_flag:
+            payload["interlacing"] = check_dn_interlacing(kc, cfg.divisor)
     lines = [
-        f"({k},{kc.n}) soliton data at kappas (" + ", ".join(_svec(kc.kappas)) + ")",
+        f"({payload['class_k']},{len(payload['kappas'])}) soliton data at kappas ("
+        + ", ".join(payload["kappas"]) + ")",
         "beta   = (" + ", ".join(payload["beta"]) + ")",
         "lambda = (" + ", ".join(payload["lambda"]) + ")",
-        f"minor identity A_J K_J = alpha_J K_base: {'ok' if minor_ok else 'FAILED'}",
-        f"echelon and Vandermonde routes match: {'ok' if prop_ok else 'FAILED'}",
+        "minor identity A_J K_J = alpha_J K_base: "
+        + ("ok" if payload["minor_identity"] else "FAILED"),
+        "echelon and Vandermonde routes match: "
+        + ("ok" if payload["parametrizations_match"] else "FAILED"),
         "alphas:",
     ]
-    for J in hypersimplex_labels(kc.n, k):
-        lines.append(f"  alpha{J} = {alphas[J]}")
-    if cfg.divisor is not None:
-        Ad = matrix_A_dual(kc, cfg.divisor)
-        payload["matrix_A_dual"] = _smatrix(Ad.matrix)
-        if kc.sorted_flag:
-            inter = check_dn_interlacing(kc, cfg.divisor)
-            payload["interlacing"] = inter
-            lines.append(f"divisor interlaces the nodes: {inter}")
-    ok = minor_ok and prop_ok
+    lines += [
+        f"  alpha{tuple(map(int, J.split(',')))} = {v}"
+        for J, v in payload["alphas"].items()
+    ]
+    if "interlacing" in payload:
+        lines.append(f"divisor interlaces the nodes: {payload['interlacing']}")
     _emit(payload, args.json, lines)
-    return 0 if ok else 2
+    return 0 if minor_ok and prop_ok else 2
 
 
 def _cmd_certify(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    kc, k, beta = cfg.kc, cfg.class_k, cfg.beta
+    kc, k = cfg.kc, cfg.class_k
     checks: list[tuple[str, bool, str]] = []
 
-    hp1 = hirota_point(kc, k, beta, "v1")  # raises if the two alpha routes disagree
-    checks.append(
-        ("alpha-double-route", True,
-         f"theta and product formulas agree on {len(hp1.alphas)} coefficients")
-    )
+    hp1 = hirota_point(kc, k, cfg.beta, "v1")  # raises if the two alpha routes disagree
+    checks.append(("alpha-double-route", True, "theta and product formulas agree on "
+                   f"{len(hp1.alphas)} coefficients"))
     hp2 = hp1.other_vertex()
 
-    A = matrix_A(kc, k, beta)
-    ok = verify_minor_identity(A, hp1.alphas, kc)
-    checks.append(("minor-identity", ok, "A_J K_J = alpha_J K_base for all J"))
-
-    At = matrix_A_tilde(kc, k, cfg.lambdas)
-    ok = A.normalized_pluecker() == At.normalized_pluecker()
-    checks.append(("parametrization-match", ok, "echelon vs Vandermonde minors"))
+    A, At, minor_ok, prop_ok = _soliton_matrices(cfg, hp1.alphas)
+    checks.append(("minor-identity", minor_ok, "A_J K_J = alpha_J K_base for all J"))
+    checks.append(("parametrization-match", prop_ok, "echelon vs Vandermonde minors"))
 
     tau1 = tau_from_hirota_point(hp1)
     tau2 = tau_from_hirota_point(hp2)
-    tau_gr = tau_from_grassmannian(A, kc)
-
     sig1 = tau1.normalized_signature()
-    ok = sig1 == tau_gr.normalized_signature()
+    ok = sig1 == tau_from_grassmannian(A, kc).normalized_signature()
     checks.append(("tau-routes", ok, "theta-route tau equals Grassmann-route tau"))
 
-    res = hirota_residual(tau1)
+    # the residual, face and numeric checks read the family at the configured
+    # vertex: class k at v1, the complementary class n - k at v2
+    if cfg.vertex_choice == "v1":
+        hp, tau, k_read = hp1, tau1, k
+    else:
+        hp, tau, k_read = hp2, tau2, kc.n - k
+    res = hirota_residual(tau)
     ok = all(v == 0 for v in res.values())
     checks.append(("bilinear-residual", ok, f"{len(res)} residual groups all zero"))
 
-    disp = hp1.uvw.dispersion_residuals()
-    ok = all(v == 0 for v in disp)
+    ok = all(v == 0 for v in hp1.uvw.dispersion_residuals())
     checks.append(("dispersion", ok, "U^4 + 3V^2 - 4UW = 0 per column"))
 
-    if cfg.vertex_choice == "v1":
-        hp_sel, tau_sel, res_sel, k_eff = hp1, tau1, res, k
-    else:
-        hp_sel, tau_sel, res_sel, k_eff = hp2, tau2, hirota_residual(tau2), kc.n - k
-    faces = face_table(hp_sel)
-    rels = face_direction_classes(k_eff, kc.n)
+    faces = face_table(hp)
+    rels = face_direction_classes(k_read, kc.n)
     ok = all(faces[rel.squared_point(kc.n)] == 0 for rel in rels)
     checks.append(("face-quartics", ok, f"{len(rels)} face equations vanish"))
-
-    ok = faces_match_residual(faces, res_sel, k_eff, cfg.vertex_choice)
+    ok = faces_match_residual(faces, res, k_read, cfg.vertex_choice)
     checks.append(("face-vs-residual", ok, "face values equal residual groups"))
 
     kc_back, beta_back = invert_psi(hp1)
-    ok = kc_back.kappas == kc.kappas and beta_back == beta
+    ok = kc_back.kappas == kc.kappas and beta_back == cfg.beta
     checks.append(("inversion-roundtrip", ok, "nodes and weights recovered exactly"))
 
-    samples = _sample_points(cfg.samples, cfg.seed)
-    worst = kp_residual_numeric(tau_sel, samples)
-    ok = worst < cfg.tolerance
-    checks.append(
-        ("kp-numeric", ok, f"max |KP residual| = {worst:.3e} over {cfg.samples} samples")
-    )
+    worst = kp_residual_numeric(tau, _sample_points(cfg.samples, cfg.seed))
+    checks.append(("kp-numeric", worst < cfg.tolerance,
+                   f"max |KP residual| = {worst:.3e} over {cfg.samples} samples"))
 
     ok = spacetime_inversion_check(tau1, tau2, sig1)
-    checks.append(
-        ("spacetime-inversion", ok,
-         f"tau_v2(-p) = c e^(l.p) tau_v1(p) exactly: {len(sig1)} merged terms")
-    )
+    checks.append(("spacetime-inversion", ok, "tau_v2(-p) = c e^(l.p) tau_v1(p) "
+                   f"exactly: {len(sig1)} merged terms"))
 
     # positivity is a claim only for an interlacing divisor, so the check is
     # emitted only there instead of passing vacuously
-    if (
-        cfg.divisor is not None
-        and kc.sorted_flag
-        and check_dn_interlacing(kc, cfg.divisor)
-    ):
+    if (cfg.divisor is not None and kc.sorted_flag
+            and check_dn_interlacing(kc, cfg.divisor)):
         pos = all(v > 0 for v in At.pluecker.values())
-        checks.append(
-            ("interlacing-positivity", pos,
-             f"interlacing=True, all minors positive={pos}")
-        )
+        checks.append(("interlacing-positivity", pos,
+                       f"interlacing=True, all minors positive={pos}"))
 
-    all_ok = all(ok for _, ok, _ in checks)
     payload = {
         "kappas": _svec(kc.kappas),
         "class_k": k,
@@ -532,17 +518,16 @@ def _cmd_certify(args) -> int:
         "samples": cfg.samples,
         "seed": cfg.seed,
         "tolerance": cfg.tolerance,
-        "checks": [
-            {"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks
-        ],
-        "all_ok": all_ok,
+        "checks": [dict(zip(("name", "ok", "detail"), check)) for check in checks],
+        "all_ok": all(ok for _, ok, _ in checks),
     }
-    lines = []
-    for name, ok, detail in checks:
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    lines.append("certification " + ("PASSED" if all_ok else "FAILED"))
+    lines = [
+        f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['detail']}"
+        for c in payload["checks"]
+    ]
+    lines.append("certification " + ("PASSED" if payload["all_ok"] else "FAILED"))
     _emit(payload, args.json, lines)
-    return 0 if all_ok else 2
+    return 0 if payload["all_ok"] else 2
 
 
 def _cmd_eqs(args) -> int:
@@ -610,8 +595,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delaunay", help="Delaunay points, shift vector, and labels")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--class-k", type=int, dest="class_k")
-    p.add_argument("--vertex", help="comma-separated rational coordinates")
+    at = p.add_mutually_exclusive_group()
+    at.add_argument("--class-k", type=int, dest="class_k")
+    at.add_argument("--vertex", help="comma-separated rational coordinates")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_delaunay)
 

@@ -148,17 +148,12 @@ def tau_from_grassmannian(gp: GrassmannPoint, kc: KappaConfig) -> TauFunction:
 
 
 def tau_from_theta(
-    alphas: dict[tuple[int, ...], Fraction],
-    pv: PeriodVectors,
-    points: Optional[Iterable[Sequence[int]]] = None,
+    alphas: dict[tuple[int, ...], Fraction], pv: PeriodVectors
 ) -> TauFunction:
-    """tau = sum over lattice points c of alpha_c exp((c.U) x + (c.V) y + (c.W) t)."""
-    if points is None:
-        points = sorted(alphas)
+    """tau = sum over lattice points c of alpha_c exp((c.U) x + (c.V) y + (c.W) t),
+    with the terms in the order of the sorted lattice points."""
     terms = []
-    for point in points:
-        c = tuple(int(v) for v in point)
-        coeff = alphas[c]
+    for c, coeff in sorted(alphas.items()):
         if coeff == 0:
             continue
         if len(c) != len(pv.U):

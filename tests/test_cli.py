@@ -14,6 +14,7 @@ import tropkp
 from tropkp.cli import FIELD_MAX_POINTS, run
 
 REPO = Path(__file__).resolve().parent.parent
+PINNED_OUTPUT = json.loads((REPO / "tests" / "cli_output.json").read_text())
 
 BETA_CONFIG = {
     "kappas": ["0", "1", "2", "3"],
@@ -94,6 +95,17 @@ class TestCombinatoricsCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["class"] == k
         assert len(payload["points"]) == math.comb(genus + 1, k)
+
+    def test_delaunay_vertex_excludes_class(self, capsys):
+        """An explicit vertex fixes the class, so ``--class-k`` beside it is a
+        usage error instead of being ignored."""
+        argv = ["delaunay", "--genus", "3", "--vertex", "1/2,-1/2,-1/2",
+                "--class-k", "1", "--json"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: tropkp delaunay")
+        assert "argument --class-k: not allowed with argument --vertex" in captured.err
 
     def test_delaunay_rejects_non_vertex(self, capsys):
         assert run(["delaunay", "--genus", "2", "--vertex", "0,0"]) == 1
@@ -233,6 +245,27 @@ class TestConfigCommands:
         assert verdicts["face-quartics"] is False
         assert verdicts["bilinear-residual"] is False
         assert verdicts["face-vs-residual"] is True
+
+    @pytest.mark.parametrize("choice", ["v1", "v2"])
+    def test_certify_computes_one_residual(self, choice, config_file, monkeypatch):
+        """certify residuals only the tau of the selected vertex, once; the
+        bilinear-residual and face-vs-residual checks both read it."""
+        import tropkp.cli as cli_mod
+        from tropkp.hirota_parametrization import hirota_point
+        from tropkp.tau_kp import tau_from_hirota_point
+
+        seen = []
+        real = cli_mod.hirota_residual
+        monkeypatch.setattr(
+            cli_mod, "hirota_residual", lambda tau: seen.append(tau) or real(tau)
+        )
+        cfg = dict(BETA_CONFIG, vertex_choice=choice)
+        assert run(["certify", "--config", config_file(cfg)]) == 0
+        rc = cli_mod.RunConfig.from_dict(cfg)
+        selected = tau_from_hirota_point(
+            hirota_point(rc.kc, rc.class_k, rc.beta, choice)
+        )
+        assert [tau.terms for tau in seen] == [selected.terms]
 
     def test_field_csv(self, config_file, tmp_path, capsys):
         out_path = tmp_path / "grid.csv"
@@ -405,6 +438,18 @@ class TestErrorHandling:
                 },
                 "p0_component must be 'X+', got 'X-'",
             ),
+            (
+                {"tolerance": None, "tolerence": 0},
+                "unknown config key 'tolerence'",
+            ),
+            (
+                {
+                    "beta": None,
+                    "class_k": 1,
+                    "divisor": dict(DIVISOR_CONFIG["divisor"], split=1),
+                },
+                "unknown divisor key 'split'",
+            ),
         ],
     )
     def test_bad_config_values(self, config_file, capsys, overrides, message):
@@ -519,14 +564,13 @@ class TestIntegerView:
 
     @pytest.mark.parametrize("choice", ["v1", "v2"])
     def test_certify_builds_one_view_per_tau(self, choice, views, config_file):
-        """certify reads in integers only the taus it residuals: tau_v1, and
-        tau_v2 when the config selects v2 (the Grassmann-route tau and, at
-        v1, tau_v2 are only compared by signature)."""
+        """certify reads in integers only the tau of the selected vertex, whose
+        one residual both the bilinear and the face cross-check read; the
+        other vertex's tau and the Grassmann-route tau are only compared by
+        signature."""
         cfg = dict(json.loads((REPO / "g3k2.json").read_text()), vertex_choice=choice)
         assert run(["certify", "--config", config_file(cfg)]) == 0
-        count = {"v1": 1, "v2": 2}[choice]
-        assert len(views) == count
-        assert len(set(views)) == count
+        assert len(views) == 1
 
 
 class TestExponentialCount:
@@ -573,6 +617,24 @@ class TestExponentialCount:
         tau = self.g3k2_terms()
         kp_residual_numeric(tau, [(0.3, -0.2, 0.1)])
         assert len(exps) == len(tau.terms)
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_OUTPUT["commands"], ids=lambda case: " ".join(case["argv"])
+)
+def test_output_pinned(case, config_file, capsys, monkeypatch):
+    """Stdout, stderr and exit code, byte for byte, as recorded in
+    cli_output.json: the human text and the JSON of every command but
+    ``eqs`` and ``field``.  A ``{name}`` argument is the path of that
+    recorded config; ``{g3k2}`` is the README example."""
+    monkeypatch.delenv("TROPKP_PRECISION", raising=False)
+    paths = {"{g3k2}": str(REPO / "g3k2.json")}
+    for name, cfg in PINNED_OUTPUT["configs"].items():
+        paths[f"{{{name}}}"] = config_file(cfg, f"{name}.json")
+    assert run([paths.get(arg, arg) for arg in case["argv"]]) == case["code"]
+    captured = capsys.readouterr()
+    assert captured.out == case["stdout"]
+    assert captured.err == case["stderr"]
 
 
 @pytest.mark.parametrize(

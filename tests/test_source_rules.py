@@ -1,6 +1,7 @@
 """Rules the package source keeps, checked on its syntax tree."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import tropkp
@@ -68,3 +69,29 @@ def test_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert found == {}, f"unused imports (module: name -> line): {found}"
+
+
+def test_tracer_targets_resolve():
+    """Every ``module.function`` and ``module.Class.method`` that the
+    benchmark tracer wraps exists in the package, so a rename or deletion
+    shows here and not as a silently empty trace.  ``TARGETS`` is read
+    from ``perfbench/tracer.py``'s syntax tree, not imported."""
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(), filename=str(tracer))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    assert targets
+    missing = []
+    for module, funcs in targets.items():
+        obj = importlib.import_module(f"tropkp.{module}")
+        for func in funcs:
+            found = obj
+            for part in func.split("."):
+                found = getattr(found, part, None)
+            if not callable(found):
+                missing.append(f"{module}.{func}")
+    assert missing == [], f"tracer targets missing from tropkp: {missing}"
