@@ -9,11 +9,13 @@ Conventions shared by every subcommand: rational numbers are read and
 written as "p/q" strings, never floats; JSON output is emitted with sorted
 keys; randomness is seeded from the config; the environment variable
 TROPKP_PRECISION sets the decimal digits (default 30, at least 15) to which
-the numeric layer rounds its exponentials, the only rounding in u and the
-KP residual: one per tau term at each KP sample, and on a ``field`` grid one
-per term for each distinct x, each distinct y and t (terms of equal exact
-phase at a point share one product), after which every weight and moment is
-exact integer arithmetic.  ``field`` refuses grids of more than
+the numeric layer rounds its exponentials, computed in Python integers to
+round((digits + 1) log2 10) bits (103 at the default).  They are the only
+rounding in u and the KP residual: one per tau term at each KP sample, and
+on a ``field`` grid one per term for each distinct x, each distinct y and t
+(terms of equal exact phase at a point share one product), after which
+every weight and moment is exact integer arithmetic.  The package needs
+nothing beyond the standard library.  ``field`` refuses grids of more than
 FIELD_MAX_POINTS points.  Run it as ``tropkp``, ``python -m tropkp`` or
 ``python -m tropkp.cli``.
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
@@ -171,15 +173,13 @@ class RunConfig:
         samples = _json_int(raw, "samples", 20)
         seed = _json_int(raw, "seed", 0)
         tolerance = raw.get("tolerance", 1e-8)
-        if isinstance(tolerance, bool):
+        # a JSON number is an int or a float; a bool or a string is refused
+        if type(tolerance) not in (int, float):
             raise ConfigError(f"tolerance must be a number, got {tolerance!r}")
-        try:
-            tolerance = float(tolerance)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad tolerance: {exc}") from exc
         if samples < 1:
             raise ConfigError(f"samples must be at least 1, got {samples}")
-        if not (math.isfinite(tolerance) and tolerance >= 0):
+        # NaN compares false, and an int too large for a float exceeds the maximum
+        if not 0 <= tolerance <= sys.float_info.max:
             raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance}")
         return cls(
             kc=kc,
@@ -190,7 +190,7 @@ class RunConfig:
             divisor=divisor,
             samples=samples,
             seed=seed,
-            tolerance=tolerance,
+            tolerance=float(tolerance),
         )
 
 

@@ -20,8 +20,9 @@ triple.  Two layers of certification operate on them:
   log tau is a joint cumulant of the wave triples (u_i, v_i, w_i) under the
   weights p_i = a_i exp(theta_i) / tau, which sum to 1 (they may be
   negative), so each derivative of u is a polynomial in the central moments
-  of the triples under p.  Only the exponentials are rounded (mpmath, at
-  the working precision): at a sample, one exp(theta_i - peak) per term;
+  of the triples under p.  Only the exponentials are rounded, each once to
+  the working precision by ``_exp``, an integer-only exponential of an
+  exact rational argument: at a sample, one exp(theta_i - peak) per term;
   on a grid (``evaluate_u_grid``, which ``evaluate_u`` is the 1 x 1 case
   of), the phase separates, so one exponential per term for each distinct
   x, for each distinct y and for t, multiplied exactly as integers, with
@@ -42,13 +43,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-from mpmath import mp
 
 from .hirota_parametrization import (
     GrassmannPoint,
@@ -223,31 +223,58 @@ _GUARD_BITS = 16
 
 
 def _precision() -> int:
+    """The working precision in bits, round((digits + 1) log2 10) for
+    TROPKP_PRECISION's decimal digits (default 30, at least 15): 30 digits
+    are 103 bits and 15 are 53."""
     raw = os.environ.get("TROPKP_PRECISION", "30")
     try:
         dps = int(raw)
     except ValueError as exc:
         raise ValueError(f"TROPKP_PRECISION must be an integer, got {raw!r}") from exc
-    return max(dps, 15)
+    return round((max(dps, 15) + 1) * math.log2(10))
 
 
-def _exp(arg) -> tuple[int, int]:
-    """exp(arg) rounded once at the working precision, as the exact dyadic
-    (man, exp) of the result, whose value is man * 2^exp.  Every exponential
-    of the numeric layer is made here."""
-    e = mp.exp(arg)
-    return e.man, e.exp
+@functools.cache
+def _ln2(bits: int) -> int:
+    """ln 2 in fixed point, ln 2 * 2^bits truncated, from
+    ln 2 = sum_j 1 / (j 2^j): the sum runs on guard bits that outweigh its
+    truncated terms and its tail.  One entry per working precision that
+    ``_exp`` uses."""
+    guard = bits.bit_length() + 1
+    one = 1 << (bits + guard)
+    return sum((one >> j) // j for j in range(1, bits + guard + 1)) >> guard
 
 
-def _exp_ratio(num: int, den: int) -> tuple[int, int]:
-    """``_exp`` of num / den, accurate to about the working precision
-    relative to the result however large the argument: the quotient and its
-    exponential carry two more bits than the argument's integer part has,
-    so rounding the argument moves the exponential by at most about
-    2^-(prec + 2).  A grid's factors have large arguments even where their
-    product, the term's exponential, is of order one."""
-    with mp.workprec(mp.prec + (abs(num) // den).bit_length() + 2):
-        return _exp(mp.mpf(num) / den)
+def _exp(num: int, den: int, bits: int) -> tuple[int, int]:
+    """exp(num / den) for integers num and den > 0, rounded once to a
+    ``bits``-bit mantissa, as the exact dyadic (man, exp) of the result,
+    whose value is man * 2^exp, with man odd.  Every exponential of the
+    numeric layer is made here.
+
+    The argument is never rounded, so the result is within 2^-bits of
+    exp(num / den), relative to it, however large the argument.  Brent's
+    scheme in fixed point: num / den = k ln 2 + r with 0 <= r < ln 2, then
+    the Taylor series of exp(r / 2^h), squared h times.  The working
+    precision wp covers the argument's integer bits (k times the error of
+    ln 2), the h bits that the squarings amplify, and 20 guard bits for the
+    truncations, so rounding to the mantissa is the only visible error.
+    exp(0) is exactly (1, 0).
+    """
+    halvings = math.isqrt(bits) // 2
+    wp = bits + halvings + (abs(num) // den).bit_length() + 20
+    k, s = divmod((num << (wp - halvings)) // den, _ln2(wp - halvings))
+    total = term = 1 << wp
+    n = 1
+    while term:
+        term = (term * s >> wp) // n
+        total += term
+        n += 1
+    for _ in range(halvings):
+        total = total * total >> wp
+    shift = total.bit_length() - bits
+    man = (total + (1 << (shift - 1))) >> shift
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, k + shift - wp + zeros
 
 
 def _integer_weights(
@@ -255,29 +282,30 @@ def _integer_weights(
     exps: Sequence[tuple[int, int]],
     peak: tuple[int, int],
     point: tuple[float, float, float],
+    bits: int,
 ) -> tuple[list[int], int]:
     """The integer weights E_i of the terms and S0 = sum E_i, from the
     integer coefficients C a_i and the exact dyadic exponentials (m_i, e_i)
     of the terms: E_i = C a_i m_i 2^(e_i + shift), truncated toward zero, where
     the shift puts the leading bit of ``peak``, the exponential of the
-    largest phase without its coefficient, at 2^(prec + guard).  Every
+    largest phase without its coefficient, at 2^(bits + guard).  Every
     product is exact, so truncation is the only step after the exponentials
     that drops bits, and it drops them symmetrically: weights of opposite
-    signs cancel exactly.  The peak term alone makes |S0| >= 2^(prec + guard)
+    signs cancel exactly.  The peak term alone makes |S0| >= 2^(bits + guard)
     unless weights of opposite signs cancel, so truncating a small weight
     costs less than rounding.  A tau that vanishes at ``point`` (possible
     when coefficients differ in sign) is a ValueError."""
     man, exp = peak
-    shift = mp.prec + _GUARD_BITS + 1 - exp - man.bit_length()
+    shift = bits + _GUARD_BITS + 1 - exp - man.bit_length()
     weights = []
     for coeff, (m, e) in zip(coeffs, exps):
-        value, bits = coeff * m, e + shift
-        if bits >= 0:
-            weights.append(value << bits)
+        value, places = coeff * m, e + shift
+        if places >= 0:
+            weights.append(value << places)
         elif value >= 0:
-            weights.append(value >> -bits)
+            weights.append(value >> -places)
         else:
-            weights.append(-(-value >> -bits))
+            weights.append(-(-value >> -places))
     total = sum(weights)
     if total == 0:
         x, y, t = point
@@ -286,7 +314,7 @@ def _integer_weights(
 
 
 def _weights(
-    tau: TauFunction, x: float, y: float, t: float
+    tau: TauFunction, x: float, y: float, t: float, bits: int
 ) -> tuple[list[int], int]:
     """The integer weights E_i of the terms at (x, y, t) and S0 = sum E_i,
     one exponential per term.
@@ -295,10 +323,9 @@ def _weights(
     view are exact: a float is a dyadic rational, so each phase is an
     integer over q D^3 (q the largest of the coordinates' power-of-two
     denominators), and so is its distance to the peak.  Only
-    exp(theta_i - peak) is rounded, once, at the working precision and
-    relative to itself; ``_integer_weights`` does the rest exactly, so
-    E_i / S0 is the weight p_i = a_i exp(theta_i) / tau.  Call it inside
-    ``mp.workdps``.
+    exp(theta_i - peak) is rounded, once, to ``bits`` bits and relative to
+    itself; ``_integer_weights`` does the rest exactly, so E_i / S0 is the
+    weight p_i = a_i exp(theta_i) / tau.
     """
     coeffs, waves, _, D = tau.integer_view
     if not coeffs:
@@ -308,10 +335,10 @@ def _weights(
     cx, cy, ct = px * (q // qx) * D * D, py * (q // qy) * D, pt * (q // qt)
     phases = [X * cx + Y * cy + T * ct for X, Y, T in waves]
     peak = max(phases)
-    scale = mp.mpf(q * D**3)
-    exps = [_exp((phase - peak) / scale) for phase in phases]
+    scale = q * D**3
+    exps = [_exp(phase - peak, scale, bits) for phase in phases]
     # the peak's exponential is exp(0) = 1 exactly
-    return _integer_weights(coeffs, exps, (1, 0), (x, y, t))
+    return _integer_weights(coeffs, exps, (1, 0), (x, y, t), bits)
 
 
 def _centred(weights: list[int], total: int, column: Sequence[int]) -> list[int]:
@@ -344,6 +371,7 @@ def evaluate_u_grid(
     coeffs, waves, _, D = tau.integer_view
     if not coeffs:
         raise ValueError("tau function has no terms")
+    bits = _precision()
     columns = list(zip(*waves))
     ratios = {v: float(v).as_integer_ratio() for v in (*xs, *ys, t)}
     q = max(r for _, r in ratios.values())
@@ -360,33 +388,32 @@ def evaluate_u_grid(
                 lift = p * (q // r) * D ** (3 - power)
                 table[v] = (
                     [w * lift for w in column],
-                    [_exp_ratio(w * p, r * D**power) for w in column],
+                    [_exp(w * p, r * D**power, bits) for w in column],
                 )
         return table
 
     us = []
-    with mp.workdps(_precision()):
-        x_axis = axis(xs, 1)
-        y_axis = axis(ys, 2)
-        t_phases, t_exps = axis((t,), 3)[t]
-        for y in ys:
-            y_phases, y_exps = y_axis[y]
-            yt_phases = list(map(operator.add, y_phases, t_phases))
-            yt_exps = [(m1 * m2, e1 + e2) for (m1, e1), (m2, e2) in zip(y_exps, t_exps)]
-            for x in xs:
-                x_phases, x_exps = x_axis[x]
-                first: dict[int, int] = {}
-                exps: list[tuple[int, int]] = []
-                for phase, (m1, e1), (m2, e2) in zip(
-                    map(operator.add, x_phases, yt_phases), x_exps, yt_exps
-                ):
-                    i = first.setdefault(phase, len(exps))
-                    exps.append((m1 * m2, e1 + e2) if i == len(exps) else exps[i])
-                peak = exps[first[max(first)]]
-                weights, total = _integer_weights(coeffs, exps, peak, (x, y, t))
-                dx = _centred(weights, total, columns[0])
-                m2 = sum(e * d * d for e, d in zip(weights, dx))
-                us.append(float(Fraction(2 * m2, total**3 * D**2)))
+    x_axis = axis(xs, 1)
+    y_axis = axis(ys, 2)
+    t_phases, t_exps = axis((t,), 3)[t]
+    for y in ys:
+        y_phases, y_exps = y_axis[y]
+        yt_phases = list(map(operator.add, y_phases, t_phases))
+        yt_exps = [(m1 * m2, e1 + e2) for (m1, e1), (m2, e2) in zip(y_exps, t_exps)]
+        for x in xs:
+            x_phases, x_exps = x_axis[x]
+            first: dict[int, int] = {}
+            exps: list[tuple[int, int]] = []
+            for phase, (m1, e1), (m2, e2) in zip(
+                map(operator.add, x_phases, yt_phases), x_exps, yt_exps
+            ):
+                i = first.setdefault(phase, len(exps))
+                exps.append((m1 * m2, e1 + e2) if i == len(exps) else exps[i])
+            peak = exps[first[max(first)]]
+            weights, total = _integer_weights(coeffs, exps, peak, (x, y, t), bits)
+            dx = _centred(weights, total, columns[0])
+            m2 = sum(e * d * d for e, d in zip(weights, dx))
+            us.append(float(Fraction(2 * m2, total**3 * D**2)))
     return us
 
 
@@ -443,20 +470,20 @@ def kp_residual_numeric(
         raise ValueError("no sample points given")
     _, waves, _, D = tau.integer_view
     columns = list(zip(*waves))
+    bits = _precision()
     worst = Fraction(0)
-    with mp.workdps(_precision()):
-        for x, y, t in samples:
-            weights, s0 = _weights(tau, x, y, t)
-            centred = (_centred(weights, s0, column) for column in columns)
-            s2, s3, s4, s6, s301, s101, s220, s020, s110 = map(
-                sum, zip(*map(_moment_terms, weights, *centred))
-            )
-            numerator = (
-                s0**2 * s6 + s0 * (2 * s3**2 - 3 * s2 * s4) - 6 * s2**3
-                + s0**3 * (12 * s2 * s101 - 3 * s2 * s020 - 6 * s110**2)
-                + s0**4 * (3 * s220 - 4 * s301)
-            )
-            worst = max(worst, abs(Fraction(2 * numerator, s0**9 * D**6)))
+    for x, y, t in samples:
+        weights, s0 = _weights(tau, x, y, t, bits)
+        centred = (_centred(weights, s0, column) for column in columns)
+        s2, s3, s4, s6, s301, s101, s220, s020, s110 = map(
+            sum, zip(*map(_moment_terms, weights, *centred))
+        )
+        numerator = (
+            s0**2 * s6 + s0 * (2 * s3**2 - 3 * s2 * s4) - 6 * s2**3
+            + s0**3 * (12 * s2 * s101 - 3 * s2 * s020 - 6 * s110**2)
+            + s0**4 * (3 * s220 - 4 * s301)
+        )
+        worst = max(worst, abs(Fraction(2 * numerator, s0**9 * D**6)))
     return float(worst)
 
 

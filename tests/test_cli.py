@@ -422,6 +422,7 @@ class TestErrorHandling:
             ({"samples": 2.7}, "samples must be a JSON integer"),
             ({"seed": "12"}, "seed must be a JSON integer"),
             ({"tolerance": True}, "tolerance must be a number"),
+            ({"tolerance": "1e-8"}, "tolerance must be a number"),
             (
                 {
                     "beta": None,
@@ -585,9 +586,9 @@ class TestExponentialCount:
         made = []
         real = tau_mod._exp
 
-        def counting(arg):
-            made.append(arg)
-            return real(arg)
+        def counting(*args):
+            made.append(args)
+            return real(*args)
 
         monkeypatch.setattr(tau_mod, "_exp", counting)
         return made
@@ -666,13 +667,13 @@ def test_module_entry_points(argv, code):
 
 
 def test_cli_import_does_not_load_numpy():
-    """The package is pure Python plus mpmath: importing the CLI in a fresh
-    interpreter must not pull in numpy."""
+    """The package is pure Python on the standard library: importing the CLI
+    in a fresh interpreter must pull in neither numpy nor mpmath."""
     src = str(Path(tropkp.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, tropkp.cli; print('numpy' in sys.modules)"
+    code = "import sys, tropkp.cli; print('numpy' in sys.modules, 'mpmath' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import tropkp
@@ -69,6 +70,30 @@ def test_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert found == {}, f"unused imports (module: name -> line): {found}"
+
+
+def test_imports_only_the_standard_library():
+    """Every module of the package, at any depth of its code, imports only
+    the standard library or, relatively, its own modules: the package has
+    no runtime dependency."""
+    modules = sorted(Path(tropkp.__file__).resolve().parent.glob("*.py"))
+    assert modules
+    found = {}
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        outside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                outside |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                outside.add(node.module)
+        outside = {
+            name for name in outside
+            if name.split(".")[0] not in sys.stdlib_module_names
+        }
+        if outside:
+            found[path.name] = sorted(outside)
+    assert found == {}, f"imports outside the standard library: {found}"
 
 
 def test_tracer_targets_resolve():

@@ -291,17 +291,18 @@ class TestNumericEvaluation:
         leading bit lands at 2^(prec + guard), so the peak weight keeps its
         coefficient's bits on top.  Weights truncate toward zero, so equal
         and opposite ones cancel exactly."""
-        bits = mp.prec + tau_kp._GUARD_BITS
+        prec = tau_kp._precision()
+        bits = prec + tau_kp._GUARD_BITS
         coeffs = [3, -3, 5]
         exps = [(5, -2), (5, -2), (7, -3 - bits - 2)]  # 5/4, 5/4, 7 2^-(bits+5)
-        weights, total = tau_kp._integer_weights(coeffs, exps, (5, -2), (0, 0, 0))
+        weights, total = tau_kp._integer_weights(coeffs, exps, (5, -2), (0, 0, 0), prec)
         assert weights == [3 * 5 << (bits - 2), -(3 * 5 << (bits - 2)), 1]
         assert total == 1
         with pytest.raises(ValueError, match="tau vanishes"):
-            tau_kp._integer_weights([3, -3], exps[:2], (5, -2), (0, 0, 0))
+            tau_kp._integer_weights([3, -3], exps[:2], (5, -2), (0, 0, 0), prec)
         # with the peak at 5/4, -5 * 7 2^-(bits+5) scales to -35/32, which
         # truncates to -1 (rounding down would give -2)
-        weights, _ = tau_kp._integer_weights([3, -5], exps[::2], (5, -2), (0, 0, 0))
+        weights, _ = tau_kp._integer_weights([3, -5], exps[::2], (5, -2), (0, 0, 0), prec)
         assert weights == [3 * 5 << (bits - 2), -1]
 
     def test_weights_keep_a_small_coefficient(self):
@@ -329,12 +330,12 @@ class TestNumericEvaluation:
         integer bits, which a quotient rounded at the working precision
         would cost."""
         num, den = 1234567890123, 98765
-        with mp.workdps(30):
-            man, exp = tau_kp._exp_ratio(num, den)
-            with mp.workdps(80):
-                exact = mp.exp(mp.mpf(num) / den)
-                err = abs(mp.ldexp(man, exp) / exact - 1)
-            assert err < mp.ldexp(1, -mp.prec)
+        bits = 103  # 30 digits
+        man, exp = tau_kp._exp(num, den, bits)
+        with mp.workdps(80):
+            exact = mp.exp(mp.mpf(num) / den)
+            err = abs(mp.ldexp(man, exp) / exact - 1)
+        assert err < mp.ldexp(1, -bits)
 
     def test_precision_env_override(self, monkeypatch):
         kc = kappa_config([F(-1, 2), F(3, 4)])
@@ -344,6 +345,13 @@ class TestNumericEvaluation:
         assert evaluate_u(tau, 0.3, 0.2, -0.4) == pytest.approx(baseline, abs=1e-12)
         monkeypatch.setenv("TROPKP_PRECISION", "5")
         assert evaluate_u(tau, 0.3, 0.2, -0.4) == pytest.approx(baseline, abs=1e-9)
+
+    @pytest.mark.parametrize("digits,bits", [("5", 53), ("15", 53), ("30", 103), ("50", 169)])
+    def test_precision_is_digits_in_bits(self, monkeypatch, digits, bits):
+        """TROPKP_PRECISION counts decimal digits, at least 15; the numeric
+        layer rounds to round((digits + 1) log2 10) bits."""
+        monkeypatch.setenv("TROPKP_PRECISION", digits)
+        assert tau_kp._precision() == bits
 
     def test_precision_env_rejects_garbage(self, monkeypatch):
         kc = kappa_config([0, 1])
@@ -358,6 +366,27 @@ class TestNumericEvaluation:
         tau = tau_from_hirota_point(hirota_point(KC4, 2, (1, 1, 1), "v1"))
         with pytest.raises(ValueError, match="no sample points"):
             kp_residual_numeric(tau, [])
+
+
+@given(
+    st.integers(-(10**15), 10**15),
+    st.integers(1, 10**12),
+    st.sampled_from([53, 103, 170]),
+)
+@settings(max_examples=300, deadline=None)
+def test_exp_matches_mpmath_at_twice_the_precision(num, den, bits):
+    """``_exp`` is within 2^-bits of exp(num / den) relative to it, for large
+    and negative arguments too, with a bits-bit odd mantissa; exp(0) is
+    exactly (1, 0), which ``_weights`` relies on for the peak."""
+    man, exp = tau_kp._exp(num, den, bits)
+    assert man > 0 and man % 2 == 1 and man.bit_length() <= bits
+    with mp.workprec(2 * bits + num.bit_length()):
+        arg = mp.mpf(num) / den  # as accurate, absolutely, as the result
+    with mp.workprec(2 * bits):
+        exact = mp.exp(arg)
+        err = abs(mp.ldexp(man, exp) / exact - 1)
+    assert err < mp.ldexp(1, -bits)
+    assert tau_kp._exp(0, den, bits) == (1, 0)
 
 
 def reference_derivatives(tau, x, y, t):
@@ -517,8 +546,7 @@ def cumulant_residual(tau, point):
     cumulant formulas for u, u_x, u_xx, u_xxxx, u_xt and u_yy, on the same
     integer weights as ``kp_residual_numeric``."""
     _, waves, _, D = tau.integer_view
-    with mp.workdps(tau_kp._precision()):
-        weights, total = tau_kp._weights(tau, *point)
+    weights, total = tau_kp._weights(tau, *point, tau_kp._precision())
     dx, dy, dt = (tau_kp._centred(weights, total, column) for column in zip(*waves))
 
     def m(a, b, c):
