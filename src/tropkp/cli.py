@@ -150,16 +150,19 @@ class RunConfig:
         try:
             if weight_keys[0] == "beta":
                 beta = _rational_list(raw, "beta")
-                lambdas = beta_lambda_convert(kc, class_k, beta=beta)
+                lambdas = beta_lambda_convert(kc, class_k, beta)
             elif weight_keys[0] == "lambda":
                 lambdas = _rational_list(raw, "lambda")
-                beta = beta_lambda_convert(kc, class_k, lambdas=lambdas)
+                beta = beta_lambda_convert(kc, class_k, lambdas)
             else:
                 dv = raw["divisor"]
                 _refuse_unknown_keys(dv, "divisor", DIVISOR_KEYS)
+                # the base point sits on X+, the only placement implemented
+                p0 = dv.get("p0_component", "X+")
+                if p0 != "X+":
+                    raise ConfigError(f"p0_component must be 'X+', got {p0!r}")
                 divisor = make_divisor(
-                    _rational_list(dv, "points"), _json_int(dv, "split_k"),
-                    dv.get("p0_component", "X+"),
+                    _rational_list(dv, "points"), _json_int(dv, "split_k")
                 )
                 if divisor.split_k != class_k:
                     raise ConfigError(
@@ -167,7 +170,7 @@ class RunConfig:
                         f"got {divisor.split_k}"
                     )
                 lambdas = lambda_from_divisor(kc, divisor)
-                beta = beta_lambda_convert(kc, class_k, lambdas=lambdas)
+                beta = beta_lambda_convert(kc, class_k, lambdas)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad weight data: {exc}") from exc
         samples = _json_int(raw, "samples", 20)
@@ -472,11 +475,8 @@ def _cmd_certify(args) -> int:
     checks.append(("tau-routes", ok, "theta-route tau equals Grassmann-route tau"))
 
     # the residual, face and numeric checks read the family at the configured
-    # vertex: class k at v1, the complementary class n - k at v2
-    if cfg.vertex_choice == "v1":
-        hp, tau, k_read = hp1, tau1, k
-    else:
-        hp, tau, k_read = hp2, tau2, kc.n - k
+    # vertex; its labels have size k at v1 and n - k at v2
+    hp, tau = (hp1, tau1) if cfg.vertex_choice == "v1" else (hp2, tau2)
     res = hirota_residual(tau)
     ok = all(v == 0 for v in res.values())
     checks.append(("bilinear-residual", ok, f"{len(res)} residual groups all zero"))
@@ -485,10 +485,10 @@ def _cmd_certify(args) -> int:
     checks.append(("dispersion", ok, "U^4 + 3V^2 - 4UW = 0 per column"))
 
     faces = face_table(hp)
-    rels = face_direction_classes(k_read, kc.n)
+    rels = face_direction_classes(hp.label_size, kc.n)
     ok = all(faces[rel.squared_point(kc.n)] == 0 for rel in rels)
     checks.append(("face-quartics", ok, f"{len(rels)} face equations vanish"))
-    ok = faces_match_residual(faces, res, k_read, cfg.vertex_choice)
+    ok = faces_match_residual(faces, res, hp.label_size, hp.vertex_choice)
     checks.append(("face-vs-residual", ok, "face values equal residual groups"))
 
     kc_back, beta_back = invert_psi(hp1)

@@ -43,11 +43,14 @@ __all__ = [
 
 
 def frac(x: RationalLike) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
+    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction; a float
+    or a bool is refused rather than read as a rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TypeError(f"refusing float {x!r}; pass a Fraction, int, or 'p/q' string")
+    if isinstance(x, (bool, float)):
+        raise TypeError(
+            f"refusing {type(x).__name__} {x!r}; pass a Fraction, int, or 'p/q' string"
+        )
     return Fraction(x)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graph_jacobian import RationalLike, frac_vector
 from .tropical_limit import (
@@ -370,19 +370,14 @@ def _beta_lambda_factor(R: RMatrix, k: int, j: int) -> Fraction:
 
 
 def beta_lambda_convert(
-    kc: KappaConfig,
-    k: int,
-    beta: Optional[Sequence[RationalLike]] = None,
-    lambdas: Optional[Sequence[RationalLike]] = None,
+    kc: KappaConfig, k: int, weights: Sequence[RationalLike]
 ) -> tuple[Fraction, ...]:
-    """Convert beta weights to lambda weights or back (pass exactly one).
+    """Convert beta weights to lambda weights, or lambda weights to beta.
 
-    The two are reciprocal up to the exact rational factor
-    exp(k/2 R_jj - sum_{l<k} R_jl), so the conversion is an involution.
+    Both directions are the same map w_j -> exp(k/2 R_jj - sum_{l<k} R_jl) / w_j,
+    which is its own inverse.
     """
-    if (beta is None) == (lambdas is None):
-        raise ValueError("pass exactly one of beta, lambdas")
-    values = frac_vector(beta if beta is not None else lambdas)
+    values = frac_vector(weights)
     if len(values) != kc.genus:
         raise ValueError(f"expected {kc.genus} weights, got {len(values)}")
     if any(v == 0 for v in values):
@@ -451,17 +446,27 @@ def check_dn_interlacing(kc: KappaConfig, d: Divisor) -> bool:
 
 @dataclass
 class HirotaPoint:
-    """Coefficient family, period vectors, and bookkeeping for one soliton.
+    """A coefficient family and its period vectors: all a tau function needs.
 
-    ``alphas`` is keyed by subsets of {1..n}: k-subsets for vertex_choice
-    "v1", their complements for "v2" (with equal values pairwise).  class_k
-    always records the vertex class k of the underlying lattice geometry.
+    The vertex is read from the period vectors: "X+" vectors make a first
+    vertex ("v1") family keyed by k-subsets of {1..n}, "X-" vectors a second
+    vertex ("v2") family keyed by their complements (with equal values
+    pairwise).  The label size is k at "v1" and n - k at "v2".
     """
 
     alphas: dict[Label, Fraction]
     uvw: PeriodVectors
-    class_k: int
-    vertex_choice: str
+
+    @property
+    def vertex_choice(self) -> str:
+        return "v1" if self.uvw.component_choice == "X+" else "v2"
+
+    @property
+    def label_size(self) -> int:
+        """The common size of the labels; an empty family has none."""
+        if not self.alphas:
+            raise ValueError("empty coefficient family has no label size")
+        return len(next(iter(self.alphas)))
 
     def other_vertex(self) -> "HirotaPoint":
         """The same solution read at the other graph vertex: complemented
@@ -479,8 +484,6 @@ class HirotaPoint:
                 W=tuple(-w for w in pv.W),
                 component_choice="X-" if pv.component_choice == "X+" else "X+",
             ),
-            class_k=self.class_k,
-            vertex_choice="v2" if self.vertex_choice == "v1" else "v1",
         )
 
 
@@ -494,49 +497,44 @@ def hirota_point(
     """
     if vertex_choice not in ("v1", "v2"):
         raise ValueError(f"vertex_choice must be 'v1' or 'v2', got {vertex_choice!r}")
-    hp = HirotaPoint(
-        alphas=alpha_from_beta(kc, k, beta),
-        uvw=uvw(kc, "X+"),
-        class_k=k,
-        vertex_choice="v1",
-    )
+    hp = HirotaPoint(alphas=alpha_from_beta(kc, k, beta), uvw=uvw(kc, "X+"))
     return hp if vertex_choice == "v1" else hp.other_vertex()
 
 
 def invert_psi(hp: HirotaPoint) -> tuple[KappaConfig, tuple[Fraction, ...]]:
     """Recover the node parameters and beta weights from a coefficient family.
 
-    Defined on the image of the parametrization: each period coordinate must
-    be nonzero (otherwise the point is degenerate and ValueError is raised),
-    and the recovered configuration is cross-checked against all three period
+    A second-vertex family is first read at the first vertex with
+    ``other_vertex``, so only the "X+" formulas are needed.  Defined on the
+    image of the parametrization: each period coordinate must be nonzero
+    (otherwise the point is degenerate and ValueError is raised), and the
+    recovered configuration is cross-checked against all three period
     vectors before the weights are extracted from exchange coefficients.
     """
+    if hp.vertex_choice == "v2":
+        hp = hp.other_vertex()
     U, V = hp.uvw.U, hp.uvw.V
     g = len(U)
     n = g + 1
-    k = hp.class_k
     if any(u == 0 for u in U):
         raise ValueError("degenerate parameters: a period coordinate vanishes")
-    # On "X+", kappa_1 = (V_j + U_j^2)/(2 U_j) for every j and
-    # kappa_{j+1} = (V_j - U_j^2)/(2 U_j); "X-" negates U and V, so undo that
-    # first.
-    if hp.uvw.component_choice == "X-":
-        U, V = tuple(-u for u in U), tuple(-v for v in V)
+    # kappa_1 = (V_j + U_j^2)/(2 U_j) for every j and
+    # kappa_{j+1} = (V_j - U_j^2)/(2 U_j)
     base_candidates = {(V[j] + U[j] ** 2) / (2 * U[j]) for j in range(g)}
     if len(base_candidates) != 1:
         raise ValueError("period vectors are inconsistent: no common base node")
     kc = kappa_config(
         [base_candidates.pop()] + [(V[j] - U[j] ** 2) / (2 * U[j]) for j in range(g)]
     )
-    if uvw(kc, hp.uvw.component_choice) != hp.uvw:
+    if uvw(kc) != hp.uvw:
         raise ValueError("period vectors do not come from a node configuration")
 
-    alphas = hp.alphas if hp.vertex_choice == "v1" else hp.other_vertex().alphas
+    k = hp.label_size
     base_label = tuple(range(1, k + 1))
-    if base_label not in alphas or alphas[base_label] == 0:
+    if base_label not in hp.alphas or hp.alphas[base_label] == 0:
         raise ValueError("coefficient at the base label is missing or zero")
-    scale = alphas[base_label]
-    alphas = {J: v / scale for J, v in alphas.items()}
+    scale = hp.alphas[base_label]
+    alphas = {J: v / scale for J, v in hp.alphas.items()}
 
     beta = [Fraction(0)] * (g + 1)  # 1-based storage
     for j in range(k, g + 1):

@@ -218,8 +218,7 @@ def face_table(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:
     by doubled point; the class representatives of
     ``face_direction_classes`` are among the keys."""
     n = len(hp.uvw.U) + 1
-    k_eff = len(next(iter(hp.alphas)))
-    faces = instantiate_and_check(_doubled_point_relations(k_eff, n), hp)
+    faces = instantiate_and_check(_doubled_point_relations(hp.label_size, n), hp)
     return dict(sorted(faces.items()))
 
 
@@ -257,9 +256,8 @@ def face_values_match_residual(hp: HirotaPoint, tau: TauFunction) -> bool:
     the other, and on matching keys the values must agree exactly (the
     quartic arguments are the same wave differences in a different gauge).
     """
-    k_eff = len(next(iter(hp.alphas)))
     return faces_match_residual(
-        face_table(hp), hirota_residual(tau), k_eff, hp.vertex_choice
+        face_table(hp), hirota_residual(tau), hp.label_size, hp.vertex_choice
     )
 
 

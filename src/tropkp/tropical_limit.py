@@ -209,16 +209,12 @@ def uvw(kc: KappaConfig, component: str = "X+") -> PeriodVectors:
 @dataclass(frozen=True)
 class Divisor:
     """A degree-g rational divisor: the first split_k points share the
-    component of the base point p0, the rest sit on the other component.
-    p0 on X+ is the only placement implemented; any other is refused."""
+    component X+ of the base point p0, the rest sit on X-."""
 
     points: tuple[Fraction, ...]
     split_k: int
-    p0_component: str
 
     def __post_init__(self) -> None:
-        if self.p0_component != "X+":
-            raise ValueError(f"p0_component must be 'X+', got {self.p0_component!r}")
         if not 0 <= self.split_k <= len(self.points):
             raise ValueError(
                 f"split_k must be between 0 and {len(self.points)}, got {self.split_k}"
@@ -239,10 +235,8 @@ class Divisor:
         return val
 
 
-def make_divisor(
-    points: Iterable[RationalLike], split_k: int, p0_component: str = "X+"
-) -> Divisor:
-    return Divisor(points=frac_vector(points), split_k=split_k, p0_component=p0_component)
+def make_divisor(points: Iterable[RationalLike], split_k: int) -> Divisor:
+    return Divisor(points=frac_vector(points), split_k=split_k)
 
 
 def validate_divisor(kc: KappaConfig, d: Divisor) -> None:

@@ -43,4 +43,4 @@ def families(draw, nodes=RATIONALS) -> HirotaPoint:
         pv = PeriodVectors(
             U=draw(vec), V=draw(vec), W=draw(vec), component_choice=pv.component_choice
         )
-    return HirotaPoint(alphas=alphas, uvw=pv, class_k=k, vertex_choice=hp.vertex_choice)
+    return HirotaPoint(alphas=alphas, uvw=pv)

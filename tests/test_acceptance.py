@@ -112,12 +112,7 @@ def seeded_samples(seed: int, count: int = 20) -> list[tuple[float, float, float
 def perturbed(hp: HirotaPoint, label, factor: F) -> HirotaPoint:
     alphas = dict(hp.alphas)
     alphas[label] = alphas[label] * factor
-    return HirotaPoint(
-        alphas=alphas,
-        uvw=hp.uvw,
-        class_k=hp.class_k,
-        vertex_choice=hp.vertex_choice,
-    )
+    return HirotaPoint(alphas=alphas, uvw=hp.uvw)
 
 
 def _rank(rows: list[list[F]]) -> int:
@@ -320,12 +315,12 @@ class TestAcceptance:
                         + (kappas[i + 1] - kappas[i]) * F(rng.randint(1, 9), 10)
                         for i in range(n - 1)
                     ]
-                    d = make_divisor(points, split_k=k, p0_component="X+")
+                    d = make_divisor(points, split_k=k)
                     assert check_dn_interlacing(kc, d)
                     lam = lambda_from_divisor(kc, d)
                     tilde = matrix_A_tilde(kc, k, lam)
                     assert all(v > 0 for v in tilde.pluecker.values()), (k, n)
-                    beta = beta_lambda_convert(kc, k, lambdas=lam)
+                    beta = beta_lambda_convert(kc, k, lam)
                     direct = matrix_A(kc, k, beta)
                     assert (
                         direct.normalized_pluecker() == tilde.normalized_pluecker()

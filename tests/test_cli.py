@@ -235,7 +235,7 @@ class TestConfigCommands:
             hp = real(*args)
             alphas = dict(hp.alphas)
             alphas[(1, 3)] *= Fraction(7, 5)
-            return HirotaPoint(alphas, hp.uvw, hp.class_k, hp.vertex_choice)
+            return HirotaPoint(alphas, hp.uvw)
 
         monkeypatch.setattr(cli_mod, "hirota_point", perturbed)
         cfg = dict(BETA_CONFIG, vertex_choice=choice)
@@ -423,6 +423,9 @@ class TestErrorHandling:
             ({"seed": "12"}, "seed must be a JSON integer"),
             ({"tolerance": True}, "tolerance must be a number"),
             ({"tolerance": "1e-8"}, "tolerance must be a number"),
+            ({"kappas": [False, True, "2", "3"]}, "refusing bool False"),
+            ({"beta": [True, 1, 1]}, "refusing bool True"),
+            ({"vertex_choice": "v3"}, "vertex_choice must be v1 or v2"),
             (
                 {
                     "beta": None,

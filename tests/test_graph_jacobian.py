@@ -138,6 +138,13 @@ class TestFrac:
         with pytest.raises(TypeError):
             frac(0.5)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_booleans(self, value):
+        """bool is a subclass of int, so Fraction(True) would be 1; a JSON
+        boolean is not a rational."""
+        with pytest.raises(TypeError, match=f"refusing bool {value}"):
+            frac(value)
+
     def test_vector(self):
         assert frac_vector(["1/2", 0, F(3)]) == (F(1, 2), F(0), F(3))
 

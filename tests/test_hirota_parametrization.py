@@ -215,30 +215,24 @@ class TestWeightConversion:
 
     def test_genus_one_conversion(self):
         kc = kappa_config([0, 1])
-        assert beta_lambda_convert(kc, 1, beta=(F(4),)) == (F(1, 4),)
+        assert beta_lambda_convert(kc, 1, (F(4),)) == (F(1, 4),)
 
     def test_involution(self):
         beta = (F(3), F(-1, 2), F(7))
-        lam = beta_lambda_convert(KC4, 2, beta=beta)
-        back = beta_lambda_convert(KC4, 2, lambdas=lam)
+        lam = beta_lambda_convert(KC4, 2, beta)
+        back = beta_lambda_convert(KC4, 2, lam)
         assert back == beta
 
     def test_parametrizations_match(self):
         beta = (F(2), F(1), F(3))
-        lam = beta_lambda_convert(KC4, 2, beta=beta)
+        lam = beta_lambda_convert(KC4, 2, beta)
         A = matrix_A(KC4, 2, beta)
         At = matrix_A_tilde(KC4, 2, lam)
         assert A.normalized_pluecker() == At.normalized_pluecker()
 
-    def test_requires_exactly_one_family(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            beta_lambda_convert(KC4, 2)
-        with pytest.raises(ValueError, match="exactly one"):
-            beta_lambda_convert(KC4, 2, beta=(1, 1, 1), lambdas=(1, 1, 1))
-
     def test_rejects_zero_weights(self):
         with pytest.raises(ValueError, match="nonzero"):
-            beta_lambda_convert(KC4, 2, beta=(1, 0, 1))
+            beta_lambda_convert(KC4, 2, (1, 0, 1))
 
 
 class TestDivisorRoute:
@@ -251,7 +245,7 @@ class TestDivisorRoute:
         """Complementary minors of the divisor matrix are proportional to the
         echelon minors, weighted by the Vandermonde factors."""
         lam = lambda_from_divisor(KC4, self.DIV)
-        beta = beta_lambda_convert(KC4, 1, lambdas=lam)
+        beta = beta_lambda_convert(KC4, 1, lam)
         A = matrix_A(KC4, 1, beta)
         Ad = matrix_A_dual(KC4, self.DIV)
         full = frozenset(range(1, 5))
@@ -300,7 +294,7 @@ class TestHirotaPointAndInverse:
         hp = hirota_point(KC4, 2, (1, 1, 1), "v1")
         assert set(hp.alphas) == set(hypersimplex_labels(4, 2))
         assert hp.uvw.component_choice == "X+"
-        assert hp.class_k == 2
+        assert hp.label_size == 2
 
     def test_second_vertex_complements(self):
         hp1 = hirota_point(KC4, 2, (1, 1, 1), "v1")
@@ -312,6 +306,16 @@ class TestHirotaPointAndInverse:
             assert hp2.alphas[comp] == val
         assert hp2.uvw == uvw(KC4, "X-")
         assert hp2.other_vertex() == hp1
+
+    def test_vertex_and_label_size_are_read_from_the_data(self):
+        """The vertex comes from the period vectors' component and the label
+        size from the labels: n - k at the second vertex."""
+        hp1 = hirota_point(KC4, 1, (1, 1, 1), "v1")
+        hp2 = hp1.other_vertex()
+        assert (hp1.vertex_choice, hp1.label_size) == ("v1", 1)
+        assert (hp2.vertex_choice, hp2.label_size) == ("v2", 3)
+        with pytest.raises(ValueError, match="empty"):
+            HirotaPoint(alphas={}, uvw=hp1.uvw).label_size
 
     @pytest.mark.parametrize("choice", ["v1", "v2"])
     def test_roundtrip_fixed_config(self, choice):
@@ -342,11 +346,7 @@ class TestHirotaPointAndInverse:
             U=(F(0),) + hp.uvw.U[1:], V=hp.uvw.V, W=hp.uvw.W, component_choice="X+"
         )
         with pytest.raises(ValueError, match="degenerate"):
-            invert_psi(
-                HirotaPoint(
-                    alphas=hp.alphas, uvw=broken, class_k=2, vertex_choice="v1"
-                )
-            )
+            invert_psi(HirotaPoint(alphas=hp.alphas, uvw=broken))
 
     def test_inconsistent_periods_rejected(self):
         hp = hirota_point(KC4, 2, (1, 1, 1), "v1")
@@ -357,21 +357,13 @@ class TestHirotaPointAndInverse:
             component_choice="X+",
         )
         with pytest.raises(ValueError):
-            invert_psi(
-                HirotaPoint(
-                    alphas=hp.alphas, uvw=broken, class_k=2, vertex_choice="v1"
-                )
-            )
+            invert_psi(HirotaPoint(alphas=hp.alphas, uvw=broken))
 
     def test_missing_base_coefficient_rejected(self):
         hp = hirota_point(KC4, 2, (1, 1, 1), "v1")
         alphas = {J: v for J, v in hp.alphas.items() if J != (1, 2)}
         with pytest.raises(ValueError, match="base label"):
-            invert_psi(
-                HirotaPoint(
-                    alphas=alphas, uvw=hp.uvw, class_k=2, vertex_choice="v1"
-                )
-            )
+            invert_psi(HirotaPoint(alphas=alphas, uvw=hp.uvw))
 
     def test_bad_vertex_choice(self):
         with pytest.raises(ValueError, match="vertex_choice"):

@@ -146,7 +146,7 @@ class TestInstantiation:
             W=(F(5), F(4), F(3), F(2), F(1)),
             component_choice="X+",
         )
-        hp = HirotaPoint(alphas=alphas, uvw=synthetic, class_k=3, vertex_choice="v1")
+        hp = HirotaPoint(alphas=alphas, uvw=synthetic)
         pts = {sp.d: sp for sp in squared_set(3, 6)}
         d5 = (1, 1, 1, 1, 2, 0)
         d6 = (1, 1, 1, 1, 0, 2)
@@ -186,7 +186,7 @@ def oracle_family(k, n, kind):
     if kind == "perturbed":
         alphas = dict(hp.alphas)
         alphas[tuple(range(2, k + 2))] *= F(7, 5)
-        return HirotaPoint(alphas=alphas, uvw=hp.uvw, class_k=k, vertex_choice="v1")
+        return HirotaPoint(alphas=alphas, uvw=hp.uvw)
     if kind == "synthetic":
         synthetic = PeriodVectors(
             U=tuple(F(j) for j in range(1, n)),
@@ -194,7 +194,7 @@ def oracle_family(k, n, kind):
             W=tuple(F(5 - j) for j in range(1, n)),
             component_choice="X+",
         )
-        return HirotaPoint(alphas=hp.alphas, uvw=synthetic, class_k=k, vertex_choice="v1")
+        return HirotaPoint(alphas=hp.alphas, uvw=synthetic)
     return hp
 
 
@@ -271,9 +271,7 @@ class TestFaceResidualAgreement:
         hp = hirota_point(KC4, 2, (1, 1, 1), "v1")
         alphas = dict(hp.alphas)
         alphas[(1, 3)] *= F(7, 5)
-        hp_bad = HirotaPoint(
-            alphas=alphas, uvw=hp.uvw, class_k=2, vertex_choice="v1"
-        )
+        hp_bad = HirotaPoint(alphas=alphas, uvw=hp.uvw)
         tau_bad = tau_from_hirota_point(hp_bad)
         assert face_values_match_residual(hp_bad, tau_bad)
 

@@ -120,3 +120,48 @@ def test_tracer_targets_resolve():
             if not callable(found):
                 missing.append(f"{module}.{func}")
     assert missing == [], f"tracer targets missing from tropkp: {missing}"
+
+
+def test_tracer_counts_work_on_real_commands(tmp_path, capsys):
+    """The benchmark tracer's work counters read the arguments and results
+    of the functions it wraps, so a changed signature or result shows here
+    as a zero count rather than as a silently empty benchmark metric.  The
+    tracer runs ``certify --json`` on ``g3k2.json`` at both vertices and a
+    3 x 3 ``field``."""
+    import importlib.util
+    import json
+
+    from tropkp.cli import run
+
+    repo = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", repo / "perfbench" / "tracer.py"
+    )
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+
+    config = repo / "g3k2.json"
+    second = tmp_path / "g3k2_v2.json"
+    raw = json.loads(config.read_text())
+    second.write_text(json.dumps(dict(raw, vertex_choice="v2")))
+    commands = [
+        ["certify", "--json", "--config", str(config)],
+        ["certify", "--json", "--config", str(second)],
+        ["field", "--config", str(config), "--nx", "3", "--ny", "3"],
+    ]
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        codes = []
+        for argv in commands:
+            tracer.begin_command()
+            codes.append(run(argv))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0]
+    for counter in ("hirota_parametrization.grassmann_point.minors",
+                    "hirota_variety_eqs.instantiate_and_check.terms",
+                    "tau_kp.hirota_residual.pairs",
+                    "tau_kp.kp_residual_numeric.samples"):
+        assert tracer.counters[counter] > 0, counter

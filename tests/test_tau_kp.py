@@ -41,9 +41,7 @@ SAMPLES = [(0.3, 0.2, -0.4), (0.7, -0.5, 0.1), (-0.9, 0.8, 0.6)]
 def perturbed(hp, label, factor):
     alphas = dict(hp.alphas)
     alphas[label] *= factor
-    return HirotaPoint(
-        alphas=alphas, uvw=hp.uvw, class_k=hp.class_k, vertex_choice=hp.vertex_choice
-    )
+    return HirotaPoint(alphas=alphas, uvw=hp.uvw)
 
 
 class TestTauAssembly:

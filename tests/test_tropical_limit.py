@@ -181,11 +181,7 @@ class TestDivisorAndAbel:
 
     def test_split_bounds(self):
         with pytest.raises(ValueError, match="split_k"):
-            Divisor(points=(F(1, 2),), split_k=2, p0_component="X+")
-
-    def test_component_validation(self):
-        with pytest.raises(ValueError):
-            Divisor(points=(F(1, 2),), split_k=0, p0_component="Z")
+            Divisor(points=(F(1, 2),), split_k=2)
 
     def test_abel_frozen_first_entry(self):
         d = make_divisor([F(1, 2), F(3, 2), F(5, 2)], 1)
