@@ -58,7 +58,6 @@ from .tau_kp import (
     spacetime_inversion_check,
     tau_from_grassmannian,
     tau_from_hirota_point,
-    tau_from_theta,
 )
 from .tropical_limit import (
     Divisor,

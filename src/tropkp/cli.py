@@ -51,7 +51,6 @@ from .hirota_parametrization import (
 from .hirota_variety_eqs import (
     face_direction_classes,
     face_table,
-    faces_match_residual,
     relations_to_json,
     relations_to_text,
 )
@@ -488,8 +487,8 @@ def _cmd_certify(args) -> int:
     rels = face_direction_classes(hp.label_size, kc.n)
     ok = all(faces[rel.squared_point(kc.n)] == 0 for rel in rels)
     checks.append(("face-quartics", ok, f"{len(rels)} face equations vanish"))
-    ok = faces_match_residual(faces, res, hp.label_size, hp.vertex_choice)
-    checks.append(("face-vs-residual", ok, "face values equal residual groups"))
+    checks.append(("face-vs-residual", faces == res,
+                   "face values equal residual groups"))
 
     kc_back, beta_back = invert_psi(hp1)
     ok = kc_back.kappas == kc.kappas and beta_back == cfg.beta

@@ -36,6 +36,7 @@ __all__ = [
     "check_genus",
     "voronoi_contains",
     "delaunay_set",
+    "classify_point",
     "vertices_equivalent",
     "frac",
     "frac_vector",

@@ -48,7 +48,6 @@ __all__ = [
     "quartic_for_point",
     "instantiate_and_check",
     "face_table",
-    "faces_match_residual",
     "face_values_match_residual",
     "relations_to_json",
     "relations_to_text",
@@ -214,51 +213,23 @@ def _doubled_point_relations(k: int, n: int) -> Iterable[QuarticRelation]:
 
 def face_table(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:
     """Exact value of the face quartic over every doubled point of the
-    family's (k, n), each with its own frozen coordinates, keyed and sorted
-    by doubled point; the class representatives of
-    ``face_direction_classes`` are among the keys."""
+    family's (k, n), each with its own frozen coordinates, keyed by doubled
+    point; the class representatives of ``face_direction_classes`` are
+    among the keys."""
     n = len(hp.uvw.U) + 1
-    faces = instantiate_and_check(_doubled_point_relations(hp.label_size, n), hp)
-    return dict(sorted(faces.items()))
-
-
-def _residual_key(d: Sequence[int], k: int, vertex_choice: str) -> tuple[int, ...]:
-    """The bilinear-residual group of the pairs over doubled point d.
-
-    Summing the label bijection c_m = [m+1 <= k] - [m+1 in J] over a pair
-    gives c_m = 2 [m+1 <= k] - d_{m+1} for m = 1..n-1 (d read 1-based); a
-    second-vertex family's lattice points are negated, and so is the key.
-    """
-    sign = 1 if vertex_choice == "v1" else -1
-    return tuple(sign * (2 * (m + 1 <= k) - d[m]) for m in range(1, len(d)))
-
-
-def faces_match_residual(
-    faces: dict[tuple[int, ...], Fraction],
-    residual: dict[tuple[int, ...], Fraction],
-    k: int,
-    vertex_choice: str,
-) -> bool:
-    """A face table and a residual grouping agree: the doubled points map
-    onto exactly the residual keys, with equal values on each."""
-    translation = {d: _residual_key(d, k, vertex_choice) for d in faces}
-    if set(translation.values()) != set(residual):
-        return False
-    return all(faces[d] == residual[c] for d, c in translation.items())
+    return instantiate_and_check(_doubled_point_relations(hp.label_size, n), hp)
 
 
 def face_values_match_residual(hp: HirotaPoint, tau: TauFunction) -> bool:
     """Exact agreement of the two residual routes.
 
-    The bilinear residual of the tau sum groups term pairs by lattice-point
-    sums; the face equations group the same pairs by doubled column labels.
-    The label bijection of the canonical vertex translates one key set onto
-    the other, and on matching keys the values must agree exactly (the
-    quartic arguments are the same wave differences in a different gauge).
+    The face equations and the bilinear residual of a tau labelled by
+    column indicators group the same term pairs by the same doubled points,
+    so the two tables must be equal: the same keys, and on each key the
+    same value (the quartic arguments are the same wave differences in a
+    different gauge).
     """
-    return faces_match_residual(
-        face_table(hp), hirota_residual(tau), hp.label_size, hp.vertex_choice
-    )
+    return face_table(hp) == hirota_residual(tau)
 
 
 def relations_to_json(k: int, n: int, relations: Iterable[QuarticRelation]) -> str:

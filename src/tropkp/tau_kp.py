@@ -1,14 +1,15 @@
 """Finite exponential tau sums, their bilinear residuals, and KP checks.
 
 A tau function here is a finite sum of exponentials of linear forms in
-(x, y, t): each term has an exact rational coefficient, an integer label
-(a lattice point or a 0/1 column indicator), and an exact rational wave
-triple.  Two layers of certification operate on them:
+(x, y, t): each term has an exact rational coefficient, a label (the 0/1
+indicator of its column set J, from either builder), and an exact rational
+wave triple.  Two layers of certification operate on them:
 
 * exact: ``hirota_residual`` groups the quadratic terms of the bilinear
   operator D_x^4 - 4 D_x D_t + 3 D_y^2 applied to tau * tau by the label sum
-  of the contributing pair and returns every group value as a Fraction (the
-  sums themselves run in integers after the denominators are cleared once).
+  of the contributing pair, a point e_J1 + e_J2 of the doubled hypersimplex,
+  and returns every group value as a Fraction (the sums themselves run in
+  integers after the denominators are cleared once).
   The sum vanishes group by group precisely when tau solves the bilinear
   equation, so an all-zero dictionary is a proof, not an approximation.
   ``spacetime_inversion_check`` decides u_2(x, y, t) = u_1(-x, -y, -t)
@@ -57,13 +58,12 @@ from .hirota_parametrization import (
     label_lattice_point,
     vandermonde_minor,
 )
-from .tropical_limit import KappaConfig, PeriodVectors, clear_denominators, quartic
+from .tropical_limit import KappaConfig, clear_denominators, quartic
 
 __all__ = [
     "TauTerm",
     "TauFunction",
     "tau_from_grassmannian",
-    "tau_from_theta",
     "tau_from_hirota_point",
     "lattice_alphas",
     "hirota_residual",
@@ -126,6 +126,12 @@ class TauFunction:
         return sig
 
 
+def _indicator(n: int, J: Sequence[int]) -> tuple[int, ...]:
+    """The 0/1 indicator in {0, 1}^n of a column set J of {1..n}: the label
+    of J's term."""
+    return tuple(1 if j in J else 0 for j in range(1, n + 1))
+
+
 def tau_from_grassmannian(gp: GrassmannPoint, kc: KappaConfig) -> TauFunction:
     """tau = sum over column sets J of (minor_J * K_J) exp(theta_J), where
     theta_J collects kappa_j x + kappa_j^2 y + kappa_j^3 t over j in J.
@@ -142,33 +148,13 @@ def tau_from_grassmannian(gp: GrassmannPoint, kc: KappaConfig) -> TauFunction:
             sum((kc.kappa(j) ** 2 for j in J), Fraction(0)),
             sum((kc.kappa(j) ** 3 for j in J), Fraction(0)),
         )
-        indicator = tuple(1 if j in J else 0 for j in range(1, gp.n + 1))
-        terms.append(TauTerm(coeff=coeff, label=indicator, wave=wave))
-    return TauFunction(terms=tuple(terms))
-
-
-def tau_from_theta(
-    alphas: dict[tuple[int, ...], Fraction], pv: PeriodVectors
-) -> TauFunction:
-    """tau = sum over lattice points c of alpha_c exp((c.U) x + (c.V) y + (c.W) t),
-    with the terms in the order of the sorted lattice points."""
-    terms = []
-    for c, coeff in sorted(alphas.items()):
-        if coeff == 0:
-            continue
-        if len(c) != len(pv.U):
-            raise ValueError(f"point {c} does not match the period vectors")
-        wave = (
-            sum((x * u for x, u in zip(c, pv.U)), Fraction(0)),
-            sum((x * v for x, v in zip(c, pv.V)), Fraction(0)),
-            sum((x * w for x, w in zip(c, pv.W)), Fraction(0)),
-        )
-        terms.append(TauTerm(coeff=coeff, label=c, wave=wave))
+        terms.append(TauTerm(coeff=coeff, label=_indicator(gp.n, J), wave=wave))
     return TauFunction(terms=tuple(terms))
 
 
 def lattice_alphas(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:
-    """Reindex a coefficient family from column sets to lattice points.
+    """Reindex a coefficient family from column sets to lattice points, in
+    the family's label order.
 
     For the first graph vertex this is the label bijection of the canonical
     class-k vertex; for the second, labels are complements and the matching
@@ -186,11 +172,30 @@ def lattice_alphas(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:
 
 
 def tau_from_hirota_point(hp: HirotaPoint) -> TauFunction:
-    return tau_from_theta(lattice_alphas(hp), hp.uvw)
+    """tau = sum over the family's column sets J of
+    alpha_J exp((c.U) x + (c.V) y + (c.W) t), with c the lattice point of J
+    from ``lattice_alphas``.  Each term is labelled by J's indicator, the
+    terms come in the order of the sorted lattice points, and zero
+    coefficients are dropped."""
+    pv = hp.uvw
+    n = len(pv.U) + 1
+    terms = []
+    # lattice_alphas keeps the family's label order, so zip pairs c with J
+    for (c, coeff), J in sorted(zip(lattice_alphas(hp).items(), hp.alphas)):
+        if coeff == 0:
+            continue
+        wave = (
+            sum((x * u for x, u in zip(c, pv.U)), Fraction(0)),
+            sum((x * v for x, v in zip(c, pv.V)), Fraction(0)),
+            sum((x * w for x, w in zip(c, pv.W)), Fraction(0)),
+        )
+        terms.append(TauTerm(coeff=coeff, label=_indicator(n, J), wave=wave))
+    return TauFunction(terms=tuple(terms))
 
 
 def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
-    """Exact bilinear residual, grouped by the label sum of each term pair.
+    """Exact bilinear residual, grouped by the label sum of each term pair:
+    the doubled-hypersimplex point e_J1 + e_J2 of its two column sets.
 
     Every unordered pair of distinct terms contributes
     coeff_i coeff_j P(wave_i - wave_j) to the group of label_i + label_j,

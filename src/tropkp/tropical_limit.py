@@ -29,9 +29,11 @@ from .graph_jacobian import RationalLike, frac_vector
 
 __all__ = [
     "KappaConfig",
+    "kappa_config",
     "RMatrix",
     "PeriodVectors",
     "Divisor",
+    "make_divisor",
     "limit_R",
     "theta_coefficients",
     "uvw",

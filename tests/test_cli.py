@@ -628,8 +628,9 @@ class TestExponentialCount:
 )
 def test_output_pinned(case, config_file, capsys, monkeypatch):
     """Stdout, stderr and exit code, byte for byte, as recorded in
-    cli_output.json: the human text and the JSON of every command but
-    ``eqs`` and ``field``.  A ``{name}`` argument is the path of that
+    cli_output.json: the human text and the JSON of every command, and the
+    CSV of ``field`` at both vertices, whose bit-exact values also pin the
+    order of the tau terms.  A ``{name}`` argument is the path of that
     recorded config; ``{g3k2}`` is the README example."""
     monkeypatch.delenv("TROPKP_PRECISION", raising=False)
     paths = {"{g3k2}": str(REPO / "g3k2.json")}

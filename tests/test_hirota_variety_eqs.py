@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from tropkp.hirota_parametrization import HirotaPoint, alpha_from_beta, hirota_point
 from tropkp.hirota_variety_eqs import (
     face_direction_classes,
+    face_table,
     face_values_match_residual,
     instantiate_and_check,
     quartic_for_point,
@@ -19,7 +20,7 @@ from tropkp.hirota_variety_eqs import (
     relations_to_text,
     squared_set,
 )
-from tropkp.tau_kp import tau_from_hirota_point
+from tropkp.tau_kp import hirota_residual, tau_from_hirota_point
 from tropkp.tropical_limit import PeriodVectors, kappa_config
 
 KC4 = kappa_config([0, 1, 2, 3])
@@ -274,6 +275,16 @@ class TestFaceResidualAgreement:
         hp_bad = HirotaPoint(alphas=alphas, uvw=hp.uvw)
         tau_bad = tau_from_hirota_point(hp_bad)
         assert face_values_match_residual(hp_bad, tau_bad)
+
+    @given(families())
+    @settings(max_examples=60, deadline=None)
+    def test_residual_is_keyed_by_doubled_points(self, hp):
+        """At either vertex, the bilinear residual of the theta-route tau
+        groups its term pairs by exactly the doubled points of the face
+        table."""
+        for family in (hp, hp.other_vertex()):
+            residual = hirota_residual(tau_from_hirota_point(family))
+            assert residual.keys() == face_table(family).keys()
 
 
 class TestEmitters:

@@ -165,3 +165,29 @@ def test_tracer_counts_work_on_real_commands(tmp_path, capsys):
                     "tau_kp.hirota_residual.pairs",
                     "tau_kp.kp_residual_numeric.samples"):
         assert tracer.counters[counter] > 0, counter
+
+
+def test_all_lists_the_public_names():
+    """In every module with an ``__all__``, each entry names an attribute of
+    the module, and each public top-level ``def`` or ``class`` is listed, so
+    a stale entry or a name that callers import from outside the list
+    shows here."""
+    package = Path(tropkp.__file__).resolve().parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exported = _exported_names(tree)
+        if not exported:
+            continue
+        module = importlib.import_module(f"tropkp.{path.stem}")
+        stale = {name for name in exported if not hasattr(module, name)}
+        public = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        }
+        unlisted = public - exported
+        if stale or unlisted:
+            found[path.name] = {"stale": sorted(stale), "unlisted": sorted(unlisted)}
+    assert found == {}, f"__all__ out of step with the module: {found}"

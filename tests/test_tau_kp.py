@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from families import SMALL_RATIONALS, families
+from families import NONZERO, RATIONALS, SMALL_RATIONALS, families
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -30,7 +30,6 @@ from tropkp.tau_kp import (
     spacetime_inversion_check,
     tau_from_grassmannian,
     tau_from_hirota_point,
-    tau_from_theta,
 )
 from tropkp.tropical_limit import kappa_config, uvw
 
@@ -50,11 +49,11 @@ class TestTauAssembly:
         tau = tau_from_hirota_point(hp)
         by_label = {t.label: t for t in tau.terms}
         assert len(tau.terms) == 6
-        assert by_label[(0, 0, 0)].coeff == 1
-        assert by_label[(0, 0, 0)].wave == (0, 0, 0)
-        assert by_label[(1, -1, 0)].coeff == 1
-        assert by_label[(1, -1, 0)].wave == (1, 3, 7)
-        assert by_label[(1, -1, -1)].coeff == F(1, 144)
+        assert by_label[(1, 1, 0, 0)].coeff == 1
+        assert by_label[(1, 1, 0, 0)].wave == (0, 0, 0)
+        assert by_label[(1, 0, 1, 0)].coeff == 1
+        assert by_label[(1, 0, 1, 0)].wave == (1, 3, 7)
+        assert by_label[(0, 0, 1, 1)].coeff == F(1, 144)
 
     def test_grassmann_route_terms(self):
         A = matrix_A(KC4, 2, (1, 1, 1))
@@ -90,8 +89,25 @@ class TestTauAssembly:
 
     def test_zero_coefficients_dropped(self):
         pv = uvw(kappa_config([0, 1]), "X+")
-        tau = tau_from_theta({(0,): F(1), (-1,): F(0)}, pv)
+        hp = HirotaPoint(alphas={(1,): F(1), (2,): F(0)}, uvw=pv)
+        tau = tau_from_hirota_point(hp)
         assert len(tau.terms) == 1
+
+    @given(families(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_routes_label_terms_by_column_indicator(self, hp, data):
+        """At the first vertex, the theta route labels its terms by the 0/1
+        indicators of their column sets, as the Grassmann route does on any
+        nodes and weights of the same (k, n)."""
+        if hp.vertex_choice == "v2":
+            hp = hp.other_vertex()
+        n, k = len(hp.uvw.U) + 1, hp.label_size
+        nodes = data.draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
+        kc = kappa_config(nodes)
+        beta = data.draw(st.lists(NONZERO, min_size=n - 1, max_size=n - 1))
+        theta = {term.label for term in tau_from_hirota_point(hp).terms}
+        grassmann = tau_from_grassmannian(matrix_A(kc, k, beta), kc)
+        assert theta == {term.label for term in grassmann.terms}
 
     def test_signature_distinguishes_weights(self):
         t1 = tau_from_hirota_point(hirota_point(KC4, 2, (1, 1, 1), "v1"))
