@@ -19,12 +19,17 @@ A_J * K_J = alpha_J * K_{I_k} where K_J is the Vandermonde minor of columns
 J, which is what ``verify_minor_identity`` checks, and a permutation
 expansion of K-products underlies it (``pluecker_vandermonde_sum``).
 
-All arithmetic is over Fraction; nothing here ever touches floats.
+All arithmetic is exact, over Fraction and Python integers; nothing here
+ever touches floats.  Maximal minors are integer determinants: each row is
+scaled to integers over its common denominator once, and the minors are taken
+by fraction-free (Bareiss) elimination and divided by the product of the row
+scales.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,6 +42,7 @@ from .tropical_limit import (
     RMatrix,
     kappa_config,
     limit_R,
+    over_common_denominator,
     theta_coefficients,
     uvw,
     validate_divisor,
@@ -76,27 +82,40 @@ class RouteMismatchError(Exception):
 
 
 def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    m = [list(row) for row in rows]
-    size = len(m)
-    if any(len(row) != size for row in m):
+    """Determinant of a square rational matrix: each row is scaled to
+    integers over its common denominator, the integer determinant is taken
+    by ``_bareiss_det`` and divided by the product of the row scales."""
+    size = len(rows)
+    if any(len(row) != size for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] / pivot
-                for c in range(col, size):
-                    m[r][c] -= factor * m[col][c]
-    return det
+    scaled = [over_common_denominator(row) for row in rows]
+    return Fraction(
+        _bareiss_det([list(ints) for ints, _ in scaled]), math.prod(D for _, D in scaled)
+    )
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, in place: after step c, every entry below row c is a minor
+    of the (row-swapped) input, so each division by the previous pivot is
+    exact."""
+    size = len(m)
+    sign, previous = 1, 1
+    for col in range(size - 1):
+        if m[col][col] == 0:
+            swap = next((r for r in range(col + 1, size) if m[r][col]), None)
+            if swap is None:
+                return 0
+            m[col], m[swap] = m[swap], m[col]
+            sign = -sign
+        pivot_row = m[col]
+        pivot = pivot_row[col]
+        for row in m[col + 1 :]:
+            lead = row[col]
+            for c in range(col + 1, size):
+                row[c] = (pivot * row[c] - lead * pivot_row[c]) // previous
+        previous = pivot
+    return sign * m[-1][-1] if size else 1
 
 
 def hypersimplex_labels(n: int, k: int) -> tuple[Label, ...]:
@@ -134,10 +153,14 @@ def grassmann_point(matrix: Sequence[Sequence[RationalLike]]) -> GrassmannPoint:
     n = len(rows[0])
     if any(len(row) != n for row in rows) or k > n:
         raise ValueError(f"need a k x n matrix with k <= n, got {k} x {n}")
-    pluecker = {}
-    for J in hypersimplex_labels(n, k):
-        cols = [[rows[r][j - 1] for j in J] for r in range(k)]
-        pluecker[J] = exact_det(cols)
+    # scale each row to integers once; every minor is then an integer
+    # determinant over the product of the row scales
+    scaled = [over_common_denominator(row) for row in rows]
+    scale = math.prod(D for _, D in scaled)
+    pluecker = {
+        J: Fraction(_bareiss_det([[ints[j - 1] for j in J] for ints, _ in scaled]), scale)
+        for J in hypersimplex_labels(n, k)
+    }
     return GrassmannPoint(k=k, n=n, matrix=rows, pluecker=pluecker)
 
 

@@ -21,20 +21,28 @@ w_{J1} - w_{J2} = delta . scr with delta = e_S - e_{I1-S} the term's sign
 vector; delta sums to zero, so the zero first coordinate (the gauge) never
 matters.  ``instantiate_and_check`` evaluates the quartics exactly on a
 coefficient family from one wave per label, and ``face_table`` does so over
-every doubled point of the family.  The sums run in Python integers: the
-alphas and the columns of (U, V, W) are scaled once by
-``tropical_limit.clear_denominators``, each label's wave is summed from the
-scaled columns, and each relation's total is divided by the common
-denominator once.
+every doubled point of the family.
+
+A ``QuarticRelation`` stores only n and its direction and frozen sets.  Its
+terms are enumerated as pairs of label bit masks (bit j - 1 for column j) by
+``pair_masks``, which is all the evaluation reads; the label triples of
+``terms`` (labels and sign vector) are spelled out only when read, for
+``eqs`` and the tests.  The sums run in Python integers: the alphas and the
+columns of (U, V, W) are scaled once by ``tropical_limit.clear_denominators``,
+each label's wave is summed from the scaled columns into a table keyed by
+label mask, and each relation's total is divided by the common denominator
+once, under the doubled point its masks add up to.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .hirota_parametrization import HirotaPoint, hypersimplex_labels
 from .tau_kp import TauFunction, hirota_residual
@@ -67,12 +75,14 @@ class SquaredPoint:
 
 @dataclass(frozen=True)
 class QuarticRelation:
-    """One face equation: frozen coordinates, direction set, and the term
-    list of unordered label pairs with their sign vectors."""
+    """One face equation over {1..n}: the sorted direction set I1 and the
+    sorted frozen coordinates F.  ``pair_masks`` enumerates its terms as
+    label bit masks; ``terms`` spells them out as label pairs with sign
+    vectors, once, when first read."""
 
     direction: tuple[int, ...]
     fixed_ones: tuple[int, ...]
-    terms: tuple[tuple[Label, Label, tuple[int, ...]], ...]
+    n: int
 
     @property
     def dimension(self) -> int:
@@ -85,6 +95,44 @@ class QuarticRelation:
             2 * (1 if i in fixed else 0) + (1 if i in direction else 0)
             for i in range(1, n + 1)
         )
+
+    def pair_masks(self) -> Iterator[tuple[int, int]]:
+        """Each term's label pair as bit masks (bit j - 1 for column j):
+        (F | S, F | (I1 - S)) for every half S of I1 that holds the lead
+        column of I1 and |I1|/2 - 1 of the others, in lexicographic order."""
+        frozen = _mask(self.fixed_ones)
+        lead, *rest = (1 << (j - 1) for j in self.direction)
+        whole = sum(rest, lead)
+        for extra in itertools.combinations(rest, len(rest) // 2):
+            half = sum(extra, lead)
+            yield frozen | half, frozen | (whole ^ half)
+
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[Label, Label, tuple[int, ...]], ...]:
+        """The unordered label pairs with their sign vectors
+        delta = e_S - e_{I1-S}, for the ``eqs`` output and the tests."""
+        return _term_list(self)
+
+
+def _mask(columns: Iterable[int]) -> int:
+    return sum(1 << (j - 1) for j in columns)
+
+
+def _columns(mask: int, n: int) -> Label:
+    return tuple(j for j in range(1, n + 1) if mask >> (j - 1) & 1)
+
+
+def _term_list(rel: QuarticRelation) -> tuple[tuple[Label, Label, tuple[int, ...]], ...]:
+    """``rel.terms``, spelled out from ``rel.pair_masks()``."""
+    n = rel.n
+    return tuple(
+        (
+            _columns(m1, n),
+            _columns(m2, n),
+            tuple((m1 >> i & 1) - (m2 >> i & 1) for i in range(n)),
+        )
+        for m1, m2 in rel.pair_masks()
+    )
 
 
 def squared_set(k: int, n: int) -> tuple[SquaredPoint, ...]:
@@ -109,34 +157,6 @@ def squared_set(k: int, n: int) -> tuple[SquaredPoint, ...]:
     return tuple(out)
 
 
-def _relation_for(
-    n: int, direction: Sequence[int], fixed_ones: Sequence[int]
-) -> QuarticRelation:
-    direction = tuple(sorted(direction))
-    fixed_ones = tuple(sorted(fixed_ones))
-    half = len(direction) // 2
-    lead = direction[0]
-    rest = direction[1:]
-    terms = []
-    for extra in itertools.combinations(rest, half - 1):
-        S = (lead,) + extra
-        chosen = set(S)
-        other = tuple(x for x in direction if x not in chosen)
-        lab1 = tuple(sorted(fixed_ones + S))
-        lab2 = tuple(sorted(fixed_ones + other))
-        terms.append((lab1, lab2, _delta_vector(n, S, other)))
-    return QuarticRelation(direction=direction, fixed_ones=fixed_ones, terms=tuple(terms))
-
-
-def _delta_vector(n: int, S: Sequence[int], other: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * n
-    for i in S:
-        out[i - 1] = 1
-    for i in other:
-        out[i - 1] = -1
-    return tuple(out)
-
-
 def face_direction_classes(k: int, n: int) -> tuple[QuarticRelation, ...]:
     """One representative quartic per direction set.
 
@@ -152,8 +172,7 @@ def face_direction_classes(k: int, n: int) -> tuple[QuarticRelation, ...]:
         for direction in itertools.combinations(range(1, n + 1), 2 * ell):
             inside = set(direction)
             outside = [i for i in range(1, n + 1) if i not in inside]
-            fixed = tuple(outside[: k - ell])
-            out.append(_relation_for(n, direction, fixed))
+            out.append(QuarticRelation(direction, tuple(outside[: k - ell]), n))
     out.sort(key=lambda rel: (rel.dimension, rel.direction))
     return tuple(out)
 
@@ -163,14 +182,15 @@ def quartic_for_point(sp: SquaredPoint) -> QuarticRelation:
     coordinates, not the class representative's)."""
     direction = tuple(i + 1 for i, x in enumerate(sp.d) if x == 1)
     fixed = tuple(i + 1 for i, x in enumerate(sp.d) if x == 2)
-    return _relation_for(len(sp.d), direction, fixed)
+    return QuarticRelation(direction, fixed, len(sp.d))
 
 
 def instantiate_and_check(
     relations: Iterable[QuarticRelation], hp: HirotaPoint
 ) -> dict[tuple[int, ...], Fraction]:
     """Exact value of each relation on a coefficient family, keyed by the
-    relation's doubled point.
+    relation's doubled point.  Each relation is read through ``pair_masks``
+    only, so its ``terms`` are never built here.
 
     The relations must be built for the same (k, n) as the family's labels
     (for a second-vertex family that means k -> n - k)."""
@@ -180,21 +200,25 @@ def instantiate_and_check(
         list(hp.alphas.values()), list(zip(pv.U, pv.V, pv.W))
     )
     table = {
-        J: (a, tuple(-sum(columns[j - 2][i] for j in J if j >= 2) for i in range(3)))
+        _mask(J): (a, *(-sum(columns[j - 2][i] for j in J if j >= 2) for i in range(3)))
         for J, a in zip(hp.alphas, alphas)
     }
+    indicator = {m: tuple(m >> i & 1 for i in range(n)) for m in table}
     out: dict[tuple[int, ...], Fraction] = {}
     for rel in relations:
         total = 0
-        for lab1, lab2, _ in rel.terms:
-            if lab1 not in table or lab2 not in table:
+        for m1, m2 in rel.pair_masks():
+            try:
+                a1, x1, y1, t1 = table[m1]
+                a2, x2, y2, t2 = table[m2]
+            except KeyError:
                 raise KeyError(
-                    f"relation labels {lab1}, {lab2} missing from the family"
-                )
-            a1, (x1, y1, t1) = table[lab1]
-            a2, (x2, y2, t2) = table[lab2]
+                    f"relation labels {_columns(m1, n)}, {_columns(m2, n)} "
+                    "missing from the family"
+                ) from None
             total += a1 * a2 * quartic(x1 - x2, y1 - y2, t1 - t2)
-        out[rel.squared_point(n)] = Fraction(total, denom)
+        # every pair of a relation sums to its doubled point e_J1 + e_J2
+        out[tuple(map(operator.add, indicator[m1], indicator[m2]))] = Fraction(total, denom)
     return out
 
 
@@ -208,7 +232,7 @@ def _doubled_point_relations(k: int, n: int) -> Iterable[QuarticRelation]:
         for fixed in itertools.combinations(columns, f):
             rest = [i for i in columns if i not in fixed]
             for direction in itertools.combinations(rest, 2 * (k - f)):
-                yield _relation_for(n, direction, fixed)
+                yield QuarticRelation(direction, fixed, n)
 
 
 def face_table(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:

@@ -58,7 +58,12 @@ from .hirota_parametrization import (
     label_lattice_point,
     vandermonde_minor,
 )
-from .tropical_limit import KappaConfig, clear_denominators, quartic
+from .tropical_limit import (
+    KappaConfig,
+    clear_denominators,
+    over_common_denominator,
+    quartic,
+)
 
 __all__ = [
     "TauTerm",
@@ -138,15 +143,16 @@ def tau_from_grassmannian(gp: GrassmannPoint, kc: KappaConfig) -> TauFunction:
     Terms with vanishing minor are dropped."""
     if gp.n != kc.n:
         raise ValueError("matrix and node configuration have different sizes")
+    # kappa_j^m = K_j^m / D^m in integers, so each wave sum is one Fraction
+    ints, D = over_common_denominator(kc.kappas)
+    powers = [(K, K**2, K**3) for K in ints]
     terms = []
     for J in hypersimplex_labels(gp.n, gp.k):
         coeff = gp.pluecker[J] * vandermonde_minor(kc, J)
         if coeff == 0:
             continue
-        wave = (
-            sum((kc.kappa(j) for j in J), Fraction(0)),
-            sum((kc.kappa(j) ** 2 for j in J), Fraction(0)),
-            sum((kc.kappa(j) ** 3 for j in J), Fraction(0)),
+        wave = tuple(
+            Fraction(sum(powers[j - 1][m] for j in J), D ** (m + 1)) for m in range(3)
         )
         terms.append(TauTerm(coeff=coeff, label=_indicator(gp.n, J), wave=wave))
     return TauFunction(terms=tuple(terms))
@@ -179,16 +185,15 @@ def tau_from_hirota_point(hp: HirotaPoint) -> TauFunction:
     coefficients are dropped."""
     pv = hp.uvw
     n = len(pv.U) + 1
+    # each period vector as integers over one denominator, so that each wave
+    # component is an integer dot product and one Fraction
+    scaled = [over_common_denominator(vec) for vec in (pv.U, pv.V, pv.W)]
     terms = []
     # lattice_alphas keeps the family's label order, so zip pairs c with J
     for (c, coeff), J in sorted(zip(lattice_alphas(hp).items(), hp.alphas)):
         if coeff == 0:
             continue
-        wave = (
-            sum((x * u for x, u in zip(c, pv.U)), Fraction(0)),
-            sum((x * v for x, v in zip(c, pv.V)), Fraction(0)),
-            sum((x * w for x, w in zip(c, pv.W)), Fraction(0)),
-        )
+        wave = tuple(Fraction(sum(map(operator.mul, c, ints)), D) for ints, D in scaled)
         terms.append(TauTerm(coeff=coeff, label=_indicator(n, J), wave=wave))
     return TauFunction(terms=tuple(terms))
 

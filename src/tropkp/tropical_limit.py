@@ -39,6 +39,7 @@ __all__ = [
     "uvw",
     "quartic",
     "clear_denominators",
+    "over_common_denominator",
     "validate_divisor",
     "abel_map",
 ]
@@ -157,6 +158,13 @@ def quartic(x: Fraction, y: Fraction, t: Fraction) -> Fraction:
     return x**4 - 4 * x * t + 3 * y**2
 
 
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integers p_i and D > 0 with values_i = p_i / D, D the lcm of the
+    denominators."""
+    D = math.lcm(*(q.denominator for q in values))
+    return tuple(q.numerator * (D // q.denominator) for q in values), D
+
+
 def clear_denominators(
     coeffs: Sequence[Fraction], waves: Sequence[Sequence[Fraction]]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], int, int]:
@@ -170,9 +178,8 @@ def clear_denominators(
     a_i a_j P(w) = (C a_i)(C a_j) P(W) / (C^2 D^4) whenever W is the same
     integer combination of the scaled triples that w is of the w_i.
     """
-    C = math.lcm(*(a.denominator for a in coeffs))
+    ints, C = over_common_denominator(coeffs)
     D = math.lcm(*(q.denominator for wave in waves for q in wave))
-    ints = tuple(int(a * C) for a in coeffs)
     scaled = tuple((int(x * D), int(y * D**2), int(t * D**3)) for x, y, t in waves)
     return ints, scaled, C * C * D**4, D
 

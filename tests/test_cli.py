@@ -623,6 +623,36 @@ class TestExponentialCount:
         assert len(exps) == len(tau.terms)
 
 
+class TestRelationTermCount:
+    """``certify`` evaluates the face quartics from label bit masks alone,
+    so it spells out no relation's term list; ``eqs`` prints the terms and
+    spells out each relation's list once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        import tropkp.hirota_variety_eqs as eqs_mod
+
+        made = []
+        real = eqs_mod._term_list
+
+        def counting(rel):
+            made.append(rel)
+            return real(rel)
+
+        monkeypatch.setattr(eqs_mod, "_term_list", counting)
+        return made
+
+    def test_certify_builds_no_term_list(self, built, capsys):
+        assert run(["certify", "--json", "--config", str(REPO / "g3k2.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["all_ok"]
+        assert built == []
+
+    def test_eqs_builds_each_term_list_once(self, built, capsys):
+        assert run(["eqs", "--k", "2", "--n", "4"]) == 0
+        out = capsys.readouterr().out
+        assert len(built) == len(out.splitlines()) - 1 == 7
+
+
 @pytest.mark.parametrize(
     "case", PINNED_OUTPUT["commands"], ids=lambda case: " ".join(case["argv"])
 )

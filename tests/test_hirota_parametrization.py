@@ -64,7 +64,66 @@ def random_weights(rng, g):
     )
 
 
+def leibniz_det(rows):
+    """The permutation expansion: sum of sign(p) prod_i rows[i][p(i)]."""
+    total = F(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = F(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+# rationals with numerators and denominators up to 10^12, zero included
+WIDE_RATIONALS = st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**12))
+
+
+@st.composite
+def rational_matrices(draw, rows=None, cols=None):
+    """A rows x cols rational matrix (by default square, up to 5 x 5):
+    random, singular (one row a rational combination of two others, or
+    zero), or with a zero leading entry."""
+    size = draw(st.integers(1, 5))
+    rows = size if rows is None else rows
+    cols = size if cols is None else cols
+    m = [draw(st.lists(WIDE_RATIONALS, min_size=cols, max_size=cols)) for _ in range(rows)]
+    kind = draw(st.sampled_from(["random", "singular", "zero-pivot"]))
+    if kind == "singular":
+        i, j, target = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        a, b = draw(WIDE_RATIONALS), draw(WIDE_RATIONALS)
+        m[target] = [a * x + b * y for x, y in zip(m[i], m[j])]
+        if i == target or j == target:
+            m[target] = [F(0)] * cols
+    elif kind == "zero-pivot":
+        m[0][0] = F(0)
+    return m
+
+
 class TestExactDet:
+    @given(rational_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_permutation_expansion(self, rows):
+        """Integer Bareiss elimination over the row-scaled matrix agrees
+        with the Leibniz expansion in Fractions, singular matrices and
+        a zero leading pivot included."""
+        det = exact_det(rows)
+        assert type(det) is F
+        assert det == leibniz_det(rows)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_grassmann_point_minors_match_permutation_expansion(self, data):
+        n = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, min(n, 5)))
+        rows = data.draw(rational_matrices(rows=k, cols=n))
+        gp = grassmann_point(rows)
+        assert list(gp.pluecker) == list(hypersimplex_labels(n, k))
+        for J, minor in gp.pluecker.items():
+            assert type(minor) is F
+            assert minor == leibniz_det([[row[j - 1] for j in J] for row in rows])
+
     def test_known_value(self):
         rows = [[F(2), F(1), F(0)], [F(1), F(3), F(1)], [F(0), F(1), F(4)]]
         assert exact_det(rows) == F(18)

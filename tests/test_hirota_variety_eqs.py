@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from tropkp.hirota_parametrization import HirotaPoint, alpha_from_beta, hirota_point
 from tropkp.hirota_variety_eqs import (
+    _doubled_point_relations,
     face_direction_classes,
     face_table,
     face_values_match_residual,
@@ -231,6 +232,29 @@ class TestWaveTable:
         assert instantiate_and_check(rels, hp) == expected
         if kind in ("perturbed", "synthetic"):
             assert any(v != 0 for v in expected.values())
+
+    @pytest.mark.parametrize("vertex", ["v1", "v2"])
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (8, 4), (10, 5)])
+    def test_face_table_matches_fraction_sums(self, n, k, vertex):
+        """The mask-and-integer face table equals, key by key and in the
+        same order, the Fraction sum over each enumerated relation's label
+        pairs with the alphas and waves read directly.  The nodes have
+        denominators (so the wave denominator D exceeds 1), and one
+        coefficient is rescaled so that the faces through it do not
+        vanish."""
+        kc = kappa_config([F(3 * j * j - 11 * j, 4) + F(j, 3) for j in range(n)])
+        beta = [F(w) for w in ("2", "1/3", "3", "-1", "3/2", "5/7", "1", "-2/5", "4")][: n - 1]
+        hp = hirota_point(kc, k, beta, vertex)
+        assert math.lcm(*(q.denominator for q in hp.uvw.U)) > 1
+        alphas = dict(hp.alphas)
+        alphas[next(iter(alphas))] *= F(7, 5)
+        hp = HirotaPoint(alphas=alphas, uvw=hp.uvw)
+        rels = list(_doubled_point_relations(hp.label_size, n))
+        expected = fraction_wave_values(rels, hp)
+        table = face_table(hp)
+        assert list(table.items()) == list(expected.items())
+        assert all(type(v) is F for v in table.values())
+        assert any(v != 0 for v in table.values())
 
     @given(families())
     @settings(max_examples=60, deadline=None)

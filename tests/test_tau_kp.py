@@ -14,10 +14,12 @@ from mpmath import mp
 
 from tropkp import tau_kp
 from tropkp.hirota_parametrization import (
+    GrassmannPoint,
     HirotaPoint,
     hirota_point,
     label_lattice_point,
     matrix_A,
+    vandermonde_minor,
 )
 from tropkp.tau_kp import (
     TauFunction,
@@ -41,6 +43,33 @@ def perturbed(hp, label, factor):
     alphas = dict(hp.alphas)
     alphas[label] *= factor
     return HirotaPoint(alphas=alphas, uvw=hp.uvw)
+
+
+def fraction_theta_terms(hp):
+    """The theta-route terms with each wave summed in Fractions,
+    c . (U, V, W) for the lattice point c of each column set."""
+    pv = hp.uvw
+    n = len(pv.U) + 1
+    out = []
+    for (c, coeff), J in sorted(zip(lattice_alphas(hp).items(), hp.alphas)):
+        if coeff:
+            wave = tuple(
+                sum((x * u for x, u in zip(c, vec)), F(0)) for vec in (pv.U, pv.V, pv.W)
+            )
+            out.append((coeff, tuple(int(j in J) for j in range(1, n + 1)), wave))
+    return out
+
+
+def fraction_grassmann_terms(gp, kc):
+    """The Grassmann-route terms with each wave summed in Fractions,
+    sum over j in J of (kappa_j, kappa_j^2, kappa_j^3)."""
+    out = []
+    for J in itertools.combinations(range(1, gp.n + 1), gp.k):
+        coeff = gp.pluecker[J] * vandermonde_minor(kc, J)
+        if coeff:
+            wave = tuple(sum((kc.kappa(j) ** m for j in J), F(0)) for m in (1, 2, 3))
+            out.append((coeff, tuple(int(j in J) for j in range(1, gp.n + 1)), wave))
+    return out
 
 
 class TestTauAssembly:
@@ -108,6 +137,28 @@ class TestTauAssembly:
         theta = {term.label for term in tau_from_hirota_point(hp).terms}
         grassmann = tau_from_grassmannian(matrix_A(kc, k, beta), kc)
         assert theta == {term.label for term in grassmann.terms}
+
+    @given(families(), st.lists(RATIONALS, min_size=6, max_size=6, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_builders_match_fraction_sums(self, hp, nodes):
+        """Both builders, which sum each wave component in integers over one
+        denominator, return the terms of the plain Fraction sums, in the
+        same order, at both vertices.  The Grassmann route reads the
+        family's coefficients as Pluecker coordinates, on nodes with
+        denominators up to 10^6."""
+        n = len(hp.uvw.U) + 1
+        kc = kappa_config(nodes[:n])
+        for family in (hp, hp.other_vertex()):
+            gp = GrassmannPoint(
+                k=family.label_size, n=n, matrix=(), pluecker=dict(family.alphas)
+            )
+            for built, expected in (
+                (tau_from_hirota_point(family), fraction_theta_terms(family)),
+                (tau_from_grassmannian(gp, kc), fraction_grassmann_terms(gp, kc)),
+            ):
+                terms = [(t.coeff, t.label, t.wave) for t in built.terms]
+                assert terms == expected
+                assert all(type(q) is F for t in built.terms for q in t.wave)
 
     def test_signature_distinguishes_weights(self):
         t1 = tau_from_hirota_point(hirota_point(KC4, 2, (1, 1, 1), "v1"))
