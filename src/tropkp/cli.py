@@ -16,7 +16,8 @@ on a ``field`` grid one per term for each distinct x, each distinct y and t
 (terms of equal exact phase at a point share one product), after which
 every weight and moment is exact integer arithmetic.  The package needs
 nothing beyond the standard library.  ``field`` refuses grids of more than
-FIELD_MAX_POINTS points.  Run it as ``tropkp``, ``python -m tropkp`` or
+FIELD_MAX_POINTS points, and ``certify`` refuses configs with more than
+CERTIFY_MAX_TERMS tau terms.  Run it as ``tropkp``, ``python -m tropkp`` or
 ``python -m tropkp.cli``.
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
 certification check fails or two exact routes to the same object disagree.
@@ -89,6 +90,10 @@ from .voronoi_combinatorics import (
 
 # largest nx * ny that ``field`` samples: its rows are built in memory
 FIELD_MAX_POINTS = 1_000_000
+
+# largest number comb(n, k) of tau terms that ``certify`` takes on: its exact
+# loops run over all comb(T, 2) term pairs
+CERTIFY_MAX_TERMS = 2000
 
 # the keys a config and its divisor object may hold
 CONFIG_KEYS = ("kappas", "class_k", "vertex_choice", "beta", "lambda", "divisor",
@@ -456,6 +461,12 @@ def _cmd_param(args) -> int:
 def _cmd_certify(args) -> int:
     cfg = RunConfig.from_file(args.config)
     kc, k = cfg.kc, cfg.class_k
+    terms = math.comb(kc.n, k)
+    if terms > CERTIFY_MAX_TERMS:
+        raise ConfigError(
+            f"class {k} at n = {kc.n} has comb({kc.n}, {k}) = {terms} tau terms, "
+            f"exceeding the bound of {CERTIFY_MAX_TERMS} terms"
+        )
     checks: list[tuple[str, bool, str]] = []
 
     hp1 = hirota_point(kc, k, cfg.beta, "v1")  # raises if the two alpha routes disagree

@@ -23,7 +23,13 @@ All arithmetic is exact, over Fraction and Python integers; nothing here
 ever touches floats.  Maximal minors are integer determinants: each row is
 scaled to integers over its common denominator once, and the minors are taken
 by fraction-free (Bareiss) elimination and divided by the product of the row
-scales.
+scales.  Both alpha routes are integer ratios until their comparison: the
+theta route multiplies the numerators and denominators of the entries of R
+(``theta_coefficients``) and of the betas, the product route multiplies
+integer differences of the kappas over their common denominator D and
+restores D's power per label, and each route makes one Fraction per label.
+A Vandermonde minor is likewise a product of integer differences divided
+once by a power of D.
 """
 
 from __future__ import annotations
@@ -164,13 +170,21 @@ def grassmann_point(matrix: Sequence[Sequence[RationalLike]]) -> GrassmannPoint:
     return GrassmannPoint(k=k, n=n, matrix=rows, pluecker=pluecker)
 
 
-def vandermonde_minor(kc: KappaConfig, J: Sequence[int]) -> Fraction:
-    """K_J = prod_{i < j in J} (kappa_j - kappa_i), indices 1-based sorted."""
-    J = tuple(J)
-    val = Fraction(1)
+def _vandermonde_product(ints: Sequence[int], J: Sequence[int]) -> int:
+    """prod_{i < j in J} (K_j - K_i) over integers K, indices 1-based."""
+    val = 1
     for a, b in itertools.combinations(J, 2):
-        val *= kc.diff(b, a)
+        val *= ints[b - 1] - ints[a - 1]
     return val
+
+
+def vandermonde_minor(kc: KappaConfig, J: Sequence[int]) -> Fraction:
+    """K_J = prod_{i < j in J} (kappa_j - kappa_i), indices 1-based sorted:
+    the product of the integer differences of the kappas over their common
+    denominator D, divided once by D^(|J|(|J|-1)/2)."""
+    J = tuple(J)
+    ints, D = over_common_denominator(kc.kappas)
+    return Fraction(_vandermonde_product(ints, J), D ** (len(J) * (len(J) - 1) // 2))
 
 
 def kprime(kc: KappaConfig, i: int) -> Fraction:
@@ -212,31 +226,46 @@ def _beta_at(beta: Sequence[Fraction], m: int) -> Fraction:
     return Fraction(1) if m == 0 else beta[m - 1]
 
 
-def _beta_monomial(beta: Sequence[Fraction], c: Sequence[int]) -> Fraction:
-    val = Fraction(1)
-    for b, e in zip(beta, c):
-        if e:
-            val *= b**e
-    return val
+def _beta_monomial(
+    beta: Sequence[tuple[int, int]], c: Sequence[int]
+) -> tuple[int, int]:
+    """prod_m beta_m^(c_m) as an integer numerator and denominator, from the
+    numerator and denominator (p, q) of each beta_m."""
+    num = den = 1
+    for (p, q), e in zip(beta, c):
+        if e > 0:
+            num *= p**e
+            den *= q**e
+        elif e < 0:
+            num *= q**-e
+            den *= p**-e
+    return num, den
 
 
 def _alpha_product_form(
-    kc: KappaConfig, k: int, beta: Sequence[Fraction], label: Label
+    ints: Sequence[int],
+    D: int,
+    k: int,
+    beta: Sequence[tuple[int, int]],
+    label: Label,
 ) -> Fraction:
-    """alpha_J as a product of squared differences over the exchange sets."""
+    """alpha_J as a product of squared differences over the exchange sets,
+    from the kappas K_j / D over their common denominator and the (p, q) of
+    each beta.  With m columns exchanged each way, the numerator has m(m-1)
+    squared differences and the denominator m^2, so the D's leave D^(2m)."""
     base = set(range(1, k + 1))
     out = sorted(base - set(label))
     into = sorted(set(label) - base)
-    num = Fraction(1)
+    num = 1
     for poss in (out, into):
         for a, b in itertools.combinations(poss, 2):
-            num *= kc.diff(b, a) ** 2
-    den = Fraction(1)
+            num *= (ints[b - 1] - ints[a - 1]) ** 2
+    den = 1
     for i in out:
         for j in into:
-            den *= kc.diff(j, i) ** 2
-    c = label_lattice_point(kc.n, k, label)
-    return num / den * _beta_monomial(beta, c)
+            den *= (ints[j - 1] - ints[i - 1]) ** 2
+    bn, bd = _beta_monomial(beta, label_lattice_point(len(ints), k, label))
+    return Fraction(num * D ** (2 * len(out)) * bn, den * bd)
 
 
 def alpha_from_beta(
@@ -247,7 +276,9 @@ def alpha_from_beta(
     Computed as exp(c_J^T R c_J / 2) times the beta monomial of c_J, and
     cross-checked entry by entry against the closed product formula; a
     mismatch would mean the two parametrizations disagree, so it raises
-    ``RouteMismatchError`` rather than warning.
+    ``RouteMismatchError`` rather than warning.  Each route carries an
+    integer numerator and denominator per label and makes one Fraction of
+    them; the two Fractions are compared.
     """
     if not 1 <= k <= kc.genus:
         raise ValueError(f"class k must be between 1 and {kc.genus}, got {k}")
@@ -260,11 +291,15 @@ def alpha_from_beta(
     labels = hypersimplex_labels(kc.n, k)
     points = {J: label_lattice_point(kc.n, k, J) for J in labels}
     a_coeffs = theta_coefficients(R, points.values())
+    beta_ratios = [(b.numerator, b.denominator) for b in bt]
+    ints, D = over_common_denominator(kc.kappas)
     alphas: dict[Label, Fraction] = {}
     for J in labels:
         c = points[J]
-        val = a_coeffs[c] * _beta_monomial(bt, c)
-        check = _alpha_product_form(kc, k, bt, J)
+        a = a_coeffs[c]
+        bn, bd = _beta_monomial(beta_ratios, c)
+        val = Fraction(a.numerator * bn, a.denominator * bd)
+        check = _alpha_product_form(ints, D, k, beta_ratios, J)
         if val != check:
             raise RouteMismatchError(
                 f"alpha_{J} disagrees between the theta route ({val}) and the "
@@ -305,11 +340,18 @@ def matrix_A(kc: KappaConfig, k: int, beta: Sequence[RationalLike]) -> Grassmann
 def verify_minor_identity(
     gp: GrassmannPoint, alphas: dict[Label, Fraction], kc: KappaConfig
 ) -> bool:
-    """A_J * K_J = alpha_J * K_{I_k} for every k-subset J."""
-    base = tuple(range(1, gp.k + 1))
-    k_base = vandermonde_minor(kc, base)
+    """A_J * K_J = alpha_J * K_{I_k} for every k-subset J.
+
+    Every J has k columns, so the powers of the kappas' common denominator
+    in K_J and K_{I_k} cancel: each side is compared as the integer
+    Vandermonde product of the scaled kappas, cross-multiplied with the
+    numerator and denominator of A_J and alpha_J."""
+    ints, _ = over_common_denominator(kc.kappas)
+    k_base = _vandermonde_product(ints, range(1, gp.k + 1))
     for J in hypersimplex_labels(gp.n, gp.k):
-        if gp.pluecker[J] * vandermonde_minor(kc, J) != alphas[J] * k_base:
+        minor, alpha = gp.pluecker[J], alphas[J]
+        if (minor.numerator * _vandermonde_product(ints, J) * alpha.denominator
+                != alpha.numerator * k_base * minor.denominator):
             return False
     return True
 

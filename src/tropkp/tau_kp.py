@@ -8,13 +8,16 @@ wave triple.  Two layers of certification operate on them:
 * exact: ``hirota_residual`` groups the quadratic terms of the bilinear
   operator D_x^4 - 4 D_x D_t + 3 D_y^2 applied to tau * tau by the label sum
   of the contributing pair, a point e_J1 + e_J2 of the doubled hypersimplex,
-  and returns every group value as a Fraction (the sums themselves run in
-  integers after the denominators are cleared once).
+  and returns every group value as a Fraction.  The sums run in integers
+  after the denominators are cleared once, each pair is keyed by the sum of
+  its two labels packed as base-4 integers (no digit exceeds 2, so the sum
+  never carries), and a group's tuple key and Fraction are made once.
   The sum vanishes group by group precisely when tau solves the bilinear
   equation, so an all-zero dictionary is a proof, not an approximation.
   ``spacetime_inversion_check`` decides u_2(x, y, t) = u_1(-x, -y, -t)
   between the two vertex readings exactly, from the term lists: tau_2 with
-  its waves negated must have tau_1's ``normalized_signature``.
+  its waves negated must have tau_1's ``normalized_signature``, which merges
+  and sorts the terms on integer keys.
 * numeric: ``kp_residual_numeric`` evaluates
   (-4 u_t + 6 u u_x + u_xxx)_x + 3 u_yy for u = 2 (log tau)_xx at sample
   points.  For tau = sum_i a_i exp(theta_i), every partial derivative of
@@ -43,7 +46,6 @@ factor, so p is unchanged.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import os
@@ -59,10 +61,10 @@ from .hirota_parametrization import (
     vandermonde_minor,
 )
 from .tropical_limit import (
+    ZERO,
     KappaConfig,
     clear_denominators,
     over_common_denominator,
-    quartic,
 )
 
 __all__ = [
@@ -113,22 +115,31 @@ class TauFunction:
         Two tau functions describe the same solution exactly when they differ
         by a nonzero constant factor and a shared exponential-linear factor,
         and that holds exactly when their signatures match.
+
+        The merging and sorting run on integer keys: each wave column over
+        its own common denominator (a positive scale per column, which keeps
+        the lexicographic order) and the coefficients over theirs.  Each
+        merged term's Fractions are made once, at the end.
         """
-        merged: dict[Wave, Fraction] = {}
-        for term in self.terms:
-            merged[term.wave] = merged.get(term.wave, Fraction(0)) + term.coeff
-        merged = {w: v for w, v in merged.items() if v != 0}
+        waves = [term.wave for term in self.terms]
+        columns = [over_common_denominator(column) for column in zip(*waves)]
+        coeffs, _ = over_common_denominator([term.coeff for term in self.terms])
+        merged: dict[tuple[int, ...], int] = {}
+        for wave, coeff in zip(zip(*(ints for ints, _ in columns)), coeffs):
+            merged[wave] = merged.get(wave, 0) + coeff
+        merged = {w: v for w, v in merged.items() if v}
         if not merged:
             raise ValueError("tau function is identically zero")
         base = min(merged)
         scale = merged[base]
-        sig = tuple(
-            sorted(
-                (tuple(a - b for a, b in zip(w, base)), v / scale)
-                for w, v in merged.items()
+        dens = [D for _, D in columns]
+        return tuple(
+            (
+                tuple(Fraction(a - b, D) for a, b, D in zip(w, base, dens)),
+                Fraction(v, scale),
             )
+            for w, v in sorted(merged.items())
         )
-        return sig
 
 
 def _indicator(n: int, J: Sequence[int]) -> tuple[int, ...]:
@@ -210,17 +221,34 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
 
     The sums run in Python integers on the tau's cached ``integer_view``,
     where every pair value is an integer over one common denominator, and
-    each group is divided by it once at the end.
+    each group is divided by it once at the end.  A pair is grouped by the
+    packed label sum l1 + l2, with l = sum_j label_j 4^(j-1): each digit of
+    the sum is at most 2, so it never carries and stands for exactly
+    e_J1 + e_J2.  The tuple key of a group is built once, from its first
+    pair, and every vanishing group shares the value ``ZERO``.
     """
     coeffs, waves, denom, _ = tau.integer_view
-    terms = zip((term.label for term in tau.terms), coeffs, waves)
-    sums: dict[tuple[int, ...], int] = {}
-    for (l1, a1, (x1, y1, t1)), (l2, a2, (x2, y2, t2)) in itertools.combinations(
-        terms, 2
-    ):
-        d = tuple(map(operator.add, l1, l2))
-        sums[d] = sums.get(d, 0) + a1 * a2 * quartic(x1 - x2, y1 - y2, t1 - t2)
-    return {d: Fraction(v, denom) for d, v in sums.items()}
+    labels = [term.label for term in tau.terms]
+    packed = [sum(b << 2 * i for i, b in enumerate(label)) for label in labels]
+    terms = list(zip(labels, packed, coeffs, waves))
+    sums: dict[int, int] = {}
+    first: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for i, (l1, p1, a1, (x1, y1, t1)) in enumerate(terms):
+        for l2, p2, a2, (x2, y2, t2) in terms[i + 1 :]:
+            dx = x1 - x2
+            dy = y1 - y2
+            key = p1 + p2
+            # quartic(dx, dy, dt), inline: a call per pair costs more than its sum
+            value = a1 * a2 * (dx * dx * dx * dx - 4 * dx * (t1 - t2) + 3 * dy * dy)
+            if key in sums:
+                sums[key] += value
+            else:
+                sums[key] = value
+                first[key] = (l1, l2)
+    return {
+        tuple(map(operator.add, *first[key])): Fraction(value, denom) if value else ZERO
+        for key, value in sums.items()
+    }
 
 
 # ---------------------------------------------------------------------------

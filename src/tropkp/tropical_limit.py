@@ -130,32 +130,53 @@ def theta_coefficients(
     """exp(c^T R c / 2) for each lattice point c, as exact rationals.
 
     The half-integer diagonal contribution is handled through exp(R_ii/2),
-    which is itself rational, so no square roots ever appear.
+    which is itself rational, so no square roots ever appear.  Each value is
+    accumulated as one integer numerator and one integer denominator from
+    the entries of R, a factor p/q raised to e >= 0 multiplying them by p^e
+    and q^e (by q^-e and p^-e when e < 0), and becomes one Fraction.
     """
+    g = R.genus
+
+    def ratio(i: int, j: int) -> tuple[int, int]:
+        q = R.exp_half_diag(i) if i == j else R.exp_entry(i, j)
+        return q.numerator, q.denominator
+
+    # exp(R_ii / 2) on the diagonal and exp(R_ij) off it, 0-based
+    ratios = [[ratio(i, j) for j in range(1, g + 1)] for i in range(1, g + 1)]
     out: dict[tuple[int, ...], Fraction] = {}
     for point in points:
         c = tuple(int(x) for x in point)
-        if len(c) != R.genus:
-            raise ValueError(f"point {c} has wrong length for genus {R.genus}")
-        val = Fraction(1)
-        for i in range(1, R.genus + 1):
-            ci = c[i - 1]
-            if ci:
-                val *= R.exp_half_diag(i) ** (ci * ci)
-        for i in range(1, R.genus + 1):
-            for j in range(i + 1, R.genus + 1):
-                e = c[i - 1] * c[j - 1]
-                if e:
-                    val *= R.exp_entry(i, j) ** e
-        out[c] = val
+        if len(c) != g:
+            raise ValueError(f"point {c} has wrong length for genus {g}")
+        support = [(i, ci) for i, ci in enumerate(c) if ci]
+        num = den = 1
+        for a, (i, ci) in enumerate(support):
+            # exponent c_i^2 on the diagonal (j = i), c_i c_j above it
+            for j, cj in support[a:]:
+                p, q = ratios[i][j]
+                e = ci * cj
+                if e > 0:
+                    num *= p**e
+                    den *= q**e
+                else:
+                    num *= q**-e
+                    den *= p**-e
+        out[c] = Fraction(num, den)
     return out
 
 
 def quartic(x: Fraction, y: Fraction, t: Fraction) -> Fraction:
     """P(x, y, t) = x^4 - 4 x t + 3 y^2, the symbol of the KP bilinear
     operator D_x^4 - 4 D_x D_t + 3 D_y^2; exact on Fractions and on the
-    integers of ``clear_denominators`` alike."""
+    integers of ``clear_denominators`` alike.  The pair loops of
+    ``hirota_residual`` and ``instantiate_and_check`` spell it out inline."""
     return x**4 - 4 * x * t + 3 * y**2
+
+
+# The value of every vanishing group of ``hirota_residual`` and of the face
+# quartics: one shared object, so that comparing the two tables compares
+# identical objects wherever both vanish.
+ZERO = Fraction(0)
 
 
 def over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -180,7 +201,11 @@ def clear_denominators(
     """
     ints, C = over_common_denominator(coeffs)
     D = math.lcm(*(q.denominator for wave in waves for q in wave))
-    scaled = tuple((int(x * D), int(y * D**2), int(t * D**3)) for x, y, t in waves)
+    scales = (D, D**2, D**3)
+    scaled = tuple(
+        tuple(q.numerator * (s // q.denominator) for q, s in zip(wave, scales))
+        for wave in waves
+    )
     return ints, scaled, C * C * D**4, D
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tropkp
-from tropkp.cli import FIELD_MAX_POINTS, run
+from tropkp.cli import CERTIFY_MAX_TERMS, FIELD_MAX_POINTS, run
 
 REPO = Path(__file__).resolve().parent.parent
 PINNED_OUTPUT = json.loads((REPO / "tests" / "cli_output.json").read_text())
@@ -346,6 +346,57 @@ class TestConfigCommands:
         assert captured.out == ""
         assert built == []
 
+    def test_certify_refuses_a_family_past_the_term_budget(
+        self, config_file, capsys, monkeypatch
+    ):
+        """The first (n, k), in order of n and then k, with more than
+        ``CERTIFY_MAX_TERMS`` tau terms is refused with exit 1 and a message
+        that quotes the bound, before any alpha is computed.  (12, 6), the
+        largest family the tests, the examples and the benchmark certify,
+        is within the bound."""
+        import tropkp.cli as cli_mod
+
+        assert math.comb(12, 6) <= CERTIFY_MAX_TERMS
+        n, k = next(
+            (n, k)
+            for n in range(2, CERTIFY_MAX_TERMS + 2)
+            for k in range(1, n)
+            if math.comb(n, k) > CERTIFY_MAX_TERMS
+        )
+        built = []
+        monkeypatch.setattr(cli_mod, "hirota_point", lambda *args: built.append(args))
+        kappas = [str(x) for x in range(n)]
+        cfg = config_file({"kappas": kappas, "class_k": k, "beta": ["1"] * (n - 1)})
+        assert run(["certify", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert f"= {math.comb(n, k)} tau terms" in captured.err
+        assert f"bound of {CERTIFY_MAX_TERMS} terms" in captured.err
+        assert captured.out == ""
+        assert built == []
+
+    @pytest.mark.parametrize("bound, code", [(5, 1), (6, 0)])
+    def test_certify_term_budget_is_inclusive(
+        self, bound, code, config_file, capsys, monkeypatch
+    ):
+        """With the bound lowered around the 6 terms of a (4, 2) config, one
+        term past it is refused and a family of exactly the bound is
+        certified."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "CERTIFY_MAX_TERMS", bound)
+        assert run(["certify", "--config", config_file(BETA_CONFIG)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == (
+                "error: class 2 at n = 4 has comb(4, 2) = 6 tau terms, "
+                "exceeding the bound of 5 terms\n"
+            )
+            assert captured.out == ""
+        else:
+            assert captured.out.endswith("certification PASSED\n")
+
     def test_eqs_text_and_json(self, capsys):
         assert run(["eqs", "--k", "2", "--n", "4"]) == 0
         out = capsys.readouterr().out
@@ -651,6 +702,47 @@ class TestRelationTermCount:
         assert run(["eqs", "--k", "2", "--n", "4"]) == 0
         out = capsys.readouterr().out
         assert len(built) == len(out.splitlines()) - 1 == 7
+
+
+class TestFractionCount:
+    """The exact layers of ``certify`` compute in Python integers and make a
+    ``Fraction`` only where a value leaves a public function.  The number of
+    ``Fraction`` constructions is deterministic, so unlike a timing it does
+    not flake on a loaded machine."""
+
+    # the benchmark's (8, 4) family: consecutive integer nodes around 0
+    CONFIG = {
+        "kappas": [str(x) for x in range(-4, 4)],
+        "class_k": 4,
+        "vertex_choice": "v1",
+        "beta": ["1", "2", "3", "1/2", "1/3", "2/3", "3/2"],
+        "samples": 20,
+        "seed": 5,
+        "tolerance": 1e-8,
+    }
+
+    def test_certify_makes_few_fractions(self, config_file, capsys):
+        """One ``certify --json`` on an (8, 4) config (70 tau terms) made
+        12,853 Fractions when its pair loops, alpha routes and signatures
+        summed Fractions, and makes 3,679 with integer kernels."""
+        code = Fraction.__new__.__code__
+        made = 0
+
+        def count(frame, event, arg):
+            nonlocal made
+            if event == "call" and frame.f_code is code:
+                made += 1
+
+        path = config_file(self.CONFIG)
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            status = run(["certify", "--json", "--config", path])
+        finally:
+            sys.setprofile(previous)
+        assert status == 0
+        assert json.loads(capsys.readouterr().out)["all_ok"]
+        assert 0 < made <= 5000
 
 
 @pytest.mark.parametrize(

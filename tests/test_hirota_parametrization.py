@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from families import NONZERO, RATIONALS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,6 +150,21 @@ class TestVandermondePieces:
         labels = hypersimplex_labels(4, 2)
         assert labels == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
+    @given(st.lists(RATIONALS, min_size=2, max_size=7, unique=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_minor_matches_fraction_product(self, nodes, data):
+        """The integer product over the kappas' common denominator D,
+        divided once by a power of D, is the product of the Fraction
+        differences, on nodes with denominators up to 10^6."""
+        kc = kappa_config(nodes)
+        J = sorted(data.draw(st.sets(st.integers(1, kc.n), max_size=kc.n)))
+        expected = F(1)
+        for a, b in itertools.combinations(J, 2):
+            expected *= kc.kappa(b) - kc.kappa(a)
+        value = vandermonde_minor(kc, J)
+        assert value == expected
+        assert type(value) is F
+
 
 class TestLabelLatticePoint:
     @pytest.mark.parametrize("genus,k", [(2, 1), (3, 2), (4, 2), (4, 3)])
@@ -189,6 +205,45 @@ class TestAlphaFromBeta:
         with pytest.raises(ValueError, match=message):
             alpha_from_beta(KC4, k, beta)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_product_formula(self, data):
+        """Both integer routes give the closed product formula written in
+        Fractions, on nodes with denominators up to 10^6 (so the power of
+        their common denominator matters) and betas of mixed signs."""
+        n = data.draw(st.integers(2, 7))
+        k = data.draw(st.integers(1, n - 1))
+        kc = kappa_config(
+            data.draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
+        )
+        beta = data.draw(st.lists(NONZERO, min_size=n - 1, max_size=n - 1))
+        alphas = alpha_from_beta(kc, k, beta)
+        labels = hypersimplex_labels(n, k)
+        assert alphas == {J: fraction_alpha(kc, k, beta, J) for J in labels}
+        assert all(type(v) is F for v in alphas.values())
+
+
+def fraction_alpha(kc, k, beta, J):
+    """alpha_J in Fractions: the squared differences of the kappas within
+    each exchange set of J against {1..k} over those across the two sets,
+    times beta_{i-1} for each column i >= 2 leaving {1..k} and over
+    beta_{j-1} for each column j entering it."""
+    base = set(range(1, k + 1))
+    out, into = sorted(base - set(J)), sorted(set(J) - base)
+    val = F(1)
+    for side in (out, into):
+        for a, b in itertools.combinations(side, 2):
+            val *= (kc.kappa(b) - kc.kappa(a)) ** 2
+    for i in out:
+        for j in into:
+            val /= (kc.kappa(j) - kc.kappa(i)) ** 2
+    for i in out:
+        if i >= 2:
+            val *= beta[i - 2]
+    for j in into:
+        val /= beta[j - 2]
+    return val
+
 
 class TestMatrixA:
     def test_frozen_entries(self):
@@ -207,6 +262,33 @@ class TestMatrixA:
         bad = dict(ALPHAS_24)
         bad[(2, 4)] *= 2
         assert not verify_minor_identity(A, bad, KC4)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_minor_identity_matches_fraction_statement(self, data):
+        """The cross-multiplied integer comparison decides A_J K_J =
+        alpha_J K_base as the Fraction products do, on the parametrization's
+        own family and on one with a coefficient rescaled, on nodes with
+        denominators up to 10^6."""
+        n = data.draw(st.integers(2, 6))
+        k = data.draw(st.integers(1, n - 1))
+        kc = kappa_config(
+            data.draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
+        )
+        beta = data.draw(st.lists(NONZERO, min_size=n - 1, max_size=n - 1))
+        A = matrix_A(kc, k, beta)
+        alphas = alpha_from_beta(kc, k, beta)
+        label = data.draw(st.sampled_from(sorted(alphas)))
+        scaled = dict(alphas)
+        scaled[label] *= data.draw(NONZERO)
+        k_base = vandermonde_minor(kc, range(1, k + 1))
+        for family in (alphas, scaled):
+            expected = all(
+                A.pluecker[J] * vandermonde_minor(kc, J) == family[J] * k_base
+                for J in family
+            )
+            assert verify_minor_identity(A, family, kc) is expected
+        assert verify_minor_identity(A, alphas, kc)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_minor_identity_random_configs(self, seed):

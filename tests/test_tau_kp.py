@@ -189,6 +189,32 @@ class TestTauAssembly:
             c = tuple(-x for x in label_lattice_point(4, 2, label))
             assert pts[c] == val
 
+    @given(families(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_signature_matches_fraction_reference(self, hp, data):
+        """The integer merge and sort give the plain Fraction signature on
+        every family kind, at both vertices, with terms of equal wave added
+        that cancel a term or come in cancelling pairs, in any order; when
+        every wave cancels, both refuse the tau."""
+        terms = list(tau_from_hirota_point(hp).terms)
+        for term in list(terms):
+            extra = data.draw(st.sampled_from(["none", "cancel", "pair"]))
+            if extra == "cancel":
+                terms.append(replace(term, coeff=-term.coeff))
+            elif extra == "pair":
+                part = data.draw(NONZERO)
+                terms += [replace(term, coeff=part), replace(term, coeff=-part)]
+        tau = TauFunction(terms=tuple(data.draw(st.permutations(terms))))
+        try:
+            expected = fraction_signature(tau)
+        except ValueError:  # no wave keeps a nonzero coefficient
+            with pytest.raises(ValueError, match="identically zero"):
+                tau.normalized_signature()
+            return
+        signature = tau.normalized_signature()
+        assert signature == expected
+        assert all(type(q) is F for wave, coeff in signature for q in (*wave, coeff))
+
     def test_identically_zero_signature_rejected(self):
         tau = TauFunction(
             terms=(
@@ -198,6 +224,22 @@ class TestTauAssembly:
         )
         with pytest.raises(ValueError, match="identically zero"):
             tau.normalized_signature()
+
+
+def fraction_signature(tau):
+    """The signature in plain Fractions: merge equal waves, drop zero sums,
+    shift by the smallest wave, scale its coefficient to 1, sort."""
+    merged = {}
+    for term in tau.terms:
+        merged[term.wave] = merged.get(term.wave, F(0)) + term.coeff
+    merged = {w: v for w, v in merged.items() if v != 0}
+    base = min(merged)
+    return tuple(
+        sorted(
+            (tuple(a - b for a, b in zip(w, base)), v / merged[base])
+            for w, v in merged.items()
+        )
+    )
 
 
 def fraction_residual(tau):
