@@ -542,8 +542,6 @@ def _cmd_certify(args) -> int:
 
 def _cmd_eqs(args) -> int:
     k, n = args.k, args.n
-    if not 1 <= k < n:
-        raise ConfigError(f"need 1 <= k < n, got k={k}, n={n}")
     rels = face_direction_classes(k, n)
     text = (
         relations_to_json(k, n, rels) if args.json else relations_to_text(k, n, rels)

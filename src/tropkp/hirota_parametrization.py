@@ -13,8 +13,9 @@ same point of the Grassmannian Gr(k, n) is produced three ways:
 The tie between them is the coefficient family alpha_J indexed by k-element
 column sets J: alpha arises once as exp(c^T R c / 2) times a beta monomial
 (the theta route) and once as an explicit product of squared differences
-(the Grassmann route); ``alpha_from_beta`` computes both and raises
-``RouteMismatchError`` unless they agree.  The maximal minors satisfy
+times the same monomial (the Grassmann route); ``alpha_from_beta`` compares
+the two beta-free factors, raises ``RouteMismatchError`` unless they agree,
+and multiplies by the shared beta monomial once.  The maximal minors satisfy
 A_J * K_J = alpha_J * K_{I_k} where K_J is the Vandermonde minor of columns
 J, which is what ``verify_minor_identity`` checks, and a permutation
 expansion of K-products underlies it (``pluecker_vandermonde_sum``).
@@ -25,11 +26,11 @@ scaled to integers over its common denominator once, and the minors are taken
 by fraction-free (Bareiss) elimination and divided by the product of the row
 scales.  Both alpha routes are integer ratios until their comparison: the
 theta route multiplies the numerators and denominators of the entries of R
-(``theta_coefficients``) and of the betas, the product route multiplies
-integer differences of the kappas over their common denominator D and
-restores D's power per label, and each route makes one Fraction per label.
-A Vandermonde minor is likewise a product of integer differences divided
-once by a power of D.
+that it reads (``theta_coefficients``), the product route multiplies integer
+differences of the kappas over their common denominator D
+(``KappaConfig.integers``) and restores D's power per label, and each route
+makes one Fraction per label.  A Vandermonde minor and K'(kappa_i) are
+likewise products of integer differences divided once by a power of D.
 """
 
 from __future__ import annotations
@@ -183,17 +184,17 @@ def vandermonde_minor(kc: KappaConfig, J: Sequence[int]) -> Fraction:
     the product of the integer differences of the kappas over their common
     denominator D, divided once by D^(|J|(|J|-1)/2)."""
     J = tuple(J)
-    ints, D = over_common_denominator(kc.kappas)
+    ints, D = kc.integers
     return Fraction(_vandermonde_product(ints, J), D ** (len(J) * (len(J) - 1) // 2))
 
 
 def kprime(kc: KappaConfig, i: int) -> Fraction:
-    """Derivative of prod_j (z - kappa_j) at kappa_i."""
-    val = Fraction(1)
-    for j in range(1, kc.n + 1):
-        if j != i:
-            val *= kc.diff(i, j)
-    return val
+    """Derivative of prod_j (z - kappa_j) at kappa_i: the product of the
+    integer differences K_i - K_j over the kappas' common denominator D,
+    divided once by D^(n-1)."""
+    ints, D = kc.integers
+    val = math.prod(ints[i - 1] - K for j, K in enumerate(ints, 1) if j != i)
+    return Fraction(val, D ** (kc.n - 1))
 
 
 def kj_squared_from_R(R: RMatrix, J: Sequence[int]) -> Fraction:
@@ -242,17 +243,12 @@ def _beta_monomial(
     return num, den
 
 
-def _alpha_product_form(
-    ints: Sequence[int],
-    D: int,
-    k: int,
-    beta: Sequence[tuple[int, int]],
-    label: Label,
-) -> Fraction:
-    """alpha_J as a product of squared differences over the exchange sets,
-    from the kappas K_j / D over their common denominator and the (p, q) of
-    each beta.  With m columns exchanged each way, the numerator has m(m-1)
-    squared differences and the denominator m^2, so the D's leave D^(2m)."""
+def _alpha_product_form(ints: Sequence[int], D: int, k: int, label: Label) -> Fraction:
+    """alpha_J without its beta monomial: a product of squared differences
+    over the exchange sets, from the kappas K_j / D over their common
+    denominator.  With m columns exchanged each way, the numerator has
+    m(m-1) squared differences and the denominator m^2, so the D's leave
+    D^(2m)."""
     base = set(range(1, k + 1))
     out = sorted(base - set(label))
     into = sorted(set(label) - base)
@@ -264,8 +260,7 @@ def _alpha_product_form(
     for i in out:
         for j in into:
             den *= (ints[j - 1] - ints[i - 1]) ** 2
-    bn, bd = _beta_monomial(beta, label_lattice_point(len(ints), k, label))
-    return Fraction(num * D ** (2 * len(out)) * bn, den * bd)
+    return Fraction(num * D ** (2 * len(out)), den)
 
 
 def alpha_from_beta(
@@ -273,12 +268,13 @@ def alpha_from_beta(
 ) -> dict[Label, Fraction]:
     """The coefficient family alpha_J for all k-subsets J.
 
-    Computed as exp(c_J^T R c_J / 2) times the beta monomial of c_J, and
-    cross-checked entry by entry against the closed product formula; a
-    mismatch would mean the two parametrizations disagree, so it raises
-    ``RouteMismatchError`` rather than warning.  Each route carries an
-    integer numerator and denominator per label and makes one Fraction of
-    them; the two Fractions are compared.
+    Computed as exp(c_J^T R c_J / 2) times the beta monomial of c_J.  Both
+    routes share that monomial, so the theta coefficient is cross-checked
+    entry by entry against the beta-free closed product formula; a mismatch
+    would mean the two parametrizations disagree, so it raises
+    ``RouteMismatchError`` rather than warning.  Each route makes one
+    Fraction per label, and the agreed value is multiplied by the beta
+    monomial once.
     """
     if not 1 <= k <= kc.genus:
         raise ValueError(f"class k must be between 1 and {kc.genus}, got {k}")
@@ -292,20 +288,19 @@ def alpha_from_beta(
     points = {J: label_lattice_point(kc.n, k, J) for J in labels}
     a_coeffs = theta_coefficients(R, points.values())
     beta_ratios = [(b.numerator, b.denominator) for b in bt]
-    ints, D = over_common_denominator(kc.kappas)
+    ints, D = kc.integers
     alphas: dict[Label, Fraction] = {}
     for J in labels:
         c = points[J]
         a = a_coeffs[c]
-        bn, bd = _beta_monomial(beta_ratios, c)
-        val = Fraction(a.numerator * bn, a.denominator * bd)
-        check = _alpha_product_form(ints, D, k, beta_ratios, J)
-        if val != check:
+        check = _alpha_product_form(ints, D, k, J)
+        if a != check:
             raise RouteMismatchError(
-                f"alpha_{J} disagrees between the theta route ({val}) and the "
-                f"product route ({check})"
+                f"alpha_{J} disagrees between the theta route ({a}) and the "
+                f"product route ({check}) before the beta monomial"
             )
-        alphas[J] = val
+        bn, bd = _beta_monomial(beta_ratios, c)
+        alphas[J] = Fraction(a.numerator * bn, a.denominator * bd)
     return alphas
 
 
@@ -346,7 +341,7 @@ def verify_minor_identity(
     in K_J and K_{I_k} cancel: each side is compared as the integer
     Vandermonde product of the scaled kappas, cross-multiplied with the
     numerator and denominator of A_J and alpha_J."""
-    ints, _ = over_common_denominator(kc.kappas)
+    ints, _ = kc.integers
     k_base = _vandermonde_product(ints, range(1, gp.k + 1))
     for J in hypersimplex_labels(gp.n, gp.k):
         minor, alpha = gp.pluecker[J], alphas[J]
@@ -427,10 +422,7 @@ def _beta_lambda_factor(R: RMatrix, k: int, j: int) -> Fraction:
     families in either direction."""
     val = R.exp_half_diag(j) ** k
     for l in range(1, k):
-        if l == j:
-            val /= R.exp_half_diag(j) ** 2
-        else:
-            val /= R.exp_entry(j, l)
+        val /= R.exp_entry(j, l)
     return val
 
 

@@ -155,7 +155,7 @@ def tau_from_grassmannian(gp: GrassmannPoint, kc: KappaConfig) -> TauFunction:
     if gp.n != kc.n:
         raise ValueError("matrix and node configuration have different sizes")
     # kappa_j^m = K_j^m / D^m in integers, so each wave sum is one Fraction
-    ints, D = over_common_denominator(kc.kappas)
+    ints, D = kc.integers
     powers = [(K, K**2, K**3) for K in ints]
     terms = []
     for J in hypersimplex_labels(gp.n, gp.k):

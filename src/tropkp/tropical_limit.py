@@ -3,12 +3,14 @@
 A configuration of n distinct rational constants kappa_1..kappa_n plays the
 role of the node parameters.  All period-like quantities attached to it are
 logarithms of nonzero rationals, so instead of floating point we carry their
-exponentials exactly: the limit period matrix is stored as the rationals
-exp(R_ij), and each Abel sum as the signed rational it is the log of.
+exponentials exactly: the limit period matrix as the rationals exp(R_ij),
+computed from the kappas when read, and each Abel sum as the signed rational
+it is the log of.  The kappas over their common denominator
+(``KappaConfig.integers``) are formed here alone.
 
 The pieces computed here:
 
-* the g x g limit period matrix R with exp(R_ii) = (kappa_{i+1}-kappa_1)^(-4)
+* the g x g limit period matrix R with exp(R_ii / 2) = (kappa_{i+1}-kappa_1)^(-2)
   and exp(R_ij) = f_ij^2 for the cross ratio
   f_ij = (kappa_{i+1}-kappa_{j+1}) / ((kappa_{i+1}-kappa_1)(kappa_{j+1}-kappa_1)),
 * theta-series coefficients a_c = exp(c^T R c / 2) as exact positive
@@ -20,6 +22,7 @@ The pieces computed here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +74,12 @@ class KappaConfig:
         """kappa_i - kappa_j, 1-based."""
         return self.kappas[i - 1] - self.kappas[j - 1]
 
+    @functools.cached_property
+    def integers(self) -> tuple[tuple[int, ...], int]:
+        """The kappas over their common denominator: integers K_i and D > 0
+        with kappa_i = K_i / D, computed once per configuration."""
+        return over_common_denominator(self.kappas)
+
 
 def kappa_config(values: Iterable[RationalLike]) -> KappaConfig:
     ks = frac_vector(values)
@@ -84,22 +93,24 @@ def kappa_config(values: Iterable[RationalLike]) -> KappaConfig:
 
 @dataclass(frozen=True)
 class RMatrix:
-    """Limit period matrix, stored entrywise as the exact rationals exp(R_ij);
-    index 0 plays the role of the distinguished first node and contributes
-    zero rows/columns where the formulas below ask for them."""
+    """Limit period matrix; it stores only the node configuration, and each
+    exact rational exp(R_ij) = (kappa_{i+1} - kappa_{j+1})^2 exp(R_ii / 2)
+    exp(R_jj / 2) (exp(R_ii / 2)^2 on the diagonal) is computed when read.
+    Index 0 plays the role of the distinguished first node and reads as zero
+    rows/columns of R."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
     kappas: KappaConfig
 
     @property
     def genus(self) -> int:
-        return len(self.entries)
+        return self.kappas.genus
 
     def exp_entry(self, i: int, j: int) -> Fraction:
         """exp(R_ij), 1-based in 1..g; index 0 is allowed and gives 1."""
         if i == 0 or j == 0:
             return Fraction(1)
-        return self.entries[i - 1][j - 1]
+        half = self.exp_half_diag(i) * self.exp_half_diag(j)
+        return half if i == j else self.kappas.diff(i + 1, j + 1) ** 2 * half
 
     def exp_half_diag(self, i: int) -> Fraction:
         """exp(R_ii / 2) = (kappa_{i+1} - kappa_1)^(-2); index 0 gives 1."""
@@ -109,19 +120,9 @@ class RMatrix:
 
 
 def limit_R(kc: KappaConfig) -> RMatrix:
-    """The g x g limit period matrix of the node configuration."""
-    g = kc.genus
-    rows = []
-    for i in range(1, g + 1):
-        row = []
-        for j in range(1, g + 1):
-            if i == j:
-                row.append(kc.diff(i + 1, 1) ** -4)
-            else:
-                f = kc.diff(i + 1, j + 1) / (kc.diff(i + 1, 1) * kc.diff(j + 1, 1))
-                row.append(f**2)
-        rows.append(tuple(row))
-    return RMatrix(entries=tuple(rows), kappas=kc)
+    """The g x g limit period matrix of the node configuration; it computes
+    nothing until an entry is read."""
+    return RMatrix(kappas=kc)
 
 
 def theta_coefficients(
@@ -132,17 +133,18 @@ def theta_coefficients(
     The half-integer diagonal contribution is handled through exp(R_ii/2),
     which is itself rational, so no square roots ever appear.  Each value is
     accumulated as one integer numerator and one integer denominator from
-    the entries of R, a factor p/q raised to e >= 0 multiplying them by p^e
-    and q^e (by q^-e and p^-e when e < 0), and becomes one Fraction.
+    the entries of R on the point's support, each read once per call, a
+    factor p/q raised to e >= 0 multiplying them by p^e and q^e (by q^-e and
+    p^-e when e < 0), and becomes one Fraction.
     """
     g = R.genus
 
+    @functools.cache
     def ratio(i: int, j: int) -> tuple[int, int]:
-        q = R.exp_half_diag(i) if i == j else R.exp_entry(i, j)
+        # exp(R_ii / 2) on the diagonal and exp(R_ij) off it, 0-based
+        q = R.exp_half_diag(i + 1) if i == j else R.exp_entry(i + 1, j + 1)
         return q.numerator, q.denominator
 
-    # exp(R_ii / 2) on the diagonal and exp(R_ij) off it, 0-based
-    ratios = [[ratio(i, j) for j in range(1, g + 1)] for i in range(1, g + 1)]
     out: dict[tuple[int, ...], Fraction] = {}
     for point in points:
         c = tuple(int(x) for x in point)
@@ -153,7 +155,7 @@ def theta_coefficients(
         for a, (i, ci) in enumerate(support):
             # exponent c_i^2 on the diagonal (j = i), c_i c_j above it
             for j, cj in support[a:]:
-                p, q = ratios[i][j]
+                p, q = ratio(i, j)
                 e = ci * cj
                 if e > 0:
                     num *= p**e

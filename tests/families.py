@@ -1,5 +1,6 @@
-"""Hypothesis strategy for coefficient families with large denominators,
-shared by the Fraction-oracle properties of the exact residual loops."""
+"""Hypothesis strategies for node configurations and coefficient families
+with large denominators, shared by the Fraction-oracle properties of the
+exact layers."""
 
 from fractions import Fraction as F
 
@@ -16,6 +17,20 @@ SMALL_RATIONALS = st.integers(1, 10**6).flatmap(
     lambda q: st.integers(-2 * q, 2 * q).map(lambda p: F(p, q))
 )
 KINDS = ("genuine", "perturbed", "random", "synthetic")
+
+
+@st.composite
+def rational_nodes(draw, max_size=7) -> list[F]:
+    """2 to ``max_size`` distinct node parameters in no particular order,
+    of mixed signs, at least one of them an odd numerator over an even
+    denominator: never an integer, so their common denominator exceeds 1."""
+    nodes = draw(st.lists(RATIONALS, min_size=1, max_size=max_size - 1, unique=True))
+    half = st.builds(
+        lambda p, q: F(2 * p + 1, 2 * q),
+        st.integers(-(10**6), 10**6),
+        st.integers(1, 10**6),
+    )
+    return draw(st.permutations(nodes + [draw(half.filter(lambda x: x not in nodes))]))
 
 
 @st.composite

@@ -12,6 +12,8 @@ import pytest
 
 import tropkp
 from tropkp.cli import CERTIFY_MAX_TERMS, FIELD_MAX_POINTS, run
+from tropkp.hirota_parametrization import hirota_point
+from tropkp.tropical_limit import kappa_config
 
 REPO = Path(__file__).resolve().parent.parent
 PINNED_OUTPUT = json.loads((REPO / "tests" / "cli_output.json").read_text())
@@ -449,6 +451,15 @@ class TestErrorHandling:
         assert run(["eqs", "--k", "4", "--n", "4"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("k,n", [(4, 4), (0, 4)])
+    def test_eqs_bad_range_is_one_error_line(self, k, n, capsys):
+        """A class outside 1 <= k < n is refused by the face enumeration
+        itself: exactly one error line naming both numbers, and exit 1."""
+        assert run(["eqs", "--k", str(k), "--n", str(n)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need 1 <= k < n, got k={k}, n={n}\n"
+
     def test_unknown_subcommand(self, capsys):
         assert run(["harvest"]) == 1
         capsys.readouterr()
@@ -743,6 +754,60 @@ class TestFractionCount:
         assert status == 0
         assert json.loads(capsys.readouterr().out)["all_ok"]
         assert 0 < made <= 5000
+
+    def test_term_budget_refuses_before_quadratic_work(
+        self, config_file, capsys, monkeypatch
+    ):
+        """With the bound lowered to 300, a (301, 1) beta config is refused
+        after work linear in n: converting its weights reads only the
+        diagonal of the limit period matrix.  Building the whole g x g matrix
+        first made 540,601 Fractions."""
+        import tropkp.cli as cli_mod
+
+        n = 301
+        monkeypatch.setattr(cli_mod, "CERTIFY_MAX_TERMS", 300)
+        path = config_file(
+            {"kappas": [str(x) for x in range(n)], "class_k": 1, "beta": ["1"] * (n - 1)}
+        )
+        status, made = _fractions_made(run, ["certify", "--config", path])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            "error: class 1 at n = 301 has comb(301, 1) = 301 tau terms, "
+            "exceeding the bound of 300 terms\n"
+        )
+        assert 0 < made <= 10 * n
+
+    def test_hirota_point_reads_only_the_support(self):
+        """A (301, 1) family has lattice points with one nonzero coordinate
+        each, so its theta coefficients read only the diagonal of the limit
+        period matrix: linear work in n.  Building the whole matrix first
+        made 543,603 Fractions."""
+        n = 301
+        kc = kappa_config(range(n))
+        beta = [Fraction(1)] * (n - 1)
+        hp, made = _fractions_made(hirota_point, kc, 1, beta)
+        assert len(hp.alphas) == n
+        assert 0 < made <= 20 * n
+
+
+def _fractions_made(fn, *args):
+    """The result of ``fn(*args)`` and the number of ``Fraction.__new__``
+    calls it made, counted with ``sys.setprofile``."""
+    code = Fraction.__new__.__code__
+    made = 0
+
+    def count(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code is code:
+            made += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, made
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from families import NONZERO, RATIONALS
+from families import NONZERO, RATIONALS, rational_nodes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +162,22 @@ class TestVandermondePieces:
         for a, b in itertools.combinations(J, 2):
             expected *= kc.kappa(b) - kc.kappa(a)
         value = vandermonde_minor(kc, J)
+        assert value == expected
+        assert type(value) is F
+
+    @given(rational_nodes(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kprime_matches_fraction_product(self, nodes, data):
+        """One integer product over the kappas' common denominator D,
+        divided once by D^(n-1), is the product of the Fraction differences
+        kappa_i - kappa_j, on unsorted, mixed-sign, non-integer nodes."""
+        kc = kappa_config(nodes)
+        i = data.draw(st.integers(1, kc.n))
+        expected = F(1)
+        for j in range(1, kc.n + 1):
+            if j != i:
+                expected *= nodes[i - 1] - nodes[j - 1]
+        value = kprime(kc, i)
         assert value == expected
         assert type(value) is F
 

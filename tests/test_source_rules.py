@@ -22,6 +22,36 @@ def test_no_assert_statements():
     assert found == {}, f"assert statements (module: lines): {found}"
 
 
+def test_nodes_integer_form_is_decided_in_one_module():
+    """Only ``tropical_limit`` puts the node parameters over their common
+    denominator (``KappaConfig.integers``); every other module reads that
+    form instead of calling ``over_common_denominator`` on an expression
+    ending in ``.kappas``."""
+    modules = sorted(Path(tropkp.__file__).resolve().parent.glob("*.py"))
+    assert modules
+    found = {}
+    for path in modules:
+        if path.name == "tropical_limit.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (
+                getattr(node.func, "id", None) == "over_common_denominator"
+                or getattr(node.func, "attr", None) == "over_common_denominator"
+            )
+            and any(
+                isinstance(arg, ast.Attribute) and arg.attr == "kappas"
+                for arg in node.args
+            )
+        ]
+        if lines:
+            found[path.name] = lines
+    assert found == {}, f"nodes put over a common denominator (module: lines): {found}"
+
+
 def _imported_names(tree: ast.Module) -> dict[str, int]:
     """Each name a module-level import binds, with its line."""
     bound = {}

@@ -2,9 +2,12 @@
 theta coefficients, period vectors, and Abel sums."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
+from families import rational_nodes
+from hypothesis import given, settings
 
 from tropkp.hirota_parametrization import (
     kprime,
@@ -71,6 +74,17 @@ class TestKappaConfig:
         with pytest.raises(ValueError):
             kappa_config([0])
 
+    @given(rational_nodes())
+    @settings(max_examples=100, deadline=None)
+    def test_integers_reproduce_kappas(self, nodes):
+        """``integers`` is K_i over the least common denominator D > 1 of
+        unsorted, mixed-sign, non-integer nodes, with K_i / D = kappa_i."""
+        kc = kappa_config(nodes)
+        ints, D = kc.integers
+        assert D == math.lcm(*(x.denominator for x in nodes)) > 1
+        assert [F(K, D) for K in ints] == nodes
+        assert kc.integers is kc.integers
+
 
 class TestLimitR:
     def test_exp_entries_frozen(self):
@@ -83,6 +97,28 @@ class TestLimitR:
         R = limit_R(KC)
         assert R.exp_entry(0, 2) == 1
         assert R.exp_half_diag(0) == 1
+
+    @given(rational_nodes())
+    @settings(max_examples=100, deadline=None)
+    def test_entries_match_table_formula(self, nodes):
+        """Every exp(R_ij), 0 <= i, j <= g, read from the closed form equals
+        the defining table on unsorted, mixed-sign, non-integer nodes: 1 on
+        the index-0 row and column, (kappa_{i+1} - kappa_1)^(-4) on the
+        diagonal and the squared cross ratio off it."""
+        kc = kappa_config(nodes)
+        R = limit_R(kc)
+        g = kc.genus
+        assert R.genus == g
+        k = nodes
+        for i in range(g + 1):
+            for j in range(g + 1):
+                if i == 0 or j == 0:
+                    expected = F(1)
+                elif i == j:
+                    expected = (k[i] - k[0]) ** -4
+                else:
+                    expected = ((k[i] - k[j]) / ((k[i] - k[0]) * (k[j] - k[0]))) ** 2
+                assert R.exp_entry(i, j) == expected, f"entry ({i},{j})"
 
     def test_half_diagonal_squares_to_diagonal(self):
         R = limit_R(KC)
