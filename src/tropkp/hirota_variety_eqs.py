@@ -21,7 +21,10 @@ w_{J1} - w_{J2} = delta . scr with delta = e_S - e_{I1-S} the term's sign
 vector; delta sums to zero, so the zero first coordinate (the gauge) never
 matters.  ``instantiate_and_check`` evaluates the quartics exactly on a
 coefficient family from one wave per label, and ``face_table`` does so over
-every doubled point of the family.
+every doubled point of the family.  ``certify`` evaluates only the
+``face_direction_classes`` representatives and compares them with the
+residual groups on the same keys; the full table serves the tests, which
+compare it with the whole residual.
 
 A ``QuarticRelation`` stores only n and its direction and frozen sets.  Its
 terms are enumerated as pairs of label bit masks (bit j - 1 for column j) by
@@ -248,7 +251,9 @@ def face_table(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:
     """Exact value of the face quartic over every doubled point of the
     family's (k, n), each with its own frozen coordinates, keyed by doubled
     point; the class representatives of ``face_direction_classes`` are
-    among the keys."""
+    among the keys.  ``certify`` reads only those representatives, through
+    ``instantiate_and_check``; this full table serves the tests, which
+    compare it with the whole bilinear residual."""
     n = len(hp.uvw.U) + 1
     return instantiate_and_check(_doubled_point_relations(hp.label_size, n), hp)
 

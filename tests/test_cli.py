@@ -13,6 +13,7 @@ import pytest
 import tropkp
 from tropkp.cli import CERTIFY_MAX_TERMS, FIELD_MAX_POINTS, run
 from tropkp.hirota_parametrization import hirota_point
+from tropkp.hirota_variety_eqs import face_direction_classes
 from tropkp.tropical_limit import kappa_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -713,6 +714,132 @@ class TestRelationTermCount:
         assert run(["eqs", "--k", "2", "--n", "4"]) == 0
         out = capsys.readouterr().out
         assert len(built) == len(out.splitlines()) - 1 == 7
+
+
+class TestFaceRepresentatives:
+    """``certify`` evaluates the face quartic once per face direction, at
+    the direction's representative, and compares those values with the
+    residual groups on the same keys.  The bilinear residual is the run's
+    only table over every doubled point."""
+
+    @staticmethod
+    def certify_config(config_file, cfg, choice):
+        cfg = dict(cfg, vertex_choice=choice)
+        n, k = len(cfg["kappas"]), cfg["class_k"]
+        return config_file(cfg), (k if choice == "v1" else n - k), n
+
+    @pytest.mark.parametrize("choice", ["v1", "v2"])
+    @pytest.mark.parametrize("config", ["g3k2", "beta-8-4"])
+    def test_certify_builds_no_full_face_table(
+        self, config, choice, config_file, capsys, monkeypatch
+    ):
+        """One evaluation of one relation per face direction, at either
+        vertex; no enumeration of every doubled point."""
+        import tropkp.cli as cli_mod
+        import tropkp.hirota_variety_eqs as eqs_mod
+
+        cfg = (
+            json.loads((REPO / "g3k2.json").read_text())
+            if config == "g3k2"
+            else dict(TestFractionCount.CONFIG, samples=2)
+        )
+        path, label_size, n = self.certify_config(config_file, cfg, choice)
+        calls = {"face_table": 0, "_doubled_point_relations": 0}
+        for name in calls:
+            real = getattr(eqs_mod, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(eqs_mod, name, counting)
+        evaluated = []
+        real_check = eqs_mod.instantiate_and_check
+
+        def counting_check(relations, hp):
+            relations = list(relations)
+            evaluated.append(len(relations))
+            return real_check(relations, hp)
+
+        monkeypatch.setattr(eqs_mod, "instantiate_and_check", counting_check)
+        monkeypatch.setattr(cli_mod, "instantiate_and_check", counting_check)
+        assert run(["certify", "--json", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["all_ok"]
+        assert calls == {"face_table": 0, "_doubled_point_relations": 0}
+        assert evaluated == [len(face_direction_classes(label_size, n))]
+
+    @pytest.mark.parametrize("choice", ["v1", "v2"])
+    @pytest.mark.parametrize("fault", ["changed", "missing"])
+    def test_face_vs_residual_fails_on_a_wrong_group(
+        self, fault, choice, config_file, capsys, monkeypatch
+    ):
+        """A representative's residual group that holds another value, or
+        that is missing, fails the comparison: a missing key is never
+        skipped."""
+        import tropkp.cli as cli_mod
+
+        path, label_size, n = self.certify_config(config_file, BETA_CONFIG, choice)
+        key = face_direction_classes(label_size, n)[0].squared_point(n)
+        real = cli_mod.hirota_residual
+
+        def faulty(tau):
+            res = real(tau)
+            assert key in res
+            if fault == "changed":
+                res[key] += 1
+            else:
+                del res[key]
+            return res
+
+        monkeypatch.setattr(cli_mod, "hirota_residual", faulty)
+        assert run(["certify", "--config", path]) == 2
+        out = capsys.readouterr().out
+        assert "[FAIL] face-vs-residual: " in out
+        assert "[PASS] face-quartics: " in out
+        assert out.endswith("certification FAILED\n")
+
+    @pytest.mark.parametrize("choice", ["v1", "v2"])
+    @pytest.mark.parametrize("n,k", [(6, 3), (8, 4)])
+    def test_face_vs_residual_compares_nonzero_values(
+        self, n, k, choice, config_file, capsys, monkeypatch
+    ):
+        """With one coefficient scaled by 7/5, some representative values
+        are nonzero, and each equals the residual group on its key, so the
+        comparison certify passes is not one of zeros alone."""
+        import tropkp.cli as cli_mod
+        from tropkp.hirota_parametrization import HirotaPoint
+
+        real_point = cli_mod.hirota_point
+
+        def perturbed(*args):
+            hp = real_point(*args)
+            alphas = dict(hp.alphas)
+            alphas[next(iter(alphas))] *= Fraction(7, 5)
+            return HirotaPoint(alphas, hp.uvw)
+
+        tables = {}
+
+        def recording(name, fn):
+            def record(*args):
+                tables[name] = fn(*args)
+                return tables[name]
+            return record
+
+        monkeypatch.setattr(cli_mod, "hirota_point", perturbed)
+        for name in ("instantiate_and_check", "hirota_residual"):
+            monkeypatch.setattr(cli_mod, name, recording(name, getattr(cli_mod, name)))
+        cfg = dict(TestFractionCount.CONFIG, kappas=[str(x) for x in range(n)],
+                   class_k=k, beta=TestFractionCount.CONFIG["beta"][: n - 1], samples=2)
+        path, label_size, _ = self.certify_config(config_file, cfg, choice)
+        assert run(["certify", "--json", "--config", path]) == 2
+        verdicts = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert verdicts["face-quartics"] is False
+        assert verdicts["face-vs-residual"] is True
+        faces, res = tables["instantiate_and_check"], tables["hirota_residual"]
+        assert len(faces) == len(face_direction_classes(label_size, n))
+        assert any(v != 0 for v in faces.values())
+        for key, value in faces.items():
+            assert res[key] == value
 
 
 class TestFractionCount:
