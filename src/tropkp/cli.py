@@ -17,8 +17,12 @@ on a ``field`` grid one per term for each distinct x, each distinct y and t
 every weight and moment is exact integer arithmetic.  The package needs
 nothing beyond the standard library.  ``field`` refuses grids of more than
 FIELD_MAX_POINTS points, and ``certify`` refuses configs with more than
-CERTIFY_MAX_TERMS tau terms.  Run it as ``tropkp``, ``python -m tropkp`` or
-``python -m tropkp.cli``.
+CERTIFY_MAX_TERMS tau terms.  ``voronoi`` and ``orient`` refuse a genus with
+more than LATTICE_MAX_VERTICES Voronoi vertices, ``delaunay`` a vertex with
+more than LATTICE_MAX_POINTS Delaunay points, and ``matroid`` either.  Every
+budget is checked on a count computed from the arguments, before any work.
+Run it as ``tropkp``, ``python -m tropkp`` or ``python -m tropkp.cli``;
+``run()`` builds its argument parser once per process, on its first call.
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
 certification check fails or two exact routes to the same object disagree.
 """
@@ -26,6 +30,7 @@ certification check fails or two exact routes to the same object disagree.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graph_jacobian import build_banana, frac_vector
+from .graph_jacobian import build_banana, check_genus, frac_vector
 from .hirota_parametrization import (
     RouteMismatchError,
     alpha_from_beta,
@@ -95,6 +100,15 @@ FIELD_MAX_POINTS = 1_000_000
 # loops run over all comb(T, 2) term pairs
 CERTIFY_MAX_TERMS = 2000
 
+# largest number 2^(g+1) - 2 of Voronoi vertices that ``voronoi`` and
+# ``orient`` list, and of strongly connected orientations (as many) that
+# ``matroid``'s second route walks: every genus up to 14
+LATTICE_MAX_VERTICES = 2**15 - 2
+
+# largest Delaunay set comb(g+1, k) that ``delaunay`` and ``matroid`` label:
+# every class up to genus 15
+LATTICE_MAX_POINTS = 12870
+
 # the keys a config and its divisor object may hold
 CONFIG_KEYS = ("kappas", "class_k", "vertex_choice", "beta", "lambda", "divisor",
                "samples", "seed", "tolerance")
@@ -122,16 +136,19 @@ class RunConfig:
     tolerance: float = 1e-8
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str, max_terms: Optional[int] = None) -> "RunConfig":
         try:
             with open(path) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, max_terms)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
+    def from_dict(cls, raw: dict, max_terms: Optional[int] = None) -> "RunConfig":
+        """The config ``raw``, validated.  With ``max_terms`` given, a family
+        of more than that many tau terms comb(n, class_k) is refused as soon
+        as the nodes and the class are read, before any weight is converted."""
         _refuse_unknown_keys(raw, "config", CONFIG_KEYS)
         try:
             kc = kappa_config(_rational_list(raw, "kappas"))
@@ -142,6 +159,10 @@ class RunConfig:
             raise ConfigError(f"bad kappas/class_k: {exc}") from exc
         if not 1 <= class_k <= kc.genus:
             raise ConfigError(f"class_k must be in 1..{kc.genus}")
+        if max_terms is not None:
+            n = kc.n
+            _check_budget(math.comb(n, class_k), max_terms,
+                          f"class {class_k} at n = {n} has comb({n}, {class_k})", "tau terms")
         vertex_choice = raw.get("vertex_choice", "v1")
         if vertex_choice not in ("v1", "v2"):
             raise ConfigError(f"vertex_choice must be v1 or v2, got {vertex_choice!r}")
@@ -214,6 +235,24 @@ def _refuse_unknown_keys(raw, where: str, allowed: tuple[str, ...]) -> None:
         )
 
 
+def _check_budget(count: int, bound: int, what: str, noun: str) -> None:
+    """Refuse a command whose work, ``count`` ``noun`` as ``what`` states it
+    in closed form from the arguments, exceeds ``bound``; the bound is named
+    by the noun's last word."""
+    if count > bound:
+        raise ConfigError(
+            f"{what} = {count} {noun}, exceeding the bound of {bound} {noun.split()[-1]}"
+        )
+
+
+def _check_vertex_budget(genus: int, noun: str) -> None:
+    """``genus`` is valid and has at most LATTICE_MAX_VERTICES Voronoi
+    vertices, or as many strongly connected orientations."""
+    check_genus(genus)
+    _check_budget(2 ** (genus + 1) - 2, LATTICE_MAX_VERTICES,
+                  f"genus {genus} has 2^{genus + 1} - 2", noun)
+
+
 def _json_int(raw: dict, key: str, default: Optional[int] = None) -> int:
     """``raw[key]`` (or the default when absent and one is given) as a JSON
     integer; floats, strings and booleans are refused, not truncated."""
@@ -256,6 +295,7 @@ def _sample_points(samples: int, seed: int) -> list[tuple[float, float, float]]:
 
 
 def _cmd_voronoi(args) -> int:
+    _check_vertex_budget(args.genus, "Voronoi vertices")
     classes = voronoi_vertices(args.genus)
     payload = {
         "genus": args.genus,
@@ -278,13 +318,30 @@ def _parse_vertex(text: str) -> tuple[Fraction, ...]:
     return frac_vector(part.strip() for part in text.split(","))
 
 
+def _delaunay_budget(g: int, k: Optional[int]) -> None:
+    """At most LATTICE_MAX_POINTS Delaunay points, comb(g+1, k), at a
+    vertex of class k; the class of a vertex given by its coordinates shows
+    only in its lift, so ``k=None`` bounds it by the largest class."""
+    n = g + 1
+    if k is None:
+        k = n // 2
+        what = f"a vertex at genus {g} has up to comb({n}, {k})"
+    else:
+        what = f"class {k} at genus {g} has comb({n}, {k})"
+    _check_budget(math.comb(n, k), LATTICE_MAX_POINTS, what, "Delaunay points")
+
+
 def _cmd_delaunay(args) -> int:
     g = args.genus
-    data = build_banana(g)
+    check_genus(g)
     if args.vertex is not None:
         coords = _parse_vertex(args.vertex)
+        _delaunay_budget(g, None)
     else:
-        coords = canonical_vertex(g, 1 if args.class_k is None else args.class_k).coords
+        k = 1 if args.class_k is None else args.class_k
+        coords = canonical_vertex(g, k).coords
+        _delaunay_budget(g, k)
+    data = build_banana(g)
     labels = normalize_delaunay(data, coords)
     payload = {
         "genus": g,
@@ -309,6 +366,7 @@ def _cmd_delaunay(args) -> int:
 
 def _cmd_orient(args) -> int:
     g = args.genus
+    _check_vertex_budget(g, "Voronoi vertices")
     data = build_banana(g)
     classes = voronoi_vertices(g)
     orients = {
@@ -350,8 +408,12 @@ def _cmd_orient(args) -> int:
 
 def _cmd_matroid(args) -> int:
     g = args.genus
-    data = build_banana(g)
+    # the label route labels the Delaunay set; the orientation route walks
+    # every strongly connected orientation, whatever the class
+    _check_vertex_budget(g, "strongly connected orientations")
     coords = canonical_vertex(g, args.class_k).coords
+    _delaunay_budget(g, args.class_k)
+    data = build_banana(g)
     mb = matroid_bases(data, coords, args.vertex_choice)
     payload = {
         "genus": g,
@@ -459,14 +521,8 @@ def _cmd_param(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cfg = RunConfig.from_file(args.config)
+    cfg = RunConfig.from_file(args.config, CERTIFY_MAX_TERMS)
     kc, k = cfg.kc, cfg.class_k
-    terms = math.comb(kc.n, k)
-    if terms > CERTIFY_MAX_TERMS:
-        raise ConfigError(
-            f"class {k} at n = {kc.n} has comb({kc.n}, {k}) = {terms} tau terms, "
-            f"exceeding the bound of {CERTIFY_MAX_TERMS} terms"
-        )
     checks: list[tuple[str, bool, str]] = []
 
     hp1 = hirota_point(kc, k, cfg.beta, "v1")  # raises if the two alpha routes disagree
@@ -593,7 +649,10 @@ def _cmd_field(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``run()``: parsing reads no state of a previous parse."""
     parser = argparse.ArgumentParser(
         prog="tropkp",
         description="exact combinatorics and soliton certification for banana graphs",
@@ -603,7 +662,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("voronoi", help="Voronoi vertices by class and the f-vector")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_voronoi)
 
     p = sub.add_parser("delaunay", help="Delaunay points, shift vector, and labels")
     p.add_argument("--genus", type=int, required=True)
@@ -611,13 +669,11 @@ def _build_parser() -> argparse.ArgumentParser:
     at.add_argument("--class-k", type=int, dest="class_k")
     at.add_argument("--vertex", help="comma-separated rational coordinates")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_delaunay)
 
     p = sub.add_parser("orient", help="vertex/orientation bijection tables")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--circuits", action="store_true", help="include circuit moves")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_orient)
 
     p = sub.add_parser("matroid", help="bases at a canonical vertex, both routes")
     p.add_argument("--genus", type=int, required=True)
@@ -626,29 +682,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "--vertex-choice", choices=("v1", "v2"), default="v1", dest="vertex_choice"
     )
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_matroid)
 
     p = sub.add_parser("limits", help="limit period matrix, period vectors, abel sums")
     p.add_argument("--config", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_limits)
 
     p = sub.add_parser("param", help="soliton matrices and coefficient families")
     p.add_argument("--config", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_param)
 
     p = sub.add_parser("certify", help="full exact + numeric certification battery")
     p.add_argument("--config", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("eqs", help="quartic face equations for a (k, n) family")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_eqs)
 
     p = sub.add_parser("field", help="sample u(x, y, t) on a grid to CSV")
     p.add_argument("--config", required=True)
@@ -660,20 +711,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ymax", type=float, default=10.0)
     p.add_argument("--ny", type=int, default=41)
     p.add_argument("--t", type=float, default=0.0)
-    p.set_defaults(func=_cmd_field)
 
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; remap to the config error code
         return 0 if exc.code in (0, None) else 1
+    # the command is looked up when it runs, not bound into the shared
+    # parser, so a wrapper installed on this module later is the one called
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

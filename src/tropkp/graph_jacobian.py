@@ -8,10 +8,13 @@ Positive rational edge lengths ``l`` then give the Gram matrix
 ``Q = B diag(l) B^T``, a positive definite g x g rational matrix (all entries
 2 on the diagonal and 1 off it when the lengths are 1).
 
-Everything in this module is exact: points are tuples of ``Fraction``, and the
-two geometric predicates (membership in the Voronoi cell of the origin, and
-the set of lattice points equidistant from a given Voronoi vertex) are decided
-in rational and integer arithmetic.  Both rest on the cycle criterion: the
+Everything in this module is exact.  Points come in as tuples of ``Fraction``
+(or ints), and the two geometric predicates (membership in the Voronoi cell of
+the origin, and the set of lattice points equidistant from a given Voronoi
+vertex) are decided in integers on one lift of the point over a common
+denominator, ``BananaData.lift_integer``, against the edge lengths over
+theirs; a ``Fraction`` is made only for a public return value such as
+``lift_coords``.  Both predicates rest on the cycle criterion: the
 Voronoi-relevant vectors of a graph's lattice are its simple cycles (Bacher,
 de la Harpe and Nagnibeda, 1997), which on the banana graph are the n(n-1)/2
 two-edge cycles, lifting under B^T to the vectors +-(e_i - e_j).  For unit
@@ -20,7 +23,6 @@ lengths the cell is the permutohedral cell of the root lattice A_g.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +42,7 @@ __all__ = [
     "vertices_equivalent",
     "frac",
     "frac_vector",
+    "over_common_denominator",
 ]
 
 
@@ -57,6 +60,13 @@ def frac(x: RationalLike) -> Fraction:
 
 def frac_vector(xs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(frac(x) for x in xs)
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integers p_i and D > 0 with values_i = p_i / D, D the lcm of the
+    denominators."""
+    D = math.lcm(*(q.denominator for q in values))
+    return tuple(q.numerator * (D // q.denominator) for q in values), D
 
 
 @dataclass(frozen=True)
@@ -78,14 +88,24 @@ class BananaData:
             return self
         return build_banana(self.genus)
 
-    def lift_coords(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """B^T applied to a g-vector: first entry is the coordinate sum,
-        entry j >= 2 is -point[j-2]."""
-        pt = frac_vector(point)
+    def lift_integer(self, point: Sequence[RationalLike]) -> tuple[int, tuple[int, ...]]:
+        """B^T applied to a g-vector, over a common denominator: ``(d, X)``
+        with B^T point = X / d and d the lcm of the denominators of the
+        entries.  X_1 is d times the coordinate sum, X_j for j >= 2 is
+        -d point[j-2].  Ints and Fractions are read as they are; anything
+        else goes through ``frac``, which refuses a float or a bool."""
+        pt = [x if type(x) is int else frac(x) for x in point]
         if len(pt) != self.genus:
             raise ValueError(f"expected a vector of length {self.genus}, got {len(pt)}")
-        total = sum(pt, Fraction(0))
-        return (total,) + tuple(-x for x in pt)
+        scaled, d = over_common_denominator(pt)
+        return d, (sum(scaled),) + tuple(-x for x in scaled)
+
+    def lift_coords(self, point: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+        """B^T applied to a g-vector, as Fractions: the public view of
+        ``lift_integer``.  The first entry is the coordinate sum, entry
+        j >= 2 is -point[j-2]."""
+        d, X = self.lift_integer(point)
+        return tuple(Fraction(x, d) for x in X)
 
 
 @dataclass(frozen=True)
@@ -160,12 +180,19 @@ def voronoi_contains(data: BananaData, point: Sequence[RationalLike]) -> bool:
     cycles, whose lifts B^T c are the n(n-1) vectors e_i - e_j.  With
     y = B^T p this leaves n(n-1)/2 inequalities
     2 |l_i y_i - l_j y_j| <= l_i + l_j, valid for any positive lengths.
+
+    They are decided in integers: with y = X / d the integer lift and
+    l = L / D the lengths over their common denominator, each reads
+    2 |L_i X_i - L_j X_j| <= d (L_i + L_j).  Both signs of every pair hold
+    exactly when the largest 2 L_i X_i - d L_i is at most the smallest
+    2 L_j X_j + d L_j (for i = j that is 0 <= 2 d L_i), so one pass over
+    the n edges decides all of them.
     """
-    lengths = data.edge_lengths
-    weighted = [l * y for l, y in zip(lengths, data.lift_coords(point))]
-    return all(
-        2 * abs(weighted[i] - weighted[j]) <= lengths[i] + lengths[j]
-        for i, j in itertools.combinations(range(data.n), 2)
+    d, X = data.lift_integer(point)
+    L, _ = over_common_denominator(data.edge_lengths)
+    twice = [2 * l * x for l, x in zip(L, X)]
+    return max(w - d * l for w, l in zip(twice, L)) <= min(
+        w + d * l for w, l in zip(twice, L)
     )
 
 
@@ -178,23 +205,25 @@ def _equidistant_points(data: BananaData, pt: Sequence[Fraction]) -> list[tuple[
     of a Delaunay face whose edges are dual to Voronoi facets, so a walk from
     0 over the moves e_i - e_j that stays on f = 0 reaches all of them.
     """
-    lengths = data.edge_lengths
-    y = data.lift_coords(pt)
-    # d f = sum_m A_m x_m^2 - Y_m x_m with integer A_m = d l_m, Y_m = 2 d l_m y_m
-    linear = [2 * l * v for l, v in zip(lengths, y)]
-    d = math.lcm(*(l.denominator for l in lengths), *(c.denominator for c in linear))
-    A = [int(d * l) for l in lengths]
-    Y = [int(d * c) for c in linear]
+    d, X = data.lift_integer(pt)
+    L, _ = over_common_denominator(data.edge_lengths)
+    # with y = X / d and l = L / D, d D f = sum_m A_m x_m^2 - Y_m x_m for the
+    # integers A_m = d L_m and Y_m = 2 L_m X_m
+    A = [d * l for l in L]
+    Y = [2 * l * x for l, x in zip(L, X)]
     n = data.n
     seen = {(0,) * n}
     stack = list(seen)
     while stack:
         x = stack.pop()
-        # change of d f when x_m rises or falls by one
-        up = [A[m] * (2 * x[m] + 1) - Y[m] for m in range(n)]
-        down = [A[m] * (1 - 2 * x[m]) + Y[m] for m in range(n)]
-        for i, j in itertools.permutations(range(n), 2):
-            if up[i] + down[j] == 0:
+        # d D f changes by up_i + down_j when x_i rises and x_j falls by one,
+        # so the moves that stay on f = 0 pair each i with the j whose down_j
+        # is -up_i; up_i + down_i = 2 A_i > 0, so j is never i
+        falls: dict[int, list[int]] = {}
+        for j in range(n):
+            falls.setdefault(A[j] * (1 - 2 * x[j]) + Y[j], []).append(j)
+        for i in range(n):
+            for j in falls.get(Y[i] - A[i] * (2 * x[i] + 1), ()):
                 step = list(x)
                 step[i] += 1
                 step[j] -= 1
@@ -224,7 +253,8 @@ def _rank(vectors: Iterable[Sequence[int]]) -> int:
 
 def classify_point(data: BananaData, point: Sequence[RationalLike]) -> int:
     """Number of negative entries of the lift B^T point."""
-    return sum(1 for entry in data.lift_coords(frac_vector(point)) if entry < 0)
+    _, X = data.lift_integer(point)
+    return sum(1 for x in X if x < 0)
 
 
 def delaunay_set(data: BananaData, a: Sequence[RationalLike]) -> DelaunaySet:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph_jacobian import BananaData, RationalLike, VoronoiVertex
-from .voronoi_combinatorics import lift, normalize_delaunay, vertex_from_lift_signs
+from .voronoi_combinatorics import lift_signs, normalize_delaunay, vertex_from_lift_signs
 
 __all__ = [
     "Orientation",
@@ -62,11 +62,10 @@ def _make_orientation(signs: Sequence[int]) -> Orientation:
 
 def vertex_to_orientation(data: BananaData, a: Sequence[RationalLike]) -> Orientation:
     """Orientation whose reversed edges are the negative lift entries of a."""
-    lifted = lift(data, a)
-    if any(s == 0 for s in lifted.signs):
+    signs = lift_signs(data, a)
+    if 0 in signs:
         raise ValueError("point lifts to a zero entry; not a Voronoi vertex")
-    o = _make_orientation(lifted.signs)
-    return o
+    return _make_orientation(signs)
 
 
 def orientation_to_vertex(data: BananaData, o: Orientation) -> VoronoiVertex:

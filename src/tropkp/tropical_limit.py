@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph_jacobian import RationalLike, frac_vector
+from .graph_jacobian import RationalLike, frac_vector, over_common_denominator
 
 __all__ = [
     "KappaConfig",
@@ -179,13 +179,6 @@ def quartic(x: Fraction, y: Fraction, t: Fraction) -> Fraction:
 # quartics: one shared object, so that comparing the two tables compares
 # identical objects wherever both vanish.
 ZERO = Fraction(0)
-
-
-def over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """Integers p_i and D > 0 with values_i = p_i / D, D the lcm of the
-    denominators."""
-    D = math.lcm(*(q.denominator for q in values))
-    return tuple(q.numerator * (D // q.denominator) for q in values), D
 
 
 def clear_denominators(

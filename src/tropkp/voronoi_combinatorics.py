@@ -38,6 +38,7 @@ __all__ = [
     "f_vector",
     "canonical_vertex",
     "lift",
+    "lift_signs",
     "projection_matrix",
     "shift_vector",
     "normalize_delaunay",
@@ -70,11 +71,10 @@ def vertex_from_lift_signs(genus: int, neg_positions: frozenset[int]) -> Voronoi
         raise ValueError(f"need between 1 and {genus} negative positions, got {k}")
     if not all(1 <= j <= n for j in neg_positions):
         raise ValueError("edge indices out of range")
-    lift_vals = [
-        Fraction(-(n - k), n) if j in neg_positions else Fraction(k, n)
-        for j in range(1, n + 1)
-    ]
-    coords = tuple(-lift_vals[j] for j in range(1, n))
+    # the coordinates are minus the lift on edges 2..n, so they take two
+    # values, shared by every entry
+    negated, other = Fraction(n - k, n), Fraction(-k, n)
+    coords = tuple(negated if j in neg_positions else other for j in range(2, n + 1))
     return VoronoiVertex(coords=coords, class_k=k)
 
 
@@ -111,12 +111,16 @@ def canonical_vertex(genus: int, k: int) -> VoronoiVertex:
     return vertex_from_lift_signs(genus, frozenset(range(1, k + 1)))
 
 
+def lift_signs(data: BananaData, a: Sequence[RationalLike]) -> tuple[int, ...]:
+    """Signs (+1, 0, -1) of the entries of B^T a, read off its integer lift."""
+    _, X = data.lift_integer(a)
+    return tuple((x > 0) - (x < 0) for x in X)
+
+
 def lift(data: BananaData, a: Sequence[RationalLike]) -> LiftedVertex:
     """B^T a with its sign pattern; vertices of the unit cell never lift to
     a zero entry."""
-    coords = data.lift_coords(frac_vector(a))
-    signs = tuple(0 if x == 0 else (1 if x > 0 else -1) for x in coords)
-    return LiftedVertex(coords=coords, signs=signs)
+    return LiftedVertex(coords=data.lift_coords(a), signs=lift_signs(data, a))
 
 
 def projection_matrix(genus: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -131,10 +135,10 @@ def projection_matrix(genus: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def shift_vector(data: BananaData, a: Sequence[RationalLike]) -> ShiftVector:
     """Indicator of the negative lift entries of the vertex ``a``."""
-    lifted = lift(data, a)
-    if any(s == 0 for s in lifted.signs):
+    signs = lift_signs(data, a)
+    if 0 in signs:
         raise ValueError(f"{tuple(frac_vector(a))} has a zero lift entry, not a vertex")
-    return ShiftVector(s=tuple(1 if s < 0 else 0 for s in lifted.signs))
+    return ShiftVector(s=tuple(1 if s < 0 else 0 for s in signs))
 
 
 def normalize_delaunay(
@@ -150,7 +154,9 @@ def normalize_delaunay(
     s = shift_vector(data, a).s
     labels: dict[tuple[int, ...], tuple[int, ...]] = {}
     for c in ds.points:
-        shifted = [x + si for x, si in zip(data.lift_coords(c), s)]
+        # c is an integer vector, so its integer lift has denominator 1
+        _, X = data.lift_integer(c)
+        shifted = [x + si for x, si in zip(X, s)]
         if not all(entry in (0, 1) for entry in shifted):
             raise ValueError(f"lift of {c} plus shift is not a 0/1 vector: {shifted}")
         label = tuple(j + 1 for j, entry in enumerate(shifted) if entry == 1)

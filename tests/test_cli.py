@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 import tropkp
-from tropkp.cli import CERTIFY_MAX_TERMS, FIELD_MAX_POINTS, run
+from tropkp.cli import (
+    CERTIFY_MAX_TERMS,
+    FIELD_MAX_POINTS,
+    LATTICE_MAX_POINTS,
+    LATTICE_MAX_VERTICES,
+    run,
+)
 from tropkp.hirota_parametrization import hirota_point
 from tropkp.hirota_variety_eqs import face_direction_classes
 from tropkp.tropical_limit import kappa_config
@@ -125,6 +131,224 @@ class TestCombinatoricsCommands:
         assert payload["routes_agree"] is True
         assert payload["rank"] == 2
         assert len(payload["bases"]) == 6
+
+
+def _spy(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records its arguments and
+    calls through; returns the list of recorded argument tuples."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestLatticeBudget:
+    """``voronoi``, ``orient``, ``delaunay`` and ``matroid`` check a count
+    computed from their arguments against a bound before any work: Voronoi
+    vertices 2^(g+1) - 2 (as many strongly connected orientations, which
+    ``matroid``'s second route walks) and Delaunay points comb(g+1, k)."""
+
+    def test_bounds_admit_the_benchmark_and_pinned_commands(self):
+        """The vertex tables at genus 7 and the genus 8, class 4 Delaunay
+        probe of the benchmark are within the bounds, and so is every
+        pinned command (genus 3 at most)."""
+        assert 2 ** (7 + 1) - 2 <= LATTICE_MAX_VERTICES
+        assert math.comb(9, 4) <= LATTICE_MAX_POINTS
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["voronoi", "--genus", "15"], "genus 15 has 2^16 - 2 = 65534 Voronoi vertices"),
+            (["orient", "--genus", "15"], "genus 15 has 2^16 - 2 = 65534 Voronoi vertices"),
+            (["matroid", "--genus", "15", "--class-k", "1"],
+             "genus 15 has 2^16 - 2 = 65534 strongly connected orientations"),
+            (["delaunay", "--genus", "16", "--class-k", "8"],
+             "class 8 at genus 16 has comb(17, 8) = 24310 Delaunay points"),
+        ],
+    )
+    def test_refuses_past_the_bounds_before_any_work(
+        self, argv, message, capsys, monkeypatch
+    ):
+        import tropkp.cli as cli_mod
+
+        built = _spy(monkeypatch, cli_mod, "build_banana")
+        listed = _spy(monkeypatch, cli_mod, "voronoi_vertices")
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}, exceeding the bound of ")
+        assert captured.err.count("\n") == 1
+        assert built == [] and listed == []
+
+    @pytest.mark.parametrize("command", ["voronoi", "orient"])
+    @pytest.mark.parametrize("bound, code", [(29, 1), (30, 0)])
+    def test_vertex_budget_is_inclusive(self, command, bound, code, capsys, monkeypatch):
+        """Genus 4 has 2^5 - 2 = 30 Voronoi vertices: with the bound lowered
+        to 29 the command is refused before any vertex is built, and at 30
+        it runs."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "LATTICE_MAX_VERTICES", bound)
+        listed = _spy(monkeypatch, cli_mod, "voronoi_vertices")
+        assert run([command, "--genus", "4", "--json"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == (
+                "error: genus 4 has 2^5 - 2 = 30 Voronoi vertices, "
+                "exceeding the bound of 29 vertices\n"
+            )
+            assert captured.out == ""
+            assert listed == []
+        else:
+            assert json.loads(captured.out)["genus"] == 4
+            assert listed == [(4,)]
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["delaunay", "--genus", "4", "--class-k", "2"],
+             "class 2 at genus 4 has comb(5, 2)"),
+            # a vertex given by its coordinates is bounded by the largest class
+            (["delaunay", "--genus", "4", "--vertex", "3/5,-2/5,-2/5,-2/5"],
+             "a vertex at genus 4 has up to comb(5, 2)"),
+            (["matroid", "--genus", "4", "--class-k", "2"],
+             "class 2 at genus 4 has comb(5, 2)"),
+        ],
+    )
+    @pytest.mark.parametrize("bound, code", [(9, 1), (10, 0)])
+    def test_point_budget_is_inclusive(self, argv, what, bound, code, capsys, monkeypatch):
+        """A class-2 vertex at genus 4 has comb(5, 2) = 10 Delaunay points:
+        with the bound lowered to 9 the command is refused before the
+        lattice is built, and at 10 it runs."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "LATTICE_MAX_POINTS", bound)
+        built = _spy(monkeypatch, cli_mod, "build_banana")
+        assert run(argv + ["--json"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == (
+                f"error: {what} = 10 Delaunay points, exceeding the bound of 9 points\n"
+            )
+            assert captured.out == ""
+            assert built == []
+        else:
+            assert json.loads(captured.out)["genus"] == 4
+            assert built == [(4,)]
+
+    @pytest.mark.parametrize("bound, code", [(29, 1), (30, 0)])
+    def test_matroid_counts_the_orientations_it_walks(
+        self, bound, code, capsys, monkeypatch
+    ):
+        """``matroid`` walks all 2^(g+1) - 2 strongly connected orientations
+        whatever the class, so class 1 at genus 4 (5 Delaunay points) is
+        refused once the vertex bound is below 30."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "LATTICE_MAX_VERTICES", bound)
+        built = _spy(monkeypatch, cli_mod, "build_banana")
+        assert run(["matroid", "--genus", "4", "--class-k", "1"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == (
+                "error: genus 4 has 2^5 - 2 = 30 strongly connected orientations, "
+                "exceeding the bound of 29 orientations\n"
+            )
+            assert built == []
+        else:
+            assert "uniform matroid of rank 1 on 5 edges" in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["voronoi", "--genus", "0"], "genus must be >= 1, got 0"),
+            (["orient", "--genus", "-3"], "genus must be >= 1, got -3"),
+            (["matroid", "--genus", "0", "--class-k", "1"], "genus must be >= 1, got 0"),
+            (["delaunay", "--genus", "0", "--vertex", "1"], "genus must be >= 1, got 0"),
+            (["delaunay", "--genus", "3", "--class-k", "-1"],
+             "class must be between 1 and 3, got -1"),
+            (["matroid", "--genus", "3", "--class-k", "9"],
+             "class must be between 1 and 3, got 9"),
+        ],
+    )
+    def test_invalid_arguments_are_reported_before_the_budget(
+        self, argv, message, capsys
+    ):
+        """A genus or class out of range gets its own message, not a count."""
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestParserReuse:
+    """``run()`` builds its argument parser once per process and shares it;
+    parsing one command line leaves nothing behind for the next."""
+
+    def test_one_parser_for_many_runs(self, capsys):
+        import tropkp.cli as cli_mod
+
+        cli_mod._build_parser.cache_clear()
+        for _ in range(20):
+            assert run(["voronoi", "--genus", "2", "--json"]) == 0
+        info = cli_mod._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+        capsys.readouterr()
+
+    def test_parser_is_not_built_at_import(self):
+        src = str(Path(tropkp.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import tropkp.cli as c; print(c._build_parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert done.stdout.strip() == "0"
+
+    def test_shared_parser_matches_fresh_processes(self, capsys, monkeypatch):
+        """A usage error, ``--help`` and a valid command, run in that order
+        on one shared parser, print what each prints in a fresh process."""
+        import tropkp.cli as cli_mod
+
+        argvs = [
+            ["delaunay", "--genus", "3", "--class-k", "2", "--vertex", "1/2,1/2,-1/2"],
+            ["--help"],
+            ["delaunay", "--genus", "3", "--class-k", "2", "--json"],
+        ]
+        # help text wraps at the terminal width, so fix it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        cli_mod._build_parser.cache_clear()
+        shared = []
+        for argv in argvs:
+            code = run(argv)
+            captured = capsys.readouterr()
+            shared.append((captured.out, captured.err, code))
+        assert cli_mod._build_parser.cache_info().misses == 1
+        src = str(Path(tropkp.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+        fresh = []
+        for argv in argvs:
+            done = subprocess.run(
+                [sys.executable, "-m", "tropkp", *argv], env=env, capture_output=True,
+                text=True, timeout=60,
+            )
+            fresh.append((done.stdout, done.stderr, done.returncode))
+        assert shared == fresh
+        assert [code for _, _, code in shared] == [1, 0, 0]
+
+    def test_commands_are_looked_up_when_run(self, capsys, monkeypatch):
+        """The shared parser does not hold the command functions, so one
+        replaced on the module after the parser is built is the one run."""
+        import tropkp.cli as cli_mod
+
+        assert run(["voronoi", "--genus", "2"]) == 0
+        calls = _spy(monkeypatch, cli_mod, "_cmd_voronoi")
+        assert run(["voronoi", "--genus", "2"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
 
 
 class TestConfigCommands:
@@ -903,6 +1127,50 @@ class TestFractionCount:
             "exceeding the bound of 300 terms\n"
         )
         assert 0 < made <= 10 * n
+
+    def test_term_budget_refuses_a_divisor_config_before_its_weights(
+        self, config_file, capsys, monkeypatch
+    ):
+        """With the bound lowered to 300, a (301, 1) divisor config is
+        refused as soon as its nodes and class are read: its divisor is
+        never converted to weights.  Converting it first
+        (``lambda_from_divisor``, O(n g) Fraction work) made 184,206
+        Fractions; reading the 301 nodes makes 301."""
+        import tropkp.cli as cli_mod
+
+        n = 301
+        monkeypatch.setattr(cli_mod, "CERTIFY_MAX_TERMS", 300)
+        converted = _spy(monkeypatch, cli_mod, "lambda_from_divisor")
+        points = [f"{2 * i + 1}/2" for i in range(n - 1)]
+        path = config_file({
+            "kappas": [str(x) for x in range(n)],
+            "class_k": 1,
+            "divisor": {"points": points, "split_k": 1, "p0_component": "X+"},
+        })
+        status, made = _fractions_made(run, ["certify", "--config", path])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            "error: class 1 at n = 301 has comb(301, 1) = 301 tau terms, "
+            "exceeding the bound of 300 terms\n"
+        )
+        assert converted == []
+        assert 0 < made <= 10 * n
+
+    def test_lattice_commands_make_few_fractions(self, capsys):
+        """The lattice predicates read one integer lift of each point, and a
+        vertex of class k shares its two coordinate values, so a Fraction is
+        made per value, not per lift entry.  ``orient --json`` at genus 7
+        made 7,677 Fractions and ``delaunay --json`` at genus 7, class 4
+        made 2,399 when every lift entry was a Fraction; they make 565 and
+        59."""
+        for argv, ceiling in [
+            (["orient", "--json", "--genus", "7"], 1000),
+            (["delaunay", "--json", "--genus", "7", "--class-k", "4"], 200),
+        ]:
+            status, made = _fractions_made(run, argv)
+            assert status == 0
+            assert json.loads(capsys.readouterr().out)["genus"] == 7
+            assert 0 < made <= ceiling, (argv, made)
 
     def test_hirota_point_reads_only_the_support(self):
         """A (301, 1) family has lattice points with one nonzero coordinate

@@ -18,11 +18,31 @@ from tropkp.graph_jacobian import (
     vertices_equivalent,
     voronoi_contains,
 )
+from tropkp.voronoi_combinatorics import voronoi_vertices
 
 # A genus-3 vertex for the lengths (1, 7, 9/2, 1/3) whose Delaunay cell is a
 # simplex: 4 equidistant points, not the 6 a unit-length class-2 vertex has.
 WEIGHTED_LENGTHS = (1, 7, F(9, 2), F(1, 3))
 WEIGHTED_VERTEX = (F(293, 550), F(-247, 550), F(103, 550))
+
+
+def fraction_lift(data, point):
+    """B^T point in plain Fractions, read off the incidence matrix ``B``
+    rather than from the package's lift."""
+    return tuple(
+        sum((b * F(x) for b, x in zip(column, point)), F(0)) for column in zip(*data.B)
+    )
+
+
+def fraction_contains(data, point):
+    """The cycle criterion pair by pair in plain Fractions:
+    2 |l_i y_i - l_j y_j| <= l_i + l_j for every pair of edges, y = B^T p."""
+    lengths = data.edge_lengths
+    weighted = [l * y for l, y in zip(lengths, fraction_lift(data, point))]
+    return all(
+        2 * abs(weighted[i] - weighted[j]) <= lengths[i] + lengths[j]
+        for i, j in itertools.combinations(range(data.n), 2)
+    )
 
 
 def box_scan(data, point):
@@ -38,10 +58,10 @@ def box_scan(data, point):
     """
     pt = tuple(F(x) for x in point)
     lengths = data.edge_lengths
-    y = data.lift_coords(pt)
+    y = fraction_lift(data, pt)
 
     def excess(c):  # |p - c|_Q^2 - |p|_Q^2
-        x = data.lift_coords(c)
+        x = fraction_lift(data, c)
         return sum(l * xm * (xm - 2 * ym) for l, xm, ym in zip(lengths, x, y))
 
     r2 = sum(l * ym * ym for l, ym in zip(lengths, y))
@@ -247,6 +267,90 @@ class TestVoronoiContains:
         if inside and len(equal) <= genus:
             with pytest.raises(ValueError, match="not a Voronoi vertex"):
                 delaunay_set(data, point)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_integer_lift_matches_the_fraction_criterion(self, draw):
+        """The integer lift (d, X) is B^T a over the lcm d of the entries'
+        denominators, and membership decided on it agrees with the pairwise
+        inequalities in plain Fractions.  Points are random rationals with
+        mixed denominators and points on the boundary, where equality
+        decides: the vertices of the unit cell, the midpoints c / 2 of the
+        two-edge cycles c (facet centres) and circumcentres of spanning
+        trees, each also pushed slightly out and in."""
+        kind = draw.draw(st.sampled_from(["random", "facet", "vertex", "tree"]))
+        if kind == "tree":
+            # a circumcentre is a vertex whenever it lies in the cell
+            data, tree = draw.draw(weighted_trees())
+            point = list(circumcentre(data, tree))
+        else:
+            genus = draw.draw(st.integers(min_value=1, max_value=5))
+            # voronoi_vertices lists the vertices of the unit-length cell
+            unit = kind == "vertex" or draw.draw(st.booleans())
+            lengths = None if unit else draw.draw(
+                st.lists(
+                    st.fractions(min_value=F(1, 10), max_value=10, max_denominator=12),
+                    min_size=genus + 1,
+                    max_size=genus + 1,
+                )
+            )
+            data = build_banana(genus, lengths)
+        if kind == "random":
+            point = draw.draw(
+                st.lists(
+                    st.fractions(min_value=-2, max_value=2, max_denominator=30),
+                    min_size=data.genus,
+                    max_size=data.genus,
+                )
+            )
+        elif kind == "facet":
+            # the cycle on edges i and j lifts to e_i - e_j; on edges 2..n the
+            # lift is minus the point
+            i, j = draw.draw(st.permutations(range(data.n)))[:2]
+            point = [F(-((m == i) - (m == j)), 2) for m in range(1, data.n)]
+        elif kind == "vertex":
+            cls = draw.draw(st.integers(min_value=1, max_value=data.genus))
+            point = list(draw.draw(st.sampled_from(voronoi_vertices(data.genus)[cls])).coords)
+        scale = draw.draw(st.sampled_from([F(1), F(1001, 1000), F(999, 1000)]))
+        point = [scale * x for x in point]
+        if draw.draw(st.booleans()):
+            # the same values as ints where they are whole, and as strings
+            point = [int(x) if x.denominator == 1 else str(x) for x in point]
+
+        d, X = data.lift_integer(point)
+        assert d == math.lcm(*(F(x).denominator for x in point))
+        assert tuple(F(x, d) for x in X) == fraction_lift(data, point)
+        assert data.lift_coords(point) == fraction_lift(data, point)
+        assert voronoi_contains(data, point) == fraction_contains(data, point), (
+            data.edge_lengths, point)
+        if kind != "random" and scale == 1 and fraction_contains(data, point):
+            # on the boundary at least one pairwise inequality is an equality
+            y = fraction_lift(data, point)
+            weighted = [l * v for l, v in zip(data.edge_lengths, y)]
+            assert any(
+                2 * abs(weighted[i] - weighted[j]) == data.edge_lengths[i] + data.edge_lengths[j]
+                for i, j in itertools.combinations(range(data.n), 2)
+            )
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4, 5])
+    def test_every_unit_vertex_is_on_the_boundary(self, genus):
+        """Every vertex of the unit cell is in it and leaves it when pushed
+        out by a factor 1001/1000, by both criteria."""
+        data = build_banana(genus)
+        for vertices in voronoi_vertices(genus).values():
+            for v in vertices:
+                for scale, inside in ((1, True), (F(1001, 1000), False)):
+                    pt = [scale * x for x in v.coords]
+                    assert voronoi_contains(data, pt) is inside, pt
+                    assert fraction_contains(data, pt) is inside, pt
+
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_lift_refuses_floats_and_booleans(self, value):
+        data = build_banana(2)
+        with pytest.raises(TypeError, match="refusing"):
+            data.lift_integer((value, 0))
+        with pytest.raises(TypeError, match="refusing"):
+            voronoi_contains(data, (0, value))
 
     @given(
         st.lists(
