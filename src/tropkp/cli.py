@@ -18,9 +18,10 @@ every weight and moment is exact integer arithmetic.  The package needs
 nothing beyond the standard library.  ``field`` refuses grids of more than
 FIELD_MAX_POINTS points, and ``certify`` refuses configs with more than
 CERTIFY_MAX_TERMS tau terms.  ``voronoi`` and ``orient`` refuse a genus with
-more than LATTICE_MAX_VERTICES Voronoi vertices, ``delaunay`` a vertex with
-more than LATTICE_MAX_POINTS Delaunay points, and ``matroid`` either.  Every
-budget is checked on a count computed from the arguments, before any work.
+more than LATTICE_MAX_VERTICES Voronoi vertices, ``delaunay`` and
+``matroid`` a vertex whose Delaunay table of points times n entries is
+larger than LATTICE_MAX_ENTRIES.  ``_check_budget`` checks every budget on a
+count computed from the arguments, before any work.
 Run it as ``tropkp``, ``python -m tropkp`` or ``python -m tropkp.cli``;
 ``run()`` builds its argument parser once per process, on its first call.
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
@@ -64,7 +65,6 @@ from .orientations_matroids import (
     circuit_difference,
     delaunaytroid,
     matroid_bases,
-    strongly_connected_orientations,
     vertex_to_orientation,
 )
 from .tau_kp import (
@@ -101,13 +101,13 @@ FIELD_MAX_POINTS = 1_000_000
 CERTIFY_MAX_TERMS = 2000
 
 # largest number 2^(g+1) - 2 of Voronoi vertices that ``voronoi`` and
-# ``orient`` list, and of strongly connected orientations (as many) that
-# ``matroid``'s second route walks: every genus up to 14
+# ``orient`` list: every genus up to 14
 LATTICE_MAX_VERTICES = 2**15 - 2
 
-# largest Delaunay set comb(g+1, k) that ``delaunay`` and ``matroid`` label:
-# every class up to genus 15
-LATTICE_MAX_POINTS = 12870
+# largest Delaunay table, comb(g+1, k) points of g+1 entries each, that
+# ``delaunay`` and ``matroid`` build: every class up to genus 15, and class 1
+# up to genus 452
+LATTICE_MAX_ENTRIES = math.comb(16, 8) * 16
 
 # the keys a config and its divisor object may hold
 CONFIG_KEYS = ("kappas", "class_k", "vertex_choice", "beta", "lambda", "divisor",
@@ -245,12 +245,12 @@ def _check_budget(count: int, bound: int, what: str, noun: str) -> None:
         )
 
 
-def _check_vertex_budget(genus: int, noun: str) -> None:
+def _check_vertex_budget(genus: int) -> None:
     """``genus`` is valid and has at most LATTICE_MAX_VERTICES Voronoi
-    vertices, or as many strongly connected orientations."""
+    vertices."""
     check_genus(genus)
     _check_budget(2 ** (genus + 1) - 2, LATTICE_MAX_VERTICES,
-                  f"genus {genus} has 2^{genus + 1} - 2", noun)
+                  f"genus {genus} has 2^{genus + 1} - 2", "Voronoi vertices")
 
 
 def _json_int(raw: dict, key: str, default: Optional[int] = None) -> int:
@@ -295,7 +295,7 @@ def _sample_points(samples: int, seed: int) -> list[tuple[float, float, float]]:
 
 
 def _cmd_voronoi(args) -> int:
-    _check_vertex_budget(args.genus, "Voronoi vertices")
+    _check_vertex_budget(args.genus)
     classes = voronoi_vertices(args.genus)
     payload = {
         "genus": args.genus,
@@ -319,16 +319,18 @@ def _parse_vertex(text: str) -> tuple[Fraction, ...]:
 
 
 def _delaunay_budget(g: int, k: Optional[int]) -> None:
-    """At most LATTICE_MAX_POINTS Delaunay points, comb(g+1, k), at a
-    vertex of class k; the class of a vertex given by its coordinates shows
-    only in its lift, so ``k=None`` bounds it by the largest class."""
+    """At most LATTICE_MAX_ENTRIES entries, comb(g+1, k) points of g+1 each,
+    in the Delaunay table of a vertex of class k; the class of a vertex given
+    by its coordinates shows only in its lift, so ``k=None`` bounds it by the
+    largest class."""
     n = g + 1
     if k is None:
         k = n // 2
-        what = f"a vertex at genus {g} has up to comb({n}, {k})"
+        what = f"a vertex at genus {g} has up to comb({n}, {k}) * {n}"
     else:
-        what = f"class {k} at genus {g} has comb({n}, {k})"
-    _check_budget(math.comb(n, k), LATTICE_MAX_POINTS, what, "Delaunay points")
+        what = f"class {k} at genus {g} has comb({n}, {k}) * {n}"
+    _check_budget(math.comb(n, k) * n, LATTICE_MAX_ENTRIES, what,
+                  "Delaunay table entries")
 
 
 def _cmd_delaunay(args) -> int:
@@ -366,7 +368,7 @@ def _cmd_delaunay(args) -> int:
 
 def _cmd_orient(args) -> int:
     g = args.genus
-    _check_vertex_budget(g, "Voronoi vertices")
+    _check_vertex_budget(g)
     data = build_banana(g)
     classes = voronoi_vertices(g)
     orients = {
@@ -375,7 +377,8 @@ def _cmd_orient(args) -> int:
     }
     payload = {
         "genus": g,
-        "orientation_count": len(strongly_connected_orientations(g)),
+        # 2^(g+1) - 2 exactly when the map from vertices is injective
+        "orientation_count": len({o for os in orients.values() for o in os}),
         "pairs": [
             {"vertex": _svec(v.coords), "class": v.class_k,
              "signs": list(o.signs), "out_degree_v1": o.out_degree_v1}
@@ -408,9 +411,8 @@ def _cmd_orient(args) -> int:
 
 def _cmd_matroid(args) -> int:
     g = args.genus
-    # the label route labels the Delaunay set; the orientation route walks
-    # every strongly connected orientation, whatever the class
-    _check_vertex_budget(g, "strongly connected orientations")
+    # the orientation route builds as many orientations as there are points
+    check_genus(g)
     coords = canonical_vertex(g, args.class_k).coords
     _delaunay_budget(g, args.class_k)
     data = build_banana(g)
@@ -622,11 +624,7 @@ def _cmd_field(args) -> int:
     nx, ny = args.nx, args.ny
     if nx < 1 or ny < 1:
         raise ConfigError("grid must have at least one point per axis")
-    if nx * ny > FIELD_MAX_POINTS:
-        raise ConfigError(
-            f"grid of {nx} x {ny} = {nx * ny} points exceeds the bound of "
-            f"{FIELD_MAX_POINTS} points (nx * ny)"
-        )
+    _check_budget(nx * ny, FIELD_MAX_POINTS, f"grid of {nx} x {ny}", "points")
     cfg = RunConfig.from_file(args.config)
     hp = hirota_point(cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
     tau = tau_from_hirota_point(hp)

@@ -17,12 +17,15 @@ theirs; a ``Fraction`` is made only for a public return value such as
 ``lift_coords``.  Both predicates rest on the cycle criterion: the
 Voronoi-relevant vectors of a graph's lattice are its simple cycles (Bacher,
 de la Harpe and Nagnibeda, 1997), which on the banana graph are the n(n-1)/2
-two-edge cycles, lifting under B^T to the vectors +-(e_i - e_j).  For unit
-lengths the cell is the permutohedral cell of the root lattice A_g.
+two-edge cycles, lifting under B^T to the vectors +-(e_i - e_j).  A walk
+over those moves finds the equidistant points, and the span of the moves
+it takes, a graphic matroid's rank, tells whether the point is a vertex.
+For unit lengths the cell is the permutohedral cell of the root lattice A_g.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,13 +74,28 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...]
 
 @dataclass(frozen=True)
 class BananaData:
-    """Cycle basis and Gram matrix of a two-vertex graph with parallel edges."""
+    """A two-vertex graph with parallel edges; its cycle basis ``B`` and Gram
+    matrix ``Q`` are computed when first read."""
 
     genus: int
     n: int
     edge_lengths: tuple[Fraction, ...]
-    B: tuple[tuple[int, ...], ...]
-    Q: tuple[tuple[Fraction, ...], ...]
+
+    @functools.cached_property
+    def B(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(1 if m == 0 else (-1 if m == i + 1 else 0) for m in range(self.n))
+            for i in range(self.genus)
+        )
+
+    @functools.cached_property
+    def Q(self) -> tuple[tuple[Fraction, ...], ...]:
+        lengths = self.edge_lengths
+        # Q[i][j] = sum_m l_m B[i][m] B[j][m] = l_0 + delta_ij * l_{i+1}
+        return tuple(
+            tuple(lengths[0] + (lengths[i + 1] if i == j else 0) for j in range(self.genus))
+            for i in range(self.genus)
+        )
 
     def is_unit(self) -> bool:
         return all(l == 1 for l in self.edge_lengths)
@@ -142,7 +160,7 @@ def check_genus(genus: int) -> None:
 
 
 def build_banana(genus: int, edge_lengths: Optional[Sequence[RationalLike]] = None) -> BananaData:
-    """Construct the cycle basis and Gram matrix for the given genus.
+    """The banana graph of the given genus.
 
     ``edge_lengths`` defaults to all ones; when given it must list n = genus+1
     positive rationals.
@@ -157,17 +175,7 @@ def build_banana(genus: int, edge_lengths: Optional[Sequence[RationalLike]] = No
             raise ValueError(f"expected {n} edge lengths, got {len(lengths)}")
         if any(l <= 0 for l in lengths):
             raise ValueError("edge lengths must be positive")
-
-    B = tuple(
-        tuple(1 if m == 0 else (-1 if m == i + 1 else 0) for m in range(n))
-        for i in range(genus)
-    )
-    # Q[i][j] = sum_m l_m B[i][m] B[j][m] = l_0 + delta_ij * l_{i+1}
-    Q = tuple(
-        tuple(lengths[0] + (lengths[i + 1] if i == j else 0) for j in range(genus))
-        for i in range(genus)
-    )
-    return BananaData(genus=genus, n=n, edge_lengths=lengths, B=B, Q=Q)
+    return BananaData(genus=genus, n=n, edge_lengths=lengths)
 
 
 def voronoi_contains(data: BananaData, point: Sequence[RationalLike]) -> bool:
@@ -196,14 +204,21 @@ def voronoi_contains(data: BananaData, point: Sequence[RationalLike]) -> bool:
     )
 
 
-def _equidistant_points(data: BananaData, pt: Sequence[Fraction]) -> list[tuple[int, ...]]:
-    """Lattice points c with |pt - c|_Q = |pt|_Q, for ``pt`` in the cell.
+def _equidistant_points(
+    data: BananaData, pt: Sequence[Fraction]
+) -> tuple[list[tuple[int, ...]], int]:
+    """Lattice points c with |pt - c|_Q = |pt|_Q, for ``pt`` in the cell, and
+    the dimension of their span.
 
     In lift coordinates x = B^T c the condition reads
     f(x) = sum_m l_m x_m (x_m - 2 y_m) = 0 with y = B^T pt, and f >= 0 on the
     whole lattice because pt is in the cell.  These points are the vertices
     of a Delaunay face whose edges are dual to Voronoi facets, so a walk from
     0 over the moves e_i - e_j that stays on f = 0 reaches all of them.
+
+    The points span what the moves that discover them span, and moves
+    e_i - e_j span n minus the components of the graph they draw on the n
+    edges; B^T is injective, so that is the dimension.
     """
     d, X = data.lift_integer(pt)
     L, _ = over_common_denominator(data.edge_lengths)
@@ -212,6 +227,7 @@ def _equidistant_points(data: BananaData, pt: Sequence[Fraction]) -> list[tuple[
     A = [d * l for l in L]
     Y = [2 * l * x for l, x in zip(L, X)]
     n = data.n
+    part = list(range(n))  # the component of each edge
     seen = {(0,) * n}
     stack = list(seen)
     while stack:
@@ -231,24 +247,9 @@ def _equidistant_points(data: BananaData, pt: Sequence[Fraction]) -> list[tuple[
                 if step not in seen:
                     seen.add(step)
                     stack.append(step)
-    return sorted(tuple(-v for v in x[1:]) for x in seen)
-
-
-def _rank(vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of a set of integer vectors, by fraction-free elimination."""
-    pivots: dict[int, list[int]] = {}  # pivot column -> reduced row
-    for v in vectors:
-        row = list(v)
-        for col, base in pivots.items():
-            scale = row[col]
-            if scale:
-                row = [base[col] * r - scale * b for r, b in zip(row, base)]
-        col = next((i for i, r in enumerate(row) if r), None)
-        if col is not None:
-            pivots[col] = row
-            if len(pivots) == len(row):
-                break
-    return len(pivots)
+                    if part[i] != part[j]:
+                        part = [part[j] if p == part[i] else p for p in part]
+    return sorted(tuple(-v for v in x[1:]) for x in seen), n - len(set(part))
 
 
 def classify_point(data: BananaData, point: Sequence[RationalLike]) -> int:
@@ -263,13 +264,12 @@ def delaunay_set(data: BananaData, a: Sequence[RationalLike]) -> DelaunaySet:
     Raises ValueError if ``a`` falls outside the Voronoi cell, or if it is
     not a vertex of it: a point of the cell is a vertex exactly when its
     equidistant lattice points, 0 among them, span an affine space of
-    dimension g.
+    dimension g, read off the walk that finds them.
     """
     pt = frac_vector(a)
     if not voronoi_contains(data, pt):
         raise ValueError(f"{pt} is not in the Voronoi cell of the origin")
-    points = _equidistant_points(data, pt)
-    rank = _rank(points)
+    points, rank = _equidistant_points(data, pt)
     if rank != data.genus:
         raise ValueError(
             f"{pt} is not a Voronoi vertex: its {len(points)} equidistant lattice "

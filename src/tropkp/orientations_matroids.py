@@ -10,7 +10,9 @@ pointing out of the first graph vertex.
 For a fixed vertex the labels of its Delaunay points, read at either graph
 vertex, form the bases of a uniform matroid: U(k, n) at the first vertex and
 U(n - k, n) (the complements) at the second.  The same bases arise from pure
-orientation counting, which is kept as an independent route.
+orientation counting, which is kept as an independent route: it builds the
+comb(n, k) orientations of out-degree k directly, one per k-subset of
+reversed edges, rather than filtering all 2^n - 2.
 """
 
 from __future__ import annotations
@@ -125,19 +127,19 @@ def matroid_bases(data: BananaData, a: Sequence[RationalLike], vertex_choice: st
 def delaunaytroid(data: BananaData, a: Sequence[RationalLike], vertex_choice: str) -> MatroidBases:
     """The same bases obtained from orientation counting alone.
 
-    Running over all orientations with the out-degree profile of ``a``, the
+    Running over the orientations with the out-degree profile of ``a``, the
     edges leaving the chosen graph vertex sweep out the matroid's bases.
+    Those orientations are the comb(n, k) with k reversed edges, built one
+    per k-subset.  The lift of ``a`` sums to 0 and has no zero entry, so
+    1 <= k < n and each of them is strongly connected.
     """
     _check_choice(vertex_choice)
     k = vertex_to_orientation(data, a).out_degree_v1
+    leaving = -1 if vertex_choice == "v1" else 1
     bases = set()
-    for o in strongly_connected_orientations(data.genus):
-        if o.out_degree_v1 != k:
-            continue
-        if vertex_choice == "v1":
-            bases.add(frozenset(j + 1 for j, s in enumerate(o.signs) if s == -1))
-        else:
-            bases.add(frozenset(j + 1 for j, s in enumerate(o.signs) if s == 1))
+    for reversed_edges in itertools.combinations(range(data.n), k):
+        o = _make_orientation(-1 if j in reversed_edges else 1 for j in range(data.n))
+        bases.add(frozenset(j + 1 for j, s in enumerate(o.signs) if s == leaving))
     rank = k if vertex_choice == "v1" else data.n - k
     return MatroidBases(rank=rank, n=data.n, bases=frozenset(bases))
 

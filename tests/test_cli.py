@@ -14,7 +14,7 @@ import tropkp
 from tropkp.cli import (
     CERTIFY_MAX_TERMS,
     FIELD_MAX_POINTS,
-    LATTICE_MAX_POINTS,
+    LATTICE_MAX_ENTRIES,
     LATTICE_MAX_VERTICES,
     run,
 )
@@ -120,10 +120,17 @@ class TestCombinatoricsCommands:
         assert run(["delaunay", "--genus", "2", "--vertex", "0,0"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_orient_json(self, capsys):
+    def test_orient_json(self, capsys, monkeypatch):
+        """The count is of the distinct orientations in ``orient``'s own
+        table, 2^(g+1) - 2 because the map from vertices is injective; no
+        second list of orientations is built to count."""
+        import tropkp.orientations_matroids as om_mod
+
+        walked = _spy(monkeypatch, om_mod, "strongly_connected_orientations")
         assert run(["orient", "--genus", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["orientation_count"] == 14
+        assert walked == []
 
     def test_matroid(self, capsys):
         assert run(["matroid", "--genus", "3", "--class-k", "2", "--json"]) == 0
@@ -150,25 +157,39 @@ def _spy(monkeypatch, module, name):
 class TestLatticeBudget:
     """``voronoi``, ``orient``, ``delaunay`` and ``matroid`` check a count
     computed from their arguments against a bound before any work: Voronoi
-    vertices 2^(g+1) - 2 (as many strongly connected orientations, which
-    ``matroid``'s second route walks) and Delaunay points comb(g+1, k)."""
+    vertices 2^(g+1) - 2 for the first two, and for the other two the
+    entries of the Delaunay table, comb(g+1, k) points of g+1 entries each.
+    ``matroid``'s orientation route builds one orientation per Delaunay
+    point, so that one budget covers both of its routes."""
 
     def test_bounds_admit_the_benchmark_and_pinned_commands(self):
         """The vertex tables at genus 7 and the genus 8, class 4 Delaunay
         probe of the benchmark are within the bounds, and so is every
         pinned command (genus 3 at most)."""
         assert 2 ** (7 + 1) - 2 <= LATTICE_MAX_VERTICES
-        assert math.comb(9, 4) <= LATTICE_MAX_POINTS
+        assert math.comb(9, 4) * 9 <= LATTICE_MAX_ENTRIES
+
+    def test_entry_bound_admits_every_class_to_genus_15(self):
+        """The entry bound is the largest table at genus 15, so it admits
+        every class there, and it admits class 1 up to genus 452: the walk
+        makes an n-tuple per move, so class 1 costs about n^3, and counting
+        points alone admitted it to genus 12,869."""
+        assert LATTICE_MAX_ENTRIES == max(math.comb(16, k) * 16 for k in range(1, 16))
+        assert 453 * 453 <= LATTICE_MAX_ENTRIES < 454 * 454
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["voronoi", "--genus", "15"], "genus 15 has 2^16 - 2 = 65534 Voronoi vertices"),
             (["orient", "--genus", "15"], "genus 15 has 2^16 - 2 = 65534 Voronoi vertices"),
-            (["matroid", "--genus", "15", "--class-k", "1"],
-             "genus 15 has 2^16 - 2 = 65534 strongly connected orientations"),
+            (["matroid", "--genus", "16", "--class-k", "8"],
+             "class 8 at genus 16 has comb(17, 8) * 17 = 413270 Delaunay table entries"),
             (["delaunay", "--genus", "16", "--class-k", "8"],
-             "class 8 at genus 16 has comb(17, 8) = 24310 Delaunay points"),
+             "class 8 at genus 16 has comb(17, 8) * 17 = 413270 Delaunay table entries"),
+            (["delaunay", "--genus", "453", "--class-k", "1"],
+             "class 1 at genus 453 has comb(454, 1) * 454 = 206116 Delaunay table entries"),
+            (["matroid", "--genus", "453", "--class-k", "1"],
+             "class 1 at genus 453 has comb(454, 1) * 454 = 206116 Delaunay table entries"),
         ],
     )
     def test_refuses_past_the_bounds_before_any_work(
@@ -212,28 +233,29 @@ class TestLatticeBudget:
         "argv, what",
         [
             (["delaunay", "--genus", "4", "--class-k", "2"],
-             "class 2 at genus 4 has comb(5, 2)"),
+             "class 2 at genus 4 has comb(5, 2) * 5"),
             # a vertex given by its coordinates is bounded by the largest class
             (["delaunay", "--genus", "4", "--vertex", "3/5,-2/5,-2/5,-2/5"],
-             "a vertex at genus 4 has up to comb(5, 2)"),
+             "a vertex at genus 4 has up to comb(5, 2) * 5"),
             (["matroid", "--genus", "4", "--class-k", "2"],
-             "class 2 at genus 4 has comb(5, 2)"),
+             "class 2 at genus 4 has comb(5, 2) * 5"),
         ],
     )
-    @pytest.mark.parametrize("bound, code", [(9, 1), (10, 0)])
-    def test_point_budget_is_inclusive(self, argv, what, bound, code, capsys, monkeypatch):
-        """A class-2 vertex at genus 4 has comb(5, 2) = 10 Delaunay points:
-        with the bound lowered to 9 the command is refused before the
-        lattice is built, and at 10 it runs."""
+    @pytest.mark.parametrize("bound, code", [(49, 1), (50, 0)])
+    def test_entry_budget_is_inclusive(self, argv, what, bound, code, capsys, monkeypatch):
+        """A class-2 vertex at genus 4 has comb(5, 2) = 10 Delaunay points of
+        5 entries each: with the bound lowered to 49 the command is refused
+        before the lattice is built, and at 50 it runs."""
         import tropkp.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "LATTICE_MAX_POINTS", bound)
+        monkeypatch.setattr(cli_mod, "LATTICE_MAX_ENTRIES", bound)
         built = _spy(monkeypatch, cli_mod, "build_banana")
         assert run(argv + ["--json"]) == code
         captured = capsys.readouterr()
         if code:
             assert captured.err == (
-                f"error: {what} = 10 Delaunay points, exceeding the bound of 9 points\n"
+                f"error: {what} = 50 Delaunay table entries, "
+                "exceeding the bound of 49 entries\n"
             )
             assert captured.out == ""
             assert built == []
@@ -241,27 +263,27 @@ class TestLatticeBudget:
             assert json.loads(captured.out)["genus"] == 4
             assert built == [(4,)]
 
-    @pytest.mark.parametrize("bound, code", [(29, 1), (30, 0)])
-    def test_matroid_counts_the_orientations_it_walks(
-        self, bound, code, capsys, monkeypatch
-    ):
-        """``matroid`` walks all 2^(g+1) - 2 strongly connected orientations
-        whatever the class, so class 1 at genus 4 (5 Delaunay points) is
-        refused once the vertex bound is below 30."""
+    @pytest.mark.parametrize(
+        "argv",
+        [["delaunay", "--genus", "4", "--class-k", "1"],
+         ["delaunay", "--genus", "4", "--vertex", "4/5,-1/5,-1/5,-1/5"],
+         ["matroid", "--genus", "4", "--class-k", "1"],
+         ["matroid", "--genus", "4", "--class-k", "1", "--vertex-choice", "v2"]],
+    )
+    def test_delaunay_and_matroid_check_one_budget(self, argv, capsys, monkeypatch):
+        """``delaunay`` and ``matroid`` check the Delaunay table alone: with
+        the vertex bound lowered below genus 4's 30 vertices, class 1 there
+        still runs, and no strongly connected orientation is listed."""
         import tropkp.cli as cli_mod
+        import tropkp.orientations_matroids as om_mod
 
-        monkeypatch.setattr(cli_mod, "LATTICE_MAX_VERTICES", bound)
-        built = _spy(monkeypatch, cli_mod, "build_banana")
-        assert run(["matroid", "--genus", "4", "--class-k", "1"]) == code
-        captured = capsys.readouterr()
-        if code:
-            assert captured.err == (
-                "error: genus 4 has 2^5 - 2 = 30 strongly connected orientations, "
-                "exceeding the bound of 29 orientations\n"
-            )
-            assert built == []
-        else:
-            assert "uniform matroid of rank 1 on 5 edges" in captured.out
+        monkeypatch.setattr(cli_mod, "LATTICE_MAX_VERTICES", 29)
+        checked = _spy(monkeypatch, cli_mod, "_check_budget")
+        walked = _spy(monkeypatch, om_mod, "strongly_connected_orientations")
+        assert run(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["genus"] == 4
+        assert [call[1] for call in checked] == [LATTICE_MAX_ENTRIES]
+        assert walked == []
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1161,11 +1183,12 @@ class TestFractionCount:
         vertex of class k shares its two coordinate values, so a Fraction is
         made per value, not per lift entry.  ``orient --json`` at genus 7
         made 7,677 Fractions and ``delaunay --json`` at genus 7, class 4
-        made 2,399 when every lift entry was a Fraction; they make 565 and
-        59."""
+        made 2,399 when every lift entry was a Fraction.  They make 516 and
+        10, since the Gram matrix, which no command reads, is built only
+        when read; building it in ``build_banana`` made 565 and 59."""
         for argv, ceiling in [
             (["orient", "--json", "--genus", "7"], 1000),
-            (["delaunay", "--json", "--genus", "7", "--class-k", "4"], 200),
+            (["delaunay", "--json", "--genus", "7", "--class-k", "4"], 20),
         ]:
             status, made = _fractions_made(run, argv)
             assert status == 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropkp.graph_jacobian import (
+    _equidistant_points,
     build_banana,
     classify_point,
     delaunay_set,
@@ -136,6 +137,49 @@ def weighted_trees(draw):
         edge = (parent, order[i])
         tree.append(edge if draw(st.booleans()) else edge[::-1])
     return data, tree
+
+
+def fraction_rank(vectors):
+    """Rank of a list of vectors by plain Fraction Gaussian elimination."""
+    rows = [[F(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                scale = rows[r][col] / rows[rank][col]
+                rows[r] = [a - scale * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def cell_points(draw):
+    """(data, point of the cell): an integer direction scaled onto the cell's
+    boundary, or halfway there.  Small integer directions and lengths of
+    small denominator tie often, so the boundary point falls on faces of
+    every dimension, down to vertices."""
+    genus = draw(st.integers(min_value=1, max_value=5))
+    lengths = draw(st.one_of(
+        st.none(),
+        st.lists(st.fractions(min_value=F(1, 2), max_value=2, max_denominator=3),
+                 min_size=genus + 1, max_size=genus + 1),
+    ))
+    data = build_banana(genus, lengths)
+    direction = draw(st.lists(st.integers(-3, 3), min_size=genus, max_size=genus)
+                     .filter(any))
+    weighted = [l * y for l, y in zip(data.edge_lengths, fraction_lift(data, direction))]
+    # the largest t with 2 |l_i t y_i - l_j t y_j| <= l_i + l_j for every pair
+    t = min(
+        (data.edge_lengths[i] + data.edge_lengths[j]) / (2 * abs(weighted[i] - weighted[j]))
+        for i, j in itertools.combinations(range(data.n), 2)
+        if weighted[i] != weighted[j]
+    )
+    t *= draw(st.sampled_from([F(1), F(1), F(1, 2)]))
+    return data, tuple(t * x for x in direction)
 
 
 HEX_VERTICES = [
@@ -438,6 +482,34 @@ class TestDelaunaySet:
         assert ds.points == ((0, 0, 0), (1, -1, 0), (1, 0, -1), (1, 0, 0))
         assert ds.anchor.class_k == 2
         assert box_scan(data, WEIGHTED_VERTEX) == (True, list(ds.points))
+
+    @given(cell_points())
+    @settings(max_examples=150, deadline=None)
+    def test_span_dimension_matches_fraction_elimination(self, case):
+        """The dimension the walk reads off the moves that discover the
+        equidistant points equals their rank by plain Fraction elimination,
+        and ``delaunay_set`` accepts the point exactly when it is g."""
+        data, point = case
+        assert fraction_contains(data, point)
+        points, dimension = _equidistant_points(data, point)
+        assert dimension == fraction_rank(points), (data.edge_lengths, point)
+        if dimension == data.genus:
+            assert list(delaunay_set(data, point).points) == points
+        else:
+            with pytest.raises(ValueError, match="not a Voronoi vertex"):
+                delaunay_set(data, point)
+
+    def test_rejects_a_non_vertex_with_more_than_g_points(self):
+        """A point of a 1-dimensional face at genus 4 is equidistant from
+        6 lattice points, more than g, which span dimension 3 only."""
+        point = (F(1, 2), F(0), F(-1, 2), F(-1, 2))
+        message = (
+            f"{point} is not a Voronoi vertex: its 6 equidistant lattice points "
+            "span dimension 3, not 4"
+        )
+        with pytest.raises(ValueError) as raised:
+            delaunay_set(build_banana(4), point)
+        assert str(raised.value) == message
 
     def test_genus_three_counts(self):
         data = build_banana(3)

@@ -133,11 +133,34 @@ class TestMatroids:
         assert mb.rank == n - k
         assert len(mb.bases) == math.comb(n, n - k)
 
-    @pytest.mark.parametrize("genus,k,choice", [(3, 2, "v1"), (3, 2, "v2"), (4, 2, "v1")])
+    @pytest.mark.parametrize(
+        "genus,k,choice",
+        [(g, k, choice) for g in range(1, 8) for k in range(1, g + 1) for choice in ("v1", "v2")],
+    )
     def test_orientation_route_agrees(self, genus, k, choice):
         data = build_banana(genus)
         coords = canonical_vertex(genus, k).coords
         assert matroid_bases(data, coords, choice) == delaunaytroid(data, coords, choice)
+
+    @pytest.mark.parametrize("genus,k", [(1, 1), (4, 1), (4, 2), (6, 3), (7, 6)])
+    def test_orientation_route_builds_one_orientation_per_basis(
+        self, genus, k, monkeypatch
+    ):
+        """The orientation route builds the comb(n, k) orientations of
+        out-degree k, one per k-subset of reversed edges, and one more for
+        the vertex's own orientation; it lists no other orientation."""
+        import tropkp.orientations_matroids as om_mod
+
+        made = []
+        original = om_mod._make_orientation
+        monkeypatch.setattr(
+            om_mod, "_make_orientation", lambda signs: made.append(1) or original(signs)
+        )
+        monkeypatch.setattr(om_mod, "strongly_connected_orientations", None)
+        data = build_banana(genus)
+        mb = delaunaytroid(data, canonical_vertex(genus, k).coords, "v1")
+        assert len(mb.bases) == math.comb(genus + 1, k)
+        assert len(made) == math.comb(genus + 1, k) + 1
 
     def test_exchange_axiom_holds(self):
         data = build_banana(3)
