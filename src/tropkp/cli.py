@@ -15,12 +15,13 @@ rounding in u and the KP residual: one per tau term at each KP sample, and
 on a ``field`` grid one per term for each distinct x, each distinct y and t
 (terms of equal exact phase at a point share one product), after which
 every weight and moment is exact integer arithmetic.  The package needs
-nothing beyond the standard library.  ``field`` refuses grids of more than
-FIELD_MAX_POINTS points, and ``certify`` refuses configs with more than
-CERTIFY_MAX_TERMS tau terms.  ``voronoi`` and ``orient`` refuse a genus with
-more than LATTICE_MAX_VERTICES Voronoi vertices, ``delaunay`` and
-``matroid`` a vertex whose Delaunay table of points times n entries is
-larger than LATTICE_MAX_ENTRIES.  ``_check_budget`` checks every budget on a
+nothing beyond the standard library.  ``field`` refuses a grid whose tau
+terms times points exceed FIELD_MAX_EVALUATIONS, and ``certify`` refuses
+configs with more than CERTIFY_MAX_TERMS tau terms or an exact residual
+table of more than CERTIFY_MAX_ENTRIES entries.  ``voronoi`` and ``orient``
+refuse a genus with more than LATTICE_MAX_VERTICES Voronoi vertices,
+``delaunay`` and ``matroid`` a vertex whose Delaunay table of points times
+n entries is larger than LATTICE_MAX_ENTRIES.  ``_check_budget`` checks every budget on a
 count computed from the arguments, before any work.
 Run it as ``tropkp``, ``python -m tropkp`` or ``python -m tropkp.cli``;
 ``run()`` builds its argument parser once per process, on its first call.
@@ -39,7 +40,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graph_jacobian import build_banana, check_genus, frac_vector
 from .hirota_parametrization import (
@@ -93,12 +94,20 @@ from .voronoi_combinatorics import (
 )
 
 
-# largest nx * ny that ``field`` samples: its rows are built in memory
-FIELD_MAX_POINTS = 1_000_000
+# largest comb(n, k) * nx * ny, tau terms times grid points, that ``field``
+# evaluates: about 1.3-2 us each, so at most about 4 s at any T, and at most
+# 10^6 rows in memory, at T = 2
+FIELD_MAX_EVALUATIONS = 2_000_000
 
 # largest number comb(n, k) of tau terms that ``certify`` takes on: its exact
 # loops run over all comb(T, 2) term pairs
 CERTIFY_MAX_TERMS = 2000
+
+# largest exact residual table, groups times n entries, that ``certify``
+# builds: the bilinear residual and the face table each hold one key of n
+# entries per group, so time and memory grow with it (about 1 us per entry;
+# (13, 6), with 2,599,051 entries, takes about 3 s)
+CERTIFY_MAX_ENTRIES = 3_000_000
 
 # largest number 2^(g+1) - 2 of Voronoi vertices that ``voronoi`` and
 # ``orient`` list: every genus up to 14
@@ -136,19 +145,24 @@ class RunConfig:
     tolerance: float = 1e-8
 
     @classmethod
-    def from_file(cls, path: str, max_terms: Optional[int] = None) -> "RunConfig":
+    def from_file(
+        cls, path: str, budget: Optional[Callable[[int, int], None]] = None
+    ) -> "RunConfig":
         try:
             with open(path) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw, max_terms)
+        return cls.from_dict(raw, budget)
 
     @classmethod
-    def from_dict(cls, raw: dict, max_terms: Optional[int] = None) -> "RunConfig":
-        """The config ``raw``, validated.  With ``max_terms`` given, a family
-        of more than that many tau terms comb(n, class_k) is refused as soon
-        as the nodes and the class are read, before any weight is converted."""
+    def from_dict(
+        cls, raw: dict, budget: Optional[Callable[[int, int], None]] = None
+    ) -> "RunConfig":
+        """The config ``raw``, validated.  With ``budget`` given, it is called
+        with n and class_k as soon as the nodes and the class are read, before
+        any weight is converted, so that a command can refuse work it
+        computes from them."""
         _refuse_unknown_keys(raw, "config", CONFIG_KEYS)
         try:
             kc = kappa_config(_rational_list(raw, "kappas"))
@@ -159,10 +173,8 @@ class RunConfig:
             raise ConfigError(f"bad kappas/class_k: {exc}") from exc
         if not 1 <= class_k <= kc.genus:
             raise ConfigError(f"class_k must be in 1..{kc.genus}")
-        if max_terms is not None:
-            n = kc.n
-            _check_budget(math.comb(n, class_k), max_terms,
-                          f"class {class_k} at n = {n} has comb({n}, {class_k})", "tau terms")
+        if budget is not None:
+            budget(kc.n, class_k)
         vertex_choice = raw.get("vertex_choice", "v1")
         if vertex_choice not in ("v1", "v2"):
             raise ConfigError(f"vertex_choice must be v1 or v2, got {vertex_choice!r}")
@@ -243,6 +255,28 @@ def _check_budget(count: int, bound: int, what: str, noun: str) -> None:
         raise ConfigError(
             f"{what} = {count} {noun}, exceeding the bound of {bound} {noun.split()[-1]}"
         )
+
+
+def _certify_budget(n: int, k: int) -> None:
+    """At most CERTIFY_MAX_TERMS tau terms comb(n, k), and an exact residual
+    table of at most CERTIFY_MAX_ENTRIES entries: the doubled points
+    e_J1 + e_J2 of two distinct k-subsets, sum over h >= 1 of
+    comb(n, 2h) comb(n - 2h, k - h) (h the size of J1 minus J2), times the n
+    entries of each key."""
+    _check_budget(math.comb(n, k), CERTIFY_MAX_TERMS,
+                  f"class {k} at n = {n} has comb({n}, {k})", "tau terms")
+    groups = sum(math.comb(n, 2 * h) * math.comb(n - 2 * h, k - h)
+                 for h in range(1, min(k, n - k) + 1))
+    _check_budget(groups * n, CERTIFY_MAX_ENTRIES,
+                  f"class {k} at n = {n} has {groups} residual groups * {n}",
+                  "table entries")
+
+
+def _field_budget(nx: int, ny: int, n: int, k: int) -> None:
+    """At most FIELD_MAX_EVALUATIONS tau terms times grid points."""
+    _check_budget(math.comb(n, k) * nx * ny, FIELD_MAX_EVALUATIONS,
+                  f"class {k} at n = {n} on a {nx} x {ny} grid has "
+                  f"comb({n}, {k}) * {nx} * {ny}", "term evaluations")
 
 
 def _check_vertex_budget(genus: int) -> None:
@@ -523,7 +557,7 @@ def _cmd_param(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cfg = RunConfig.from_file(args.config, CERTIFY_MAX_TERMS)
+    cfg = RunConfig.from_file(args.config, _certify_budget)
     kc, k = cfg.kc, cfg.class_k
     checks: list[tuple[str, bool, str]] = []
 
@@ -624,8 +658,7 @@ def _cmd_field(args) -> int:
     nx, ny = args.nx, args.ny
     if nx < 1 or ny < 1:
         raise ConfigError("grid must have at least one point per axis")
-    _check_budget(nx * ny, FIELD_MAX_POINTS, f"grid of {nx} x {ny}", "points")
-    cfg = RunConfig.from_file(args.config)
+    cfg = RunConfig.from_file(args.config, functools.partial(_field_budget, nx, ny))
     hp = hirota_point(cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
     tau = tau_from_hirota_point(hp)
     ys = [args.ymin + (args.ymax - args.ymin) * (iy / (ny - 1) if ny > 1 else 0.0)

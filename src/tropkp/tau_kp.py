@@ -32,11 +32,15 @@ wave triple.  Two layers of certification operate on them:
   x, for each distinct y and for t, multiplied exactly as integers, with
   terms of equal exact phase sharing one product.  Everything after the
   exponentials is exact: each weight is shifted to the peak exponential and
-  truncated once to an integer, and every moment sum is an exact integer
-  over the tau's integer view (the integer waves of
-  ``clear_denominators``).  The residual at a sample is one integer
-  numerator N in those sums over S0^9 D^6 (S0 the weight sum, D the wave
-  denominator), converted to float once.
+  truncated once to an integer E_i.  The moment sums read the tau's integer
+  view (the integer waves (X, Y, T)_i of ``clear_denominators``) through
+  monomial columns X^p Y^q T^r built once per call: at each point the raw
+  sums R_pqr = sum_i E_i X_i^p Y_i^q T_i^r are integer dot products, the
+  central sums follow from them exactly by the binomial theorem, and u or
+  the KP residual is one integer numerator over an integer denominator
+  (S0^2 D^2 for u, S0^9 D^6 for the residual, S0 the weight sum and D the
+  wave denominator), converted to float by one correctly rounded integer
+  division.  No Fraction is made per point or per sample.
 
 Per-point shifts keep the numerics stable: aligning every weight to the
 exponential of the largest phase at a point scales them all by the same
@@ -379,19 +383,16 @@ def _weights(
     return _integer_weights(coeffs, exps, (1, 0), (x, y, t), bits)
 
 
-def _centred(weights: list[int], total: int, column: Sequence[int]) -> list[int]:
-    """S0 W_i - sum_j E_j W_j for one integer wave column: S0 times each
-    wave's offset from its weighted mean, an exact integer."""
-    mean = sum(map(operator.mul, weights, column))
-    return [total * w - mean for w in column]
-
-
 def evaluate_u_grid(
     tau: TauFunction, xs: Sequence[float], ys: Sequence[float], t: float
 ) -> list[float]:
     """u = 2 (log tau)_xx = 2 m(2, 0, 0), in the notation of
     ``kp_residual_numeric``, at every (x, y, t) with y in ``ys`` and x in
-    ``xs``, row-major with y outer and x inner.
+    ``xs``, row-major with y outer and x inner.  From the raw sums R_100 and
+    R_200 of the integer weights against the columns X_i and X_i^2, the
+    central sum is s_200 = S0 (S0 R_200 - R_100^2), so
+    u = 2 (S0 R_200 - R_100^2) / (S0^2 D^2): two dot products and one
+    integer division per point.
 
     On a grid the phase separates: exp(theta_i) is the product of
     exp(X_i x/D), exp(Y_i y/D^2) and exp(T_i t/D^3), so each term needs one
@@ -430,6 +431,9 @@ def evaluate_u_grid(
                 )
         return table
 
+    x_column = columns[0]
+    x2_column = [w * w for w in x_column]
+    D2 = D * D
     us = []
     x_axis = axis(xs, 1)
     y_axis = axis(ys, 2)
@@ -449,9 +453,9 @@ def evaluate_u_grid(
                 exps.append((m1 * m2, e1 + e2) if i == len(exps) else exps[i])
             peak = exps[first[max(first)]]
             weights, total = _integer_weights(coeffs, exps, peak, (x, y, t), bits)
-            dx = _centred(weights, total, columns[0])
-            m2 = sum(e * d * d for e, d in zip(weights, dx))
-            us.append(float(Fraction(2 * m2, total**3 * D**2)))
+            r1 = sum(map(operator.mul, weights, x_column))
+            r2 = sum(map(operator.mul, weights, x2_column))
+            us.append(2 * (total * r2 - r1 * r1) / (total * total * D2))
     return us
 
 
@@ -460,18 +464,95 @@ def evaluate_u(tau: TauFunction, x: float, y: float, t: float) -> float:
     return evaluate_u_grid(tau, (x,), (y,), t)[0]
 
 
-def _moment_terms(e: int, dx: int, dy: int, dt: int) -> tuple[int, ...]:
-    """One term's share of the moment sums s_abc that the KP residual reads,
-    in the order s2 = s200, s3 = s300, s4 = s400, s6 = s600, s301, s101,
-    s220, s020, s110, from shared powers."""
-    ex = e * dx
-    ex2 = ex * dx
-    ex3 = ex2 * dx
-    ex4 = ex3 * dx
-    dy2 = dy * dy
-    return (
-        ex2, ex3, ex4, ex4 * dx * dx, ex3 * dt, ex * dt, ex2 * dy2, e * dy2, ex * dy
+# the central sums s_abc that the KP residual reads, in the order of the
+# numerator N of ``_kp_residual_ratio``
+_CENTRAL = ((2, 0, 0), (3, 0, 0), (4, 0, 0), (6, 0, 0), (3, 0, 1), (1, 0, 1),
+            (2, 2, 0), (0, 2, 0), (1, 1, 0))
+
+
+def _centring_plans() -> tuple[tuple, tuple]:
+    """The raw sums that the central sums of ``_CENTRAL`` expand into, and
+    the plans of that expansion.
+
+    s_abc expands by the binomial theorem one axis at a time, x last: a
+    key (a, b, c) with exponent a > 0 on an axis becomes a Horner sum over
+    the pairs (C(a, m), the key with m there), m = 0..a, of values already
+    expanded along the earlier axes.  Walking the axes backwards from x
+    collects exactly the keys each stage must expand; the keys left at the
+    end, (0, 0, 0) among them, are the raw sums.  Returns the sorted raw keys
+    and the (axis, plan) stages in the order they run: t, y, x."""
+    needed = set(_CENTRAL)
+    stages = []
+    for axis in range(3):
+        plan = tuple(
+            (key, tuple((math.comb(key[axis], m), (*key[:axis], m, *key[axis + 1:]))
+                        for m in range(key[axis] + 1)))
+            for key in sorted(needed)
+            if key[axis]
+        )
+        needed.update(source for _, steps in plan for _, source in steps)
+        stages.append((axis, plan))
+    return tuple(sorted(needed)), tuple(reversed(stages))
+
+
+# the 17 raw sums R_pqr, (0, 0, 0) first, and the plans that centre them
+_RAW, _CENTRING = _centring_plans()
+
+
+def _monomial_columns(
+    waves: Sequence[tuple[int, int, int]],
+) -> dict[tuple[int, int, int], list[int]]:
+    """For each (p, q, r) of ``_RAW`` but (0, 0, 0), the column
+    X_i^p Y_i^q T_i^r over the integer waves of the terms."""
+    return {
+        (p, q, r): [X**p * Y**q * T**r for X, Y, T in waves]
+        for p, q, r in _RAW[1:]
+    }
+
+
+def _kp_residual_ratio(
+    weights: Sequence[int],
+    total: int,
+    columns: dict[tuple[int, int, int], list[int]],
+    D: int,
+) -> tuple[int, int]:
+    """The KP residual 2 N / (S0^9 D^6) of ``kp_residual_numeric`` as the
+    integer pair (2 N, S0^9 D^6), from the integer weights E_i, their sum
+    S0 = ``total``, the ``_monomial_columns`` of the integer waves and the
+    wave denominator D.
+
+    The raw sums R_pqr = sum_i E_i X_i^p Y_i^q T_i^r are dot products of the
+    weights with the columns.  The central sums
+    s_abc = sum_i E_i (S0 X_i - R_100)^a (S0 Y_i - R_010)^b (S0 T_i - R_001)^c
+    follow exactly by the binomial theorem: s_a00 is
+    sum_m C(a, m) (-R_100)^(a-m) S0^m R_m00, and the mixed sums expand the
+    same way along each axis in turn.  The power of S0 depends only on the
+    raw sum it multiplies, so each R_pqr is scaled by S0^(p+q+r) once, and
+    each axis is then a Horner sum in the negated raw sum of its wave.
+    """
+    powers = [1]
+    for _ in range(9):
+        powers.append(powers[-1] * total)
+    raw = {key: sum(map(operator.mul, weights, column)) for key, column in columns.items()}
+    sums = {key: powers[sum(key)] * value for key, value in raw.items()}
+    sums[0, 0, 0] = total
+    shifts = (-raw[1, 0, 0], -raw[0, 1, 0], -raw[0, 0, 1])
+    for axis, plan in _CENTRING:
+        shift = shifts[axis]
+        centred = dict(sums)
+        for key, steps in plan:
+            acc = 0
+            for comb, source in steps:
+                acc = acc * shift + comb * sums[source]
+            centred[key] = acc
+        sums = centred
+    s2, s3, s4, s6, s301, s101, s220, s020, s110 = map(sums.__getitem__, _CENTRAL)
+    numerator = (
+        powers[2] * s6 + total * (2 * s3**2 - 3 * s2 * s4) - 6 * s2**3
+        + powers[3] * (12 * s2 * s101 - 3 * s2 * s020 - 6 * s110**2)
+        + powers[4] * (3 * s220 - 4 * s301)
     )
+    return 2 * numerator, powers[9] * D**6
 
 
 def kp_residual_numeric(
@@ -480,12 +561,13 @@ def kp_residual_numeric(
     """Largest absolute value of
     -4 u_xt + 6 u_x^2 + 6 u u_xx + u_xxxx + 3 u_yy over the samples.
 
-    With the integer weights E_i, their sum S0 and the centred integer waves
-    (dx, dy, dt)_i of ``_centred``, the central moment E[du^a dv^b dw^c] of
-    the wave triples under the weights is the exact rational
-    m(a, b, c) = s_abc / (S0^(1+a+b+c) D^(a+2b+3c)), with the integer sum
-    s_abc = sum_i E_i dx_i^a dy_i^b dt_i^c, and the derivatives of u are
-    the cumulant polynomials (m2 = m(2, 0, 0) and so on)
+    With the integer weights E_i, their sum S0, the raw sums
+    R_pqr = sum_i E_i X_i^p Y_i^q T_i^r over the integer waves and the
+    central sums s_abc that ``_kp_residual_ratio`` expands from them, the
+    central moment E[du^a dv^b dw^c] of the wave triples under the weights
+    is the exact rational m(a, b, c) = s_abc / (S0^(1+a+b+c) D^(a+2b+3c)),
+    and the derivatives of u are the cumulant polynomials
+    (m2 = m(2, 0, 0) and so on)
 
         u      = 2 m2                u_xt = 2 (m301 - 3 m2 m101)
         u_x    = 2 m3                u_yy = 2 (m220 - m2 m020 - 2 m110^2)
@@ -501,28 +583,24 @@ def kp_residual_numeric(
         N = S0^2 s6 + S0 (2 s3^2 - 3 s2 s4) - 6 s2^3
             + S0^3 (12 s2 s101 - 3 s2 s020 - 6 s110^2) + S0^4 (3 s220 - 4 s301),
 
-    one Fraction per sample and the same rational as the cumulant form.
+    the same rational as the cumulant form.  The monomial columns are built
+    once per call; at each sample the 16 raw sums are dot products, the
+    largest residual so far is kept by cross-multiplication, and it is
+    converted to float once, by one correctly rounded integer division.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("no sample points given")
     _, waves, _, D = tau.integer_view
-    columns = list(zip(*waves))
+    columns = _monomial_columns(waves)
     bits = _precision()
-    worst = Fraction(0)
+    worst_num, worst_den = 0, 1
     for x, y, t in samples:
-        weights, s0 = _weights(tau, x, y, t, bits)
-        centred = (_centred(weights, s0, column) for column in columns)
-        s2, s3, s4, s6, s301, s101, s220, s020, s110 = map(
-            sum, zip(*map(_moment_terms, weights, *centred))
-        )
-        numerator = (
-            s0**2 * s6 + s0 * (2 * s3**2 - 3 * s2 * s4) - 6 * s2**3
-            + s0**3 * (12 * s2 * s101 - 3 * s2 * s020 - 6 * s110**2)
-            + s0**4 * (3 * s220 - 4 * s301)
-        )
-        worst = max(worst, abs(Fraction(2 * numerator, s0**9 * D**6)))
-    return float(worst)
+        weights, total = _weights(tau, x, y, t, bits)
+        num, den = map(abs, _kp_residual_ratio(weights, total, columns, D))
+        if num * worst_den > worst_num * den:
+            worst_num, worst_den = num, den
+    return worst_num / worst_den
 
 
 def spacetime_inversion_check(

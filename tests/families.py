@@ -34,16 +34,22 @@ def rational_nodes(draw, max_size=7) -> list[F]:
 
 
 @st.composite
-def families(draw, nodes=RATIONALS) -> HirotaPoint:
+def families(draw, nodes=RATIONALS, kappas=None) -> HirotaPoint:
     """A (k, n) family, n <= 6, at either vertex, on node parameters of
     mixed signs drawn from ``nodes`` (by default with numerators and
-    denominators up to 10^6).  "genuine" is the parametrization's image;
+    denominators up to 10^6), or on the node list that ``kappas`` draws
+    when it is given.  "genuine" is the parametrization's image;
     "perturbed" rescales one coefficient by a random rational other than 1;
     "random" draws every coefficient; "synthetic" keeps the coefficients and
     draws the period vectors from ``nodes``."""
-    n = draw(st.integers(3, 6))
-    k = draw(st.integers(1, n - 1))
-    kappas = draw(st.lists(nodes, min_size=n, max_size=n, unique=True))
+    if kappas is None:
+        n = draw(st.integers(3, 6))
+        k = draw(st.integers(1, n - 1))
+        kappas = draw(st.lists(nodes, min_size=n, max_size=n, unique=True))
+    else:
+        kappas = draw(kappas)
+        n = len(kappas)
+        k = draw(st.integers(1, n - 1))
     beta = draw(st.lists(NONZERO, min_size=n - 1, max_size=n - 1))
     hp = hirota_point(kappa_config(kappas), k, beta, draw(st.sampled_from(["v1", "v2"])))
     alphas, pv = dict(hp.alphas), hp.uvw

@@ -12,10 +12,12 @@ import pytest
 
 import tropkp
 from tropkp.cli import (
+    CERTIFY_MAX_ENTRIES,
     CERTIFY_MAX_TERMS,
-    FIELD_MAX_POINTS,
+    FIELD_MAX_EVALUATIONS,
     LATTICE_MAX_ENTRIES,
     LATTICE_MAX_VERTICES,
+    RunConfig,
     run,
 )
 from tropkp.hirota_parametrization import hirota_point
@@ -573,27 +575,67 @@ class TestConfigCommands:
         assert built == []
 
     @pytest.mark.parametrize(
-        "axes", [(FIELD_MAX_POINTS + 1, 1), (1, FIELD_MAX_POINTS + 1)], ids=str
+        "axes",
+        [(FIELD_MAX_EVALUATIONS // 2 + 1, 1), (1, FIELD_MAX_EVALUATIONS // 2 + 1)],
+        ids=str,
     )
     def test_field_refuses_a_grid_past_the_budget(
         self, axes, config_file, capsys, monkeypatch
     ):
-        """A grid of one point more than ``FIELD_MAX_POINTS`` is refused with
-        exit 1 and a message that quotes the bound, before any tau function
-        is built."""
+        """A grid whose 2 tau terms times points exceed
+        ``FIELD_MAX_EVALUATIONS`` is refused with exit 1 and a message that
+        quotes the bound, as soon as the nodes and the class are read: no
+        weight family is converted and no tau function is built."""
         import tropkp.cli as cli_mod
 
         built = []
         monkeypatch.setattr(cli_mod, "tau_from_hirota_point", built.append)
+        converted = _spy(monkeypatch, cli_mod, "beta_lambda_convert")
         cfg = config_file({"kappas": ["0", "1"], "class_k": 1, "beta": ["1"]})
         nx, ny = axes
         assert run(["field", "--config", cfg, "--nx", str(nx), "--ny", str(ny)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
-        assert f"bound of {FIELD_MAX_POINTS} points" in captured.err
+        assert f"= {2 * nx * ny} term evaluations" in captured.err
+        assert f"bound of {FIELD_MAX_EVALUATIONS} evaluations" in captured.err
         assert captured.out == ""
-        assert built == []
+        assert built == converted == []
+
+    @pytest.mark.parametrize("bound, code", [(119, 1), (120, 0)])
+    def test_field_budget_is_inclusive(self, bound, code, capsys, monkeypatch):
+        """With the bound lowered around the 6 terms times 5 x 4 points of
+        the README example, one evaluation past it is refused and a grid of
+        exactly the bound is sampled."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "FIELD_MAX_EVALUATIONS", bound)
+        argv = ["field", "--config", str(REPO / "g3k2.json"), "--nx", "5", "--ny", "4"]
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == (
+                "error: class 2 at n = 4 on a 5 x 4 grid has comb(4, 2) * 5 * 4 = "
+                "120 term evaluations, exceeding the bound of 119 evaluations\n"
+            )
+            assert captured.out == ""
+        else:
+            assert len(captured.out.splitlines()) == 1 + 5 * 4
+
+    def test_budgets_admit_the_pinned_and_benchmark_commands(self):
+        """Every pinned ``field`` grid, the README's 80 x 80 grid and the
+        benchmark's (genus, class, nx, ny) grids, each at the default
+        41 x 41 as well, are within ``FIELD_MAX_EVALUATIONS``; every
+        certified family up to (13, 6), the largest whose time the README
+        quotes, is within ``CERTIFY_MAX_ENTRIES``."""
+        import tropkp.cli as cli_mod
+
+        grids = [(4, 2, 5, 4), (4, 2, 80, 80), (4, 2, 41, 41), (4, 2, 16, 16),
+                 (7, 2, 15, 14), (7, 2, 41, 41), (10, 4, 41, 41), (12, 6, 41, 41)]
+        for n, k, nx, ny in grids:
+            cli_mod._field_budget(nx, ny, n, k)
+        for n, k in [(4, 2), (4, 1), (6, 3), (7, 3), (8, 4), (10, 4), (12, 6), (13, 6)]:
+            cli_mod._certify_budget(n, k)
 
     def test_certify_refuses_a_family_past_the_term_budget(
         self, config_file, capsys, monkeypatch
@@ -644,6 +686,56 @@ class TestConfigCommands:
             )
             assert captured.out == ""
         else:
+            assert captured.out.endswith("certification PASSED\n")
+
+    def test_certify_refuses_a_table_past_the_entry_budget(
+        self, config_file, capsys, monkeypatch
+    ):
+        """(1001, 1) has 1,001 tau terms, within ``CERTIFY_MAX_TERMS``, but
+        its residual table holds comb(1001, 2) groups of 1,001 entries each:
+        it is refused with exit 1 as soon as its nodes and class are read,
+        after work linear in n.  Certifying it grew past 7.6 GB and was
+        killed after 18 minutes.  (183, 1) is the first class-1 family
+        past the bound."""
+        import tropkp.cli as cli_mod
+
+        n = 1001
+        converted = _spy(monkeypatch, cli_mod, "beta_lambda_convert")
+        cfg = config_file(
+            {"kappas": [str(x) for x in range(n)], "class_k": 1, "beta": ["1"] * (n - 1)}
+        )
+        status, made = _fractions_made(run, ["certify", "--config", cfg])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"error: class 1 at n = 1001 has 500500 residual groups * 1001 = "
+            f"501000500 table entries, exceeding the bound of {CERTIFY_MAX_ENTRIES} "
+            "entries\n"
+        )
+        assert converted == []
+        assert 0 < made <= 10 * n
+        first = next(n for n in range(2, 2000) if math.comb(n, 2) * n > CERTIFY_MAX_ENTRIES)
+        assert first == 183
+
+    @pytest.mark.parametrize("bound, code", [(51, 1), (52, 0)])
+    def test_certify_entry_budget_is_inclusive(
+        self, bound, code, config_file, capsys, monkeypatch
+    ):
+        """With the bound lowered around the 13 residual groups of 4 entries
+        of a (4, 2) config, one entry past it is refused and a table of
+        exactly the bound is certified, with all 13 groups checked."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "CERTIFY_MAX_ENTRIES", bound)
+        assert run(["certify", "--config", config_file(BETA_CONFIG)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == (
+                "error: class 2 at n = 4 has 13 residual groups * 4 = 52 table "
+                "entries, exceeding the bound of 51 entries\n"
+            )
+            assert captured.out == ""
+        else:
+            assert "13 residual groups all zero" in captured.out
             assert captured.out.endswith("certification PASSED\n")
 
     def test_eqs_text_and_json(self, capsys):
@@ -1127,6 +1219,37 @@ class TestFractionCount:
         assert status == 0
         assert json.loads(capsys.readouterr().out)["all_ok"]
         assert 0 < made <= 5000
+
+    def test_field_makes_no_fraction_per_grid_point(self, capsys):
+        """``field`` reads u at each point off two integer dot products and
+        one integer division, so a 20 x 20 grid makes exactly as many
+        Fractions as a 5 x 4 one, all of them in reading the config and
+        building the tau.  One Fraction per point, as u once was, would add
+        380."""
+        counts = []
+        for nx, ny in [(5, 4), (20, 20)]:
+            argv = ["field", "--config", str(REPO / "g3k2.json"),
+                    "--nx", str(nx), "--ny", str(ny), "--t=0.5"]
+            status, made = _fractions_made(run, argv)
+            assert status == 0
+            assert len(capsys.readouterr().out.splitlines()) == 1 + nx * ny
+            counts.append(made)
+        assert counts[0] == counts[1]
+
+    def test_kp_residual_makes_no_fraction_per_sample(self):
+        """The KP residual at a sample is an integer pair, and the largest
+        one is kept by cross-multiplication, so 5 samples of the (8, 4)
+        family make exactly as many Fractions as 1."""
+        from tropkp.tau_kp import kp_residual_numeric, tau_from_hirota_point
+
+        cfg = RunConfig.from_dict(self.CONFIG)
+        tau = tau_from_hirota_point(hirota_point(cfg.kc, cfg.class_k, cfg.beta, "v1"))
+        tau.integer_view  # built once per tau, before counting
+        samples = [(0.1 * i, -0.2 * i, 0.3 - 0.1 * i) for i in range(5)]
+        one = _fractions_made(kp_residual_numeric, tau, samples[:1])
+        five = _fractions_made(kp_residual_numeric, tau, samples)
+        assert one[0] > 0 and five[0] >= one[0]
+        assert one[1] == five[1]
 
     def test_term_budget_refuses_before_quadratic_work(
         self, config_file, capsys, monkeypatch

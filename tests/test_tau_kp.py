@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from families import NONZERO, RATIONALS, SMALL_RATIONALS, families
+from families import NONZERO, RATIONALS, SMALL_RATIONALS, families, rational_nodes
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -648,18 +648,27 @@ def test_spacetime_inversion_holds_on_families(hp):
     assert spacetime_inversion_check(tau1, tau2) is True
 
 
-def cumulant_residual(tau, point):
-    """|KP residual| at one point from the nine moment Fractions and the
-    cumulant formulas for u, u_x, u_xx, u_xxxx, u_xt and u_yy, on the same
-    integer weights as ``kp_residual_numeric``."""
+def fraction_moments(tau, weights, total):
+    """The central moments m(a, b, c) of the wave triples under the integer
+    weights E_i, in plain Fractions: each integer wave column of the tau's
+    integer view centred at its weighted mean sum_i E_i W_i / S0, and each
+    moment scaled back by D^(a + 2b + 3c)."""
     _, waves, _, D = tau.integer_view
-    weights, total = tau_kp._weights(tau, *point, tau_kp._precision())
-    dx, dy, dt = (tau_kp._centred(weights, total, column) for column in zip(*waves))
+    centred = []
+    for column in zip(*waves):
+        mean = F(sum(e * w for e, w in zip(weights, column)), total)
+        centred.append([w - mean for w in column])
 
     def m(a, b, c):
-        s = sum(e * p**a * q**b * r**c for e, p, q, r in zip(weights, dx, dy, dt))
-        return F(s, total ** (1 + a + b + c) * D ** (a + 2 * b + 3 * c))
+        s = sum(e * p**a * q**b * r**c for e, p, q, r in zip(weights, *centred))
+        return s / total / D ** (a + 2 * b + 3 * c)
 
+    return m
+
+
+def cumulant_residual_of(m):
+    """|KP residual| from the nine moment Fractions and the cumulant formulas
+    for u, u_x, u_xx, u_xxxx, u_xt and u_yy."""
     m2, m3, m4, m6 = m(2, 0, 0), m(3, 0, 0), m(4, 0, 0), m(6, 0, 0)
     m301, m101, m220, m020, m110 = m(3, 0, 1), m(1, 0, 1), m(2, 2, 0), m(0, 2, 0), m(1, 1, 0)
     u = 2 * m2
@@ -669,6 +678,44 @@ def cumulant_residual(tau, point):
     u_xt = 2 * (m301 - 3 * m2 * m101)
     u_yy = 2 * (m220 - m2 * m020 - 2 * m110**2)
     return abs(-4 * u_xt + 6 * u_x**2 + 6 * u * u_xx + u_xxxx + 3 * u_yy)
+
+
+def cumulant_residual(tau, point):
+    """|KP residual| at one point from the Fraction cumulant formulas, on the
+    same integer weights as ``kp_residual_numeric``."""
+    weights, total = tau_kp._weights(tau, *point, tau_kp._precision())
+    return cumulant_residual_of(fraction_moments(tau, weights, total))
+
+
+def assert_numeric_layer_matches_cumulant_oracle(tau, points, xs, ys, t):
+    """``kp_residual_numeric`` over ``points`` is the float of the largest
+    Fraction cumulant residual, and every ``evaluate_u_grid`` value is the
+    float of 2 m(2, 0, 0) on the weights the grid made at its point, bit for
+    bit.  A tau that vanishes at a point is a ValueError on both sides."""
+    try:
+        expected = max(cumulant_residual(tau, point) for point in points)
+    except ValueError:  # tau vanishes at one of the points
+        with pytest.raises(ValueError, match="tau vanishes"):
+            kp_residual_numeric(tau, points)
+    else:
+        assert kp_residual_numeric(tau, points) == float(expected)
+    made = []
+    real = tau_kp._integer_weights
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tau_kp, "_integer_weights", recording)
+        try:
+            grid = evaluate_u_grid(tau, xs, ys, t)
+        except ValueError as exc:  # tau vanishes at a grid point
+            assert "tau vanishes" in str(exc)
+            return
+    assert len(grid) == len(made) == len(xs) * len(ys)
+    for u, (weights, total) in zip(grid, made):
+        assert u == float(2 * fraction_moments(tau, weights, total)(2, 0, 0))
 
 
 @given(families(nodes=SMALL_RATIONALS), st.lists(POINTS, min_size=1, max_size=3))
@@ -684,3 +731,42 @@ def test_kp_residual_matches_cumulant_oracle(hp, points):
             kp_residual_numeric(tau, points)
         return
     assert kp_residual_numeric(tau, points) == float(expected)
+
+
+# node lists from ``rational_nodes`` scaled into [-1, 1]: a node with an even
+# denominator makes the wave denominator D exceed 1, which no benchmark
+# config does, and waves of order 1 keep several terms weighing in
+UNIT_NODES = rational_nodes(max_size=6).map(
+    lambda nodes: [x / max(map(abs, nodes)) for x in nodes]
+)
+
+
+@given(families(nodes=SMALL_RATIONALS, kappas=UNIT_NODES),
+       st.lists(POINTS, min_size=1, max_size=3), AXIS, AXIS, NONZERO_T)
+@settings(max_examples=40, deadline=None)
+def test_numeric_layer_matches_cumulant_oracle_on_fractional_nodes(hp, points, xs, ys, t):
+    """On fractional nodes, where D > 1 and y and t enter the phases over
+    D^2 and D^3, the KP residual and u on a grid with repeated and wide
+    coordinates are the floats of the Fraction cumulant formulas."""
+    tau = tau_from_hirota_point(hp)
+    assume(tau.integer_view[3] > 1)
+    assert_numeric_layer_matches_cumulant_oracle(tau, points, xs, ys, t)
+
+
+def test_numeric_layer_matches_cumulant_oracle_on_equal_phases():
+    """Two terms of coefficients 2 and -1 have equal phases wherever
+    x/2 + y/4 + t/8 = 0, as at (0.5, -0.5, -1): there they share one rounded
+    exponential and cancel to a net weight of one, and two terms of equal
+    waves and coefficients 3 and -3 cancel everywhere.  The residual and u
+    are still the floats of the Fraction cumulant formulas."""
+    waves = [(0, 0, 0), (F(1, 2), F(1, 4), F(1, 8)), (F(-3, 2), F(-1, 2), F(1, 3)),
+             (F(-5, 6), F(2, 3), F(7, 4)), (F(-5, 6), F(2, 3), F(7, 4))]
+    coeffs = [2, -1, 1, 3, -3]
+    tau = TauFunction(terms=tuple(
+        TauTerm(coeff=F(a), label=(i,), wave=tuple(map(F, w)))
+        for i, (a, w) in enumerate(zip(coeffs, waves))
+    ))
+    assert tau.integer_view[3] == 24
+    points = [(0.5, -0.5, -1.0), (0.25, 0.75, -1.0)]
+    assert_numeric_layer_matches_cumulant_oracle(tau, points, [0.5, -2.0, 0.5], [-0.5, 3.0], -1.0)
+    assert kp_residual_numeric(tau, points) > 0
