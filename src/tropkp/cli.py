@@ -12,17 +12,21 @@ TROPKP_PRECISION sets the decimal digits (default 30, at least 15) to which
 the numeric layer rounds its exponentials, computed in Python integers to
 round((digits + 1) log2 10) bits (103 at the default).  They are the only
 rounding in u and the KP residual: one per tau term at each KP sample, and
-on a ``field`` grid one per term for each distinct x, each distinct y and t
-(terms of equal exact phase at a point share one product), after which
-every weight and moment is exact integer arithmetic.  The package needs
-nothing beyond the standard library.  ``field`` refuses a grid whose tau
-terms times points exceed FIELD_MAX_EVALUATIONS, and ``certify`` refuses
-configs with more than CERTIFY_MAX_TERMS tau terms or an exact residual
-table of more than CERTIFY_MAX_ENTRIES entries.  ``voronoi`` and ``orient``
-refuse a genus with more than LATTICE_MAX_VERTICES Voronoi vertices,
-``delaunay`` and ``matroid`` a vertex whose Delaunay table of points times
-n entries is larger than LATTICE_MAX_ENTRIES.  ``_check_budget`` checks every budget on a
-count computed from the arguments, before any work.
+on a ``field`` grid one per distinct wave component on each grid line (each
+distinct x, each distinct y, and t; terms of equal exact phase at a point
+share one product), after which every weight and moment is exact integer
+arithmetic.  The package needs nothing beyond the standard library.
+``field`` refuses a grid whose tau terms times points exceed
+FIELD_MAX_EVALUATIONS, and ``certify`` refuses configs with more than
+CERTIFY_MAX_TERMS tau terms or an exact residual table of more than
+CERTIFY_MAX_ENTRIES entries.  ``voronoi`` and ``orient`` refuse a genus
+with more than LATTICE_MAX_VERTICES Voronoi vertices, ``delaunay`` and
+``matroid`` a vertex whose Delaunay table of points times n entries is
+larger than LATTICE_MAX_ENTRIES, ``param`` a family past
+PARAM_MAX_TERMS coefficients, PARAM_MAX_ENTRIES lattice-point entries or
+PARAM_MAX_MINOR_STEPS minor steps, and ``limits`` a config of more than
+LIMITS_MAX_NODES nodes.  ``_check_budget`` checks every budget on a count
+computed from the arguments, before any work.
 Run it as ``tropkp``, ``python -m tropkp`` or ``python -m tropkp.cli``;
 ``run()`` builds its argument parser once per process, on its first call.
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
@@ -108,6 +112,20 @@ CERTIFY_MAX_TERMS = 2000
 # entries per group, so time and memory grow with it (about 1 us per entry;
 # (13, 6), with 2,599,051 entries, takes about 3 s)
 CERTIFY_MAX_ENTRIES = 3_000_000
+
+# the work of ``param`` has three parts, each bounded: a fixed cost per
+# alpha coefficient, comb(n, k) of them ((16, 8), with 12,870, takes about
+# 3.8 s); the n entries of each coefficient's lattice point, comb(n, k) * n
+# in all ((2000, 1), with 4,000,000, takes 2.5 s); and two k x k Bareiss
+# eliminations per coefficient, whose k^3 steps run on integers of O(k)
+# digits, comb(n, k) * k^4 ((40, 39), with 92,537,640, takes 4.8 s)
+PARAM_MAX_TERMS = math.comb(16, 8)
+PARAM_MAX_ENTRIES = 4_000_000
+PARAM_MAX_MINOR_STEPS = 100_000_000
+
+# largest node count n that ``limits`` takes on: it prints the g x g limit
+# period matrix, so its time grows as n^2 (about 3.2 s at n = 300)
+LIMITS_MAX_NODES = 300
 
 # largest number 2^(g+1) - 2 of Voronoi vertices that ``voronoi`` and
 # ``orient`` list: every genus up to 14
@@ -277,6 +295,22 @@ def _field_budget(nx: int, ny: int, n: int, k: int) -> None:
     _check_budget(math.comb(n, k) * nx * ny, FIELD_MAX_EVALUATIONS,
                   f"class {k} at n = {n} on a {nx} x {ny} grid has "
                   f"comb({n}, {k}) * {nx} * {ny}", "term evaluations")
+
+
+def _param_budget(n: int, k: int) -> None:
+    """At most PARAM_MAX_TERMS alpha coefficients comb(n, k), at most
+    PARAM_MAX_ENTRIES lattice-point entries comb(n, k) * n, and at most
+    PARAM_MAX_MINOR_STEPS minor steps comb(n, k) * k^4."""
+    terms = math.comb(n, k)
+    what = f"class {k} at n = {n} has comb({n}, {k})"
+    _check_budget(terms, PARAM_MAX_TERMS, what, "alpha coefficients")
+    _check_budget(terms * n, PARAM_MAX_ENTRIES, f"{what} * {n}", "lattice-point entries")
+    _check_budget(terms * k**4, PARAM_MAX_MINOR_STEPS, f"{what} * {k}^4", "minor steps")
+
+
+def _limits_budget(n: int, k: int) -> None:
+    """At most LIMITS_MAX_NODES nodes, whatever the class."""
+    _check_budget(n, LIMITS_MAX_NODES, "the config has n", "nodes")
 
 
 def _check_vertex_budget(genus: int) -> None:
@@ -471,7 +505,7 @@ def _cmd_matroid(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    cfg = RunConfig.from_file(args.config)
+    cfg = RunConfig.from_file(args.config, _limits_budget)
     kc = cfg.kc
     R = limit_R(kc)
     g = kc.genus
@@ -516,7 +550,7 @@ def _soliton_matrices(cfg: RunConfig, alphas: dict) -> tuple:
 
 
 def _cmd_param(args) -> int:
-    cfg = RunConfig.from_file(args.config)
+    cfg = RunConfig.from_file(args.config, _param_budget)
     kc, k = cfg.kc, cfg.class_k
     alphas = alpha_from_beta(kc, k, cfg.beta)
     A, At, minor_ok, prop_ok = _soliton_matrices(cfg, alphas)
@@ -666,9 +700,12 @@ def _cmd_field(args) -> int:
     xs = [args.xmin + (args.xmax - args.xmin) * (ix / (nx - 1) if nx > 1 else 0.0)
           for ix in range(nx)]
     us = evaluate_u_grid(tau, xs, ys, args.t)
+    # each x and each (y, t) is formatted once and shared by its rows
+    x_texts = [f"{x:.12g}," for x in xs]
+    yt_texts = [f"{y:.12g},{args.t:.12g}," for y in ys]
     rows = ["x,y,t,u"] + [
-        f"{x:.12g},{y:.12g},{args.t:.12g},{u:.12g}"
-        for (y, x), u in zip(itertools.product(ys, xs), us)
+        f"{x_text}{yt_text}{u:.12g}"
+        for (yt_text, x_text), u in zip(itertools.product(yt_texts, x_texts), us)
     ]
     out = "\n".join(rows) + "\n"
     if args.out:

@@ -12,8 +12,10 @@ wave triple.  Two layers of certification operate on them:
   after the denominators are cleared once, each pair is keyed by the sum of
   its two labels packed as base-4 integers (no digit exceeds 2, so the sum
   never carries), and a group's tuple key and Fraction are made once.
-  The sum vanishes group by group precisely when tau solves the bilinear
-  equation, so an all-zero dictionary is a proof, not an approximation.
+  If the sum vanishes group by group, tau solves the bilinear equation, so
+  an all-zero dictionary is a proof, not an approximation.  The converse
+  holds only when distinct label sums have distinct wave sums: the
+  equation asks only that the groups sharing an exponential add up to zero.
   ``spacetime_inversion_check`` decides u_2(x, y, t) = u_1(-x, -y, -t)
   between the two vertex readings exactly, from the term lists: tau_2 with
   its waves negated must have tau_1's ``normalized_signature``, which merges
@@ -28,9 +30,11 @@ wave triple.  Two layers of certification operate on them:
   the working precision by ``_exp``, an integer-only exponential of an
   exact rational argument: at a sample, one exp(theta_i - peak) per term;
   on a grid (``evaluate_u_grid``, which ``evaluate_u`` is the 1 x 1 case
-  of), the phase separates, so one exponential per term for each distinct
-  x, for each distinct y and for t, multiplied exactly as integers, with
-  terms of equal exact phase sharing one product.  Everything after the
+  of), the phase separates, so one exponential per distinct wave component
+  for each distinct x, for each distinct y and for t (one in all at a zero
+  coordinate), multiplied exactly as integers, with each row's
+  coefficients folded into its y-t products once and terms of equal exact
+  phase sharing one product.  Everything after the
   exponentials is exact: each weight is shifted to the peak exponential and
   truncated once to an integer E_i.  The moment sums read the tau's integer
   view (the integer waves (X, Y, T)_i of ``clear_denominators``) through
@@ -221,7 +225,12 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
     coeff_i coeff_j P(wave_i - wave_j) to the group of label_i + label_j,
     where P is the ``quartic`` symbol (even, so the pair order is
     immaterial).  Diagonal pairs would contribute P(0) = 0 and are omitted.
-    tau solves the bilinear equation iff every returned value is zero.
+    If every returned value is zero, tau solves the bilinear equation.  The
+    converse needs distinct label sums to have distinct wave sums: the
+    equation makes the coefficient of each exponential vanish, and that
+    coefficient is the sum of the groups whose wave sums equal its
+    exponent.  Nodes 0, 1, 2, 4, 7, 9, 10, 11 at class 2 give 238 groups
+    on 237 exponentials.
 
     The sums run in Python integers on the tau's cached ``integer_view``,
     where every pair value is an integer over one common denominator, and
@@ -320,15 +329,15 @@ def _exp(num: int, den: int, bits: int) -> tuple[int, int]:
 
 
 def _integer_weights(
-    coeffs: Sequence[int],
-    exps: Sequence[tuple[int, int]],
+    pairs: Iterable[tuple[int, int]],
     peak: tuple[int, int],
     point: tuple[float, float, float],
     bits: int,
 ) -> tuple[list[int], int]:
-    """The integer weights E_i of the terms and S0 = sum E_i, from the
-    integer coefficients C a_i and the exact dyadic exponentials (m_i, e_i)
-    of the terms: E_i = C a_i m_i 2^(e_i + shift), truncated toward zero, where
+    """The integer weights E_i of the terms and S0 = sum E_i, from the exact
+    dyadic weights (C a_i m_i, e_i) of the terms, each the integer
+    coefficient C a_i folded into the mantissa m_i of the term's exponential
+    m_i 2^e_i: E_i = C a_i m_i 2^(e_i + shift), truncated toward zero, where
     the shift puts the leading bit of ``peak``, the exponential of the
     largest phase without its coefficient, at 2^(bits + guard).  Every
     product is exact, so truncation is the only step after the exponentials
@@ -340,8 +349,8 @@ def _integer_weights(
     man, exp = peak
     shift = bits + _GUARD_BITS + 1 - exp - man.bit_length()
     weights = []
-    for coeff, (m, e) in zip(coeffs, exps):
-        value, places = coeff * m, e + shift
+    for value, e in pairs:
+        places = e + shift
         if places >= 0:
             weights.append(value << places)
         elif value >= 0:
@@ -378,9 +387,10 @@ def _weights(
     phases = [X * cx + Y * cy + T * ct for X, Y, T in waves]
     peak = max(phases)
     scale = q * D**3
-    exps = [_exp(phase - peak, scale, bits) for phase in phases]
+    exps = (_exp(phase - peak, scale, bits) for phase in phases)
+    pairs = [(coeff * m, e) for coeff, (m, e) in zip(coeffs, exps)]
     # the peak's exponential is exp(0) = 1 exactly
-    return _integer_weights(coeffs, exps, (1, 0), (x, y, t), bits)
+    return _integer_weights(pairs, (1, 0), (x, y, t), bits)
 
 
 def evaluate_u_grid(
@@ -395,17 +405,24 @@ def evaluate_u_grid(
     integer division per point.
 
     On a grid the phase separates: exp(theta_i) is the product of
-    exp(X_i x/D), exp(Y_i y/D^2) and exp(T_i t/D^3), so each term needs one
-    exponential per distinct x, one per distinct y and one for t, and a grid
-    point multiplies their exact dyadics as integers.  At each point the
-    exact integer phases (over q D^3, q the largest power-of-two denominator
-    of the coordinates) decide two things: terms with equal phases share the
-    rounded product of the first of them, so that a group whose coefficients
-    sum to zero cancels exactly (tau vanishes at a rational point exactly
-    when every such group does, by Lindemann-Weierstrass), and the largest
-    phase picks the peak exponential that ``_integer_weights`` aligns to.
-    Each value depends only on its own point, so ``evaluate_u`` is the 1 x 1
-    grid.  The factor tables hold O((len(xs) + len(ys)) T) integers.
+    exp(X_i x/D), exp(Y_i y/D^2) and exp(T_i t/D^3).  Each grid line (a
+    distinct x, a distinct y, or t) rounds one exponential per distinct
+    exact argument, that is per distinct wave component on the line, and
+    one in all at a zero coordinate; terms with equal arguments share the
+    dyadic, which is what ``_exp`` would return for each of them.  Each row
+    folds the coefficients into its exact y-t products once, C a_i m_y m_t,
+    and a grid point makes one exact product m_x (C a_i m_y m_t) per term,
+    the same integer as C a_i (m_x m_y m_t).  At each point the exact
+    integer phases (over q D^3, q the largest power-of-two denominator of
+    the coordinates) decide two things: the first term of the largest phase
+    gives the peak exponential that ``_integer_weights`` aligns to, and when
+    two phases are equal, each term of such a group takes the rounded
+    product of the first of them times its own coefficient, so that a group
+    whose coefficients sum to zero cancels exactly (tau vanishes at a
+    rational point exactly when every such group does, by
+    Lindemann-Weierstrass).  Each value depends only on its own point, so
+    ``evaluate_u`` is the 1 x 1 grid.  The factor tables hold
+    O((len(xs) + len(ys)) T) integers.
     """
     coeffs, waves, _, D = tau.integer_view
     if not coeffs:
@@ -417,18 +434,20 @@ def evaluate_u_grid(
 
     def axis(values, power):
         """For each distinct coordinate v = p/r on the axis whose waves are
-        over D^power: the exact phase parts W_i v q D^3 / D^power and the
-        exponentials exp(W_i v / D^power) of the terms."""
+        over D^power: the exact phase parts W_i v q D^3 / D^power of the
+        terms, and the mantissas and exponents of their exponentials
+        exp(W_i v / D^power), one ``_exp`` per distinct argument."""
         column = columns[power - 1]
         table = {}
         for v in values:
             if v not in table:
                 p, r = ratios[v]
                 lift = p * (q // r) * D ** (3 - power)
-                table[v] = (
-                    [w * lift for w in column],
-                    [_exp(w * p, r * D**power, bits) for w in column],
-                )
+                den = r * D**power
+                nums = [w * p for w in column]
+                rounded = {num: _exp(num, den, bits) for num in set(nums)}
+                mans, exps = zip(*map(rounded.__getitem__, nums))
+                table[v] = ([w * lift for w in column], mans, exps)
         return table
 
     x_column = columns[0]
@@ -437,22 +456,28 @@ def evaluate_u_grid(
     us = []
     x_axis = axis(xs, 1)
     y_axis = axis(ys, 2)
-    t_phases, t_exps = axis((t,), 3)[t]
+    t_phases, t_mans, t_exps = axis((t,), 3)[t]
     for y in ys:
-        y_phases, y_exps = y_axis[y]
+        y_phases, y_mans, y_exps = y_axis[y]
         yt_phases = list(map(operator.add, y_phases, t_phases))
-        yt_exps = [(m1 * m2, e1 + e2) for (m1, e1), (m2, e2) in zip(y_exps, t_exps)]
+        yt_mans = list(map(operator.mul, y_mans, t_mans))
+        yt_exps = list(map(operator.add, y_exps, t_exps))
+        folded = list(map(operator.mul, coeffs, yt_mans))
         for x in xs:
-            x_phases, x_exps = x_axis[x]
-            first: dict[int, int] = {}
-            exps: list[tuple[int, int]] = []
-            for phase, (m1, e1), (m2, e2) in zip(
-                map(operator.add, x_phases, yt_phases), x_exps, yt_exps
-            ):
-                i = first.setdefault(phase, len(exps))
-                exps.append((m1 * m2, e1 + e2) if i == len(exps) else exps[i])
-            peak = exps[first[max(first)]]
-            weights, total = _integer_weights(coeffs, exps, peak, (x, y, t), bits)
+            x_phases, x_mans, x_exps = x_axis[x]
+            phases = list(map(operator.add, x_phases, yt_phases))
+            top = phases.index(max(phases))
+            peak = (x_mans[top] * yt_mans[top], x_exps[top] + yt_exps[top])
+            pairs = zip(map(operator.mul, x_mans, folded), map(operator.add, x_exps, yt_exps))
+            if len(set(phases)) < len(phases):
+                first: dict[int, int] = {}
+                pairs = list(pairs)
+                for i, phase in enumerate(phases):
+                    j = first.setdefault(phase, i)
+                    if j != i:
+                        shared = x_mans[j] * yt_mans[j]
+                        pairs[i] = (coeffs[i] * shared, x_exps[j] + yt_exps[j])
+            weights, total = _integer_weights(pairs, peak, (x, y, t), bits)
             r1 = sum(map(operator.mul, weights, x_column))
             r2 = sum(map(operator.mul, weights, x2_column))
             us.append(2 * (total * r2 - r1 * r1) / (total * total * D2))

@@ -627,7 +627,8 @@ class TestConfigCommands:
         benchmark's (genus, class, nx, ny) grids, each at the default
         41 x 41 as well, are within ``FIELD_MAX_EVALUATIONS``; every
         certified family up to (13, 6), the largest whose time the README
-        quotes, is within ``CERTIFY_MAX_ENTRIES``."""
+        quotes, is within ``CERTIFY_MAX_ENTRIES``; and every pinned ``param``
+        and ``limits`` config is within their bounds."""
         import tropkp.cli as cli_mod
 
         grids = [(4, 2, 5, 4), (4, 2, 80, 80), (4, 2, 41, 41), (4, 2, 16, 16),
@@ -636,6 +637,11 @@ class TestConfigCommands:
             cli_mod._field_budget(nx, ny, n, k)
         for n, k in [(4, 2), (4, 1), (6, 3), (7, 3), (8, 4), (10, 4), (12, 6), (13, 6)]:
             cli_mod._certify_budget(n, k)
+        # every pinned config has n = 4; (12, 6) to (16, 8) are the sizes
+        # whose ``param`` times CHANGES.md quotes
+        for n, k in [(4, 1), (4, 2), (4, 3), (12, 6), (14, 7), (16, 8)]:
+            cli_mod._param_budget(n, k)
+            cli_mod._limits_budget(n, k)
 
     def test_certify_refuses_a_family_past_the_term_budget(
         self, config_file, capsys, monkeypatch
@@ -737,6 +743,88 @@ class TestConfigCommands:
         else:
             assert "13 residual groups all zero" in captured.out
             assert captured.out.endswith("certification PASSED\n")
+
+    @pytest.mark.parametrize(
+        "name, bound, message",
+        [
+            ("PARAM_MAX_TERMS", 6,
+             "class 2 at n = 4 has comb(4, 2) = 6 alpha coefficients, exceeding the "
+             "bound of 5 coefficients"),
+            ("PARAM_MAX_ENTRIES", 24,
+             "class 2 at n = 4 has comb(4, 2) * 4 = 24 lattice-point entries, "
+             "exceeding the bound of 23 entries"),
+            ("PARAM_MAX_MINOR_STEPS", 96,
+             "class 2 at n = 4 has comb(4, 2) * 2^4 = 96 minor steps, exceeding the "
+             "bound of 95 steps"),
+        ],
+        ids=["terms", "entries", "minor-steps"],
+    )
+    @pytest.mark.parametrize("past", [True, False], ids=["bound-1", "bound"])
+    def test_param_budgets_are_inclusive(
+        self, name, bound, message, past, config_file, capsys, monkeypatch
+    ):
+        """With each of the three ``param`` bounds lowered to the count of a
+        (4, 2) config, 6 coefficients, 24 lattice-point entries and 96 minor
+        steps, the config is listed; one below the count, it is refused with
+        exit 1 as soon as its nodes and class are read, before any weight is
+        converted."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, name, bound - past)
+        converted = _spy(monkeypatch, cli_mod, "beta_lambda_convert")
+        status = run(["param", "--config", config_file(BETA_CONFIG), "--json"])
+        captured = capsys.readouterr()
+        if past:
+            assert status == 1
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+            assert converted == []
+        else:
+            assert status == 0
+            assert json.loads(captured.out)["minor_identity"] is True
+
+    @pytest.mark.parametrize("past", [True, False], ids=["bound-1", "bound"])
+    def test_limits_budget_is_inclusive(self, past, config_file, capsys, monkeypatch):
+        """With the bound lowered to the 4 nodes of a divisor config, it is
+        listed; one below, it is refused with exit 1 before its divisor is
+        converted to weights."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "LIMITS_MAX_NODES", 4 - past)
+        converted = _spy(monkeypatch, cli_mod, "lambda_from_divisor")
+        status = run(["limits", "--config", config_file(DIVISOR_CONFIG), "--json"])
+        captured = capsys.readouterr()
+        if past:
+            assert status == 1
+            assert captured.err == (
+                "error: the config has n = 4 nodes, exceeding the bound of 3 nodes\n"
+            )
+            assert captured.out == ""
+            assert converted == []
+        else:
+            assert status == 0
+            assert json.loads(captured.out)["abel_exp"][0] == "-5"
+
+    @pytest.mark.parametrize(
+        "n, k, what",
+        [(17, 8, "= 24310 alpha coefficients"),
+         (2001, 1, "= 4004001 lattice-point entries"),
+         (41, 40, "= 104960000 minor steps")],
+        ids=str,
+    )
+    def test_param_refuses_each_budget_at_its_first_family(self, n, k, what):
+        """Each of the three ``param`` bounds refuses a family that the other
+        two admit: (17, 8) by its coefficients, (2001, 1) by its lattice-point
+        entries (the class-1 work grows as n^2) and (41, 40) by its minor
+        steps (41 coefficients, but two 40 x 40 eliminations each).  (16, 8),
+        (2000, 1) and (40, 39) are admitted."""
+        import tropkp.cli as cli_mod
+
+        with pytest.raises(cli_mod.ConfigError) as refused:
+            cli_mod._param_budget(n, k)
+        assert what in str(refused.value)
+        for n, k in [(16, 8), (2000, 1), (40, 39)]:
+            cli_mod._param_budget(n, k)
 
     def test_eqs_text_and_json(self, capsys):
         assert run(["eqs", "--k", "2", "--n", "4"]) == 0
@@ -980,8 +1068,9 @@ class TestIntegerView:
 
 class TestExponentialCount:
     """On a grid the phase separates, so the numeric layer rounds one
-    exponential per term for each distinct x, each distinct y and t, not one
-    per term per grid point; a single sample rounds one per term."""
+    exponential per distinct exact argument on each grid line (each distinct
+    x, each distinct y, and t), not one per term per grid point; a single
+    sample rounds one per term."""
 
     @pytest.fixture
     def exps(self, monkeypatch):
@@ -1008,13 +1097,54 @@ class TestExponentialCount:
             hirota_point(cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
         )
 
-    def test_field_rounds_one_exponential_per_term_per_grid_line(self, exps, capsys):
-        terms = len(self.g3k2_terms().terms)
+    @staticmethod
+    def distinct_arguments(tau, nx, ny, t):
+        """The exact arguments W_i v / D^power of ``field``'s default
+        nx x ny grid at t, counted per grid line from the tau's integer
+        view: on a line the denominator is common, so they are the distinct
+        products W_i v of its wave column and its coordinate."""
+        _, waves, _, _ = tau.integer_view
+        lines = [
+            [-10.0 + 20.0 * (i / (size - 1) if size > 1 else 0.0) for i in range(size)]
+            for size in (nx, ny)
+        ] + [[t]]
+        return sum(
+            len({w * Fraction(v) for w in column})
+            for column, values in zip(zip(*waves), lines)
+            for v in set(values)
+        )
+
+    def test_field_rounds_one_exponential_per_distinct_argument_per_grid_line(
+        self, exps, capsys
+    ):
+        """``g3k2.json`` has 6 terms, so rounding one exponential per term
+        per grid line would take (5 + 4 + 1) * 6 = 60; its x components
+        1, 2, 3, 3, 4, 5 repeat once, and x = 0 has the single argument 0."""
+        tau = self.g3k2_terms()
         argv = ["field", "--config", str(REPO / "g3k2.json"), "--nx", "5", "--ny", "4",
                 "--t=0.5"]
         assert run(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 4
-        assert len(exps) == (5 + 4 + 1) * terms
+        assert len(exps) == self.distinct_arguments(tau, 5, 4, 0.5) == 51
+        assert len(tau.terms) == 6
+
+    def test_field_rounds_each_repeated_component_once(self, exps, capsys, config_file):
+        """On the consecutive integer nodes 0..6 at class 2, the 21 terms
+        have 11 distinct x components and 20 distinct y components, and each
+        zero coordinate, x = 0, y = 0 and t = 0, is one argument for all of
+        them: the grid rounds 4 * 11 + 2 * 20 + 3 = 87 exponentials where
+        one per term per line would take (5 + 3 + 1) * 21 = 189."""
+        from tropkp.hirota_parametrization import hirota_point
+        from tropkp.tau_kp import tau_from_hirota_point
+
+        cfg = {"kappas": [str(x) for x in range(7)], "class_k": 2, "beta": ["1"] * 6}
+        tau = tau_from_hirota_point(hirota_point(kappa_config(range(7)), 2, (1,) * 6, "v1"))
+        argv = ["field", "--config", config_file(cfg), "--nx", "5", "--ny", "3", "--t=0"]
+        assert run(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 3
+        xs, ys, _ = zip(*tau.integer_view[1])
+        assert (len(tau.terms), len(set(xs)), len(set(ys))) == (21, 11, 20)
+        assert len(exps) == self.distinct_arguments(tau, 5, 3, 0.0) == 87
 
     def test_one_sample_rounds_one_exponential_per_term(self, exps):
         from tropkp.tau_kp import kp_residual_numeric

@@ -280,6 +280,30 @@ class TestHirotaResidual:
         tau = tau_from_hirota_point(perturbed(hp, (1, 2), F(7, 5)))
         assert any(v != 0 for v in hirota_residual(tau).values())
 
+    def test_label_groups_can_be_finer_than_exponents(self):
+        """All-zero label groups prove the bilinear equation, but the
+        equation alone asks less: it makes each exponential's coefficient
+        vanish, and groups whose doubled points share a wave sum share an
+        exponential.  With nodes 0, 1, 2, 4, 7, 9, 10, 11 at class 2, the
+        node values 0, 4, 7, 11 and 1, 2, 9, 10 have equal sums of first,
+        second and third powers (a Prouhet-Tarry-Escott pair), so the 238
+        label groups, all zero, cover only 237 exponentials."""
+        kc = kappa_config([0, 1, 2, 4, 7, 9, 10, 11])
+        tau = tau_from_hirota_point(hirota_point(kc, 2, (1,) * 7, "v1"))
+        res = hirota_residual(tau)
+        assert len(res) == 238
+        assert all(v == 0 for v in res.values())
+        exponents = {}
+        for t1, t2 in itertools.combinations(tau.terms, 2):
+            wave = tuple(a + b for a, b in zip(t1.wave, t2.wave))
+            exponents.setdefault(wave, set()).add(
+                tuple(a + b for a, b in zip(t1.label, t2.label))
+            )
+        assert len(exponents) == 237
+        assert [labels for labels in exponents.values() if len(labels) > 1] == [
+            {(1, 0, 0, 1, 1, 0, 0, 1), (0, 1, 1, 0, 0, 1, 1, 0)}
+        ]
+
     @given(families())
     @settings(max_examples=60, deadline=None)
     def test_integer_sums_match_fraction_oracle(self, hp):
@@ -402,14 +426,22 @@ class TestNumericEvaluation:
         bits = prec + tau_kp._GUARD_BITS
         coeffs = [3, -3, 5]
         exps = [(5, -2), (5, -2), (7, -3 - bits - 2)]  # 5/4, 5/4, 7 2^-(bits+5)
-        weights, total = tau_kp._integer_weights(coeffs, exps, (5, -2), (0, 0, 0), prec)
+
+        def folded(coeffs, exps):
+            return [(coeff * m, e) for coeff, (m, e) in zip(coeffs, exps)]
+
+        weights, total = tau_kp._integer_weights(
+            folded(coeffs, exps), (5, -2), (0, 0, 0), prec
+        )
         assert weights == [3 * 5 << (bits - 2), -(3 * 5 << (bits - 2)), 1]
         assert total == 1
         with pytest.raises(ValueError, match="tau vanishes"):
-            tau_kp._integer_weights([3, -3], exps[:2], (5, -2), (0, 0, 0), prec)
+            tau_kp._integer_weights(folded([3, -3], exps[:2]), (5, -2), (0, 0, 0), prec)
         # with the peak at 5/4, -5 * 7 2^-(bits+5) scales to -35/32, which
         # truncates to -1 (rounding down would give -2)
-        weights, _ = tau_kp._integer_weights([3, -5], exps[::2], (5, -2), (0, 0, 0), prec)
+        weights, _ = tau_kp._integer_weights(
+            folded([3, -5], exps[::2]), (5, -2), (0, 0, 0), prec
+        )
         assert weights == [3 * 5 << (bits - 2), -1]
 
     def test_weights_keep_a_small_coefficient(self):
@@ -753,20 +785,128 @@ def test_numeric_layer_matches_cumulant_oracle_on_fractional_nodes(hp, points, x
     assert_numeric_layer_matches_cumulant_oracle(tau, points, xs, ys, t)
 
 
+def equal_phase_tau():
+    """Five terms: coefficients 2 and -1 on waves whose phases are equal
+    wherever x/2 + y/4 + t/8 = 0, and 3 and -3 on one wave; D = 24."""
+    waves = [(0, 0, 0), (F(1, 2), F(1, 4), F(1, 8)), (F(-3, 2), F(-1, 2), F(1, 3)),
+             (F(-5, 6), F(2, 3), F(7, 4)), (F(-5, 6), F(2, 3), F(7, 4))]
+    coeffs = [2, -1, 1, 3, -3]
+    return TauFunction(terms=tuple(
+        TauTerm(coeff=F(a), label=(i,), wave=tuple(map(F, w)))
+        for i, (a, w) in enumerate(zip(coeffs, waves))
+    ))
+
+
 def test_numeric_layer_matches_cumulant_oracle_on_equal_phases():
     """Two terms of coefficients 2 and -1 have equal phases wherever
     x/2 + y/4 + t/8 = 0, as at (0.5, -0.5, -1): there they share one rounded
     exponential and cancel to a net weight of one, and two terms of equal
     waves and coefficients 3 and -3 cancel everywhere.  The residual and u
     are still the floats of the Fraction cumulant formulas."""
-    waves = [(0, 0, 0), (F(1, 2), F(1, 4), F(1, 8)), (F(-3, 2), F(-1, 2), F(1, 3)),
-             (F(-5, 6), F(2, 3), F(7, 4)), (F(-5, 6), F(2, 3), F(7, 4))]
-    coeffs = [2, -1, 1, 3, -3]
-    tau = TauFunction(terms=tuple(
-        TauTerm(coeff=F(a), label=(i,), wave=tuple(map(F, w)))
-        for i, (a, w) in enumerate(zip(coeffs, waves))
-    ))
+    tau = equal_phase_tau()
     assert tau.integer_view[3] == 24
     points = [(0.5, -0.5, -1.0), (0.25, 0.75, -1.0)]
     assert_numeric_layer_matches_cumulant_oracle(tau, points, [0.5, -2.0, 0.5], [-0.5, 3.0], -1.0)
     assert kp_residual_numeric(tau, points) > 0
+
+
+def per_term_u_grid(tau, xs, ys, t):
+    """u on the grid, term by term and point by point: one ``_exp`` per
+    term for each of the point's x, y and t, the three dyadics multiplied,
+    a term whose exact phase equals an earlier one's taking that term's
+    product, the peak the first term of the largest phase, then
+    ``_integer_weights`` on each coefficient times its product, and
+    u = 2 (S0 R_200 - R_100^2) / (S0^2 D^2)."""
+    coeffs, waves, _, D = tau.integer_view
+    bits = tau_kp._precision()
+    ratios = {v: float(v).as_integer_ratio() for v in (*xs, *ys, t)}
+    q = max(r for _, r in ratios.values())
+
+    def factor(w, v, power):
+        """The phase part of W v / D^power over q D^3, and its exponential."""
+        p, r = ratios[v]
+        return w * p * (q // r) * D ** (3 - power), tau_kp._exp(w * p, r * D**power, bits)
+
+    us = []
+    for y in ys:
+        for x in xs:
+            first, exps = {}, []
+            for X, Y, T in waves:
+                parts = [factor(X, x, 1), factor(Y, y, 2), factor(T, t, 3)]
+                phase = sum(part for part, _ in parts)
+                (m1, e1), (m2, e2), (m3, e3) = (exp for _, exp in parts)
+                i = first.setdefault(phase, len(exps))
+                exps.append((m1 * m2 * m3, e1 + e2 + e3) if i == len(exps) else exps[i])
+            pairs = [(coeff * m, e) for coeff, (m, e) in zip(coeffs, exps)]
+            peak = exps[first[max(first)]]
+            weights, total = tau_kp._integer_weights(pairs, peak, (x, y, t), bits)
+            r1 = sum(E * X for E, (X, _, _) in zip(weights, waves))
+            r2 = sum(E * X * X for E, (X, _, _) in zip(weights, waves))
+            us.append(2 * (total * r2 - r1 * r1) / (total * total * D * D))
+    return us
+
+
+def assert_grid_matches_per_term_reference(tau, xs, ys, t):
+    """``evaluate_u_grid`` returns the reference's floats bit for bit, or
+    both refuse the grid with the same ``tau vanishes`` message."""
+    try:
+        expected = per_term_u_grid(tau, xs, ys, t)
+    except ValueError as exc:
+        assert "tau vanishes" in str(exc)
+        with pytest.raises(ValueError) as refused:
+            evaluate_u_grid(tau, xs, ys, t)
+        assert str(refused.value) == str(exc)
+        return
+    assert evaluate_u_grid(tau, xs, ys, t) == expected
+
+
+GRID_FAMILIES = {
+    "rational-nodes": families(),
+    "fractional-nodes": families(kappas=rational_nodes(max_size=6)),
+    # small integer nodes, whose k-subset sums repeat across terms
+    "integer-nodes": families(nodes=st.integers(-3, 3).map(F)),
+}
+
+
+@pytest.mark.parametrize("family", GRID_FAMILIES.values(), ids=list(GRID_FAMILIES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_grid_equals_the_per_term_reference(family, data):
+    """On families of every kind, at either vertex, on grids with wide,
+    repeated and zero coordinates, the grid's shared exponentials and
+    folded products give the per-term reference's values bit for bit."""
+    hp = data.draw(family)
+    xs, ys = data.draw(AXIS), data.draw(AXIS)
+    t = data.draw(st.sampled_from([0.0, -0.0]) | st.floats(-2, 2))
+    assert_grid_matches_per_term_reference(tau_from_hirota_point(hp), xs, ys, t)
+
+
+@pytest.mark.parametrize(
+    "xs, ys, t",
+    [([0.5, -2.0, 0.5], [-0.5, 3.0], -1.0), ([0.0, 0.5, 40.0], [0.0, -0.5], 0.0),
+     ([-40.0, 0.0], [39.5, 0.0, 39.5], 1.5)],
+)
+def test_grid_equals_the_per_term_reference_on_equal_phases(xs, ys, t):
+    """The equal-phase tau, whose terms share rounded products at points
+    where their phases meet and everywhere for its two equal waves."""
+    assert_grid_matches_per_term_reference(equal_phase_tau(), xs, ys, t)
+
+
+def test_grid_and_per_term_reference_refuse_the_same_vanishing_point():
+    """tau = 1 - exp(x + y + t) vanishes at (40, -43.5, 3.5): both name
+    that point, the first in row-major order."""
+    tau = tau_from_hirota_point(hirota_point(kappa_config([0, 1]), 1, (-1,), "v1"))
+    with pytest.raises(ValueError, match=r"\(40.0, -43.5, 3.5\)"):
+        per_term_u_grid(tau, [0.0, 40.0, 41.0], [-44.0, -43.5], 3.5)
+    assert_grid_matches_per_term_reference(tau, [0.0, 40.0, 41.0], [-44.0, -43.5], 3.5)
+
+
+@pytest.mark.parametrize("nodes, k", [([0, 1, 2, 3], 2), (list(range(7)), 2)])
+def test_grid_equals_the_per_term_reference_on_repeated_components(nodes, k):
+    """Consecutive integer nodes, where many terms share each wave
+    component, on a grid through the origin."""
+    beta = (1,) * (len(nodes) - 1)
+    tau = tau_from_hirota_point(hirota_point(kappa_config(nodes), k, beta, "v1"))
+    xs = [-40.0 + 8.5 * i for i in range(10)]
+    assert_grid_matches_per_term_reference(tau, xs, [0.0, -7.25, 13.0], 0.0)
+    assert_grid_matches_per_term_reference(tau, xs, [-6.0, 0.0], 3.7)
