@@ -24,8 +24,9 @@ with more than LATTICE_MAX_VERTICES Voronoi vertices, ``delaunay`` and
 ``matroid`` a vertex whose Delaunay table of points times n entries is
 larger than LATTICE_MAX_ENTRIES, ``param`` a family past
 PARAM_MAX_TERMS coefficients, PARAM_MAX_ENTRIES lattice-point entries or
-PARAM_MAX_MINOR_STEPS minor steps, and ``limits`` a config of more than
-LIMITS_MAX_NODES nodes.  ``_check_budget`` checks every budget on a count
+PARAM_MAX_MINOR_STEPS minor steps, ``limits`` a config of more than
+LIMITS_MAX_NODES nodes, and ``eqs`` a listing of more than EQS_MAX_ENTRIES
+printed entries.  ``_check_budget`` checks every budget on a count
 computed from the arguments, before any work.
 Run it as ``tropkp``, ``python -m tropkp`` or ``python -m tropkp.cli``;
 ``run()`` builds its argument parser once per process, on its first call.
@@ -126,6 +127,11 @@ PARAM_MAX_MINOR_STEPS = 100_000_000
 # largest node count n that ``limits`` takes on: it prints the g x g limit
 # period matrix, so its time grows as n^2 (about 3.2 s at n = 300)
 LIMITS_MAX_NODES = 300
+
+# largest ``eqs`` listing, relation terms times the n entries of each
+# term's sign vector, whose time follows the entries, not the terms: with
+# --json, (5, 12), 437,184 entries, takes 1.9 s, (6, 13), 1,384,110, 6.1 s
+EQS_MAX_ENTRIES = 1_000_000
 
 # largest number 2^(g+1) - 2 of Voronoi vertices that ``voronoi`` and
 # ``orient`` list: every genus up to 14
@@ -311,6 +317,24 @@ def _param_budget(n: int, k: int) -> None:
 def _limits_budget(n: int, k: int) -> None:
     """At most LIMITS_MAX_NODES nodes, whatever the class."""
     _check_budget(n, LIMITS_MAX_NODES, "the config has n", "nodes")
+
+
+def _eqs_budget(k: int, n: int) -> None:
+    """At most EQS_MAX_ENTRIES printed entries: the relation terms, comb(n, 2l)
+    directions of size 2l with comb(2l - 1, l - 1) terms each for
+    l = 1..min(k, n - k), times the n entries of each term's sign vector.
+    The sum stops at its first partial sum past the bound, so a huge n costs
+    only a few of its terms."""
+    what = f"the ({k},{n}) face equations have"
+    top = min(k, n - k)
+    terms = 0
+    for ell in range(1, top + 1):
+        terms += math.comb(n, 2 * ell) * math.comb(2 * ell - 1, ell - 1)
+        if terms * n > EQS_MAX_ENTRIES and ell < top:
+            what += " at least"
+            break
+    _check_budget(terms * n, EQS_MAX_ENTRIES, f"{what} {terms} relation terms * {n}",
+                  "printed entries")
 
 
 def _check_vertex_budget(genus: int) -> None:
@@ -566,7 +590,7 @@ def _cmd_param(args) -> int:
         "parametrizations_match": prop_ok,
     }
     if cfg.divisor is not None:
-        payload["matrix_A_dual"] = _smatrix(matrix_A_dual(kc, cfg.divisor).matrix)
+        payload["matrix_A_dual"] = _smatrix(matrix_A_dual(kc, cfg.divisor))
         if kc.sorted_flag:
             payload["interlacing"] = check_dn_interlacing(kc, cfg.divisor)
     lines = [
@@ -672,6 +696,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_eqs(args) -> int:
     k, n = args.k, args.n
+    _eqs_budget(k, n)
     rels = face_direction_classes(k, n)
     text = (
         relations_to_json(k, n, rels) if args.json else relations_to_text(k, n, rels)

@@ -7,8 +7,9 @@ same point of the Grassmannian Gr(k, n) is produced three ways:
   rational functions of the kappas and g = n - 1 weights beta_1..beta_g,
 * ``matrix_A_tilde``: a Vandermonde block with columns rescaled by weights
   lambda_0 = 1, lambda_1..lambda_g, and
-* ``matrix_A_dual``: an (n - k) x n matrix built from a degree-g divisor,
-  parametrizing the same solution seen from the other graph vertex.
+* ``matrix_A_dual``: the rows of an (n - k) x n matrix built from a
+  degree-g divisor, parametrizing the same solution seen from the other
+  graph vertex.
 
 The tie between them is the coefficient family alpha_J indexed by k-element
 column sets J: alpha arises once as exp(c^T R c / 2) times a beta monomial
@@ -458,26 +459,19 @@ def lambda_from_divisor(kc: KappaConfig, d: Divisor) -> tuple[Fraction, ...]:
     return tuple(base / weight(j + 1) for j in range(1, kc.genus + 1))
 
 
-def matrix_A_dual(kc: KappaConfig, d: Divisor) -> GrassmannPoint:
-    """The (n - k) x n matrix of the same solution read at the other graph
-    vertex: row l evaluates P * Q_l / K' at each node, where Q_1 = 1 and
-    Q_l for l >= 2 is the reciprocal of (z - p) at the l-th far-side divisor
-    point."""
+def matrix_A_dual(kc: KappaConfig, d: Divisor) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of the (n - k) x n matrix of the same solution read at the
+    other graph vertex: row l evaluates P * Q_l / K' at each node, where
+    Q_1 = 1 and Q_l for l >= 2 is the reciprocal of (z - p) at the l-th
+    far-side divisor point.  Only the rows are built, P / K' once per node;
+    ``grassmann_point`` of them gives the maximal minors."""
     validate_divisor(kc, d)
     k = d.split_k
     if not 1 <= k <= kc.genus:
         raise ValueError(f"split_k must be between 1 and {kc.genus}, got {k}")
-    rows = []
-    for l in range(1, kc.n - k + 1):
-        row = []
-        for i in range(1, kc.n + 1):
-            z = kc.kappa(i)
-            val = d.P_at(z) / kprime(kc, i)
-            if l >= 2:
-                val /= z - d.points[k + l - 2]
-            row.append(val)
-        rows.append(row)
-    return grassmann_point(rows)
+    nodes = [kc.kappa(i) for i in range(1, kc.n + 1)]
+    first = tuple(d.P_at(z) / kprime(kc, i) for i, z in enumerate(nodes, 1))
+    return (first, *(tuple(v / (z - p) for v, z in zip(first, nodes)) for p in d.points[k:]))
 
 
 def check_dn_interlacing(kc: KappaConfig, d: Divisor) -> bool:

@@ -22,33 +22,34 @@ wave triple.  Two layers of certification operate on them:
   and sorts the terms on integer keys.
 * numeric: ``kp_residual_numeric`` evaluates
   (-4 u_t + 6 u u_x + u_xxx)_x + 3 u_yy for u = 2 (log tau)_xx at sample
-  points.  For tau = sum_i a_i exp(theta_i), every partial derivative of
-  log tau is a joint cumulant of the wave triples (u_i, v_i, w_i) under the
-  weights p_i = a_i exp(theta_i) / tau, which sum to 1 (they may be
-  negative), so each derivative of u is a polynomial in the central moments
-  of the triples under p.  Only the exponentials are rounded, each once to
-  the working precision by ``_exp``, an integer-only exponential of an
-  exact rational argument: at a sample, one exp(theta_i - peak) per term;
-  on a grid (``evaluate_u_grid``, which ``evaluate_u`` is the 1 x 1 case
-  of), the phase separates, so one exponential per distinct wave component
-  for each distinct x, for each distinct y and for t (one in all at a zero
-  coordinate), multiplied exactly as integers, with each row's
-  coefficients folded into its y-t products once and terms of equal exact
-  phase sharing one product.  Everything after the
-  exponentials is exact: each weight is shifted to the peak exponential and
-  truncated once to an integer E_i.  The moment sums read the tau's integer
-  view (the integer waves (X, Y, T)_i of ``clear_denominators``) through
-  monomial columns X^p Y^q T^r built once per call: at each point the raw
-  sums R_pqr = sum_i E_i X_i^p Y_i^q T_i^r are integer dot products, the
-  central sums follow from them exactly by the binomial theorem, and u or
-  the KP residual is one integer numerator over an integer denominator
-  (S0^2 D^2 for u, S0^9 D^6 for the residual, S0 the weight sum and D the
-  wave denominator), converted to float by one correctly rounded integer
-  division.  No Fraction is made per point or per sample.
+  points, by Hirota's identity: it is d_x^2 (P(D) tau . tau / tau^2), with
+  P the same symbol x^4 - 4 x t + 3 y^2 that ``hirota_residual`` sums over
+  term pairs.  For tau = sum_i a_i exp(theta_i), P(D) tau . tau is the sum
+  over ordered term pairs of a_i a_j P(wave_i - wave_j) exp(theta_i +
+  theta_j), seven products of raw moment sums of the wave triples
+  (``_bilinear``), and each x derivative raises a raw sum's x power by one.
+  Only the exponentials are rounded, each once to the working precision by
+  ``_exp``, an integer-only exponential of an exact rational argument: at a
+  sample, one exp(theta_i - peak) per term; on a grid (``evaluate_u_grid``,
+  which ``evaluate_u`` is the 1 x 1 case of), the phase separates, so one
+  exponential per distinct wave component for each distinct x, for each
+  distinct y and for t (one in all at a zero coordinate), multiplied
+  exactly as integers, with each row's coefficients folded into its y-t
+  products once and terms of equal exact phase sharing one product.
+  Everything after the exponentials is exact: each weight is shifted to the
+  peak exponential and truncated once to an integer E_i.  The moment sums
+  read the tau's integer view (the integer waves (X, Y, T)_i of
+  ``clear_denominators``) through monomial columns X^p Y^q T^r built once
+  per call: at each point the raw sums S_pqr = sum_i E_i X_i^p Y_i^q T_i^r
+  are integer dot products, and u or the KP residual is one integer
+  numerator over an integer denominator (S0^2 D^2 for u, S0^4 D^6 for the
+  residual, S0 the weight sum and D the wave denominator), converted to
+  float by one correctly rounded integer division.  No Fraction is made per
+  point or per sample.
 
 Per-point shifts keep the numerics stable: aligning every weight to the
 exponential of the largest phase at a point scales them all by the same
-factor, so p is unchanged.
+factor, which every ratio above cancels.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# numeric layer: cumulants of the wave triples under the tau weights
+# numeric layer: moment sums of the wave triples under the tau weights
 # ---------------------------------------------------------------------------
 
 # bits kept below the working precision when a weight is truncated to an
@@ -396,13 +397,12 @@ def _weights(
 def evaluate_u_grid(
     tau: TauFunction, xs: Sequence[float], ys: Sequence[float], t: float
 ) -> list[float]:
-    """u = 2 (log tau)_xx = 2 m(2, 0, 0), in the notation of
-    ``kp_residual_numeric``, at every (x, y, t) with y in ``ys`` and x in
-    ``xs``, row-major with y outer and x inner.  From the raw sums R_100 and
-    R_200 of the integer weights against the columns X_i and X_i^2, the
-    central sum is s_200 = S0 (S0 R_200 - R_100^2), so
-    u = 2 (S0 R_200 - R_100^2) / (S0^2 D^2): two dot products and one
-    integer division per point.
+    """u = 2 (log tau)_xx at every (x, y, t) with y in ``ys`` and x in
+    ``xs``, row-major with y outer and x inner.  (log tau)_xx is the
+    variance of the x waves X_i / D under the weights E_i / S0, so from the
+    raw sums S_100 and S_200 of the integer weights against the columns X_i
+    and X_i^2, u = 2 (S0 S_200 - S_100^2) / (S0^2 D^2): two dot products and
+    one integer division per point.
 
     On a grid the phase separates: exp(theta_i) is the product of
     exp(X_i x/D), exp(Y_i y/D^2) and exp(T_i t/D^3).  Each grid line (a
@@ -489,50 +489,49 @@ def evaluate_u(tau: TauFunction, x: float, y: float, t: float) -> float:
     return evaluate_u_grid(tau, (x,), (y,), t)[0]
 
 
-# the central sums s_abc that the KP residual reads, in the order of the
-# numerator N of ``_kp_residual_ratio``
-_CENTRAL = ((2, 0, 0), (3, 0, 0), (4, 0, 0), (6, 0, 0), (3, 0, 1), (1, 0, 1),
-            (2, 2, 0), (0, 2, 0), (1, 1, 0))
-
-
-def _centring_plans() -> tuple[tuple, tuple]:
-    """The raw sums that the central sums of ``_CENTRAL`` expand into, and
-    the plans of that expansion.
-
-    s_abc expands by the binomial theorem one axis at a time, x last: a
-    key (a, b, c) with exponent a > 0 on an axis becomes a Horner sum over
-    the pairs (C(a, m), the key with m there), m = 0..a, of values already
-    expanded along the earlier axes.  Walking the axes backwards from x
-    collects exactly the keys each stage must expand; the keys left at the
-    end, (0, 0, 0) among them, are the raw sums.  Returns the sorted raw keys
-    and the (axis, plan) stages in the order they run: t, y, x."""
-    needed = set(_CENTRAL)
-    stages = []
-    for axis in range(3):
-        plan = tuple(
-            (key, tuple((math.comb(key[axis], m), (*key[:axis], m, *key[axis + 1:]))
-                        for m in range(key[axis] + 1)))
-            for key in sorted(needed)
-            if key[axis]
-        )
-        needed.update(source for _, steps in plan for _, source in steps)
-        stages.append((axis, plan))
-    return tuple(sorted(needed)), tuple(reversed(stages))
-
-
-# the 17 raw sums R_pqr, (0, 0, 0) first, and the plans that centre them
-_RAW, _CENTRING = _centring_plans()
+# P(D) tau . tau / 2 over the raw sums S_pqr, for Hirota's symbol
+# P = x^4 - 4 x t + 3 y^2 of ``hirota_residual``: the sum of c S_a S_b over
+# the triples (c, a, b), with a and b the powers (p, q, r) of two raw sums
+_BILINEAR = (
+    (1, (0, 0, 0), (4, 0, 0)),
+    (-4, (1, 0, 0), (3, 0, 0)),
+    (3, (2, 0, 0), (2, 0, 0)),
+    (3, (0, 0, 0), (0, 2, 0)),
+    (-3, (0, 1, 0), (0, 1, 0)),
+    (-4, (0, 0, 0), (1, 0, 1)),
+    (4, (1, 0, 0), (0, 0, 1)),
+)
 
 
 def _monomial_columns(
     waves: Sequence[tuple[int, int, int]],
 ) -> dict[tuple[int, int, int], list[int]]:
-    """For each (p, q, r) of ``_RAW`` but (0, 0, 0), the column
-    X_i^p Y_i^q T_i^r over the integer waves of the terms."""
-    return {
-        (p, q, r): [X**p * Y**q * T**r for X, Y, T in waves]
-        for p, q, r in _RAW[1:]
-    }
+    """The column X_i^p Y_i^q T_i^r over the integer waves of the terms for
+    every raw sum S_pqr that ``_bilinear`` reads: the powers of
+    ``_BILINEAR`` with p raised by 0, 1 or 2, all but S_000 = S0, 16 columns
+    in all."""
+    keys = {(p + lift, q, r) for _, *powers in _BILINEAR for p, q, r in powers
+            for lift in range(3)}
+    keys.discard((0, 0, 0))
+    return {(p, q, r): [X**p * Y**q * T**r for X, Y, T in waves] for p, q, r in keys}
+
+
+def _bilinear(sums: dict[tuple[int, int, int], int]) -> tuple[int, int, int]:
+    """The bilinear form R = sum over ``_BILINEAR`` of c S_a S_b of the raw
+    sums S_pqr = sum_i E_i X_i^p Y_i^q T_i^r in ``sums``, and R' and R'',
+    D and D^2 times its first two x derivatives.  2 R is the sum of
+    E_i E_j P(w_i - w_j) over all ordered pairs of terms.  d/dx raises a raw
+    sum's x power by one (written +) and divides it by D, so by Leibniz
+    D (S_a S_b)' = S_a+ S_b + S_a S_b+ and
+    D^2 (S_a S_b)'' = S_a++ S_b + 2 S_a+ S_b+ + S_a S_b++."""
+    r0 = r1 = r2 = 0
+    for c, (p, q, r), (pb, qb, rb) in _BILINEAR:
+        a0, a1, a2 = sums[p, q, r], sums[p + 1, q, r], sums[p + 2, q, r]
+        b0, b1, b2 = sums[pb, qb, rb], sums[pb + 1, qb, rb], sums[pb + 2, qb, rb]
+        r0 += c * a0 * b0
+        r1 += c * (a1 * b0 + a0 * b1)
+        r2 += c * (a2 * b0 + 2 * a1 * b1 + a0 * b2)
+    return r0, r1, r2
 
 
 def _kp_residual_ratio(
@@ -541,43 +540,17 @@ def _kp_residual_ratio(
     columns: dict[tuple[int, int, int], list[int]],
     D: int,
 ) -> tuple[int, int]:
-    """The KP residual 2 N / (S0^9 D^6) of ``kp_residual_numeric`` as the
-    integer pair (2 N, S0^9 D^6), from the integer weights E_i, their sum
+    """The KP residual 2 N / (S0^4 D^6) of ``kp_residual_numeric`` as the
+    integer pair (2 N, S0^4 D^6), from the integer weights E_i, their sum
     S0 = ``total``, the ``_monomial_columns`` of the integer waves and the
-    wave denominator D.
-
-    The raw sums R_pqr = sum_i E_i X_i^p Y_i^q T_i^r are dot products of the
-    weights with the columns.  The central sums
-    s_abc = sum_i E_i (S0 X_i - R_100)^a (S0 Y_i - R_010)^b (S0 T_i - R_001)^c
-    follow exactly by the binomial theorem: s_a00 is
-    sum_m C(a, m) (-R_100)^(a-m) S0^m R_m00, and the mixed sums expand the
-    same way along each axis in turn.  The power of S0 depends only on the
-    raw sum it multiplies, so each R_pqr is scaled by S0^(p+q+r) once, and
-    each axis is then a Horner sum in the negated raw sum of its wave.
-    """
-    powers = [1]
-    for _ in range(9):
-        powers.append(powers[-1] * total)
-    raw = {key: sum(map(operator.mul, weights, column)) for key, column in columns.items()}
-    sums = {key: powers[sum(key)] * value for key, value in raw.items()}
+    wave denominator D: the raw sums are dot products of the weights with
+    the columns."""
+    sums = {key: sum(map(operator.mul, weights, column)) for key, column in columns.items()}
     sums[0, 0, 0] = total
-    shifts = (-raw[1, 0, 0], -raw[0, 1, 0], -raw[0, 0, 1])
-    for axis, plan in _CENTRING:
-        shift = shifts[axis]
-        centred = dict(sums)
-        for key, steps in plan:
-            acc = 0
-            for comb, source in steps:
-                acc = acc * shift + comb * sums[source]
-            centred[key] = acc
-        sums = centred
-    s2, s3, s4, s6, s301, s101, s220, s020, s110 = map(sums.__getitem__, _CENTRAL)
-    numerator = (
-        powers[2] * s6 + total * (2 * s3**2 - 3 * s2 * s4) - 6 * s2**3
-        + powers[3] * (12 * s2 * s101 - 3 * s2 * s020 - 6 * s110**2)
-        + powers[4] * (3 * s220 - 4 * s301)
-    )
-    return 2 * numerator, powers[9] * D**6
+    r0, r1, r2 = _bilinear(sums)
+    s100, s200 = sums[1, 0, 0], sums[2, 0, 0]
+    numerator = (r2 * total - 4 * r1 * s100) * total + r0 * (6 * s100 * s100 - 2 * s200 * total)
+    return 2 * numerator, total**4 * D**6
 
 
 def kp_residual_numeric(
@@ -586,32 +559,22 @@ def kp_residual_numeric(
     """Largest absolute value of
     -4 u_xt + 6 u_x^2 + 6 u u_xx + u_xxxx + 3 u_yy over the samples.
 
-    With the integer weights E_i, their sum S0, the raw sums
-    R_pqr = sum_i E_i X_i^p Y_i^q T_i^r over the integer waves and the
-    central sums s_abc that ``_kp_residual_ratio`` expands from them, the
-    central moment E[du^a dv^b dw^c] of the wave triples under the weights
-    is the exact rational m(a, b, c) = s_abc / (S0^(1+a+b+c) D^(a+2b+3c)),
-    and the derivatives of u are the cumulant polynomials
-    (m2 = m(2, 0, 0) and so on)
+    For u = 2 (log tau)_xx this is Hirota's identity
+    KP(u) = d_x^2 (P(D) tau . tau / tau^2), with P = x^4 - 4 x t + 3 y^2 the
+    symbol that ``hirota_residual`` sums exactly over term pairs: with
+    F = log tau, P(D) tau . tau / tau^2 = 2 F_xxxx + 12 F_xx^2 - 8 F_xt
+    + 6 F_yy = u_xx + 3 u^2 - 8 F_xt + 6 F_yy.  At a sample, with the
+    integer weights E_i, their sum S0 and the raw sums S_pqr over the
+    integer waves, P(D) tau . tau / tau^2 = 2 R / (S0^2 D^4) for the
+    ``_bilinear`` form R (the weights' common scale cancels), so by the
+    quotient rule the residual is 2 N / (S0^4 D^6) with
 
-        u      = 2 m2                u_xt = 2 (m301 - 3 m2 m101)
-        u_x    = 2 m3                u_yy = 2 (m220 - m2 m020 - 2 m110^2)
-        u_xx   = 2 (m4 - 3 m2^2)
-        u_xxxx = 2 (m6 - 15 m4 m2 - 10 m3^2 + 30 m2^3).
+        N = R'' S0^2 - 4 R' S100 S0 + R (6 S100^2 - 2 S200 S0).
 
-    Substituted, the residual collapses to
-    2 (m6 - 3 m2 m4 + 2 m3^2 - 6 m2^3 - 4 m301 + 12 m2 m101 + 3 m220
-    - 3 m2 m020 - 6 m110^2).  Every term has D-weight 6 and its S0 power
-    runs from 5 (m301, m220) to 9 (m2^3), so the residual is
-    2 N / (S0^9 D^6) with the integer numerator
-
-        N = S0^2 s6 + S0 (2 s3^2 - 3 s2 s4) - 6 s2^3
-            + S0^3 (12 s2 s101 - 3 s2 s020 - 6 s110^2) + S0^4 (3 s220 - 4 s301),
-
-    the same rational as the cumulant form.  The monomial columns are built
-    once per call; at each sample the 16 raw sums are dot products, the
-    largest residual so far is kept by cross-multiplication, and it is
-    converted to float once, by one correctly rounded integer division.
+    The monomial columns are built once per call; at each sample the 16 raw
+    sums are dot products, the largest residual so far is kept by
+    cross-multiplication, and it is converted to float once, by one
+    correctly rounded integer division.
     """
     samples = list(samples)
     if not samples:

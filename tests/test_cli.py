@@ -20,6 +20,7 @@ from tropkp.cli import (
     RunConfig,
     run,
 )
+from tropkp import hirota_parametrization
 from tropkp.hirota_parametrization import hirota_point
 from tropkp.hirota_variety_eqs import face_direction_classes
 from tropkp.tropical_limit import kappa_config
@@ -401,6 +402,23 @@ class TestConfigCommands:
         assert payload["interlacing"] is True
         assert "matrix_A_dual" in payload
 
+    def test_param_with_divisor_takes_no_minor_of_the_dual(self, config_file, capsys,
+                                                           monkeypatch):
+        """``param`` prints the (n - k) x n dual matrix and never factors it:
+        its only determinants are the comb(n, k) k x k minors of A and of
+        A~, none (n - k) x (n - k)."""
+        sizes = []
+        real = hirota_parametrization._bareiss_det
+
+        def counting(m):
+            sizes.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(hirota_parametrization, "_bareiss_det", counting)
+        assert run(["param", "--config", config_file(DIVISOR_CONFIG), "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["matrix_A_dual"]) == 3
+        assert sizes == [1] * (2 * math.comb(4, 1))
+
     def test_certify_passes(self, config_file, capsys):
         assert run(["certify", "--config", config_file(BETA_CONFIG)]) == 0
         out = capsys.readouterr().out
@@ -627,8 +645,9 @@ class TestConfigCommands:
         benchmark's (genus, class, nx, ny) grids, each at the default
         41 x 41 as well, are within ``FIELD_MAX_EVALUATIONS``; every
         certified family up to (13, 6), the largest whose time the README
-        quotes, is within ``CERTIFY_MAX_ENTRIES``; and every pinned ``param``
-        and ``limits`` config is within their bounds."""
+        quotes, is within ``CERTIFY_MAX_ENTRIES``; every pinned ``param``
+        and ``limits`` config is within their bounds; and every pinned or
+        tested ``eqs`` listing is within ``EQS_MAX_ENTRIES``."""
         import tropkp.cli as cli_mod
 
         grids = [(4, 2, 5, 4), (4, 2, 80, 80), (4, 2, 41, 41), (4, 2, 16, 16),
@@ -642,6 +661,9 @@ class TestConfigCommands:
         for n, k in [(4, 1), (4, 2), (4, 3), (12, 6), (14, 7), (16, 8)]:
             cli_mod._param_budget(n, k)
             cli_mod._limits_budget(n, k)
+        # the pinned and tested ``eqs`` listings, (k, n) in its own order
+        for k, n in [(2, 4), (2, 5), (3, 6)]:
+            cli_mod._eqs_budget(k, n)
 
     def test_certify_refuses_a_family_past_the_term_budget(
         self, config_file, capsys, monkeypatch
@@ -839,6 +861,60 @@ class TestConfigCommands:
         assert run(["eqs", "--k", "2", "--n", "5", "--out", str(out_path)]) == 0
         assert "wrote" in capsys.readouterr().out
         assert out_path.read_text().startswith("quartic face equations")
+
+    @pytest.mark.parametrize("past", [True, False], ids=["bound-1", "bound"])
+    def test_eqs_budget_is_inclusive(self, past, capsys, monkeypatch):
+        """With the bound lowered to the (2, 4) listing, 9 relation terms of
+        4 entries each, it is printed; one below, it is refused with exit 1
+        before any relation is built."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "EQS_MAX_ENTRIES", 36 - past)
+        built = _spy(monkeypatch, cli_mod, "face_direction_classes")
+        status = run(["eqs", "--k", "2", "--n", "4", "--json"])
+        captured = capsys.readouterr()
+        if past:
+            assert status == 1
+            assert captured.err == (
+                "error: the (2,4) face equations have 9 relation terms * 4 = 36 "
+                "printed entries, exceeding the bound of 35 entries\n"
+            )
+            assert captured.out == ""
+            assert built == []
+        else:
+            assert status == 0
+            relations = json.loads(captured.out)["relations"]
+            assert sum(len(rel["terms"]) for rel in relations) == 9
+
+    @pytest.mark.parametrize("k, n", [(k, n) for n in range(2, 9) for k in range(1, n)])
+    def test_eqs_budget_counts_every_printed_term(self, k, n, monkeypatch):
+        """The closed-form count is the listing's: with the bound at its
+        terms times n entries the (k, n) listing is admitted, one below it
+        is refused."""
+        import tropkp.cli as cli_mod
+
+        entries = sum(len(rel.terms) for rel in face_direction_classes(k, n)) * n
+        monkeypatch.setattr(cli_mod, "EQS_MAX_ENTRIES", entries)
+        cli_mod._eqs_budget(k, n)
+        monkeypatch.setattr(cli_mod, "EQS_MAX_ENTRIES", entries - 1)
+        with pytest.raises(cli_mod.ConfigError, match=f"= {entries} printed entries"):
+            cli_mod._eqs_budget(k, n)
+
+    @pytest.mark.parametrize(
+        "k, n, message",
+        [(6, 13, "have at least 100464 relation terms * 13 = 1306032 printed entries"),
+         (1, 127, "have 8001 relation terms * 127 = 1016127 printed entries"),
+         (10**5, 2 * 10**5, "have at least 19999900000 relation terms")],
+    )
+    def test_eqs_refuses_a_listing_past_the_budget(self, k, n, message, capsys):
+        """(6, 13), whose JSON took 6 s and 0.5 GB, and class 1 past n = 126
+        are refused; so is a huge (k, n), from the first partial sum of its
+        count past the bound, without the rest of the sum."""
+        assert run(["eqs", "--k", str(k), "--n", str(n), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert captured.err.endswith("exceeding the bound of 1000000 entries\n")
 
 
 class TestErrorHandling:

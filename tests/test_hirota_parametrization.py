@@ -404,7 +404,7 @@ class TestDivisorRoute:
         lam = lambda_from_divisor(KC4, self.DIV)
         beta = beta_lambda_convert(KC4, 1, lam)
         A = matrix_A(KC4, 1, beta)
-        Ad = matrix_A_dual(KC4, self.DIV)
+        Ad = grassmann_point(matrix_A_dual(KC4, self.DIV))
         full = frozenset(range(1, 5))
         ratios = set()
         for J in hypersimplex_labels(4, 1):

@@ -3,6 +3,7 @@ evaluation of u = 2 (log tau)_xx."""
 
 import itertools
 import math
+import operator
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -253,6 +254,29 @@ def fraction_residual(tau):
     return groups
 
 
+def bilinear_at_origin(tau):
+    """The numeric layer's bilinear form R at (x, y, t) = 0, where the
+    weights are the integer coefficients C a_i themselves, with no
+    exponential."""
+    coeffs, waves, _, _ = tau.integer_view
+    sums = {
+        key: sum(map(operator.mul, coeffs, column))
+        for key, column in tau_kp._monomial_columns(waves).items()
+    }
+    sums[0, 0, 0] = sum(coeffs)
+    return tau_kp._bilinear(sums)[0]
+
+
+@st.composite
+def genuine_families(draw):
+    """A family from the parametrization, on 2 to 6 nodes from
+    ``rational_nodes``, at either vertex."""
+    kappas = draw(rational_nodes(max_size=6))
+    k = draw(st.integers(1, len(kappas) - 1))
+    beta = draw(st.lists(NONZERO, min_size=len(kappas) - 1, max_size=len(kappas) - 1))
+    return hirota_point(kappa_config(kappas), k, beta, draw(st.sampled_from(["v1", "v2"])))
+
+
 class TestHirotaResidual:
     def test_two_term_value(self):
         tau = TauFunction(
@@ -316,6 +340,41 @@ class TestHirotaResidual:
         assert list(res) == list(expected)
         assert res == expected
         assert all(type(v) is F for v in res.values())
+
+    @given(families())
+    @settings(max_examples=60, deadline=None)
+    def test_bilinear_form_at_the_origin_sums_the_residual(self, hp):
+        """At (x, y, t) = 0, R on the weights C a_i is P(D) tau . tau / 2 over
+        the integer waves, so it is C^2 D^4 times the sum of every residual
+        group, exactly, for genuine, perturbed, random and synthetic
+        families alike."""
+        tau = tau_from_hirota_point(hp)
+        denom = tau.integer_view[2]
+        assert bilinear_at_origin(tau) == denom * sum(hirota_residual(tau).values())
+
+    @given(genuine_families())
+    @settings(max_examples=40, deadline=None)
+    def test_bilinear_form_vanishes_at_the_origin_on_genuine_families(self, hp):
+        tau = tau_from_hirota_point(hp)
+        assert all(v == 0 for v in hirota_residual(tau).values())
+        assert bilinear_at_origin(tau) == 0
+
+    @pytest.mark.parametrize("nodes,k,label", [
+        ([0, 1, 2, 3], 2, (1, 2)),
+        ([F(-3, 2), 0, F(1, 3), 2, F(7, 2)], 2, (2, 4)),
+        ([-2, F(-1, 2), 0, 1, F(5, 3), 3], 3, (1, 3, 5)),
+    ])
+    @pytest.mark.parametrize("choice", ["v1", "v2"])
+    def test_bilinear_form_at_the_origin_sees_a_scaled_alpha(self, nodes, k, label, choice):
+        """One alpha times 11/10: both sides are nonzero and equal."""
+        hp = hirota_point(kappa_config(nodes), k, [F(j + 2, 3) for j in range(len(nodes) - 1)],
+                          choice)
+        if choice == "v2":
+            label = tuple(j for j in range(1, len(nodes) + 1) if j not in label)
+        tau = tau_from_hirota_point(perturbed(hp, label, F(11, 10)))
+        total = tau.integer_view[2] * sum(hirota_residual(tau).values())
+        assert total != 0
+        assert bilinear_at_origin(tau) == total
 
 
 class TestNumericEvaluation:
