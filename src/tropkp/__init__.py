@@ -15,7 +15,6 @@ from .graph_jacobian import (
     VoronoiVertex,
     build_banana,
     delaunay_set,
-    vertices_equivalent,
     voronoi_contains,
 )
 from .hirota_parametrization import (
@@ -72,13 +71,10 @@ from .tropical_limit import (
     uvw,
 )
 from .voronoi_combinatorics import (
-    LiftedVertex,
     ShiftVector,
     canonical_vertex,
     f_vector,
-    lift,
     normalize_delaunay,
-    projection_matrix,
     shift_vector,
     voronoi_vertices,
 )

@@ -18,8 +18,9 @@ share one product), after which every weight and moment is exact integer
 arithmetic.  The package needs nothing beyond the standard library.
 ``field`` refuses a grid whose tau terms times points exceed
 FIELD_MAX_EVALUATIONS, and ``certify`` refuses configs with more than
-CERTIFY_MAX_TERMS tau terms or an exact residual table of more than
-CERTIFY_MAX_ENTRIES entries.  ``voronoi`` and ``orient`` refuse a genus
+CERTIFY_MAX_TERMS tau terms, an exact residual table of more than
+CERTIFY_MAX_ENTRIES entries, or tau terms times KP samples past
+CERTIFY_MAX_TERM_SAMPLES.  ``voronoi`` and ``orient`` refuse a genus
 with more than LATTICE_MAX_VERTICES Voronoi vertices, ``delaunay`` and
 ``matroid`` a vertex whose Delaunay table of points times n entries is
 larger than LATTICE_MAX_ENTRIES, ``param`` a family past
@@ -45,7 +46,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graph_jacobian import build_banana, check_genus, frac_vector
 from .hirota_parametrization import (
@@ -61,12 +62,7 @@ from .hirota_parametrization import (
     matrix_A_tilde,
     verify_minor_identity,
 )
-from .hirota_variety_eqs import (
-    face_direction_classes,
-    instantiate_and_check,
-    relations_to_json,
-    relations_to_text,
-)
+from .hirota_variety_eqs import face_direction_classes, instantiate_and_check
 from .orientations_matroids import (
     circuit_difference,
     delaunaytroid,
@@ -109,10 +105,17 @@ FIELD_MAX_EVALUATIONS = 2_000_000
 CERTIFY_MAX_TERMS = 2000
 
 # largest exact residual table, groups times n entries, that ``certify``
-# builds: the bilinear residual and the face table each hold one key of n
-# entries per group, so time and memory grow with it (about 1 us per entry;
-# (13, 6), with 2,599,051 entries, takes about 3 s)
+# builds: the bilinear residual holds one key of n entries per group (the
+# face check evaluates one representative per direction), so time and memory
+# grow with it (about 1 us per entry; (13, 6), with 2,599,051 entries, takes
+# about 3 s)
 CERTIFY_MAX_ENTRIES = 3_000_000
+
+# largest comb(n, k) * samples, tau terms times KP samples, that ``certify``
+# evaluates numerically: about 13 us each at T = 70 and 210, up to 34 us at
+# T = 2 where the per-sample work dominates, so at most about 3.5 s; 20
+# samples, the default, are admitted at every T within CERTIFY_MAX_TERMS
+CERTIFY_MAX_TERM_SAMPLES = 100_000
 
 # the work of ``param`` has three parts, each bounded: a fixed cost per
 # alpha coefficient, comb(n, k) of them ((16, 8), with 12,870, takes about
@@ -370,12 +373,18 @@ def _smatrix(rows) -> list[list[str]]:
     return [[str(x) for x in row] for row in rows]
 
 
-def _emit(payload: dict, as_json: bool, human_lines) -> None:
+def _emit(payload: dict, as_json: bool, human_lines, out: Optional[str] = None) -> None:
+    """Print the payload as sorted JSON, or the human lines rendered from it;
+    with ``out`` given, write the same text to that file instead."""
     if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        text = json.dumps(payload, sort_keys=True, indent=2)
     else:
-        for line in human_lines:
-            print(line)
+        text = "\n".join(human_lines)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _sample_points(samples: int, seed: int) -> list[tuple[float, float, float]]:
@@ -617,6 +626,9 @@ def _cmd_param(args) -> int:
 def _cmd_certify(args) -> int:
     cfg = RunConfig.from_file(args.config, _certify_budget)
     kc, k = cfg.kc, cfg.class_k
+    _check_budget(math.comb(kc.n, k) * cfg.samples, CERTIFY_MAX_TERM_SAMPLES,
+                  f"class {k} at n = {kc.n} with {cfg.samples} samples has "
+                  f"comb({kc.n}, {k}) * {cfg.samples}", "KP term evaluations")
     checks: list[tuple[str, bool, str]] = []
 
     hp1 = hirota_point(kc, k, cfg.beta, "v1")  # raises if the two alpha routes disagree
@@ -694,19 +706,47 @@ def _cmd_certify(args) -> int:
     return 0 if payload["all_ok"] else 2
 
 
+def _fmt_set(xs) -> str:
+    return "{" + ",".join(map(str, xs)) + "}"
+
+
+def _fmt_delta(delta) -> str:
+    """A sign vector as its signed columns: +i where it is 1, -i where -1."""
+    return "".join(f"{'+' if v > 0 else '-'}{i}" for i, v in enumerate(delta, 1) if v)
+
+
+def _eqs_lines(payload: dict) -> Iterator[str]:
+    """The human text of an ``eqs`` payload, one line per relation, rendered
+    only as it is read."""
+    yield f"quartic face equations for the ({payload['k']},{payload['n']}) family"
+    for rel in payload["relations"]:
+        terms = " + ".join(
+            f"a{_fmt_set(t['pair'][0])}a{_fmt_set(t['pair'][1])}*P[{_fmt_delta(t['delta'])}]"
+            for t in rel["terms"]
+        )
+        yield (f"dim {rel['dimension']}, direction {_fmt_set(rel['direction'])}, "
+               f"fixed {_fmt_set(rel['fixed_ones'])}: {terms} = 0")
+
+
 def _cmd_eqs(args) -> int:
     k, n = args.k, args.n
     _eqs_budget(k, n)
-    rels = face_direction_classes(k, n)
-    text = (
-        relations_to_json(k, n, rels) if args.json else relations_to_text(k, n, rels)
-    )
+    relations = [
+        {
+            "dimension": rel.dimension,
+            "direction": list(rel.direction),
+            "fixed_ones": list(rel.fixed_ones),
+            "terms": [
+                {"pair": [list(lab1), list(lab2)], "delta": list(delta)}
+                for lab1, lab2, delta in rel.terms
+            ],
+        }
+        for rel in face_direction_classes(k, n)
+    ]
+    payload = {"k": k, "n": n, "relations": relations, "relation_count": len(relations)}
+    _emit(payload, args.json, _eqs_lines(payload), args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-        print(f"wrote {len(rels)} relations to {args.out}")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(f"wrote {payload['relation_count']} relations to {args.out}")
     return 0
 
 

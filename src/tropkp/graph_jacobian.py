@@ -13,8 +13,8 @@ Everything in this module is exact.  Points come in as tuples of ``Fraction``
 the origin, and the set of lattice points equidistant from a given Voronoi
 vertex) are decided in integers on one lift of the point over a common
 denominator, ``BananaData.lift_integer``, against the edge lengths over
-theirs; a ``Fraction`` is made only for a public return value such as
-``lift_coords``.  Both predicates rest on the cycle criterion: the
+theirs; a ``Fraction`` is made only for a public return value such as a
+vertex's coordinates.  Both predicates rest on the cycle criterion: the
 Voronoi-relevant vectors of a graph's lattice are its simple cycles (Bacher,
 de la Harpe and Nagnibeda, 1997), which on the banana graph are the n(n-1)/2
 two-edge cycles, lifting under B^T to the vectors +-(e_i - e_j).  A walk
@@ -41,8 +41,6 @@ __all__ = [
     "check_genus",
     "voronoi_contains",
     "delaunay_set",
-    "classify_point",
-    "vertices_equivalent",
     "frac",
     "frac_vector",
     "over_common_denominator",
@@ -51,14 +49,18 @@ __all__ = [
 
 def frac(x: RationalLike) -> Fraction:
     """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction; a float
-    or a bool is refused rather than read as a rational."""
+    or a bool is refused rather than read as a rational, and a zero
+    denominator is a ValueError, as any other malformed rational is."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (bool, float)):
         raise TypeError(
             f"refusing {type(x).__name__} {x!r}; pass a Fraction, int, or 'p/q' string"
         )
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def frac_vector(xs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
@@ -74,19 +76,12 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...]
 
 @dataclass(frozen=True)
 class BananaData:
-    """A two-vertex graph with parallel edges; its cycle basis ``B`` and Gram
-    matrix ``Q`` are computed when first read."""
+    """A two-vertex graph with parallel edges; its Gram matrix ``Q`` is
+    computed when first read."""
 
     genus: int
     n: int
     edge_lengths: tuple[Fraction, ...]
-
-    @functools.cached_property
-    def B(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(1 if m == 0 else (-1 if m == i + 1 else 0) for m in range(self.n))
-            for i in range(self.genus)
-        )
 
     @functools.cached_property
     def Q(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -96,15 +91,6 @@ class BananaData:
             tuple(lengths[0] + (lengths[i + 1] if i == j else 0) for j in range(self.genus))
             for i in range(self.genus)
         )
-
-    def is_unit(self) -> bool:
-        return all(l == 1 for l in self.edge_lengths)
-
-    def unit(self) -> "BananaData":
-        """The same graph with all edge lengths set to 1."""
-        if self.is_unit():
-            return self
-        return build_banana(self.genus)
 
     def lift_integer(self, point: Sequence[RationalLike]) -> tuple[int, tuple[int, ...]]:
         """B^T applied to a g-vector, over a common denominator: ``(d, X)``
@@ -117,13 +103,6 @@ class BananaData:
             raise ValueError(f"expected a vector of length {self.genus}, got {len(pt)}")
         scaled, d = over_common_denominator(pt)
         return d, (sum(scaled),) + tuple(-x for x in scaled)
-
-    def lift_coords(self, point: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        """B^T applied to a g-vector, as Fractions: the public view of
-        ``lift_integer``.  The first entry is the coordinate sum, entry
-        j >= 2 is -point[j-2]."""
-        d, X = self.lift_integer(point)
-        return tuple(Fraction(x, d) for x in X)
 
 
 @dataclass(frozen=True)
@@ -252,12 +231,6 @@ def _equidistant_points(
     return sorted(tuple(-v for v in x[1:]) for x in seen), n - len(set(part))
 
 
-def classify_point(data: BananaData, point: Sequence[RationalLike]) -> int:
-    """Number of negative entries of the lift B^T point."""
-    _, X = data.lift_integer(point)
-    return sum(1 for x in X if x < 0)
-
-
 def delaunay_set(data: BananaData, a: Sequence[RationalLike]) -> DelaunaySet:
     """Lattice points c with 2 a^T Q c = c^T Q c, anchored at the vertex a.
 
@@ -275,29 +248,6 @@ def delaunay_set(data: BananaData, a: Sequence[RationalLike]) -> DelaunaySet:
             f"{pt} is not a Voronoi vertex: its {len(points)} equidistant lattice "
             f"points span dimension {rank}, not {data.genus}"
         )
-    anchor = VoronoiVertex(coords=pt, class_k=classify_point(data, pt))
+    _, X = data.lift_integer(pt)
+    anchor = VoronoiVertex(coords=pt, class_k=sum(x < 0 for x in X))
     return DelaunaySet(points=tuple(points), anchor=anchor)
-
-
-def vertices_equivalent(
-    data: BananaData,
-    a: Sequence[RationalLike],
-    a2: Sequence[RationalLike],
-) -> Optional[tuple[int, ...]]:
-    """Lattice translation c0 with a2 = a - c0, or None.
-
-    Two Voronoi vertices represent the same point of the quotient torus
-    exactly when they differ by a lattice vector; that vector then belongs to
-    the Delaunay set of ``a``, which is checked as a certificate.
-    """
-    pa = frac_vector(a)
-    pb = frac_vector(a2)
-    if len(pa) != len(pb):
-        raise ValueError("points live in different dimensions")
-    diff = tuple(x - y for x, y in zip(pa, pb))
-    if any(entry.denominator != 1 for entry in diff):
-        return None
-    c0 = tuple(int(entry) for entry in diff)
-    if c0 not in delaunay_set(data, pa).points:
-        return None
-    return c0

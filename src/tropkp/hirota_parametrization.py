@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graph_jacobian import RationalLike, frac_vector
+from .graph_jacobian import RationalLike, frac_vector, over_common_denominator
 from .tropical_limit import (
     Divisor,
     KappaConfig,
@@ -50,7 +50,6 @@ from .tropical_limit import (
     RMatrix,
     kappa_config,
     limit_R,
-    over_common_denominator,
     theta_coefficients,
     uvw,
     validate_divisor,
@@ -61,10 +60,8 @@ __all__ = [
     "HirotaPoint",
     "RouteMismatchError",
     "grassmann_point",
-    "exact_det",
     "hypersimplex_labels",
     "vandermonde_minor",
-    "kj_squared_from_R",
     "label_lattice_point",
     "alpha_from_beta",
     "matrix_A",
@@ -87,19 +84,6 @@ Label = tuple[int, ...]
 class RouteMismatchError(Exception):
     """Two exact routes to the same object disagree: an internal
     inconsistency, not bad input."""
-
-
-def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix: each row is scaled to
-    integers over its common denominator, the integer determinant is taken
-    by ``_bareiss_det`` and divided by the product of the row scales."""
-    size = len(rows)
-    if any(len(row) != size for row in rows):
-        raise ValueError("determinant of a non-square matrix")
-    scaled = [over_common_denominator(row) for row in rows]
-    return Fraction(
-        _bareiss_det([list(ints) for ints, _ in scaled]), math.prod(D for _, D in scaled)
-    )
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -196,20 +180,6 @@ def kprime(kc: KappaConfig, i: int) -> Fraction:
     ints, D = kc.integers
     val = math.prod(ints[i - 1] - K for j, K in enumerate(ints, 1) if j != i)
     return Fraction(val, D ** (kc.n - 1))
-
-
-def kj_squared_from_R(R: RMatrix, J: Sequence[int]) -> Fraction:
-    """K_J^2 recovered from the limit period matrix alone:
-    exp(-(|J|-1)/2 * sum_l R_{j_l-1,j_l-1} + sum_{l<m} R_{j_l-1,j_m-1}),
-    with the index-0 row and column of R read as zero."""
-    J = tuple(J)
-    size = len(J)
-    val = Fraction(1)
-    for j in J:
-        val *= R.exp_half_diag(j - 1) ** -(size - 1)
-    for a, b in itertools.combinations(J, 2):
-        val *= R.exp_entry(a - 1, b - 1)
-    return val
 
 
 def label_lattice_point(n: int, k: int, label: Sequence[int]) -> tuple[int, ...]:

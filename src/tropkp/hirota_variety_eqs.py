@@ -20,11 +20,12 @@ against the first coordinate reproduce the period vectors, so
 w_{J1} - w_{J2} = delta . scr with delta = e_S - e_{I1-S} the term's sign
 vector; delta sums to zero, so the zero first coordinate (the gauge) never
 matters.  ``instantiate_and_check`` evaluates the quartics exactly on a
-coefficient family from one wave per label, and ``face_table`` does so over
-every doubled point of the family.  ``certify`` evaluates only the
-``face_direction_classes`` representatives and compares them with the
-residual groups on the same keys; the full table serves the tests, which
-compare it with the whole residual.
+coefficient family from one wave per label, and ``face_table`` does so with
+``quartic_for_point`` over every doubled point that ``squared_set``
+enumerates.  ``certify`` evaluates only the ``face_direction_classes``
+representatives and compares them with the residual groups on the same
+keys; the full table serves the tests, which compare it with the whole
+residual.
 
 A ``QuarticRelation`` stores only n and its direction and frozen sets.  Its
 terms are enumerated as pairs of label bit masks (bit j - 1 for column j) by
@@ -44,11 +45,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .hirota_parametrization import HirotaPoint, hypersimplex_labels
 from .tau_kp import TauFunction, hirota_residual
@@ -63,8 +63,6 @@ __all__ = [
     "instantiate_and_check",
     "face_table",
     "face_values_match_residual",
-    "relations_to_json",
-    "relations_to_text",
 ]
 
 Label = tuple[int, ...]
@@ -93,14 +91,6 @@ class QuarticRelation:
     @property
     def dimension(self) -> int:
         return len(self.direction) - 1
-
-    def squared_point(self, n: int) -> tuple[int, ...]:
-        """The doubled-hypersimplex point this face sits over."""
-        fixed, direction = set(self.fixed_ones), set(self.direction)
-        return tuple(
-            2 * (1 if i in fixed else 0) + (1 if i in direction else 0)
-            for i in range(1, n + 1)
-        )
 
     def pair_masks(self) -> Iterator[tuple[int, int]]:
         """Each term's label pair as bit masks (bit j - 1 for column j):
@@ -234,28 +224,16 @@ def instantiate_and_check(
     return out
 
 
-def _doubled_point_relations(k: int, n: int) -> Iterable[QuarticRelation]:
-    """The face quartic over every doubled point of the (k, n) hypersimplex:
-    for each two-count f, each frozen set F of size f and each direction set
-    of size 2(k - f) among the other coordinates.  Unlike ``squared_set``,
-    no realizing label pair is built."""
-    columns = range(1, n + 1)
-    for f in range(max(0, 2 * k - n), k):
-        for fixed in itertools.combinations(columns, f):
-            rest = [i for i in columns if i not in fixed]
-            for direction in itertools.combinations(rest, 2 * (k - f)):
-                yield QuarticRelation(direction, fixed, n)
-
-
 def face_table(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:
     """Exact value of the face quartic over every doubled point of the
-    family's (k, n), each with its own frozen coordinates, keyed by doubled
-    point; the class representatives of ``face_direction_classes`` are
-    among the keys.  ``certify`` reads only those representatives, through
-    ``instantiate_and_check``; this full table serves the tests, which
-    compare it with the whole bilinear residual."""
-    n = len(hp.uvw.U) + 1
-    return instantiate_and_check(_doubled_point_relations(hp.label_size, n), hp)
+    family's (k, n) that ``squared_set`` enumerates, each with its own
+    frozen coordinates, keyed by doubled point; the class representatives
+    of ``face_direction_classes`` are among the keys.  ``certify`` reads
+    only those representatives, through ``instantiate_and_check``; this
+    full table serves the tests, which compare it with the whole bilinear
+    residual."""
+    points = squared_set(hp.label_size, len(hp.uvw.U) + 1)
+    return instantiate_and_check(map(quartic_for_point, points), hp)
 
 
 def face_values_match_residual(hp: HirotaPoint, tau: TauFunction) -> bool:
@@ -268,55 +246,3 @@ def face_values_match_residual(hp: HirotaPoint, tau: TauFunction) -> bool:
     different gauge).
     """
     return face_table(hp) == hirota_residual(tau)
-
-
-def relations_to_json(k: int, n: int, relations: Iterable[QuarticRelation]) -> str:
-    payload = {
-        "k": k,
-        "n": n,
-        "relations": [
-            {
-                "dimension": rel.dimension,
-                "direction": list(rel.direction),
-                "fixed_ones": list(rel.fixed_ones),
-                "terms": [
-                    {
-                        "pair": [list(lab1), list(lab2)],
-                        "delta": list(delta),
-                    }
-                    for lab1, lab2, delta in rel.terms
-                ],
-            }
-            for rel in relations
-        ],
-    }
-    payload["relation_count"] = len(payload["relations"])
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def _fmt_set(xs: Sequence[int]) -> str:
-    return "{" + ",".join(str(x) for x in xs) + "}"
-
-
-def _fmt_delta(delta: Sequence[int]) -> str:
-    bits = []
-    for i, v in enumerate(delta, start=1):
-        if v == 1:
-            bits.append(f"+{i}")
-        elif v == -1:
-            bits.append(f"-{i}")
-    return "".join(bits)
-
-
-def relations_to_text(k: int, n: int, relations: Iterable[QuarticRelation]) -> str:
-    lines = [f"quartic face equations for the ({k},{n}) family"]
-    for rel in relations:
-        terms = " + ".join(
-            f"a{_fmt_set(lab1)}a{_fmt_set(lab2)}*P[{_fmt_delta(delta)}]"
-            for lab1, lab2, delta in rel.terms
-        )
-        lines.append(
-            f"dim {rel.dimension}, direction {_fmt_set(rel.direction)}, "
-            f"fixed {_fmt_set(rel.fixed_ones)}: {terms} = 0"
-        )
-    return "\n".join(lines) + "\n"

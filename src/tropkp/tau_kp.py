@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .graph_jacobian import over_common_denominator
 from .hirota_parametrization import (
     GrassmannPoint,
     HirotaPoint,
@@ -69,12 +70,7 @@ from .hirota_parametrization import (
     label_lattice_point,
     vandermonde_minor,
 )
-from .tropical_limit import (
-    ZERO,
-    KappaConfig,
-    clear_denominators,
-    over_common_denominator,
-)
+from .tropical_limit import ZERO, KappaConfig, clear_denominators
 
 __all__ = [
     "TauTerm",

@@ -42,7 +42,6 @@ __all__ = [
     "uvw",
     "quartic",
     "clear_denominators",
-    "over_common_denominator",
     "validate_divisor",
     "abel_map",
 ]

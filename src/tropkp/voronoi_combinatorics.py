@@ -32,26 +32,15 @@ from .graph_jacobian import (
 )
 
 __all__ = [
-    "LiftedVertex",
     "ShiftVector",
     "voronoi_vertices",
     "f_vector",
     "canonical_vertex",
-    "lift",
     "lift_signs",
-    "projection_matrix",
     "shift_vector",
     "normalize_delaunay",
     "vertex_from_lift_signs",
 ]
-
-
-@dataclass(frozen=True)
-class LiftedVertex:
-    """Image of a Voronoi vertex under B^T together with its sign pattern."""
-
-    coords: tuple[Fraction, ...]
-    signs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -115,22 +104,6 @@ def lift_signs(data: BananaData, a: Sequence[RationalLike]) -> tuple[int, ...]:
     """Signs (+1, 0, -1) of the entries of B^T a, read off its integer lift."""
     _, X = data.lift_integer(a)
     return tuple((x > 0) - (x < 0) for x in X)
-
-
-def lift(data: BananaData, a: Sequence[RationalLike]) -> LiftedVertex:
-    """B^T a with its sign pattern; vertices of the unit cell never lift to
-    a zero entry."""
-    return LiftedVertex(coords=data.lift_coords(a), signs=lift_signs(data, a))
-
-
-def projection_matrix(genus: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Orthogonal projection of R^n onto the sum-zero hyperplane containing
-    the lifted cell: I - (1/n) J."""
-    n = genus + 1
-    return tuple(
-        tuple(Fraction(n - 1, n) if i == j else Fraction(-1, n) for j in range(n))
-        for i in range(n)
-    )
 
 
 def shift_vector(data: BananaData, a: Sequence[RationalLike]) -> ShiftVector:

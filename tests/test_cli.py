@@ -13,6 +13,7 @@ import pytest
 import tropkp
 from tropkp.cli import (
     CERTIFY_MAX_ENTRIES,
+    CERTIFY_MAX_TERM_SAMPLES,
     CERTIFY_MAX_TERMS,
     FIELD_MAX_EVALUATIONS,
     LATTICE_MAX_ENTRIES,
@@ -744,6 +745,48 @@ class TestConfigCommands:
         first = next(n for n in range(2, 2000) if math.comb(n, 2) * n > CERTIFY_MAX_ENTRIES)
         assert first == 183
 
+    def test_certify_refuses_samples_past_the_budget(
+        self, config_file, capsys, monkeypatch
+    ):
+        """Tau terms times KP samples past ``CERTIFY_MAX_TERM_SAMPLES`` is
+        refused with exit 1 before any exact work or sample list; the
+        default 20 samples are admitted at every family within
+        ``CERTIFY_MAX_TERMS``."""
+        import tropkp.cli as cli_mod
+
+        assert CERTIFY_MAX_TERMS * 20 <= CERTIFY_MAX_TERM_SAMPLES == 100_000
+        drawn = _spy(monkeypatch, cli_mod, "_sample_points")
+        located = _spy(monkeypatch, cli_mod, "hirota_point")
+        for samples in (16_667, 10**12):
+            cfg = config_file(dict(BETA_CONFIG, samples=samples))
+            assert run(["certify", "--config", cfg]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: class 2 at n = 4 with {samples} samples has comb(4, 2) * "
+                f"{samples} = {6 * samples} KP term evaluations, exceeding the bound "
+                "of 100000 evaluations\n"
+            )
+        assert drawn == located == []
+
+    @pytest.mark.parametrize("bound, code", [(23, 1), (24, 0)])
+    def test_certify_sample_budget_is_inclusive(
+        self, bound, code, config_file, capsys, monkeypatch
+    ):
+        """With the bound lowered around the 6 terms times 4 samples of a
+        (4, 2) config, one evaluation past it is refused and exactly the
+        bound is certified."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "CERTIFY_MAX_TERM_SAMPLES", bound)
+        assert run(["certify", "--config", config_file(BETA_CONFIG)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.endswith("= 24 KP term evaluations, exceeding the "
+                                         "bound of 23 evaluations\n")
+        else:
+            assert captured.out.endswith("certification PASSED\n")
+
     @pytest.mark.parametrize("bound, code", [(51, 1), (52, 0)])
     def test_certify_entry_budget_is_inclusive(
         self, bound, code, config_file, capsys, monkeypatch
@@ -849,18 +892,38 @@ class TestConfigCommands:
             cli_mod._param_budget(n, k)
 
     def test_eqs_text_and_json(self, capsys):
+        """The human text renders the JSON payload: one line per relation,
+        each term's labels and sign vector as signed columns."""
         assert run(["eqs", "--k", "2", "--n", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "dim 3, direction {1,2,3,4}" in out
+        text = capsys.readouterr().out
+        assert text.splitlines()[0] == "quartic face equations for the (2,4) family"
+        assert (
+            "dim 3, direction {1,2,3,4}, fixed {}: "
+            "a{1,2}a{3,4}*P[+1+2-3-4] + a{1,3}a{2,4}*P[+1-2+3-4] "
+            "+ a{1,4}a{2,3}*P[+1-2-3+4] = 0" in text
+        )
+        assert "dim 1, direction {1,2}, fixed {3}: a{1,3}a{2,3}*P[+1-2] = 0" in text
         assert run(["eqs", "--k", "2", "--n", "4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["k"] == 2
+        assert payload["n"] == 4
         assert payload["relation_count"] == 7
+        big = payload["relations"][-1]
+        assert big["direction"] == [1, 2, 3, 4]
+        assert big["terms"][0]["pair"] == [[1, 2], [3, 4]]
+        assert big["terms"][0]["delta"] == [1, 1, -1, -1]
 
-    def test_eqs_writes_file(self, tmp_path, capsys):
-        out_path = tmp_path / "eqs.txt"
-        assert run(["eqs", "--k", "2", "--n", "5", "--out", str(out_path)]) == 0
-        assert "wrote" in capsys.readouterr().out
-        assert out_path.read_text().startswith("quartic face equations")
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_eqs_writes_file(self, as_json, tmp_path, capsys):
+        """``--out`` writes the bytes the command prints without it, and
+        prints one line saying so."""
+        argv = ["eqs", "--k", "3", "--n", "6"] + (["--json"] if as_json else [])
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        out_path = tmp_path / "eqs.out"
+        assert run(argv + ["--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == f"wrote 31 relations to {out_path}\n"
+        assert out_path.read_bytes() == printed.encode()
 
     @pytest.mark.parametrize("past", [True, False], ids=["bound-1", "bound"])
     def test_eqs_budget_is_inclusive(self, past, capsys, monkeypatch):
@@ -937,6 +1000,36 @@ class TestErrorHandling:
         bad = dict(BETA_CONFIG, kappas=["0", "1", "2", "zebra"])
         assert run(["limits", "--config", config_file(bad)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"kappas": ["0", "1/0", "2", "3"]},
+             "bad kappas/class_k: zero denominator in '1/0'"),
+            ({"beta": ["1", "1/0", "1"]}, "bad weight data: zero denominator in '1/0'"),
+            ({"beta": None, "lambda": ["1", "2/0", "1"]},
+             "bad weight data: zero denominator in '2/0'"),
+            ({"beta": None, "divisor": {"points": ["1/2", "3/0", "5/2"], "split_k": 2}},
+             "bad weight data: zero denominator in '3/0'"),
+        ],
+        ids=["kappas", "beta", "lambda", "divisor"],
+    )
+    def test_zero_denominator_is_one_error_line(
+        self, overrides, message, config_file, capsys
+    ):
+        """A rational with a zero denominator anywhere in a config is a
+        malformed rational: one error line and exit 1, not a traceback."""
+        bad = {k: v for k, v in dict(BETA_CONFIG, **overrides).items() if v is not None}
+        assert run(["certify", "--config", config_file(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_zero_denominator_vertex_is_one_error_line(self, capsys):
+        assert run(["delaunay", "--genus", "2", "--vertex", "1/0,1/3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: zero denominator in '1/0'\n"
 
     def test_limits_rejects_malformed_weights(self, config_file, capsys):
         """Weights are resolved when the config is read, so a command that
@@ -1288,7 +1381,7 @@ class TestFaceRepresentatives:
             else dict(TestFractionCount.CONFIG, samples=2)
         )
         path, label_size, n = self.certify_config(config_file, cfg, choice)
-        calls = {"face_table": 0, "_doubled_point_relations": 0}
+        calls = {"face_table": 0, "squared_set": 0}
         for name in calls:
             real = getattr(eqs_mod, name)
 
@@ -1309,7 +1402,7 @@ class TestFaceRepresentatives:
         monkeypatch.setattr(cli_mod, "instantiate_and_check", counting_check)
         assert run(["certify", "--json", "--config", path]) == 0
         assert json.loads(capsys.readouterr().out)["all_ok"]
-        assert calls == {"face_table": 0, "_doubled_point_relations": 0}
+        assert calls == {"face_table": 0, "squared_set": 0}
         assert evaluated == [len(face_direction_classes(label_size, n))]
 
     @pytest.mark.parametrize("choice", ["v1", "v2"])
@@ -1323,7 +1416,11 @@ class TestFaceRepresentatives:
         import tropkp.cli as cli_mod
 
         path, label_size, n = self.certify_config(config_file, BETA_CONFIG, choice)
-        key = face_direction_classes(label_size, n)[0].squared_point(n)
+        rel = face_direction_classes(label_size, n)[0]
+        # the representative's doubled point: 2 where frozen, 1 on the direction
+        key = tuple(
+            2 * (i in rel.fixed_ones) + (i in rel.direction) for i in range(1, n + 1)
+        )
         real = cli_mod.hirota_residual
 
         def faulty(tau):

@@ -1,5 +1,5 @@
-"""Tests for the exact lattice geometry: Gram matrices, cell membership,
-Delaunay sets, and vertex equivalence."""
+"""Tests for the exact lattice geometry: Gram matrices, integer lifts, cell
+membership, and Delaunay sets."""
 
 import itertools
 import math
@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from tropkp.graph_jacobian import (
     _equidistant_points,
     build_banana,
-    classify_point,
     delaunay_set,
     frac,
     frac_vector,
-    vertices_equivalent,
     voronoi_contains,
 )
-from tropkp.voronoi_combinatorics import voronoi_vertices
+from tropkp.voronoi_combinatorics import lift_signs, voronoi_vertices
 
 # A genus-3 vertex for the lengths (1, 7, 9/2, 1/3) whose Delaunay cell is a
 # simplex: 4 equidistant points, not the 6 a unit-length class-2 vertex has.
@@ -27,11 +25,22 @@ WEIGHTED_LENGTHS = (1, 7, F(9, 2), F(1, 3))
 WEIGHTED_VERTEX = (F(293, 550), F(-247, 550), F(103, 550))
 
 
-def fraction_lift(data, point):
-    """B^T point in plain Fractions, read off the incidence matrix ``B``
-    rather than from the package's lift."""
+def cycle_basis(genus):
+    """The rows e_1 - e_{i+1} of the cycle basis B, over the n = genus + 1
+    edges."""
+    n = genus + 1
     return tuple(
-        sum((b * F(x) for b, x in zip(column, point)), F(0)) for column in zip(*data.B)
+        tuple(1 if m == 0 else (-1 if m == i + 1 else 0) for m in range(n))
+        for i in range(genus)
+    )
+
+
+def fraction_lift(data, point):
+    """B^T point in plain Fractions, read off the cycle basis ``B`` rather
+    than from the package's lift."""
+    return tuple(
+        sum((b * F(x) for b, x in zip(column, point)), F(0))
+        for column in zip(*cycle_basis(data.genus))
     )
 
 
@@ -209,6 +218,13 @@ class TestFrac:
         with pytest.raises(TypeError, match=f"refusing bool {value}"):
             frac(value)
 
+    @pytest.mark.parametrize("value", ["1/0", "-3/0", "0/0"])
+    def test_zero_denominator_is_a_value_error(self, value):
+        """A zero denominator is a malformed rational like any other, so it
+        is a ValueError and not Fraction's ZeroDivisionError."""
+        with pytest.raises(ValueError, match=f"zero denominator in '{value}'"):
+            frac(value)
+
     def test_vector(self):
         assert frac_vector(["1/2", 0, F(3)]) == (F(1, 2), F(0), F(3))
 
@@ -228,22 +244,23 @@ class TestBuildBanana:
         """Q_ii = l_1 + l_{i+1} and Q_ij = l_1 for general lengths."""
         data = build_banana(2, (2, 3, 5))
         assert data.Q == ((F(5), F(2)), (F(2), F(7)))
-        assert not data.is_unit()
-        assert data.unit().Q == ((F(2), F(1)), (F(1), F(2)))
 
     def test_incidence_rows(self):
+        """The lift of the i-th unit vector is the i-th cycle, e_1 - e_{i+1}."""
         data = build_banana(2)
-        assert data.B == ((1, -1, 0), (1, 0, -1))
+        assert cycle_basis(2) == ((1, -1, 0), (1, 0, -1))
+        assert data.lift_integer((1, 0)) == (1, (1, -1, 0))
+        assert data.lift_integer((0, 1)) == (1, (1, 0, -1))
 
-    def test_lift_coords(self):
+    def test_lift_integer(self):
         data = build_banana(2)
-        assert data.lift_coords((F(1, 3), F(1, 3))) == (F(2, 3), F(-1, 3), F(-1, 3))
+        assert data.lift_integer((F(1, 3), F(1, 3))) == (3, (2, -1, -1))
 
     def test_lift_sums_to_zero(self):
         data = build_banana(3)
-        lifted = data.lift_coords((F(1, 2), F(-1, 2), F(-1, 2)))
-        assert lifted == (F(-1, 2), F(-1, 2), F(1, 2), F(1, 2))
-        assert sum(lifted) == 0
+        d, X = data.lift_integer((F(1, 2), F(-1, 2), F(-1, 2)))
+        assert (d, X) == (2, (-1, -1, 1, 1))
+        assert sum(X) == 0
 
     @pytest.mark.parametrize(
         "genus,lengths,message",
@@ -364,7 +381,6 @@ class TestVoronoiContains:
         d, X = data.lift_integer(point)
         assert d == math.lcm(*(F(x).denominator for x in point))
         assert tuple(F(x, d) for x in X) == fraction_lift(data, point)
-        assert data.lift_coords(point) == fraction_lift(data, point)
         assert voronoi_contains(data, point) == fraction_contains(data, point), (
             data.edge_lengths, point)
         if kind != "random" and scale == 1 and fraction_contains(data, point):
@@ -415,18 +431,26 @@ class TestVoronoiContains:
 
 
 class TestClassify:
+    """The class of a point is the number of negative entries of its lift:
+    ``lift_signs`` reads it for any point, ``delaunay_set`` for a vertex."""
+
     def test_origin_is_class_zero(self):
-        assert classify_point(build_banana(2), (0, 0)) == 0
+        assert lift_signs(build_banana(2), (0, 0)).count(-1) == 0
 
     @pytest.mark.parametrize(
         "point,expected",
         [((F(-1, 3), F(-1, 3)), 1), ((F(1, 3), F(1, 3)), 2)],
     )
     def test_hexagon_classes(self, point, expected):
-        assert classify_point(build_banana(2), point) == expected
+        data = build_banana(2)
+        assert lift_signs(data, point).count(-1) == expected
+        assert delaunay_set(data, point).anchor.class_k == expected
 
     def test_genus_three_canonical(self):
-        assert classify_point(build_banana(3), (F(1, 2), F(-1, 2), F(-1, 2))) == 2
+        data = build_banana(3)
+        point = (F(1, 2), F(-1, 2), F(-1, 2))
+        assert lift_signs(data, point).count(-1) == 2
+        assert delaunay_set(data, point).anchor.class_k == 2
 
 
 class TestDelaunaySet:
@@ -516,24 +540,3 @@ class TestDelaunaySet:
         ds = delaunay_set(data, (F(1, 2), F(-1, 2), F(-1, 2)))
         assert len(ds.points) == 6
         assert ds.anchor.class_k == 2
-
-
-class TestVerticesEquivalent:
-    def test_translation_by_delaunay_point(self):
-        data = build_banana(2)
-        a = (F(1, 3), F(1, 3))
-        shifted = (F(1, 3) - 1, F(1, 3))
-        assert vertices_equivalent(data, a, shifted) == (1, 0)
-
-    def test_same_vertex(self):
-        data = build_banana(2)
-        a = (F(1, 3), F(1, 3))
-        assert vertices_equivalent(data, a, a) == (0, 0)
-
-    def test_inequivalent_vertices(self):
-        data = build_banana(2)
-        assert vertices_equivalent(data, (F(1, 3), F(1, 3)), (F(-1, 3), F(2, 3))) is None
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            vertices_equivalent(build_banana(2), (F(1, 3), F(1, 3)), (F(1, 2),))

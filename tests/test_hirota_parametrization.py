@@ -16,7 +16,6 @@ from tropkp.hirota_parametrization import (
     alpha_from_beta,
     beta_lambda_convert,
     check_dn_interlacing,
-    exact_det,
     grassmann_point,
     hirota_point,
     hypersimplex_labels,
@@ -102,16 +101,17 @@ def rational_matrices(draw, rows=None, cols=None):
     return m
 
 
-class TestExactDet:
+class TestMaximalMinors:
     @given(rational_matrices())
     @settings(max_examples=150, deadline=None)
-    def test_matches_permutation_expansion(self, rows):
-        """Integer Bareiss elimination over the row-scaled matrix agrees
-        with the Leibniz expansion in Fractions, singular matrices and
-        a zero leading pivot included."""
-        det = exact_det(rows)
-        assert type(det) is F
-        assert det == leibniz_det(rows)
+    def test_square_minor_matches_permutation_expansion(self, rows):
+        """The one maximal minor of a square matrix, integer Bareiss
+        elimination over the row-scaled matrix, agrees with the Leibniz
+        expansion in Fractions, singular matrices and a zero leading pivot
+        included."""
+        (minor,) = grassmann_point(rows).pluecker.values()
+        assert type(minor) is F
+        assert minor == leibniz_det(rows)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -127,14 +127,16 @@ class TestExactDet:
 
     def test_known_value(self):
         rows = [[F(2), F(1), F(0)], [F(1), F(3), F(1)], [F(0), F(1), F(4)]]
-        assert exact_det(rows) == F(18)
+        assert grassmann_point(rows).pluecker == {(1, 2, 3): F(18)}
 
     def test_singular(self):
-        assert exact_det([[F(1), F(2)], [F(2), F(4)]]) == 0
+        assert grassmann_point([[F(1), F(2)], [F(2), F(4)]]).pluecker == {(1, 2): 0}
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            exact_det([[F(1), F(2)]])
+    def test_zero_pivot_minors(self):
+        """Columns whose leading entry is zero are swapped before they are
+        eliminated, with the sign of the swap."""
+        gp = grassmann_point([[F(0), F(1), F(2)], [F(3), F(4), F(5)]])
+        assert gp.pluecker == {(1, 2): F(-3), (1, 3): F(-6), (2, 3): F(-3)}
 
 
 class TestVandermondePieces:

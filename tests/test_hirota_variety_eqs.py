@@ -1,7 +1,6 @@
 """Tests for doubled-hypersimplex points, quartic face equations, and their
 agreement with the bilinear residual."""
 
-import json
 import math
 from fractions import Fraction as F
 
@@ -11,20 +10,25 @@ from hypothesis import given, settings
 
 from tropkp.hirota_parametrization import HirotaPoint, alpha_from_beta, hirota_point
 from tropkp.hirota_variety_eqs import (
-    _doubled_point_relations,
     face_direction_classes,
     face_table,
     face_values_match_residual,
     instantiate_and_check,
     quartic_for_point,
-    relations_to_json,
-    relations_to_text,
     squared_set,
 )
 from tropkp.tau_kp import hirota_residual, tau_from_hirota_point
 from tropkp.tropical_limit import PeriodVectors, kappa_config
 
 KC4 = kappa_config([0, 1, 2, 3])
+
+
+def doubled_point(rel):
+    """The doubled-hypersimplex point a face sits over: 2 on its frozen
+    coordinates, 1 on its direction, 0 elsewhere."""
+    return tuple(
+        2 * (i in rel.fixed_ones) + (i in rel.direction) for i in range(1, rel.n + 1)
+    )
 
 
 def pair_count(k, dprime):
@@ -114,10 +118,10 @@ class TestFaceDirectionClasses:
                 assert sum(delta) == 0
                 assert sum(1 for x in delta if x) == len(rel.direction)
 
-    def test_squared_point_roundtrip(self):
+    def test_quartic_for_point_roundtrip(self):
         for sp in squared_set(2, 4):
             rel = quartic_for_point(sp)
-            assert rel.squared_point(4) == sp.d
+            assert doubled_point(rel) == sp.d
 
 
 class TestInstantiation:
@@ -168,14 +172,13 @@ def lifted_dot_values(relations, hp):
     of the stored sign vector delta with the lifted period vectors
     scr = (0, -U), (0, -V), (0, -W)."""
     scr = [(F(0),) + tuple(-x for x in vec) for vec in (hp.uvw.U, hp.uvw.V, hp.uvw.W)]
-    n = len(scr[0])
     out = {}
     for rel in relations:
         total = F(0)
         for lab1, lab2, delta in rel.terms:
             dx, dy, dt = (sum((d * x for d, x in zip(delta, vec)), F(0)) for vec in scr)
             total += hp.alphas[lab1] * hp.alphas[lab2] * (dx**4 - 4 * dx * dt + 3 * dy**2)
-        out[rel.squared_point(n)] = total
+        out[doubled_point(rel)] = total
     return out
 
 
@@ -204,7 +207,6 @@ def fraction_wave_values(relations, hp):
     """The face values summed term by term in Fractions from per-label
     waves, w_J = -(sum of (U, V, W) over the columns j >= 2 of J)."""
     pv = hp.uvw
-    n = len(pv.U) + 1
     waves = {
         J: tuple(-sum((vec[j - 2] for j in J if j >= 2), F(0)) for vec in (pv.U, pv.V, pv.W))
         for J in hp.alphas
@@ -215,7 +217,7 @@ def fraction_wave_values(relations, hp):
         for lab1, lab2, _ in rel.terms:
             x, y, t = (a - b for a, b in zip(waves[lab1], waves[lab2]))
             total += hp.alphas[lab1] * hp.alphas[lab2] * (x**4 - 4 * x * t + 3 * y**2)
-        out[rel.squared_point(n)] = total
+        out[doubled_point(rel)] = total
     return out
 
 
@@ -249,7 +251,7 @@ class TestWaveTable:
         alphas = dict(hp.alphas)
         alphas[next(iter(alphas))] *= F(7, 5)
         hp = HirotaPoint(alphas=alphas, uvw=hp.uvw)
-        rels = list(_doubled_point_relations(hp.label_size, n))
+        rels = [quartic_for_point(sp) for sp in squared_set(hp.label_size, n)]
         expected = fraction_wave_values(rels, hp)
         table = face_table(hp)
         assert list(table.items()) == list(expected.items())
@@ -309,26 +311,3 @@ class TestFaceResidualAgreement:
         for family in (hp, hp.other_vertex()):
             residual = hirota_residual(tau_from_hirota_point(family))
             assert residual.keys() == face_table(family).keys()
-
-
-class TestEmitters:
-    def test_json_payload(self):
-        rels = face_direction_classes(2, 4)
-        payload = json.loads(relations_to_json(2, 4, rels))
-        assert payload["k"] == 2
-        assert payload["n"] == 4
-        assert payload["relation_count"] == 7
-        big = payload["relations"][-1]
-        assert big["direction"] == [1, 2, 3, 4]
-        assert big["terms"][0]["pair"] == [[1, 2], [3, 4]]
-        assert big["terms"][0]["delta"] == [1, 1, -1, -1]
-
-    def test_text_output(self):
-        text = relations_to_text(2, 4, face_direction_classes(2, 4))
-        assert text.splitlines()[0] == "quartic face equations for the (2,4) family"
-        assert (
-            "dim 3, direction {1,2,3,4}, fixed {}: "
-            "a{1,2}a{3,4}*P[+1+2-3-4] + a{1,3}a{2,4}*P[+1-2+3-4] "
-            "+ a{1,4}a{2,3}*P[+1-2-3+4] = 0" in text
-        )
-        assert "dim 1, direction {1,2}, fixed {3}: a{1,3}a{2,3}*P[+1-2] = 0" in text

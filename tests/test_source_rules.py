@@ -221,3 +221,108 @@ def test_all_lists_the_public_names():
         if stale or unlisted:
             found[path.name] = {"stale": sorted(stale), "unlisted": sorted(unlisted)}
     assert found == {}, f"__all__ out of step with the module: {found}"
+
+
+# public functions that no pinned command enters and that no tracer target
+# or acceptance import names, kept for the reason given
+UNENTERED_PUBLIC = {
+    "hirota_parametrization.pluecker_vandermonde_sum":
+        "the permutation sum that pluecker_vandermonde_identity_holds, an "
+        "acceptance import, compares with its closed form",
+    "hirota_variety_eqs.face_table":
+        "the full face table that face_values_match_residual, a tracer "
+        "target, compares with the bilinear residual",
+    "orientations_matroids.satisfies_exchange":
+        "the basis exchange axiom, for the certify row that states that the "
+        "Delaunay labels form a matroid (ROADMAP item 3)",
+}
+
+
+def _tracer_target_names() -> set[str]:
+    """``module.function`` for each entry of the benchmark tracer's
+    ``TARGETS``, read from ``perfbench/tracer.py``'s syntax tree."""
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(), filename=str(tracer))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    return {f"{module}.{func}" for module, funcs in targets.items() for func in funcs}
+
+
+def _acceptance_import_names() -> set[str]:
+    """``module.name`` for each name ``tests/test_acceptance.py`` imports
+    from a package module."""
+    path = Path(__file__).resolve().parent / "test_acceptance.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        f"{node.module.removeprefix('tropkp.')}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tropkp.")
+        for alias in node.names
+    }
+
+
+def test_every_public_function_is_entered_by_a_pinned_command(tmp_path):
+    """Every function a module lists in its ``__all__`` is entered when the
+    commands pinned in ``tests/cli_output.json`` run, each one but ``field``
+    and ``eqs`` also with ``--json``, under ``sys.setprofile``; or it is a
+    tracer target, an acceptance import, or an entry of
+    ``UNENTERED_PUBLIC``.  A public function that only tests call shows
+    here."""
+    import contextlib
+    import inspect
+    import io
+    import json
+
+    from tropkp.cli import run
+
+    repo = Path(__file__).resolve().parent.parent
+    pinned = json.loads((repo / "tests" / "cli_output.json").read_text())
+    paths = {"{g3k2}": str(repo / "g3k2.json")}
+    for name, cfg in pinned["configs"].items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        paths[f"{{{name}}}"] = str(path)
+    commands = []
+    for case in pinned["commands"]:
+        argv = [paths.get(arg, arg) for arg in case["argv"]]
+        commands.append(argv)
+        if argv[0] not in ("field", "eqs") and "--json" not in argv:
+            commands.append(argv + ["--json"])
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in commands:
+                run(argv)
+    finally:
+        sys.setprofile(previous)
+
+    kept = _tracer_target_names() | _acceptance_import_names() | set(UNENTERED_PUBLIC)
+    package = Path(tropkp.__file__).resolve().parent
+    never = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"tropkp.{path.stem}")
+        for name in sorted(_exported_names(ast.parse(path.read_text()))):
+            func = inspect.unwrap(getattr(module, name))
+            if (
+                inspect.isfunction(func)
+                and func.__module__ == module.__name__
+                and func.__code__ not in entered
+            ):
+                never.append(f"{path.stem}.{name}")
+    unexplained = [name for name in never if name not in kept]
+    assert unexplained == [], f"public functions no pinned command enters: {unexplained}"
+    # an allowed entry that a command enters, or that is gone, is stale
+    assert set(UNENTERED_PUBLIC) <= set(never), set(UNENTERED_PUBLIC) - set(never)

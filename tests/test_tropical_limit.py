@@ -128,12 +128,17 @@ class TestLimitR:
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_vandermonde_squares_from_R(self, size):
         """K_J^2 is recoverable from the period matrix alone, which pins the
-        exponent convention of the off-diagonal entries."""
-        from tropkp.hirota_parametrization import kj_squared_from_R
-
+        exponent convention of the off-diagonal entries:
+        K_J^2 = exp(-(|J|-1)/2 * sum_l R_{j_l-1,j_l-1} + sum_{l<m} R_{j_l-1,j_m-1}),
+        with the index-0 row and column of R read as zero."""
         R = limit_R(KC)
         for J in itertools.combinations(range(1, 5), size):
-            assert kj_squared_from_R(R, J) == vandermonde_minor(KC, J) ** 2, f"J={J}"
+            squared = F(1)
+            for j in J:
+                squared *= R.exp_half_diag(j - 1) ** -(size - 1)
+            for a, b in itertools.combinations(J, 2):
+                squared *= R.exp_entry(a - 1, b - 1)
+            assert squared == vandermonde_minor(KC, J) ** 2, f"J={J}"
 
 
 class TestThetaCoefficients:

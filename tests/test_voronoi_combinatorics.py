@@ -10,9 +10,8 @@ from tropkp.graph_jacobian import build_banana, delaunay_set
 from tropkp.voronoi_combinatorics import (
     canonical_vertex,
     f_vector,
-    lift,
+    lift_signs,
     normalize_delaunay,
-    projection_matrix,
     shift_vector,
     vertex_from_lift_signs,
     voronoi_vertices,
@@ -68,8 +67,7 @@ class TestVertexEnumeration:
     def test_vertex_from_lift_signs_roundtrip(self):
         data = build_banana(3)
         v = vertex_from_lift_signs(3, frozenset({2, 4}))
-        lifted = lift(data, v.coords)
-        neg = frozenset(j + 1 for j, s in enumerate(lifted.signs) if s == -1)
+        neg = frozenset(j + 1 for j, s in enumerate(lift_signs(data, v.coords)) if s == -1)
         assert neg == {2, 4}
 
     @pytest.mark.parametrize("positions", [frozenset(), frozenset({1, 2, 3, 4})])
@@ -108,9 +106,8 @@ class TestLiftAndShift:
 
     def test_canonical_lift_signs(self):
         data = build_banana(3)
-        lifted = lift(data, ANCHOR)
-        assert lifted.coords == (F(-1, 2), F(-1, 2), F(1, 2), F(1, 2))
-        assert lifted.signs == (-1, -1, 1, 1)
+        assert data.lift_integer(ANCHOR) == (2, (-1, -1, 1, 1))
+        assert lift_signs(data, ANCHOR) == (-1, -1, 1, 1)
 
     def test_shift_vector_marks_negative_entries(self):
         data = build_banana(3)
@@ -125,21 +122,6 @@ class TestLiftAndShift:
     def test_shift_rejects_non_vertices(self):
         with pytest.raises(ValueError, match="zero lift"):
             shift_vector(build_banana(2), (0, 0))
-
-    def test_projection_fixes_lifted_vertices(self):
-        """The lifted cell lives in the sum-zero hyperplane, where the
-        projection I - J/n acts as the identity."""
-        proj = projection_matrix(3)
-        data = build_banana(3)
-        coords = lift(data, ANCHOR).coords
-        image = tuple(sum(row[j] * coords[j] for j in range(4)) for row in proj)
-        assert image == coords
-
-    def test_projection_kills_diagonal(self):
-        proj = projection_matrix(2)
-        ones = (F(1), F(1), F(1))
-        image = tuple(sum(row[j] * ones[j] for j in range(3)) for row in proj)
-        assert image == (F(0), F(0), F(0))
 
 
 class TestNormalizeDelaunay:
