@@ -54,6 +54,7 @@ from .hirota_parametrization import (
     alpha_from_beta,
     beta_lambda_convert,
     check_dn_interlacing,
+    grassmann_point,
     hirota_point,
     invert_psi,
     lambda_from_divisor,
@@ -119,10 +120,10 @@ CERTIFY_MAX_TERM_SAMPLES = 100_000
 
 # the work of ``param`` has three parts, each bounded: a fixed cost per
 # alpha coefficient, comb(n, k) of them ((16, 8), with 12,870, takes about
-# 3.8 s); the n entries of each coefficient's lattice point, comb(n, k) * n
-# in all ((2000, 1), with 4,000,000, takes 2.5 s); and two k x k Bareiss
-# eliminations per coefficient, whose k^3 steps run on integers of O(k)
-# digits, comb(n, k) * k^4 ((40, 39), with 92,537,640, takes 4.8 s)
+# 1.5-2 s); the n entries of each coefficient's lattice point, comb(n, k) * n
+# in all ((2000, 1), with 4,000,000, takes 1.4-1.8 s); and one k x k Bareiss
+# elimination per coefficient, whose k^3 steps run on integers of O(k)
+# digits, comb(n, k) * k^4 ((40, 39), with 92,537,640, takes 0.6 s)
 PARAM_MAX_TERMS = math.comb(16, 8)
 PARAM_MAX_ENTRIES = 4_000_000
 PARAM_MAX_MINOR_STEPS = 100_000_000
@@ -572,21 +573,31 @@ def _cmd_limits(args) -> int:
 
 
 def _soliton_matrices(cfg: RunConfig, alphas: dict) -> tuple:
-    """``(A, At, minor_ok, prop_ok)``: the echelon and Vandermonde matrices
-    of the config's soliton, whether A's maximal minors satisfy the minor
-    identity with ``alphas``, and whether the two matrices have the same
-    normalized minors."""
-    A = matrix_A(cfg.kc, cfg.class_k, cfg.beta)
-    At = matrix_A_tilde(cfg.kc, cfg.class_k, cfg.lambdas)
+    """``(A, At, minor_ok, match_ok)``: the echelon matrix of the config's
+    soliton with its maximal minors, the rows of its Vandermonde matrix,
+    whether A's minors satisfy the minor identity with ``alphas``, and
+    whether the two matrices span the same point of Gr(k, n).  A is [I | B],
+    so they do exactly when At = G A for the block G of At's first k columns
+    and det G != 0; At's own minors are never taken."""
+    k = cfg.class_k
+    A = matrix_A(cfg.kc, k, cfg.beta)
+    At = matrix_A_tilde(cfg.kc, k, cfg.lambdas)
     minor_ok = verify_minor_identity(A, alphas, cfg.kc)
-    return A, At, minor_ok, A.normalized_pluecker() == At.normalized_pluecker()
+    G = [row[:k] for row in At]
+    columns = list(zip(*A.matrix))
+    # det G is the one maximal minor of G
+    match_ok = all(grassmann_point(G).pluecker.values()) and all(
+        entry == sum(g * a for g, a in zip(g_row, column))
+        for row, g_row in zip(At, G) for entry, column in zip(row, columns)
+    )
+    return A, At, minor_ok, match_ok
 
 
 def _cmd_param(args) -> int:
     cfg = RunConfig.from_file(args.config, _param_budget)
     kc, k = cfg.kc, cfg.class_k
     alphas = alpha_from_beta(kc, k, cfg.beta)
-    A, At, minor_ok, prop_ok = _soliton_matrices(cfg, alphas)
+    A, At, minor_ok, match_ok = _soliton_matrices(cfg, alphas)
     payload = {
         "kappas": _svec(kc.kappas),
         "class_k": k,
@@ -594,9 +605,9 @@ def _cmd_param(args) -> int:
         "lambda": _svec(cfg.lambdas),
         "alphas": {",".join(map(str, J)): str(v) for J, v in alphas.items()},
         "matrix_A": _smatrix(A.matrix),
-        "matrix_A_tilde": _smatrix(At.matrix),
+        "matrix_A_tilde": _smatrix(At),
         "minor_identity": minor_ok,
-        "parametrizations_match": prop_ok,
+        "parametrizations_match": match_ok,
     }
     if cfg.divisor is not None:
         payload["matrix_A_dual"] = _smatrix(matrix_A_dual(kc, cfg.divisor))
@@ -620,7 +631,7 @@ def _cmd_param(args) -> int:
     if "interlacing" in payload:
         lines.append(f"divisor interlaces the nodes: {payload['interlacing']}")
     _emit(payload, args.json, lines)
-    return 0 if minor_ok and prop_ok else 2
+    return 0 if minor_ok and match_ok else 2
 
 
 def _cmd_certify(args) -> int:
@@ -636,9 +647,9 @@ def _cmd_certify(args) -> int:
                    f"{len(hp1.alphas)} coefficients"))
     hp2 = hp1.other_vertex()
 
-    A, At, minor_ok, prop_ok = _soliton_matrices(cfg, hp1.alphas)
+    A, At, minor_ok, match_ok = _soliton_matrices(cfg, hp1.alphas)
     checks.append(("minor-identity", minor_ok, "A_J K_J = alpha_J K_base for all J"))
-    checks.append(("parametrization-match", prop_ok, "echelon vs Vandermonde minors"))
+    checks.append(("parametrization-match", match_ok, "echelon vs Vandermonde minors"))
 
     tau1 = tau_from_hirota_point(hp1)
     tau2 = tau_from_hirota_point(hp2)
@@ -683,7 +694,7 @@ def _cmd_certify(args) -> int:
     # emitted only there instead of passing vacuously
     if (cfg.divisor is not None and kc.sorted_flag
             and check_dn_interlacing(kc, cfg.divisor)):
-        pos = all(v > 0 for v in At.pluecker.values())
+        pos = all(v > 0 for v in grassmann_point(At).pluecker.values())
         checks.append(("interlacing-positivity", pos,
                        f"interlacing=True, all minors positive={pos}"))
 

@@ -25,7 +25,10 @@ All arithmetic is exact, over Fraction and Python integers; nothing here
 ever touches floats.  Maximal minors are integer determinants: each row is
 scaled to integers over its common denominator once, and the minors are taken
 by fraction-free (Bareiss) elimination and divided by the product of the row
-scales.  Both alpha routes are integer ratios until their comparison: the
+scales.  Only ``matrix_A`` and the divisor's positivity need them: since A is
+[I | B], the Vandermonde rows span A's point exactly when they equal G A for
+their first k columns G with det G != 0, a product of matrices and one
+determinant.  Both alpha routes are integer ratios until their comparison: the
 theta route multiplies the numerators and denominators of the entries of R
 that it reads (``theta_coefficients``), the product route multiplies integer
 differences of the kappas over their common denominator D
@@ -50,6 +53,7 @@ from .tropical_limit import (
     RMatrix,
     kappa_config,
     limit_R,
+    power_product,
     theta_coefficients,
     uvw,
     validate_divisor,
@@ -117,24 +121,13 @@ def hypersimplex_labels(n: int, k: int) -> tuple[Label, ...]:
 
 @dataclass
 class GrassmannPoint:
-    """A k x n rational matrix with its full family of maximal minors.
-
-    ``pluecker[J]`` is the raw determinant of the columns J (1-based, sorted);
-    ``normalized_pluecker`` rescales so the lexicographically first nonzero
-    minor equals 1, which is the right gauge for comparing parametrizations.
-    """
+    """A k x n rational matrix with its full family of maximal minors:
+    ``pluecker[J]`` is the determinant of the columns J (1-based, sorted)."""
 
     k: int
     n: int
     matrix: tuple[tuple[Fraction, ...], ...]
     pluecker: dict[Label, Fraction]
-
-    def normalized_pluecker(self) -> dict[Label, Fraction]:
-        for label in hypersimplex_labels(self.n, self.k):
-            if self.pluecker[label] != 0:
-                scale = self.pluecker[label]
-                return {J: v / scale for J, v in self.pluecker.items()}
-        raise ValueError("all maximal minors vanish; not a Grassmannian point")
 
 
 def grassmann_point(matrix: Sequence[Sequence[RationalLike]]) -> GrassmannPoint:
@@ -198,22 +191,6 @@ def _beta_at(beta: Sequence[Fraction], m: int) -> Fraction:
     return Fraction(1) if m == 0 else beta[m - 1]
 
 
-def _beta_monomial(
-    beta: Sequence[tuple[int, int]], c: Sequence[int]
-) -> tuple[int, int]:
-    """prod_m beta_m^(c_m) as an integer numerator and denominator, from the
-    numerator and denominator (p, q) of each beta_m."""
-    num = den = 1
-    for (p, q), e in zip(beta, c):
-        if e > 0:
-            num *= p**e
-            den *= q**e
-        elif e < 0:
-            num *= q**-e
-            den *= p**-e
-    return num, den
-
-
 def _alpha_product_form(ints: Sequence[int], D: int, k: int, label: Label) -> Fraction:
     """alpha_J without its beta monomial: a product of squared differences
     over the exchange sets, from the kappas K_j / D over their common
@@ -270,7 +247,8 @@ def alpha_from_beta(
                 f"alpha_{J} disagrees between the theta route ({a}) and the "
                 f"product route ({check}) before the beta monomial"
             )
-        bn, bd = _beta_monomial(beta_ratios, c)
+        # the beta monomial prod_m beta_m^(c_m)
+        bn, bd = power_product((p, q, e) for (p, q), e in zip(beta_ratios, c) if e)
         alphas[J] = Fraction(a.numerator * bn, a.denominator * bd)
     return alphas
 
@@ -374,18 +352,17 @@ def pluecker_vandermonde_identity_holds(
 
 def matrix_A_tilde(
     kc: KappaConfig, k: int, lambdas: Sequence[RationalLike]
-) -> GrassmannPoint:
-    """Vandermonde rows kappa^0..kappa^(k-1) with column j scaled by
-    lambda_{j-1} (lambda_0 = 1); its minors are K_J times a lambda monomial."""
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of the Vandermonde matrix kappa^0..kappa^(k-1) with column j
+    scaled by lambda_{j-1} (lambda_0 = 1); its minors are K_J times a lambda
+    monomial, and ``grassmann_point`` of the rows computes them."""
     lam = frac_vector(lambdas)
     if len(lam) != kc.genus:
         raise ValueError(f"expected {kc.genus} lambda weights, got {len(lam)}")
-    rows = []
-    for power in range(k):
-        rows.append(
-            [kc.kappa(j) ** power * _beta_at(lam, j - 1) for j in range(1, kc.n + 1)]
-        )
-    return grassmann_point(rows)
+    return tuple(
+        tuple(kc.kappa(j) ** power * _beta_at(lam, j - 1) for j in range(1, kc.n + 1))
+        for power in range(k)
+    )
 
 
 def _beta_lambda_factor(R: RMatrix, k: int, j: int) -> Fraction:

@@ -39,6 +39,7 @@ __all__ = [
     "make_divisor",
     "limit_R",
     "theta_coefficients",
+    "power_product",
     "uvw",
     "quartic",
     "clear_denominators",
@@ -131,10 +132,9 @@ def theta_coefficients(
 
     The half-integer diagonal contribution is handled through exp(R_ii/2),
     which is itself rational, so no square roots ever appear.  Each value is
-    accumulated as one integer numerator and one integer denominator from
-    the entries of R on the point's support, each read once per call, a
-    factor p/q raised to e >= 0 multiplying them by p^e and q^e (by q^-e and
-    p^-e when e < 0), and becomes one Fraction.
+    accumulated as one integer numerator and one integer denominator
+    (``power_product``) from the entries of R on the point's support, each
+    read once per call, and becomes one Fraction.
     """
     g = R.genus
 
@@ -150,20 +150,28 @@ def theta_coefficients(
         if len(c) != g:
             raise ValueError(f"point {c} has wrong length for genus {g}")
         support = [(i, ci) for i, ci in enumerate(c) if ci]
-        num = den = 1
-        for a, (i, ci) in enumerate(support):
-            # exponent c_i^2 on the diagonal (j = i), c_i c_j above it
-            for j, cj in support[a:]:
-                p, q = ratio(i, j)
-                e = ci * cj
-                if e > 0:
-                    num *= p**e
-                    den *= q**e
-                else:
-                    num *= q**-e
-                    den *= p**-e
+        # exponent c_i^2 on the diagonal (j = i), c_i c_j above it
+        num, den = power_product(
+            (*ratio(i, j), ci * cj) for a, (i, ci) in enumerate(support)
+            for j, cj in support[a:]
+        )
         out[c] = Fraction(num, den)
     return out
+
+
+def power_product(factors: Iterable[tuple[int, int, int]]) -> tuple[int, int]:
+    """prod (p/q)^e over the triples (p, q, e), as an integer numerator and
+    denominator: a factor with e >= 0 multiplies them by p^e and q^e, one
+    with e < 0 by q^-e and p^-e."""
+    num = den = 1
+    for p, q, e in factors:
+        if e >= 0:
+            num *= p**e
+            den *= q**e
+        else:
+            num *= q**-e
+            den *= p**-e
+    return num, den
 
 
 def quartic(x: Fraction, y: Fraction, t: Fraction) -> Fraction:

@@ -18,6 +18,7 @@ from tropkp.hirota_parametrization import (
     alpha_from_beta,
     beta_lambda_convert,
     check_dn_interlacing,
+    grassmann_point,
     hirota_point,
     lambda_from_divisor,
     matrix_A,
@@ -318,12 +319,17 @@ class TestAcceptance:
                     d = make_divisor(points, split_k=k)
                     assert check_dn_interlacing(kc, d)
                     lam = lambda_from_divisor(kc, d)
-                    tilde = matrix_A_tilde(kc, k, lam)
-                    assert all(v > 0 for v in tilde.pluecker.values()), (k, n)
+                    tilde = grassmann_point(matrix_A_tilde(kc, k, lam)).pluecker
+                    assert all(v > 0 for v in tilde.values()), (k, n)
                     beta = beta_lambda_convert(kc, k, lam)
-                    direct = matrix_A(kc, k, beta)
-                    assert (
-                        direct.normalized_pluecker() == tilde.normalized_pluecker()
+                    direct = matrix_A(kc, k, beta).pluecker
+                    # equal once each is scaled to 1 at the base label, where
+                    # both are nonzero
+                    base = tuple(range(1, k + 1))
+                    assert direct[base] != 0 and tilde[base] != 0, (k, n)
+                    assert all(
+                        direct[J] * tilde[base] == tilde[J] * direct[base]
+                        for J in direct
                     ), (k, n)
                     configs += 1
         _record(

@@ -1,5 +1,6 @@
 """End-to-end tests of the tropkp command line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from families import NONZERO, RATIONALS, rational_nodes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropkp
+from tropkp import cli as cli_mod
 from tropkp.cli import (
     CERTIFY_MAX_ENTRIES,
     CERTIFY_MAX_TERM_SAMPLES,
@@ -22,7 +27,7 @@ from tropkp.cli import (
     run,
 )
 from tropkp import hirota_parametrization
-from tropkp.hirota_parametrization import hirota_point
+from tropkp.hirota_parametrization import alpha_from_beta, grassmann_point, hirota_point
 from tropkp.hirota_variety_eqs import face_direction_classes
 from tropkp.tropical_limit import kappa_config
 
@@ -406,8 +411,8 @@ class TestConfigCommands:
     def test_param_with_divisor_takes_no_minor_of_the_dual(self, config_file, capsys,
                                                            monkeypatch):
         """``param`` prints the (n - k) x n dual matrix and never factors it:
-        its only determinants are the comb(n, k) k x k minors of A and of
-        A~, none (n - k) x (n - k)."""
+        its only determinants are the comb(n, k) k x k minors of A and the
+        one k x k determinant of A~'s first k columns, none (n - k) x (n - k)."""
         sizes = []
         real = hirota_parametrization._bareiss_det
 
@@ -418,7 +423,7 @@ class TestConfigCommands:
         monkeypatch.setattr(hirota_parametrization, "_bareiss_det", counting)
         assert run(["param", "--config", config_file(DIVISOR_CONFIG), "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["matrix_A_dual"]) == 3
-        assert sizes == [1] * (2 * math.comb(4, 1))
+        assert sizes == [1] * (math.comb(4, 1) + 1)
 
     def test_certify_passes(self, config_file, capsys):
         assert run(["certify", "--config", config_file(BETA_CONFIG)]) == 0
@@ -978,6 +983,153 @@ class TestConfigCommands:
         assert captured.out == ""
         assert message in captured.err
         assert captured.err.endswith("exceeding the bound of 1000000 entries\n")
+
+
+def _normalized(table):
+    """A minor table scaled to 1 at its lexicographically first nonzero
+    minor, the gauge in which two tables of one point coincide."""
+    scale = next(v for v in table.values() if v)
+    return {J: v / scale for J, v in table.items()}
+
+
+def _failed_checks(capsys) -> set[str]:
+    return {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["ok"]}
+
+
+class TestParametrizationMatch:
+    """``parametrization-match`` decides from the rows whether the
+    Vandermonde matrix A~ equals G A, G its first k columns, with
+    det G != 0; only ``interlacing-positivity`` takes A~'s maximal minors."""
+
+    # a (5, 2) divisor with one point in each gap between the nodes
+    INTERLACING_52 = dict(
+        DIVISOR_CONFIG,
+        kappas=["0", "1", "2", "3", "4"],
+        class_k=2,
+        divisor={"points": ["1/2", "3/2", "5/2", "7/2"], "split_k": 2},
+    )
+    CONFIGS = {
+        "beta": BETA_CONFIG,
+        "lambda": {key: v for key, v in BETA_CONFIG.items() if key != "beta"}
+        | {"lambda": ["2", "-1/3", "5"]},
+        "crowded divisor": dict(
+            DIVISOR_CONFIG,
+            divisor=dict(DIVISOR_CONFIG["divisor"], points=["1/4", "1/2", "5/2"]),
+        ),
+        "interlacing divisor": DIVISOR_CONFIG,
+        "interlacing (5, 2) divisor": INTERLACING_52,
+    }
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_verdict_equals_the_normalized_minor_tables(self, data):
+        """On unsorted nodes of mixed signs with large denominators, at
+        either vertex, from beta weights of either sign, lambda weights or a
+        divisor, and with one lambda rescaled so that the two weight families
+        disagree, the verdict is that of comparing A's and A~'s full minor
+        tables, each scaled to 1 at its first nonzero minor."""
+        nodes = data.draw(rational_nodes())
+        n = len(nodes)
+        k = data.draw(st.integers(1, n - 1))
+        kind = data.draw(st.sampled_from(["beta", "lambda", "divisor", "mismatched"]))
+        raw = {
+            "kappas": [str(x) for x in nodes],
+            "class_k": k,
+            "vertex_choice": data.draw(st.sampled_from(["v1", "v2"])),
+        }
+        if kind == "divisor":
+            points = st.lists(RATIONALS.filter(lambda p: p not in nodes),
+                              min_size=n - 1, max_size=n - 1)
+            raw["divisor"] = {"points": [str(p) for p in data.draw(points)], "split_k": k}
+        else:
+            weights = data.draw(st.lists(NONZERO, min_size=n - 1, max_size=n - 1))
+            raw["lambda" if kind == "lambda" else "beta"] = [str(w) for w in weights]
+        cfg = RunConfig.from_dict(raw)
+        if kind == "mismatched":
+            lambdas = list(cfg.lambdas)
+            lambdas[data.draw(st.integers(0, n - 2))] *= data.draw(
+                NONZERO.filter(lambda q: q != 1))
+            cfg = dataclasses.replace(cfg, lambdas=tuple(lambdas))
+        A, At, _, match_ok = cli_mod._soliton_matrices(
+            cfg, alpha_from_beta(cfg.kc, k, cfg.beta))
+        tables_match = _normalized(A.pluecker) == _normalized(grassmann_point(At).pluecker)
+        assert match_ok is tables_match is (kind != "mismatched")
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (0, 3), (1, 2)])
+    def test_one_vandermonde_entry_fails_the_match(
+        self, i, j, config_file, capsys, monkeypatch
+    ):
+        """One entry of A~'s rows plus 1, inside G or past it, fails
+        ``parametrization-match`` alone, and ``param`` with it."""
+        real = cli_mod.matrix_A_tilde
+
+        def faulty(*args):
+            rows = [list(row) for row in real(*args)]
+            rows[i][j] += 1
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(cli_mod, "matrix_A_tilde", faulty)
+        path = config_file(BETA_CONFIG)
+        assert run(["certify", "--config", path, "--json"]) == 2
+        assert _failed_checks(capsys) == {"parametrization-match"}
+        assert run(["param", "--config", path, "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["parametrizations_match"] is False
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (0, 3), (1, 2)])
+    def test_one_echelon_entry_fails_the_match(
+        self, i, j, config_file, capsys, monkeypatch
+    ):
+        """One entry of ``matrix_A``'s matrix plus 1, with the minors of the
+        faulty matrix, fails ``parametrization-match`` along with the other
+        checks that read A."""
+        real = cli_mod.matrix_A
+
+        def faulty(*args):
+            rows = [list(row) for row in real(*args).matrix]
+            rows[i][j] += 1
+            return grassmann_point(rows)
+
+        monkeypatch.setattr(cli_mod, "matrix_A", faulty)
+        assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
+        assert _failed_checks(capsys) == {"minor-identity", "parametrization-match",
+                                          "tau-routes"}
+
+    @pytest.mark.parametrize("config", ["interlacing divisor", "interlacing (5, 2) divisor"])
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_one_negated_vandermonde_column_fails_positivity(
+        self, config, j, config_file, capsys, monkeypatch
+    ):
+        """Under an interlacing divisor, A~ with column j negated has
+        negative minors and spans another point."""
+        real = cli_mod.matrix_A_tilde
+        monkeypatch.setattr(cli_mod, "matrix_A_tilde", lambda *args: tuple(
+            tuple(-v if c == j else v for c, v in enumerate(row)) for row in real(*args)))
+        path = config_file(self.CONFIGS[config])
+        assert run(["certify", "--config", path, "--json"]) == 2
+        assert _failed_checks(capsys) == {"parametrization-match", "interlacing-positivity"}
+
+    @pytest.mark.parametrize("command", ["param", "certify"])
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_only_positivity_takes_the_vandermonde_minors(
+        self, command, config, config_file, capsys, monkeypatch
+    ):
+        """Every command builds A's minor table and the one determinant of
+        G; A~'s table is built by ``certify`` for an interlacing divisor
+        alone."""
+        cfg = self.CONFIGS[config]
+        rc = RunConfig.from_dict(cfg)
+        k = rc.class_k
+        A = hirota_parametrization.matrix_A(rc.kc, k, rc.beta)
+        At = hirota_parametrization.matrix_A_tilde(rc.kc, k, rc.lambdas)
+        built_by_matrix_a = _spy(monkeypatch, hirota_parametrization, "grassmann_point")
+        built_by_cli = _spy(monkeypatch, cli_mod, "grassmann_point")
+        assert run([command, "--config", config_file(cfg), "--json"]) == 0
+        capsys.readouterr()
+        expected = [tuple(row[:k] for row in At)]
+        if command == "certify" and config.startswith("interlacing"):
+            expected.append(At)
+        assert [tuple(map(tuple, rows)) for rows, in built_by_matrix_a] == [A.matrix]
+        assert [tuple(map(tuple, rows)) for rows, in built_by_cli] == expected
 
 
 class TestErrorHandling:

@@ -319,12 +319,6 @@ class TestMatrixA:
         alphas = alpha_from_beta(kc, k, beta)
         assert verify_minor_identity(A, alphas, kc)
 
-    def test_normalized_pluecker_gauge(self):
-        A = matrix_A(KC4, 2, (5, 2, 3))
-        norm = A.normalized_pluecker()
-        first = next(iter(hypersimplex_labels(4, 2)))
-        assert norm[first] == 1
-
     def test_grassmann_point_validation(self):
         with pytest.raises(ValueError):
             grassmann_point([])
@@ -364,7 +358,7 @@ class TestPlueckerVandermonde:
 class TestWeightConversion:
     def test_tilde_minors_are_scaled_vandermonde(self):
         lam = (F(2), F(1, 3), F(5))
-        At = matrix_A_tilde(KC4, 2, lam)
+        At = grassmann_point(matrix_A_tilde(KC4, 2, lam))
         lam_full = (F(1),) + lam
         for J, minor in At.pluecker.items():
             expected = vandermonde_minor(KC4, J)
@@ -383,11 +377,22 @@ class TestWeightConversion:
         assert back == beta
 
     def test_parametrizations_match(self):
+        """The Vandermonde rows are G A for their first two columns G, with
+        det G != 0, so both matrices span one point of Gr(2, 4); their
+        minors agree up to the factor det G."""
         beta = (F(2), F(1), F(3))
         lam = beta_lambda_convert(KC4, 2, beta)
         A = matrix_A(KC4, 2, beta)
         At = matrix_A_tilde(KC4, 2, lam)
-        assert A.normalized_pluecker() == At.normalized_pluecker()
+        G = [row[:2] for row in At]
+        assert [
+            [sum(g * a for g, a in zip(g_row, column)) for column in zip(*A.matrix)]
+            for g_row in G
+        ] == [list(row) for row in At]
+        det_g = G[0][0] * G[1][1] - G[0][1] * G[1][0]
+        assert det_g != 0
+        tilde = grassmann_point(At).pluecker
+        assert {J: v * det_g for J, v in A.pluecker.items()} == tilde
 
     def test_rejects_zero_weights(self):
         with pytest.raises(ValueError, match="nonzero"):

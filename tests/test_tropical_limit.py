@@ -22,6 +22,7 @@ from tropkp.tropical_limit import (
     kappa_config,
     limit_R,
     make_divisor,
+    power_product,
     quartic,
     theta_coefficients,
     uvw,
@@ -139,6 +140,14 @@ class TestLimitR:
             for a, b in itertools.combinations(J, 2):
                 squared *= R.exp_entry(a - 1, b - 1)
             assert squared == vandermonde_minor(KC, J) ** 2, f"J={J}"
+
+
+def test_power_product_reads_negative_exponents_as_inverses():
+    """(2/3)^2 (5/7)^-1 (11/13)^0 = (4 * 7) / (9 * 5), unreduced; a negative
+    numerator keeps its sign through an odd power."""
+    assert power_product([(2, 3, 2), (5, 7, -1), (11, 13, 0)]) == (28, 45)
+    assert power_product([(-2, 3, -3)]) == (27, -8)
+    assert power_product([]) == (1, 1)
 
 
 class TestThetaCoefficients:
