@@ -24,8 +24,8 @@ CERTIFY_MAX_TERM_SAMPLES.  ``voronoi`` and ``orient`` refuse a genus
 with more than LATTICE_MAX_VERTICES Voronoi vertices, ``delaunay`` and
 ``matroid`` a vertex whose Delaunay table of points times n entries is
 larger than LATTICE_MAX_ENTRIES, ``param`` a family past
-PARAM_MAX_TERMS coefficients, PARAM_MAX_ENTRIES lattice-point entries or
-PARAM_MAX_MINOR_STEPS minor steps, ``limits`` a config of more than
+PARAM_MAX_TERMS coefficients or PARAM_MAX_MINOR_STEPS minor steps (which
+``certify`` refuses as well), ``limits`` a config of more than
 LIMITS_MAX_NODES nodes, and ``eqs`` a listing of more than EQS_MAX_ENTRIES
 printed entries.  ``_check_budget`` checks every budget on a count
 computed from the arguments, before any work.
@@ -118,14 +118,12 @@ CERTIFY_MAX_ENTRIES = 3_000_000
 # samples, the default, are admitted at every T within CERTIFY_MAX_TERMS
 CERTIFY_MAX_TERM_SAMPLES = 100_000
 
-# the work of ``param`` has three parts, each bounded: a fixed cost per
-# alpha coefficient, comb(n, k) of them ((16, 8), with 12,870, takes about
-# 1.5-2 s); the n entries of each coefficient's lattice point, comb(n, k) * n
-# in all ((2000, 1), with 4,000,000, takes 1.4-1.8 s); and one k x k Bareiss
-# elimination per coefficient, whose k^3 steps run on integers of O(k)
-# digits, comb(n, k) * k^4 ((40, 39), with 92,537,640, takes 0.6 s)
+# the work of ``param`` has two parts, each bounded: a fixed cost per alpha
+# coefficient, whose lattice point has at most 2 min(k, n - k) entries,
+# comb(n, k) of them ((16, 8), with 12,870, takes about 1.2 s); and one
+# k x k Bareiss elimination per coefficient, whose k^3 steps run on integers
+# of O(k) digits, comb(n, k) * k^4 ((40, 39), with 92,537,640, takes 0.5 s)
 PARAM_MAX_TERMS = math.comb(16, 8)
-PARAM_MAX_ENTRIES = 4_000_000
 PARAM_MAX_MINOR_STEPS = 100_000_000
 
 # largest node count n that ``limits`` takes on: it prints the g x g limit
@@ -286,11 +284,12 @@ def _check_budget(count: int, bound: int, what: str, noun: str) -> None:
 
 
 def _certify_budget(n: int, k: int) -> None:
-    """At most CERTIFY_MAX_TERMS tau terms comb(n, k), and an exact residual
+    """At most CERTIFY_MAX_TERMS tau terms comb(n, k), an exact residual
     table of at most CERTIFY_MAX_ENTRIES entries: the doubled points
     e_J1 + e_J2 of two distinct k-subsets, sum over h >= 1 of
     comb(n, 2h) comb(n - 2h, k - h) (h the size of J1 minus J2), times the n
-    entries of each key."""
+    entries of each key, and ``param``'s bounds for the same minor table, det G
+    and A~ = G A, of which only the minor steps bind within CERTIFY_MAX_TERMS."""
     _check_budget(math.comb(n, k), CERTIFY_MAX_TERMS,
                   f"class {k} at n = {n} has comb({n}, {k})", "tau terms")
     groups = sum(math.comb(n, 2 * h) * math.comb(n - 2 * h, k - h)
@@ -298,6 +297,7 @@ def _certify_budget(n: int, k: int) -> None:
     _check_budget(groups * n, CERTIFY_MAX_ENTRIES,
                   f"class {k} at n = {n} has {groups} residual groups * {n}",
                   "table entries")
+    _param_budget(n, k)
 
 
 def _field_budget(nx: int, ny: int, n: int, k: int) -> None:
@@ -308,13 +308,11 @@ def _field_budget(nx: int, ny: int, n: int, k: int) -> None:
 
 
 def _param_budget(n: int, k: int) -> None:
-    """At most PARAM_MAX_TERMS alpha coefficients comb(n, k), at most
-    PARAM_MAX_ENTRIES lattice-point entries comb(n, k) * n, and at most
+    """At most PARAM_MAX_TERMS alpha coefficients comb(n, k), and at most
     PARAM_MAX_MINOR_STEPS minor steps comb(n, k) * k^4."""
     terms = math.comb(n, k)
     what = f"class {k} at n = {n} has comb({n}, {k})"
     _check_budget(terms, PARAM_MAX_TERMS, what, "alpha coefficients")
-    _check_budget(terms * n, PARAM_MAX_ENTRIES, f"{what} * {n}", "lattice-point entries")
     _check_budget(terms * k**4, PARAM_MAX_MINOR_STEPS, f"{what} * {k}^4", "minor steps")
 
 

@@ -191,15 +191,12 @@ def _beta_at(beta: Sequence[Fraction], m: int) -> Fraction:
     return Fraction(1) if m == 0 else beta[m - 1]
 
 
-def _alpha_product_form(ints: Sequence[int], D: int, k: int, label: Label) -> Fraction:
+def _alpha_product_form(ints: Sequence[int], D: int, out: list[int], into: list[int]) -> Fraction:
     """alpha_J without its beta monomial: a product of squared differences
-    over the exchange sets, from the kappas K_j / D over their common
-    denominator.  With m columns exchanged each way, the numerator has
-    m(m-1) squared differences and the denominator m^2, so the D's leave
-    D^(2m)."""
-    base = set(range(1, k + 1))
-    out = sorted(base - set(label))
-    into = sorted(set(label) - base)
+    over the sorted exchange sets out = I - J and into = J - I, from the
+    kappas K_j / D over their common denominator.  With m columns exchanged
+    each way, the numerator has m(m-1) squared differences and the
+    denominator m^2, so the D's leave D^(2m)."""
     num = 1
     for poss in (out, into):
         for a, b in itertools.combinations(poss, 2):
@@ -220,9 +217,11 @@ def alpha_from_beta(
     routes share that monomial, so the theta coefficient is cross-checked
     entry by entry against the beta-free closed product formula; a mismatch
     would mean the two parametrizations disagree, so it raises
-    ``RouteMismatchError`` rather than warning.  Each route makes one
-    Fraction per label, and the agreed value is multiplied by the beta
-    monomial once.
+    ``RouteMismatchError`` rather than warning.  Both routes read J's
+    exchange sets out = I - J and into = J - I, I = {1..k}: c_J is +1 at
+    i - 1 for i > 1 in out and -1 at j - 1 for j in into, held sparsely.
+    Each route makes one Fraction per label, and the agreed value is
+    multiplied by the beta monomial once.
     """
     if not 1 <= k <= kc.genus:
         raise ValueError(f"class k must be between 1 and {kc.genus}, got {k}")
@@ -231,24 +230,28 @@ def alpha_from_beta(
         raise ValueError(f"expected {kc.genus} beta weights, got {len(bt)}")
     if any(b == 0 for b in bt):
         raise ValueError("beta weights must be nonzero")
-    R = limit_R(kc)
-    labels = hypersimplex_labels(kc.n, k)
-    points = {J: label_lattice_point(kc.n, k, J) for J in labels}
-    a_coeffs = theta_coefficients(R, points.values())
+    base = frozenset(range(1, k + 1))
+    # every entry is +1 or -1, so the labels' points share these pairs
+    plus, minus = [(m, 1) for m in range(kc.n)], [(m, -1) for m in range(kc.n)]
+    exchanges = {}
+    for J in hypersimplex_labels(kc.n, k):
+        out, into = sorted(base.difference(J)), [j for j in J if j > k]
+        point = (*(plus[i - 1] for i in out if i > 1), *(minus[j - 1] for j in into))
+        exchanges[J] = out, into, point
+    a_coeffs = theta_coefficients(limit_R(kc), (c for _, _, c in exchanges.values()))
     beta_ratios = [(b.numerator, b.denominator) for b in bt]
     ints, D = kc.integers
     alphas: dict[Label, Fraction] = {}
-    for J in labels:
-        c = points[J]
+    for J, (out, into, c) in exchanges.items():
         a = a_coeffs[c]
-        check = _alpha_product_form(ints, D, k, J)
+        check = _alpha_product_form(ints, D, out, into)
         if a != check:
             raise RouteMismatchError(
                 f"alpha_{J} disagrees between the theta route ({a}) and the "
                 f"product route ({check}) before the beta monomial"
             )
         # the beta monomial prod_m beta_m^(c_m)
-        bn, bd = power_product((p, q, e) for (p, q), e in zip(beta_ratios, c) if e)
+        bn, bd = power_product((*beta_ratios[m - 1], e) for m, e in c)
         alphas[J] = Fraction(a.numerator * bn, a.denominator * bd)
     return alphas
 

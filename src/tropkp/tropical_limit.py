@@ -126,34 +126,33 @@ def limit_R(kc: KappaConfig) -> RMatrix:
 
 
 def theta_coefficients(
-    R: RMatrix, points: Iterable[Sequence[int]]
-) -> dict[tuple[int, ...], Fraction]:
+    R: RMatrix, points: Iterable[Sequence[tuple[int, int]]]
+) -> dict[tuple[tuple[int, int], ...], Fraction]:
     """exp(c^T R c / 2) for each lattice point c, as exact rationals.
 
-    The half-integer diagonal contribution is handled through exp(R_ii/2),
-    which is itself rational, so no square roots ever appear.  Each value is
-    accumulated as one integer numerator and one integer denominator
-    (``power_product``) from the entries of R on the point's support, each
-    read once per call, and becomes one Fraction.
+    A point is the tuple of its nonzero entries as (m, c_m) pairs, with
+    distinct m in 1..g, and keys its value; an index outside 1..g raises
+    ValueError.  The diagonal enters through the rational exp(R_mm / 2), so
+    no square roots appear.  Each value is one integer numerator and one
+    integer denominator (``power_product``) over the entries of R between
+    the point's indices, each read once per call, made one Fraction.
     """
     g = R.genus
 
     @functools.cache
     def ratio(i: int, j: int) -> tuple[int, int]:
-        # exp(R_ii / 2) on the diagonal and exp(R_ij) off it, 0-based
-        q = R.exp_half_diag(i + 1) if i == j else R.exp_entry(i + 1, j + 1)
+        # exp(R_ii / 2) on the diagonal and exp(R_ij) off it, 1-based
+        q = R.exp_half_diag(i) if i == j else R.exp_entry(i, j)
         return q.numerator, q.denominator
 
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[tuple[int, int], ...], Fraction] = {}
     for point in points:
-        c = tuple(int(x) for x in point)
-        if len(c) != g:
-            raise ValueError(f"point {c} has wrong length for genus {g}")
-        support = [(i, ci) for i, ci in enumerate(c) if ci]
+        c = tuple(point)
+        if not all(1 <= m <= g for m, _ in c):
+            raise ValueError(f"point {c} has an index outside 1..{g}")
         # exponent c_i^2 on the diagonal (j = i), c_i c_j above it
         num, den = power_product(
-            (*ratio(i, j), ci * cj) for a, (i, ci) in enumerate(support)
-            for j, cj in support[a:]
+            (*ratio(i, j), ci * cj) for a, (i, ci) in enumerate(c) for j, cj in c[a:]
         )
         out[c] = Fraction(num, den)
     return out

@@ -820,24 +820,20 @@ class TestConfigCommands:
             ("PARAM_MAX_TERMS", 6,
              "class 2 at n = 4 has comb(4, 2) = 6 alpha coefficients, exceeding the "
              "bound of 5 coefficients"),
-            ("PARAM_MAX_ENTRIES", 24,
-             "class 2 at n = 4 has comb(4, 2) * 4 = 24 lattice-point entries, "
-             "exceeding the bound of 23 entries"),
             ("PARAM_MAX_MINOR_STEPS", 96,
              "class 2 at n = 4 has comb(4, 2) * 2^4 = 96 minor steps, exceeding the "
              "bound of 95 steps"),
         ],
-        ids=["terms", "entries", "minor-steps"],
+        ids=["terms", "minor-steps"],
     )
     @pytest.mark.parametrize("past", [True, False], ids=["bound-1", "bound"])
     def test_param_budgets_are_inclusive(
         self, name, bound, message, past, config_file, capsys, monkeypatch
     ):
-        """With each of the three ``param`` bounds lowered to the count of a
-        (4, 2) config, 6 coefficients, 24 lattice-point entries and 96 minor
-        steps, the config is listed; one below the count, it is refused with
-        exit 1 as soon as its nodes and class are read, before any weight is
-        converted."""
+        """With each of the two ``param`` bounds lowered to the count of a
+        (4, 2) config, 6 coefficients and 96 minor steps, the config is
+        listed; one below the count, it is refused with exit 1 as soon as its
+        nodes and class are read, before any weight is converted."""
         import tropkp.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, name, bound - past)
@@ -878,23 +874,87 @@ class TestConfigCommands:
     @pytest.mark.parametrize(
         "n, k, what",
         [(17, 8, "= 24310 alpha coefficients"),
-         (2001, 1, "= 4004001 lattice-point entries"),
+         (12871, 1, "= 12871 alpha coefficients"),
          (41, 40, "= 104960000 minor steps")],
         ids=str,
     )
     def test_param_refuses_each_budget_at_its_first_family(self, n, k, what):
-        """Each of the three ``param`` bounds refuses a family that the other
-        two admit: (17, 8) by its coefficients, (2001, 1) by its lattice-point
-        entries (the class-1 work grows as n^2) and (41, 40) by its minor
-        steps (41 coefficients, but two 40 x 40 eliminations each).  (16, 8),
-        (2000, 1) and (40, 39) are admitted."""
+        """Each of the two ``param`` bounds refuses a family that the other
+        admits: (17, 8) and (12871, 1) by their coefficients, and (41, 40)
+        by its minor steps (41 coefficients, but two 40 x 40 eliminations
+        each).  (16, 8), (12870, 1) and (40, 39) are admitted."""
         import tropkp.cli as cli_mod
 
         with pytest.raises(cli_mod.ConfigError) as refused:
             cli_mod._param_budget(n, k)
         assert what in str(refused.value)
-        for n, k in [(16, 8), (2000, 1), (40, 39)]:
+        for n, k in [(16, 8), (12870, 1), (40, 39)]:
             cli_mod._param_budget(n, k)
+
+    @pytest.mark.parametrize("n", [4, 3000])
+    def test_param_builds_no_dense_lattice_point(
+        self, n, config_file, capsys, monkeypatch
+    ):
+        """``param`` reads each lattice point off its label's exchange sets
+        and never builds a dense one, so at class 1 each coefficient reads one
+        entry: (3000, 1), with comb(3000, 1) * 3000 = 9,000,000 dense
+        entries, is listed."""
+        dense = _spy(monkeypatch, hirota_parametrization, "label_lattice_point")
+        cfg = dict(BETA_CONFIG, kappas=[str(i) for i in range(n)], class_k=1,
+                   beta=["1"] * (n - 1))
+        assert run(["param", "--config", config_file(cfg), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["alphas"]) == n
+        assert payload["minor_identity"] is payload["parametrizations_match"] is True
+        assert dense == []
+
+    @pytest.mark.parametrize("past", [True, False], ids=["bound-1", "bound"])
+    def test_certify_minor_step_budget_is_inclusive(
+        self, past, config_file, capsys, monkeypatch
+    ):
+        """``certify`` builds A's minor table, det G and A~ = G A as ``param``
+        does, under the same ``PARAM_MAX_MINOR_STEPS``: lowered to the 96
+        minor steps of a (4, 2) config it is certified, and one below it is
+        refused with exit 1 before any weight is converted."""
+        import tropkp.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "PARAM_MAX_MINOR_STEPS", 96 - past)
+        converted = _spy(monkeypatch, cli_mod, "beta_lambda_convert")
+        status = run(["certify", "--config", config_file(BETA_CONFIG)])
+        captured = capsys.readouterr()
+        if past:
+            assert status == 1
+            assert captured.err == (
+                "error: class 2 at n = 4 has comb(4, 2) * 2^4 = 96 minor steps, "
+                "exceeding the bound of 95 steps\n"
+            )
+            assert captured.out == ""
+            assert converted == []
+        else:
+            assert status == 0
+            assert captured.out.endswith("certification PASSED\n")
+
+    def test_certify_refuses_the_first_family_past_the_minor_steps(
+        self, config_file, capsys, monkeypatch
+    ):
+        """(41, 40), with 41 tau terms and 820 residual groups, is within
+        every bound of ``certify``'s own, but its two 40 x 40 eliminations per
+        term are refused with ``param``'s message, exit 1 and no weight
+        converted; (40, 39) is admitted."""
+        import tropkp.cli as cli_mod
+
+        converted = _spy(monkeypatch, cli_mod, "beta_lambda_convert")
+        cfg = dict(BETA_CONFIG, kappas=[str(i) for i in range(41)], class_k=40,
+                   beta=["1"] * 40)
+        assert run(["certify", "--config", config_file(cfg), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: class 40 at n = 41 has comb(41, 40) * 40^4 = 104960000 minor "
+            "steps, exceeding the bound of 100000000 steps\n"
+        )
+        assert captured.out == ""
+        assert converted == []
+        cli_mod._certify_budget(40, 39)
 
     def test_eqs_text_and_json(self, capsys):
         """The human text renders the JSON payload: one line per relation,
@@ -1130,6 +1190,59 @@ class TestParametrizationMatch:
             expected.append(At)
         assert [tuple(map(tuple, rows)) for rows, in built_by_matrix_a] == [A.matrix]
         assert [tuple(map(tuple, rows)) for rows, in built_by_cli] == expected
+
+
+class TestRowFaults:
+    """A fault at one function boundary fails exactly the ``certify`` rows
+    that read what it corrupts, on ``BETA_CONFIG`` at v1."""
+
+    def test_a_wrong_inverted_weight_fails_the_roundtrip(
+        self, config_file, capsys, monkeypatch
+    ):
+        real = cli_mod.invert_psi
+
+        def faulty(hp):
+            kc, beta = real(hp)
+            return kc, (beta[0] * Fraction(11, 10), *beta[1:])
+
+        monkeypatch.setattr(cli_mod, "invert_psi", faulty)
+        assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
+        assert _failed_checks(capsys) == {"inversion-roundtrip"}
+
+    def test_a_wrong_second_vertex_coefficient_fails_the_inversion(
+        self, config_file, capsys, monkeypatch
+    ):
+        """At v1 only ``spacetime-inversion`` reads the second vertex's
+        family."""
+        real = hirota_parametrization.HirotaPoint.other_vertex
+
+        def faulty(self):
+            hp = real(self)
+            J = next(iter(hp.alphas))
+            return dataclasses.replace(
+                hp, alphas={**hp.alphas, J: hp.alphas[J] * Fraction(11, 10)})
+
+        monkeypatch.setattr(hirota_parametrization.HirotaPoint, "other_vertex", faulty)
+        assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
+        assert _failed_checks(capsys) == {"spacetime-inversion"}
+
+    def test_a_wrong_period_entry_fails_every_row_that_reads_it(
+        self, config_file, capsys, monkeypatch
+    ):
+        """W_1 + 1 in the theta route's period vectors breaks the
+        dispersion relation and every tau built from them; the Grassmann
+        route's tau keeps the true waves, and ``invert_psi`` checks the
+        vectors against the same faulty function, so the roundtrip holds."""
+        real = hirota_parametrization.uvw
+
+        def faulty(*args):
+            pv = real(*args)
+            return dataclasses.replace(pv, W=(pv.W[0] + 1, *pv.W[1:]))
+
+        monkeypatch.setattr(hirota_parametrization, "uvw", faulty)
+        assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
+        assert _failed_checks(capsys) == {"dispersion", "tau-routes", "bilinear-residual",
+                                          "face-quartics", "kp-numeric"}
 
 
 class TestErrorHandling:

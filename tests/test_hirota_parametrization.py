@@ -4,12 +4,14 @@ conversions, divisor data, coefficient families, and the inverse map."""
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from families import NONZERO, RATIONALS, rational_nodes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropkp import hirota_parametrization
 from tropkp.graph_jacobian import build_banana
 from tropkp.hirota_parametrization import (
     HirotaPoint,
@@ -31,7 +33,14 @@ from tropkp.hirota_parametrization import (
     vandermonde_minor,
     verify_minor_identity,
 )
-from tropkp.tropical_limit import PeriodVectors, kappa_config, make_divisor, uvw
+from tropkp.tropical_limit import (
+    PeriodVectors,
+    kappa_config,
+    limit_R,
+    make_divisor,
+    theta_coefficients,
+    uvw,
+)
 from tropkp.voronoi_combinatorics import canonical_vertex, normalize_delaunay
 
 KC4 = kappa_config([0, 1, 2, 3])
@@ -239,6 +248,42 @@ class TestAlphaFromBeta:
         labels = hypersimplex_labels(n, k)
         assert alphas == {J: fraction_alpha(kc, k, beta, J) for J in labels}
         assert all(type(v) is F for v in alphas.values())
+
+    @given(rational_nodes(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_points_are_the_label_points(self, nodes, data):
+        """On unsorted, mixed-sign, non-integer nodes and at every class, the
+        points that ``alpha_from_beta`` reads off the exchange sets and hands
+        ``theta_coefficients`` are the nonzero entries of
+        ``label_lattice_point``'s dense points, in label order, and each
+        coefficient is exp(c^T R c / 2) taken over every entry of the dense
+        point."""
+        kc = kappa_config(nodes)
+        R = limit_R(kc)
+        beta = data.draw(st.lists(NONZERO, min_size=kc.genus, max_size=kc.genus))
+        for k in range(1, kc.n):
+            handed = []
+
+            def spy(R, points):
+                handed.extend(points)
+                return theta_coefficients(R, handed)
+
+            with mock.patch.object(hirota_parametrization, "theta_coefficients", spy):
+                alpha_from_beta(kc, k, beta)
+            dense = [label_lattice_point(kc.n, k, J) for J in hypersimplex_labels(kc.n, k)]
+            assert handed == [tuple((m, cm) for m, cm in enumerate(c, 1) if cm)
+                              for c in dense]
+            coeffs = theta_coefficients(R, handed)
+            assert [coeffs[point] for point in handed] == [dense_theta(R, c) for c in dense]
+
+
+def dense_theta(R, c):
+    """exp(c^T R c / 2) from every entry of the dense point c: exp(R_ii / 2)
+    to the power c_i^2 and exp(R_ij) to the power c_i c_j for i < j."""
+    val = F(1)
+    for (i, ci), (j, cj) in itertools.combinations_with_replacement(enumerate(c, 1), 2):
+        val *= R.exp_half_diag(i) ** (ci * ci) if i == j else R.exp_entry(i, j) ** (ci * cj)
+    return val
 
 
 def fraction_alpha(kc, k, beta, J):

@@ -150,21 +150,29 @@ def test_power_product_reads_negative_exponents_as_inverses():
     assert power_product([]) == (1, 1)
 
 
+def sparse(c):
+    """The nonzero entries of a dense lattice point as (m, c_m) pairs, m
+    1-based: the form ``theta_coefficients`` reads and keys by."""
+    return tuple((m, cm) for m, cm in enumerate(c, 1) if cm)
+
+
 class TestThetaCoefficients:
     def test_frozen_values(self):
         R = limit_R(KC)
-        coeffs = theta_coefficients(R, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, -1, 0)])
-        assert coeffs[(0, 0, 0)] == 1
-        assert coeffs[(1, 0, 0)] == 1
-        assert coeffs[(0, 1, 0)] == F(1, 4)
-        assert coeffs[(1, -1, 0)] == 1
+        pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, -1, 0)]
+        coeffs = theta_coefficients(R, map(sparse, pts))
+        assert coeffs[sparse((0, 0, 0))] == 1
+        assert coeffs[sparse((1, 0, 0))] == 1
+        assert coeffs[sparse((0, 1, 0))] == F(1, 4)
+        assert coeffs[sparse((1, -1, 0))] == 1
 
     def test_even_in_c(self):
         R = limit_R(KC)
         pts = [(1, -1, 0), (0, 1, -1), (1, 1, 1)]
-        coeffs = theta_coefficients(R, pts + [tuple(-x for x in p) for p in pts])
-        for p in pts:
-            assert coeffs[p] == coeffs[tuple(-x for x in p)]
+        negated = [tuple(-x for x in p) for p in pts]
+        coeffs = theta_coefficients(R, map(sparse, pts + negated))
+        for p, q in zip(pts, negated):
+            assert coeffs[sparse(p)] == coeffs[sparse(q)]
 
     def test_translation_identity(self):
         """a_{c - c0} exp(c^T R c0) = a_c a_{c0}, the quasi-periodicity of the
@@ -175,14 +183,16 @@ class TestThetaCoefficients:
         for c in cs:
             for c0 in c0s:
                 diff = tuple(a - b for a, b in zip(c, c0))
-                coeffs = theta_coefficients(R, [c, c0, diff])
-                lhs = coeffs[diff] * exp_bilinear(R, c, c0)
-                assert lhs == coeffs[c] * coeffs[c0], f"c={c}, c0={c0}"
+                coeffs = theta_coefficients(R, map(sparse, [c, c0, diff]))
+                lhs = coeffs[sparse(diff)] * exp_bilinear(R, c, c0)
+                assert lhs == coeffs[sparse(c)] * coeffs[sparse(c0)], f"c={c}, c0={c0}"
 
-    def test_wrong_length_rejected(self):
+    @pytest.mark.parametrize("point", [((0, 1),), ((1, 1), (4, -1)), ((-1, 2),)])
+    def test_index_out_of_range_rejected(self, point):
+        """Indices run over 1..g; 0 and g + 1 = 4 are refused at genus 3."""
         R = limit_R(KC)
-        with pytest.raises(ValueError, match="wrong length"):
-            theta_coefficients(R, [(1, 0)])
+        with pytest.raises(ValueError, match="index outside 1..3"):
+            theta_coefficients(R, [point])
 
 
 class TestPeriodVectors:
