@@ -26,9 +26,9 @@ with more than LATTICE_MAX_VERTICES Voronoi vertices, ``delaunay`` and
 larger than LATTICE_MAX_ENTRIES, ``param`` a family past
 PARAM_MAX_TERMS coefficients or PARAM_MAX_MINOR_STEPS minor steps (which
 ``certify`` refuses as well), ``limits`` a config of more than
-LIMITS_MAX_NODES nodes, and ``eqs`` a listing of more than EQS_MAX_ENTRIES
-printed entries.  ``_check_budget`` checks every budget on a count
-computed from the arguments, before any work.
+LIMITS_MAX_NODES nodes (as every command does a divisor config), and ``eqs``
+a listing of more than EQS_MAX_ENTRIES printed entries.  ``_check_budget``
+checks every budget on a count computed from the arguments, before any work.
 Run it as ``tropkp``, ``python -m tropkp`` or ``python -m tropkp.cli``;
 ``run()`` builds its argument parser once per process, on its first call.
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
@@ -126,8 +126,13 @@ CERTIFY_MAX_TERM_SAMPLES = 100_000
 PARAM_MAX_TERMS = math.comb(16, 8)
 PARAM_MAX_MINOR_STEPS = 100_000_000
 
-# largest node count n that ``limits`` takes on: it prints the g x g limit
-# period matrix, so its time grows as n^2 (about 3.2 s at n = 300)
+# largest node count n that ``limits`` takes on, and that every command takes
+# on with a divisor.  ``limits`` prints the g x g limit period matrix, so its
+# time grows as n^2 (about 3.2 s at n = 300).  A divisor's weights and
+# ``param``'s (n - k) x n dual matrix are rationals of about n log n digits:
+# ``param --json`` on an (n, 1) divisor took 2.1 s and 222 MB at n = 300 and
+# held 5.2 GB after 2 min at n = 1500.  Both costs follow n alone, so one
+# bound serves both
 LIMITS_MAX_NODES = 300
 
 # largest ``eqs`` listing, relation terms times the n entries of each
@@ -218,6 +223,7 @@ class RunConfig:
                 lambdas = _rational_list(raw, "lambda")
                 beta = beta_lambda_convert(kc, class_k, lambdas)
             else:
+                _check_budget(kc.n, LIMITS_MAX_NODES, "a divisor config has n", "nodes")
                 dv = raw["divisor"]
                 _refuse_unknown_keys(dv, "divisor", DIVISOR_KEYS)
                 # the base point sits on X+, the only placement implemented
@@ -571,12 +577,13 @@ def _cmd_limits(args) -> int:
 
 
 def _soliton_matrices(cfg: RunConfig, alphas: dict) -> tuple:
-    """``(A, At, minor_ok, match_ok)``: the echelon matrix of the config's
-    soliton with its maximal minors, the rows of its Vandermonde matrix,
-    whether A's minors satisfy the minor identity with ``alphas``, and
-    whether the two matrices span the same point of Gr(k, n).  A is [I | B],
-    so they do exactly when At = G A for the block G of At's first k columns
-    and det G != 0; At's own minors are never taken."""
+    """``(A, At, det_G, minor_ok, match_ok)``: the echelon matrix of the
+    config's soliton with its maximal minors, the rows of its Vandermonde
+    matrix, the determinant of the block G of At's first k columns, whether
+    A's minors satisfy the minor identity with ``alphas``, and whether the
+    two matrices span the same point of Gr(k, n).  A is [I | B], so they do
+    exactly when At = G A and det G != 0; then each maximal minor of At is
+    det G times A's (Cauchy-Binet), so At's own minors are never taken."""
     k = cfg.class_k
     A = matrix_A(cfg.kc, k, cfg.beta)
     At = matrix_A_tilde(cfg.kc, k, cfg.lambdas)
@@ -584,18 +591,19 @@ def _soliton_matrices(cfg: RunConfig, alphas: dict) -> tuple:
     G = [row[:k] for row in At]
     columns = list(zip(*A.matrix))
     # det G is the one maximal minor of G
-    match_ok = all(grassmann_point(G).pluecker.values()) and all(
+    (det_G,) = grassmann_point(G).pluecker.values()
+    match_ok = det_G != 0 and all(
         entry == sum(g * a for g, a in zip(g_row, column))
         for row, g_row in zip(At, G) for entry, column in zip(row, columns)
     )
-    return A, At, minor_ok, match_ok
+    return A, At, det_G, minor_ok, match_ok
 
 
 def _cmd_param(args) -> int:
     cfg = RunConfig.from_file(args.config, _param_budget)
     kc, k = cfg.kc, cfg.class_k
     alphas = alpha_from_beta(kc, k, cfg.beta)
-    A, At, minor_ok, match_ok = _soliton_matrices(cfg, alphas)
+    A, At, _, minor_ok, match_ok = _soliton_matrices(cfg, alphas)
     payload = {
         "kappas": _svec(kc.kappas),
         "class_k": k,
@@ -645,7 +653,7 @@ def _cmd_certify(args) -> int:
                    f"{len(hp1.alphas)} coefficients"))
     hp2 = hp1.other_vertex()
 
-    A, At, minor_ok, match_ok = _soliton_matrices(cfg, hp1.alphas)
+    A, _, det_G, minor_ok, match_ok = _soliton_matrices(cfg, hp1.alphas)
     checks.append(("minor-identity", minor_ok, "A_J K_J = alpha_J K_base for all J"))
     checks.append(("parametrization-match", match_ok, "echelon vs Vandermonde minors"))
 
@@ -692,7 +700,8 @@ def _cmd_certify(args) -> int:
     # emitted only there instead of passing vacuously
     if (cfg.divisor is not None and kc.sorted_flag
             and check_dn_interlacing(kc, cfg.divisor)):
-        pos = all(v > 0 for v in grassmann_point(At).pluecker.values())
+        # A~'s minors are det G times A's once A~ = G A is decided
+        pos = match_ok and all(det_G * v > 0 for v in A.pluecker.values())
         checks.append(("interlacing-positivity", pos,
                        f"interlacing=True, all minors positive={pos}"))
 
@@ -781,13 +790,9 @@ def _cmd_field(args) -> int:
         f"{x_text}{yt_text}{u:.12g}"
         for (yt_text, x_text), u in zip(itertools.product(yt_texts, x_texts), us)
     ]
-    out = "\n".join(rows) + "\n"
+    _emit({}, False, rows, args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
         print(f"wrote {nx * ny} samples to {args.out}")
-    else:
-        print(out, end="")
     return 0
 
 

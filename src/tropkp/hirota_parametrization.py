@@ -25,10 +25,11 @@ All arithmetic is exact, over Fraction and Python integers; nothing here
 ever touches floats.  Maximal minors are integer determinants: each row is
 scaled to integers over its common denominator once, and the minors are taken
 by fraction-free (Bareiss) elimination and divided by the product of the row
-scales.  Only ``matrix_A`` and the divisor's positivity need them: since A is
-[I | B], the Vandermonde rows span A's point exactly when they equal G A for
-their first k columns G with det G != 0, a product of matrices and one
-determinant.  Both alpha routes are integer ratios until their comparison: the
+scales.  Only ``matrix_A`` needs them: since A is [I | B], the Vandermonde
+rows span A's point exactly when they equal G A for their first k columns G
+with det G != 0, a product of matrices and one determinant, and then each of
+their minors is det G times A's (Cauchy-Binet), which is all the divisor's
+positivity reads.  Both alpha routes are integer ratios until their comparison: the
 theta route multiplies the numerators and denominators of the entries of R
 that it reads (``theta_coefficients``), the product route multiplies integer
 differences of the kappas over their common denominator D
@@ -425,7 +426,9 @@ def matrix_A_dual(kc: KappaConfig, d: Divisor) -> tuple[tuple[Fraction, ...], ..
 
 
 def check_dn_interlacing(kc: KappaConfig, d: Divisor) -> bool:
-    """One divisor point in each open gap between consecutive sorted nodes.
+    """One divisor point in each open gap between consecutive sorted nodes:
+    g points whose sorted order p_(1) < ... < p_(g) alternates with the
+    nodes, kappa_1 < p_(1) < kappa_2 < ... < p_(g) < kappa_n.
 
     This is the positivity condition: it forces every lambda_j (equivalently
     every beta_j) to be positive, hence a totally nonnegative Grassmannian
@@ -433,16 +436,10 @@ def check_dn_interlacing(kc: KappaConfig, d: Divisor) -> bool:
     """
     if not kc.sorted_flag:
         raise ValueError("interlacing needs sorted node parameters")
-    if len(d.points) != kc.genus:
-        return False
-    if set(d.points) & set(kc.kappas):
-        return False
-    for i in range(1, kc.n):
-        lo, hi = kc.kappa(i), kc.kappa(i + 1)
-        inside = sum(1 for p in d.points if lo < p < hi)
-        if inside != 1:
-            return False
-    return True
+    nodes, points = kc.kappas, sorted(d.points)
+    return len(points) == kc.genus and all(
+        lo < p < hi for lo, p, hi in zip(nodes, points, nodes[1:])
+    )
 
 
 @dataclass

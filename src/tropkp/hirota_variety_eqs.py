@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -170,7 +169,6 @@ def face_direction_classes(k: int, n: int) -> tuple[QuarticRelation, ...]:
             inside = set(direction)
             outside = [i for i in range(1, n + 1) if i not in inside]
             out.append(QuarticRelation(direction, tuple(outside[: k - ell]), n))
-    out.sort(key=lambda rel: (rel.dimension, rel.direction))
     return tuple(out)
 
 
@@ -200,7 +198,6 @@ def instantiate_and_check(
         _mask(J): (a, *(-sum(columns[j - 2][i] for j in J if j >= 2) for i in range(3)))
         for J, a in zip(hp.alphas, alphas)
     }
-    indicator = {m: tuple(m >> i & 1 for i in range(n)) for m in table}
     out: dict[tuple[int, ...], Fraction] = {}
     for rel in relations:
         total = 0
@@ -218,7 +215,7 @@ def instantiate_and_check(
             # quartic(dx, dy, dt), inline: a call per pair costs more than its sum
             total += a1 * a2 * (dx * dx * dx * dx - 4 * dx * (t1 - t2) + 3 * dy * dy)
         # every pair of a relation sums to its doubled point e_J1 + e_J2
-        out[tuple(map(operator.add, indicator[m1], indicator[m2]))] = (
+        out[tuple((m1 >> i & 1) + (m2 >> i & 1) for i in range(n))] = (
             Fraction(total, denom) if total else ZERO
         )
     return out

@@ -234,29 +234,25 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
     each group is divided by it once at the end.  A pair is grouped by the
     packed label sum l1 + l2, with l = sum_j label_j 4^(j-1): each digit of
     the sum is at most 2, so it never carries and stands for exactly
-    e_J1 + e_J2.  The tuple key of a group is built once, from its first
-    pair, and every vanishing group shares the value ``ZERO``.
+    e_J1 + e_J2.  The tuple key of a group is read off its packed sum once,
+    one base-4 digit per entry, and every vanishing group shares the value
+    ``ZERO``.
     """
     coeffs, waves, denom, _ = tau.integer_view
-    labels = [term.label for term in tau.terms]
-    packed = [sum(b << 2 * i for i, b in enumerate(label)) for label in labels]
-    terms = list(zip(labels, packed, coeffs, waves))
+    packed = [sum(b << 2 * i for i, b in enumerate(term.label)) for term in tau.terms]
+    terms = list(zip(packed, coeffs, waves))
     sums: dict[int, int] = {}
-    first: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for i, (l1, p1, a1, (x1, y1, t1)) in enumerate(terms):
-        for l2, p2, a2, (x2, y2, t2) in terms[i + 1 :]:
+    for i, (p1, a1, (x1, y1, t1)) in enumerate(terms):
+        for p2, a2, (x2, y2, t2) in terms[i + 1 :]:
             dx = x1 - x2
             dy = y1 - y2
             key = p1 + p2
             # quartic(dx, dy, dt), inline: a call per pair costs more than its sum
             value = a1 * a2 * (dx * dx * dx * dx - 4 * dx * (t1 - t2) + 3 * dy * dy)
-            if key in sums:
-                sums[key] += value
-            else:
-                sums[key] = value
-                first[key] = (l1, l2)
+            sums[key] = sums.get(key, 0) + value
+    shifts = range(0, 2 * len(tau.terms[0].label), 2) if tau.terms else ()
     return {
-        tuple(map(operator.add, *first[key])): Fraction(value, denom) if value else ZERO
+        tuple(key >> s & 3 for s in shifts): Fraction(value, denom) if value else ZERO
         for key, value in sums.items()
     }
 

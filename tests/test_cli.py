@@ -871,6 +871,34 @@ class TestConfigCommands:
             assert status == 0
             assert json.loads(captured.out)["abel_exp"][0] == "-5"
 
+    @pytest.mark.parametrize("command", ["param", "field"])
+    @pytest.mark.parametrize("past", [True, False], ids=["bound-1", "bound"])
+    def test_divisor_node_budget_is_inclusive(
+        self, command, past, config_file, capsys, monkeypatch
+    ):
+        """A divisor config is held to ``LIMITS_MAX_NODES`` by every command,
+        since its weights and ``param``'s dual matrix grow with n: lowered to
+        the 4 nodes of a divisor config it runs, and one below it is refused
+        with exit 1 before the divisor is converted to weights.  A beta
+        config of as many nodes is not held to it."""
+        monkeypatch.setattr(cli_mod, "LIMITS_MAX_NODES", 4 - past)
+        converted = _spy(monkeypatch, cli_mod, "lambda_from_divisor")
+        grid = ["--nx", "2", "--ny", "2"] if command == "field" else []
+        status = run([command, "--config", config_file(DIVISOR_CONFIG), *grid])
+        captured = capsys.readouterr()
+        if past:
+            assert status == 1
+            assert captured.err == (
+                "error: a divisor config has n = 4 nodes, exceeding the bound of 3 nodes\n"
+            )
+            assert captured.out == ""
+            assert converted == []
+        else:
+            assert status == 0
+            assert len(converted) == 1
+        assert run([command, "--config", config_file(BETA_CONFIG), *grid]) == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "n, k, what",
         [(17, 8, "= 24310 alpha coefficients"),
@@ -1059,7 +1087,7 @@ def _failed_checks(capsys) -> set[str]:
 class TestParametrizationMatch:
     """``parametrization-match`` decides from the rows whether the
     Vandermonde matrix A~ equals G A, G its first k columns, with
-    det G != 0; only ``interlacing-positivity`` takes A~'s maximal minors."""
+    det G != 0; no command takes A~'s maximal minors."""
 
     # a (5, 2) divisor with one point in each gap between the nodes
     INTERLACING_52 = dict(
@@ -1110,10 +1138,14 @@ class TestParametrizationMatch:
             lambdas[data.draw(st.integers(0, n - 2))] *= data.draw(
                 NONZERO.filter(lambda q: q != 1))
             cfg = dataclasses.replace(cfg, lambdas=tuple(lambdas))
-        A, At, _, match_ok = cli_mod._soliton_matrices(
+        A, At, det_G, _, match_ok = cli_mod._soliton_matrices(
             cfg, alpha_from_beta(cfg.kc, k, cfg.beta))
-        tables_match = _normalized(A.pluecker) == _normalized(grassmann_point(At).pluecker)
+        tilde = grassmann_point(At).pluecker
+        tables_match = _normalized(A.pluecker) == _normalized(tilde)
         assert match_ok is tables_match is (kind != "mismatched")
+        # on a match, A~'s minors are det G times A's, which positivity reads
+        if match_ok:
+            assert {J: det_G * v for J, v in A.pluecker.items()} == tilde
 
     @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (0, 3), (1, 2)])
     def test_one_vandermonde_entry_fails_the_match(
@@ -1168,14 +1200,32 @@ class TestParametrizationMatch:
         assert run(["certify", "--config", path, "--json"]) == 2
         assert _failed_checks(capsys) == {"parametrization-match", "interlacing-positivity"}
 
+    def test_one_negated_echelon_column_fails_positivity(
+        self, config_file, capsys, monkeypatch
+    ):
+        """Under the interlacing (5, 2) divisor, A with its last column
+        negated has negative minors: positivity reads A's minors and the
+        match, so it fails with every row that reads A."""
+        real = cli_mod.matrix_A
+
+        def faulty(*args):
+            return grassmann_point(
+                [(*row[:4], -row[4]) for row in real(*args).matrix])
+
+        monkeypatch.setattr(cli_mod, "matrix_A", faulty)
+        path = config_file(self.INTERLACING_52)
+        assert run(["certify", "--config", path, "--json"]) == 2
+        assert _failed_checks(capsys) == {"minor-identity", "parametrization-match",
+                                          "tau-routes", "interlacing-positivity"}
+
     @pytest.mark.parametrize("command", ["param", "certify"])
     @pytest.mark.parametrize("config", sorted(CONFIGS))
-    def test_only_positivity_takes_the_vandermonde_minors(
+    def test_no_command_takes_the_vandermonde_minors(
         self, command, config, config_file, capsys, monkeypatch
     ):
         """Every command builds A's minor table and the one determinant of
-        G; A~'s table is built by ``certify`` for an interlacing divisor
-        alone."""
+        G, and no command builds A~'s table: positivity reads det G times
+        A's minors."""
         cfg = self.CONFIGS[config]
         rc = RunConfig.from_dict(cfg)
         k = rc.class_k
@@ -1185,11 +1235,9 @@ class TestParametrizationMatch:
         built_by_cli = _spy(monkeypatch, cli_mod, "grassmann_point")
         assert run([command, "--config", config_file(cfg), "--json"]) == 0
         capsys.readouterr()
-        expected = [tuple(row[:k] for row in At)]
-        if command == "certify" and config.startswith("interlacing"):
-            expected.append(At)
         assert [tuple(map(tuple, rows)) for rows, in built_by_matrix_a] == [A.matrix]
-        assert [tuple(map(tuple, rows)) for rows, in built_by_cli] == expected
+        assert [tuple(map(tuple, rows)) for rows, in built_by_cli] == [
+            tuple(row[:k] for row in At)]
 
 
 class TestRowFaults:

@@ -473,6 +473,29 @@ class TestDivisorRoute:
         d = make_divisor([F(1, 3), F(1, 2), F(5, 2)], 1)
         assert not check_dn_interlacing(KC4, d)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_interlacing_equals_one_point_in_each_gap(self, data):
+        """The check decides what counting the points in every open gap
+        between consecutive nodes decides: g points, none on a node, and
+        exactly one in each gap.  Integer nodes and quarter-integer points
+        make every case frequent: wrong lengths, points on nodes, points
+        outside the nodes' range, crowded gaps, and divisors that interlace
+        (one point drawn per gap, in any order)."""
+        nodes = sorted(data.draw(st.lists(st.integers(-6, 6), min_size=2, max_size=6,
+                                          unique=True)))
+        gaps = list(zip(nodes, nodes[1:]))
+        per_gap = [lo + (hi - lo) * F(data.draw(st.integers(0, 4)), 4) for lo, hi in gaps]
+        anywhere = st.builds(lambda p: F(p, 4), st.integers(-32, 32))
+        points = data.draw(st.one_of(
+            st.permutations(per_gap),
+            st.lists(anywhere, min_size=len(gaps) - 1, max_size=len(gaps) + 1),
+        ))
+        counts = [sum(1 for p in points if lo < p < hi) for lo, hi in gaps]
+        by_count = (len(points) == len(gaps) and not set(points) & set(nodes)
+                    and all(count == 1 for count in counts))
+        assert check_dn_interlacing(kappa_config(nodes), make_divisor(points, 0)) is by_count
+
     def test_interlacing_needs_sorted_nodes(self):
         kc = kappa_config([1, 0, 2, 3])
         with pytest.raises(ValueError, match="sorted"):

@@ -83,9 +83,9 @@ def _exported_names(tree: ast.Module) -> set[str]:
 
 def test_no_unused_imports():
     """Every name a module imports is read in that module or exported by
-    its ``__all__``; the package ``__init__`` only re-exports and is skipped."""
+    its ``__all__``."""
     package = Path(tropkp.__file__).resolve().parent
-    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(package.glob("*.py"))
     assert modules
     found = {}
     for path in modules:
