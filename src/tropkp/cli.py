@@ -86,6 +86,7 @@ from .tropical_limit import (
     limit_R,
     make_divisor,
     uvw,
+    validate_divisor,
 )
 from .voronoi_combinatorics import (
     canonical_vertex,
@@ -238,6 +239,7 @@ class RunConfig:
                         f"divisor split_k must equal class_k ({class_k}), "
                         f"got {divisor.split_k}"
                     )
+                validate_divisor(kc, divisor)
                 lambdas = lambda_from_divisor(kc, divisor)
                 beta = beta_lambda_convert(kc, class_k, lambdas)
         except (KeyError, TypeError, ValueError) as exc:
@@ -684,9 +686,14 @@ def _cmd_certify(args) -> int:
     checks.append(("face-vs-residual", faces.items() <= res.items(),
                    f"{len(faces)} face values equal their residual groups"))
 
-    kc_back, beta_back = invert_psi(hp1)
-    ok = kc_back.kappas == kc.kappas and beta_back == cfg.beta
-    checks.append(("inversion-roundtrip", ok, "nodes and weights recovered exactly"))
+    # after the config resolved, a family invert_psi refuses is a failed row
+    try:
+        kc_back, beta_back = invert_psi(hp1)
+    except ValueError as exc:
+        checks.append(("inversion-roundtrip", False, str(exc)))
+    else:
+        ok = kc_back.kappas == kc.kappas and beta_back == cfg.beta
+        checks.append(("inversion-roundtrip", ok, "nodes and weights recovered exactly"))
 
     worst = kp_residual_numeric(tau, _sample_points(cfg.samples, cfg.seed))
     checks.append(("kp-numeric", worst < cfg.tolerance,

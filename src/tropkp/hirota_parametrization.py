@@ -57,7 +57,6 @@ from .tropical_limit import (
     power_product,
     theta_coefficients,
     uvw,
-    validate_divisor,
 )
 
 __all__ = [
@@ -399,8 +398,8 @@ def beta_lambda_convert(
 
 def lambda_from_divisor(kc: KappaConfig, d: Divisor) -> tuple[Fraction, ...]:
     """Column weights determined by a degree-g divisor:
-    lambda_j is the ratio of P * K' * Q evaluated at kappa_1 and kappa_{j+1}."""
-    validate_divisor(kc, d)
+    lambda_j is the ratio of P * K' * Q evaluated at kappa_1 and kappa_{j+1}.
+    The divisor must pass ``validate_divisor``."""
 
     def weight(i: int) -> Fraction:
         z = kc.kappa(i)
@@ -415,11 +414,9 @@ def matrix_A_dual(kc: KappaConfig, d: Divisor) -> tuple[tuple[Fraction, ...], ..
     other graph vertex: row l evaluates P * Q_l / K' at each node, where
     Q_1 = 1 and Q_l for l >= 2 is the reciprocal of (z - p) at the l-th
     far-side divisor point.  Only the rows are built, P / K' once per node;
-    ``grassmann_point`` of them gives the maximal minors."""
-    validate_divisor(kc, d)
+    ``grassmann_point`` of them gives the maximal minors.  The divisor must
+    pass ``validate_divisor`` and have split_k in 1..g."""
     k = d.split_k
-    if not 1 <= k <= kc.genus:
-        raise ValueError(f"split_k must be between 1 and {kc.genus}, got {k}")
     nodes = [kc.kappa(i) for i in range(1, kc.n + 1)]
     first = tuple(d.P_at(z) / kprime(kc, i) for i, z in enumerate(nodes, 1))
     return (first, *(tuple(v / (z - p) for v, z in zip(first, nodes)) for p in d.points[k:]))

@@ -28,29 +28,30 @@ keys; the full table serves the tests, which compare it with the whole
 residual.
 
 A ``QuarticRelation`` stores only n and its direction and frozen sets.  Its
-terms are enumerated as pairs of label bit masks (bit j - 1 for column j) by
-``pair_masks``, which is all the evaluation reads; the label triples of
-``terms`` (labels and sign vector) are spelled out only when read, for
+terms are enumerated as pairs of ``tau_kp.pack`` labels by ``pair_masks``,
+which is all the evaluation reads; the label triples of ``terms`` (labels
+and sign vector) are read off them by ``tau_kp.digits`` only when read, for
 ``eqs`` and the tests.  The sums run in Python integers: the alphas and the
 columns of (U, V, W) are scaled once by ``tropical_limit.clear_denominators``,
 each label's wave is summed from the scaled columns into a table keyed by
-label mask, the quartic is spelled out inline on integer wave differences,
+packed label, the quartic is spelled out inline on integer wave differences,
 and each relation's total is divided by the common denominator once, under
-the doubled point its masks add up to.  A vanishing total is the shared
-``tropical_limit.ZERO``, as in ``hirota_residual``, so comparing the two
-tables mostly compares identical objects.
+its packed doubled point m1 + m2, the residual's key.  A vanishing total is
+the shared ``tropical_limit.ZERO``, as in ``hirota_residual``, so comparing
+the two tables mostly compares identical objects.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .hirota_parametrization import HirotaPoint, hypersimplex_labels
-from .tau_kp import TauFunction, hirota_residual
+from .tau_kp import TauFunction, digits, hirota_residual, pack
 from .tropical_limit import ZERO, clear_denominators
 
 __all__ = [
@@ -80,7 +81,7 @@ class SquaredPoint:
 class QuarticRelation:
     """One face equation over {1..n}: the sorted direction set I1 and the
     sorted frozen coordinates F.  ``pair_masks`` enumerates its terms as
-    label bit masks; ``terms`` spells them out as label pairs with sign
+    packed labels; ``terms`` spells them out as label pairs with sign
     vectors, once, when first read."""
 
     direction: tuple[int, ...]
@@ -92,13 +93,13 @@ class QuarticRelation:
         return len(self.direction) - 1
 
     def pair_masks(self) -> Iterator[tuple[int, int]]:
-        """Each term's label pair as bit masks (bit j - 1 for column j):
-        (F | S, F | (I1 - S)) for every half S of I1 that holds the lead
-        column of I1 and |I1|/2 - 1 of the others, in lexicographic order."""
-        frozen = _mask(self.fixed_ones)
-        lead, *rest = [1 << (j - 1) for j in self.direction]
+        """Each term's label pair as ``pack`` keys: (F | S, F | (I1 - S))
+        for every half S of I1 that holds the lead column of I1 and
+        |I1|/2 - 1 of the others, in lexicographic order."""
+        frozen = pack(self.fixed_ones)
+        lead, *rest = [pack((j,)) for j in self.direction]
         first = frozen + lead
-        # the columns are disjoint bits, and the two masks add up to 2 F + I1
+        # the two labels add up to the doubled point 2 F + I1
         both = first + frozen + sum(rest)
         for extra in map(sum, itertools.combinations(rest, len(rest) // 2)):
             yield first + extra, both - first - extra
@@ -110,24 +111,16 @@ class QuarticRelation:
         return _term_list(self)
 
 
-def _mask(columns: Iterable[int]) -> int:
-    return sum(1 << (j - 1) for j in columns)
-
-
-def _columns(mask: int, n: int) -> Label:
-    return tuple(j for j in range(1, n + 1) if mask >> (j - 1) & 1)
+def _columns(indicator: tuple[int, ...]) -> Label:
+    return tuple(j for j, d in enumerate(indicator, 1) if d)
 
 
 def _term_list(rel: QuarticRelation) -> tuple[tuple[Label, Label, tuple[int, ...]], ...]:
     """``rel.terms``, spelled out from ``rel.pair_masks()``."""
     n = rel.n
     return tuple(
-        (
-            _columns(m1, n),
-            _columns(m2, n),
-            tuple((m1 >> i & 1) - (m2 >> i & 1) for i in range(n)),
-        )
-        for m1, m2 in rel.pair_masks()
+        (_columns(d1), _columns(d2), tuple(map(operator.sub, d1, d2)))
+        for d1, d2 in ((digits(m1, n), digits(m2, n)) for m1, m2 in rel.pair_masks())
     )
 
 
@@ -140,17 +133,13 @@ def squared_set(k: int, n: int) -> tuple[SquaredPoint, ...]:
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    found: dict[tuple[int, ...], list[tuple[Label, Label]]] = {}
+    found: dict[int, list[tuple[Label, Label]]] = {}
     labels = hypersimplex_labels(n, k)
-    indicator = {J: tuple(1 if i in J else 0 for i in range(1, n + 1)) for J in labels}
+    packed = {J: pack(J) for J in labels}
     for J1, J2 in itertools.combinations(labels, 2):
-        ind = tuple(a + b for a, b in zip(indicator[J1], indicator[J2]))
-        found.setdefault(ind, []).append((J1, J2))
-    out = []
-    for d in sorted(found):
-        pairs = tuple(sorted(found[d]))
-        out.append(SquaredPoint(d=d, pairs=pairs, two_count=sum(1 for x in d if x == 2)))
-    return tuple(out)
+        found.setdefault(packed[J1] + packed[J2], []).append((J1, J2))
+    points = sorted((digits(key, n), tuple(sorted(pairs))) for key, pairs in found.items())
+    return tuple(SquaredPoint(d=d, pairs=pairs, two_count=d.count(2)) for d, pairs in points)
 
 
 def face_direction_classes(k: int, n: int) -> tuple[QuarticRelation, ...]:
@@ -182,10 +171,10 @@ def quartic_for_point(sp: SquaredPoint) -> QuarticRelation:
 
 def instantiate_and_check(
     relations: Iterable[QuarticRelation], hp: HirotaPoint
-) -> dict[tuple[int, ...], Fraction]:
+) -> dict[int, Fraction]:
     """Exact value of each relation on a coefficient family, keyed by the
-    relation's doubled point.  Each relation is read through ``pair_masks``
-    only, so its ``terms`` are never built here.
+    relation's packed doubled point.  Each relation is read through
+    ``pair_masks`` only, so its ``terms`` are never built here.
 
     The relations must be built for the same (k, n) as the family's labels
     (for a second-vertex family that means k -> n - k)."""
@@ -195,10 +184,10 @@ def instantiate_and_check(
         list(hp.alphas.values()), list(zip(pv.U, pv.V, pv.W))
     )
     table = {
-        _mask(J): (a, *(-sum(columns[j - 2][i] for j in J if j >= 2) for i in range(3)))
+        pack(J): (a, *(-sum(columns[j - 2][i] for j in J if j >= 2) for i in range(3)))
         for J, a in zip(hp.alphas, alphas)
     }
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[int, Fraction] = {}
     for rel in relations:
         total = 0
         for m1, m2 in rel.pair_masks():
@@ -207,7 +196,7 @@ def instantiate_and_check(
                 a2, x2, y2, t2 = table[m2]
             except KeyError:
                 raise KeyError(
-                    f"relation labels {_columns(m1, n)}, {_columns(m2, n)} "
+                    f"relation labels {_columns(digits(m1, n))}, {_columns(digits(m2, n))} "
                     "missing from the family"
                 ) from None
             dx = x1 - x2
@@ -215,20 +204,18 @@ def instantiate_and_check(
             # quartic(dx, dy, dt), inline: a call per pair costs more than its sum
             total += a1 * a2 * (dx * dx * dx * dx - 4 * dx * (t1 - t2) + 3 * dy * dy)
         # every pair of a relation sums to its doubled point e_J1 + e_J2
-        out[tuple((m1 >> i & 1) + (m2 >> i & 1) for i in range(n))] = (
-            Fraction(total, denom) if total else ZERO
-        )
+        out[m1 + m2] = Fraction(total, denom) if total else ZERO
     return out
 
 
-def face_table(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:
+def face_table(hp: HirotaPoint) -> dict[int, Fraction]:
     """Exact value of the face quartic over every doubled point of the
     family's (k, n) that ``squared_set`` enumerates, each with its own
-    frozen coordinates, keyed by doubled point; the class representatives
-    of ``face_direction_classes`` are among the keys.  ``certify`` reads
-    only those representatives, through ``instantiate_and_check``; this
-    full table serves the tests, which compare it with the whole bilinear
-    residual."""
+    frozen coordinates, keyed by packed doubled point; the class
+    representatives of ``face_direction_classes`` are among the keys.
+    ``certify`` reads only those representatives, through
+    ``instantiate_and_check``; this full table serves the tests, which
+    compare it with the whole bilinear residual."""
     points = squared_set(hp.label_size, len(hp.uvw.U) + 1)
     return instantiate_and_check(map(quartic_for_point, points), hp)
 
@@ -237,7 +224,7 @@ def face_values_match_residual(hp: HirotaPoint, tau: TauFunction) -> bool:
     """Exact agreement of the two residual routes.
 
     The face equations and the bilinear residual of a tau labelled by
-    column indicators group the same term pairs by the same doubled points,
+    packed column sets group the same term pairs by the same doubled points,
     so the two tables must be equal: the same keys, and on each key the
     same value (the quartic arguments are the same wave differences in a
     different gauge).

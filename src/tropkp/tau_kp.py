@@ -1,17 +1,17 @@
 """Finite exponential tau sums, their bilinear residuals, and KP checks.
 
 A tau function here is a finite sum of exponentials of linear forms in
-(x, y, t): each term has an exact rational coefficient, a label (the 0/1
-indicator of its column set J, from either builder), and an exact rational
-wave triple.  Two layers of certification operate on them:
+(x, y, t): each term has an exact rational coefficient, a label (``pack`` of
+its column set J, the one form in which the exact layers write a column set
+or a doubled point), and an exact rational wave triple.  Two layers of
+certification operate on them:
 
 * exact: ``hirota_residual`` groups the quadratic terms of the bilinear
   operator D_x^4 - 4 D_x D_t + 3 D_y^2 applied to tau * tau by the label sum
-  of the contributing pair, a point e_J1 + e_J2 of the doubled hypersimplex,
-  and returns every group value as a Fraction.  The sums run in integers
-  after the denominators are cleared once, each pair is keyed by the sum of
-  its two labels packed as base-4 integers (no digit exceeds 2, so the sum
-  never carries), and a group's tuple key and Fraction are made once.
+  of the contributing pair, a packed point e_J1 + e_J2 of the doubled
+  hypersimplex, and returns every group value as a Fraction.  The sums run
+  in integers after the denominators are cleared once, and a group's
+  Fraction is made once.
   If the sum vanishes group by group, tau solves the bilinear equation, so
   an all-zero dictionary is a proof, not an approximation.  The converse
   holds only when distinct label sums have distinct wave sums: the
@@ -73,6 +73,8 @@ from .hirota_parametrization import (
 from .tropical_limit import ZERO, KappaConfig, clear_denominators
 
 __all__ = [
+    "pack",
+    "digits",
     "TauTerm",
     "TauFunction",
     "tau_from_grassmannian",
@@ -88,10 +90,27 @@ __all__ = [
 Wave = tuple[Fraction, Fraction, Fraction]
 
 
+def pack(columns: Iterable[int]) -> int:
+    """The packed key of columns of {1..n}: base-4 digit j - 1 is the
+    multiplicity of column j.  A column set packs to its label, and the sum
+    of two labels, with no digit above 2, is their packed doubled point."""
+    # a loop: pair_masks packs single columns, where a generator costs more than its sum
+    key = 0
+    for j in columns:
+        key += 1 << 2 * (j - 1)
+    return key
+
+
+def digits(key: int, n: int) -> tuple[int, ...]:
+    """The n base-4 digits of a packed key, column 1 first: a label's 0/1
+    indicator or a doubled point's coordinates."""
+    return tuple(key >> 2 * i & 3 for i in range(n))
+
+
 @dataclass(frozen=True)
 class TauTerm:
     coeff: Fraction
-    label: tuple[int, ...]
+    label: int
     wave: Wave
 
 
@@ -147,12 +166,6 @@ class TauFunction:
         )
 
 
-def _indicator(n: int, J: Sequence[int]) -> tuple[int, ...]:
-    """The 0/1 indicator in {0, 1}^n of a column set J of {1..n}: the label
-    of J's term."""
-    return tuple(1 if j in J else 0 for j in range(1, n + 1))
-
-
 def tau_from_grassmannian(gp: GrassmannPoint, kc: KappaConfig) -> TauFunction:
     """tau = sum over column sets J of (minor_J * K_J) exp(theta_J), where
     theta_J collects kappa_j x + kappa_j^2 y + kappa_j^3 t over j in J.
@@ -170,7 +183,7 @@ def tau_from_grassmannian(gp: GrassmannPoint, kc: KappaConfig) -> TauFunction:
         wave = tuple(
             Fraction(sum(powers[j - 1][m] for j in J), D ** (m + 1)) for m in range(3)
         )
-        terms.append(TauTerm(coeff=coeff, label=_indicator(gp.n, J), wave=wave))
+        terms.append(TauTerm(coeff=coeff, label=pack(J), wave=wave))
     return TauFunction(terms=tuple(terms))
 
 
@@ -196,7 +209,7 @@ def lattice_alphas(hp: HirotaPoint) -> dict[tuple[int, ...], Fraction]:
 def tau_from_hirota_point(hp: HirotaPoint) -> TauFunction:
     """tau = sum over the family's column sets J of
     alpha_J exp((c.U) x + (c.V) y + (c.W) t), with c the lattice point of J
-    from ``lattice_alphas``.  Each term is labelled by J's indicator, the
+    from ``lattice_alphas``.  Each term is labelled by ``pack(J)``, the
     terms come in the order of the sorted lattice points, and zero
     coefficients are dropped."""
     pv = hp.uvw
@@ -210,13 +223,13 @@ def tau_from_hirota_point(hp: HirotaPoint) -> TauFunction:
         if coeff == 0:
             continue
         wave = tuple(Fraction(sum(map(operator.mul, c, ints)), D) for ints, D in scaled)
-        terms.append(TauTerm(coeff=coeff, label=_indicator(n, J), wave=wave))
+        terms.append(TauTerm(coeff=coeff, label=pack(J), wave=wave))
     return TauFunction(terms=tuple(terms))
 
 
-def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
+def hirota_residual(tau: TauFunction) -> dict[int, Fraction]:
     """Exact bilinear residual, grouped by the label sum of each term pair:
-    the doubled-hypersimplex point e_J1 + e_J2 of its two column sets.
+    the packed doubled-hypersimplex point e_J1 + e_J2 of its column sets.
 
     Every unordered pair of distinct terms contributes
     coeff_i coeff_j P(wave_i - wave_j) to the group of label_i + label_j,
@@ -231,16 +244,12 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
 
     The sums run in Python integers on the tau's cached ``integer_view``,
     where every pair value is an integer over one common denominator, and
-    each group is divided by it once at the end.  A pair is grouped by the
-    packed label sum l1 + l2, with l = sum_j label_j 4^(j-1): each digit of
-    the sum is at most 2, so it never carries and stands for exactly
-    e_J1 + e_J2.  The tuple key of a group is read off its packed sum once,
-    one base-4 digit per entry, and every vanishing group shares the value
-    ``ZERO``.
+    each group is divided by it once at the end.  The labels are ``pack``
+    keys, so a pair's key is the plain sum of its labels, and every
+    vanishing group shares the value ``ZERO``.
     """
     coeffs, waves, denom, _ = tau.integer_view
-    packed = [sum(b << 2 * i for i, b in enumerate(term.label)) for term in tau.terms]
-    terms = list(zip(packed, coeffs, waves))
+    terms = list(zip((term.label for term in tau.terms), coeffs, waves))
     sums: dict[int, int] = {}
     for i, (p1, a1, (x1, y1, t1)) in enumerate(terms):
         for p2, a2, (x2, y2, t2) in terms[i + 1 :]:
@@ -250,11 +259,7 @@ def hirota_residual(tau: TauFunction) -> dict[tuple[int, ...], Fraction]:
             # quartic(dx, dy, dt), inline: a call per pair costs more than its sum
             value = a1 * a2 * (dx * dx * dx * dx - 4 * dx * (t1 - t2) + 3 * dy * dy)
             sums[key] = sums.get(key, 0) + value
-    shifts = range(0, 2 * len(tau.terms[0].label), 2) if tau.terms else ()
-    return {
-        tuple(key >> s & 3 for s in shifts): Fraction(value, denom) if value else ZERO
-        for key, value in sums.items()
-    }
+    return {key: Fraction(value, denom) if value else ZERO for key, value in sums.items()}
 
 
 # ---------------------------------------------------------------------------

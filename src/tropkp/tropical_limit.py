@@ -288,6 +288,5 @@ def abel_map(kc: KappaConfig, d: Divisor) -> tuple[Fraction, ...]:
     rational P(kappa_{i+1}) Q(kappa_{i+1}) / (P(kappa_1) Q(kappa_1)), whose
     signed log is the sum.  The divisor must pass ``validate_divisor``.
     """
-    validate_divisor(kc, d)
     base = d.P_at(kc.kappa(1)) * d.Q_prod_at(kc.kappa(1))
     return tuple(d.P_at(z) * d.Q_prod_at(z) / base for z in kc.kappas[1:])

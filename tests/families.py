@@ -1,12 +1,14 @@
 """Hypothesis strategies for node configurations and coefficient families
 with large denominators, shared by the Fraction-oracle properties of the
-exact layers."""
+exact layers, and ``tuple_keys``, which reads the exact layers' packed keys
+in the tuple form the tests state their claims in."""
 
 from fractions import Fraction as F
 
 from hypothesis import strategies as st
 
 from tropkp.hirota_parametrization import HirotaPoint, hirota_point
+from tropkp.tau_kp import digits
 from tropkp.tropical_limit import PeriodVectors, kappa_config
 
 RATIONALS = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
@@ -17,6 +19,13 @@ SMALL_RATIONALS = st.integers(1, 10**6).flatmap(
     lambda q: st.integers(-2 * q, 2 * q).map(lambda p: F(p, q))
 )
 KINDS = ("genuine", "perturbed", "random", "synthetic")
+
+
+def tuple_keys(table: dict, n: int) -> dict:
+    """``table`` with each packed key (``tau_kp.pack``) read as its n-tuple:
+    a label as its 0/1 indicator, a doubled point as its coordinates.  The
+    order of the keys is kept."""
+    return {digits(key, n): value for key, value in table.items()}
 
 
 @st.composite

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from families import NONZERO, RATIONALS, rational_nodes
+from families import NONZERO, RATIONALS, rational_nodes, tuple_keys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1292,6 +1292,28 @@ class TestRowFaults:
         assert _failed_checks(capsys) == {"dispersion", "tau-routes", "bilinear-residual",
                                           "face-quartics", "kp-numeric"}
 
+    def test_a_family_the_inversion_refuses_fails_the_roundtrip(
+        self, config_file, capsys, monkeypatch
+    ):
+        """V_1 + 1 leaves the period vectors no common base node, which
+        ``invert_psi`` refuses after the config resolved: the refusal is the
+        roundtrip's failed row, with its message, next to the rows that read
+        the faulty vectors, and the run exits 2."""
+        real = hirota_parametrization.uvw
+
+        def faulty(*args):
+            pv = real(*args)
+            return dataclasses.replace(pv, V=(pv.V[0] + 1, *pv.V[1:]))
+
+        monkeypatch.setattr(hirota_parametrization, "uvw", faulty)
+        assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failed = {c["name"]: c["detail"] for c in checks if not c["ok"]}
+        assert set(failed) == {"dispersion", "tau-routes", "bilinear-residual",
+                               "face-quartics", "inversion-roundtrip", "kp-numeric"}
+        assert failed["inversion-roundtrip"] == (
+            "period vectors are inconsistent: no common base node")
+
 
 class TestErrorHandling:
     def test_missing_config_file(self, capsys):
@@ -1450,6 +1472,47 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert "split_k must equal class_k (2), got 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["limits", "param", "certify", "field"])
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            (["1/2"], "divisor must have 3 points, got 1"),
+            (["1", "3/2", "5/2"], "divisor points must avoid the node parameters"),
+        ],
+    )
+    def test_every_command_refuses_a_bad_divisor(
+        self, command, points, message, config_file, capsys
+    ):
+        """A divisor of the wrong degree or through a node is refused as the
+        config is read, before any command reads it."""
+        bad = dict(DIVISOR_CONFIG, divisor=dict(DIVISOR_CONFIG["divisor"], points=points))
+        assert run([command, "--config", config_file(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad weight data: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["limits", "param", "certify", "field"])
+    def test_each_command_validates_the_divisor_once(
+        self, command, config_file, tmp_path, capsys, monkeypatch
+    ):
+        """``RunConfig.from_dict`` validates the divisor it builds, and no
+        consumer of it validates it again."""
+        calls = []
+        real = tropkp.tropical_limit.validate_divisor
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tropkp.") and hasattr(module, "validate_divisor"):
+                monkeypatch.setattr(module, "validate_divisor", counting)
+        argv = [command, "--config", config_file(DIVISOR_CONFIG)]
+        if command == "field":
+            argv += ["--nx", "3", "--ny", "3", "--out", str(tmp_path / "u.csv")]
+        assert run(argv) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["param", "certify"])
     def test_alpha_route_mismatch_is_a_failure(
@@ -1738,11 +1801,12 @@ class TestFaceRepresentatives:
 
         def faulty(tau):
             res = real(tau)
-            assert key in res
+            packed = dict(zip(tuple_keys(res, n), res))
+            assert key in packed
             if fault == "changed":
-                res[key] += 1
+                res[packed[key]] += 1
             else:
-                del res[key]
+                del res[packed[key]]
             return res
 
         monkeypatch.setattr(cli_mod, "hirota_residual", faulty)

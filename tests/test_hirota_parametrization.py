@@ -514,12 +514,6 @@ class TestDivisorRoute:
             assert check_dn_interlacing(kc, d)
             assert all(v > 0 for v in lambda_from_divisor(kc, d))
 
-    def test_divisor_validation(self):
-        with pytest.raises(ValueError, match="points"):
-            lambda_from_divisor(KC4, make_divisor([F(1, 2)], 1))
-        with pytest.raises(ValueError, match="avoid"):
-            matrix_A_dual(KC4, make_divisor([F(1), F(3, 2), F(5, 2)], 1))
-
 
 class TestHirotaPointAndInverse:
     def test_first_vertex_keys(self):

@@ -1,11 +1,12 @@
 """Tests for doubled-hypersimplex points, quartic face equations, and their
 agreement with the bilinear residual."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
-from families import families
+from families import families, tuple_keys
 from hypothesis import given, settings
 
 from tropkp.hirota_parametrization import HirotaPoint, alpha_from_beta, hirota_point
@@ -158,7 +159,7 @@ class TestInstantiation:
         d6 = (1, 1, 1, 1, 0, 2)
         q5 = quartic_for_point(pts[d5])
         q6 = quartic_for_point(pts[d6])
-        vals = instantiate_and_check([q5, q6], hp)
+        vals = tuple_keys(instantiate_and_check([q5, q6], hp), 6)
         assert vals[d5] != 0 and vals[d6] != 0
         lab1_5, lab2_5, _ = q5.terms[0]
         lab1_6, lab2_6, _ = q6.terms[0]
@@ -231,7 +232,7 @@ class TestWaveTable:
         k_eff = len(next(iter(hp.alphas)))
         rels = [quartic_for_point(sp) for sp in squared_set(k_eff, n)]
         expected = lifted_dot_values(rels, hp)
-        assert instantiate_and_check(rels, hp) == expected
+        assert tuple_keys(instantiate_and_check(rels, hp), n) == expected
         if kind in ("perturbed", "synthetic"):
             assert any(v != 0 for v in expected.values())
 
@@ -253,7 +254,7 @@ class TestWaveTable:
         hp = HirotaPoint(alphas=alphas, uvw=hp.uvw)
         rels = [quartic_for_point(sp) for sp in squared_set(hp.label_size, n)]
         expected = fraction_wave_values(rels, hp)
-        table = face_table(hp)
+        table = tuple_keys(face_table(hp), n)
         assert list(table.items()) == list(expected.items())
         assert all(type(v) is F for v in table.values())
         assert any(v != 0 for v in table.values())
@@ -265,9 +266,9 @@ class TestWaveTable:
         10^6 and beyond, returns the Fraction loop's values over every
         doubled point: same keys in the same order, equal values, every
         value a Fraction."""
-        k_eff = len(next(iter(hp.alphas)))
-        rels = [quartic_for_point(sp) for sp in squared_set(k_eff, len(hp.uvw.U) + 1)]
-        vals = instantiate_and_check(rels, hp)
+        k_eff, n = len(next(iter(hp.alphas))), len(hp.uvw.U) + 1
+        rels = [quartic_for_point(sp) for sp in squared_set(k_eff, n)]
+        vals = tuple_keys(instantiate_and_check(rels, hp), n)
         expected = fraction_wave_values(rels, hp)
         assert list(vals) == list(expected)
         assert vals == expected
@@ -301,6 +302,27 @@ class TestFaceResidualAgreement:
         hp_bad = HirotaPoint(alphas=alphas, uvw=hp.uvw)
         tau_bad = tau_from_hirota_point(hp_bad)
         assert face_values_match_residual(hp_bad, tau_bad)
+
+    @given(families())
+    @settings(max_examples=60, deadline=None)
+    def test_packed_keys_are_the_summed_indicators(self, hp):
+        """Read back by ``tuple_keys``, the bilinear residual and the face
+        table are both the family's label pairs grouped by the sum of their
+        0/1 indicators, with the same values, on genuine, perturbed, random
+        and synthetic families at either vertex."""
+        n = len(hp.uvw.U) + 1
+        pv = hp.uvw
+        groups = {}
+        for (J1, a1), (J2, a2) in itertools.combinations(hp.alphas.items(), 2):
+            d = tuple(int(j in J1) + int(j in J2) for j in range(1, n + 1))
+            x, y, t = (
+                sum((vec[j - 2] for j in J2 if j >= 2), F(0))
+                - sum((vec[j - 2] for j in J1 if j >= 2), F(0))
+                for vec in (pv.U, pv.V, pv.W)
+            )
+            groups[d] = groups.get(d, F(0)) + a1 * a2 * (x**4 - 4 * x * t + 3 * y**2)
+        assert tuple_keys(hirota_residual(tau_from_hirota_point(hp)), n) == groups
+        assert tuple_keys(face_table(hp), n) == groups
 
     @given(families())
     @settings(max_examples=60, deadline=None)

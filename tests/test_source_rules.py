@@ -52,6 +52,29 @@ def test_nodes_integer_form_is_decided_in_one_module():
     assert found == {}, f"nodes put over a common denominator (module: lines): {found}"
 
 
+def test_packed_keys_are_decided_in_one_module():
+    """Only ``tau_kp`` shifts bits: it owns the packed keys of column sets
+    and doubled points (``pack`` and its reader ``digits``), so every other
+    module writes and reads them through it, and no module other than
+    ``tau_kp`` applies ``<<`` or ``>>``."""
+    modules = sorted(Path(tropkp.__file__).resolve().parent.glob("*.py"))
+    assert modules
+    found = {}
+    for path in modules:
+        if path.name == "tau_kp.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, (ast.LShift, ast.RShift))
+        ]
+        if lines:
+            found[path.name] = lines
+    assert found == {}, f"bit shifts outside tau_kp (module: lines): {found}"
+
+
 def _imported_names(tree: ast.Module) -> dict[str, int]:
     """Each name a module-level import binds, with its line."""
     bound = {}

@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from families import NONZERO, RATIONALS, SMALL_RATIONALS, families, rational_nodes
+from families import NONZERO, RATIONALS, SMALL_RATIONALS, families, rational_nodes, tuple_keys
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -25,11 +25,13 @@ from tropkp.hirota_parametrization import (
 from tropkp.tau_kp import (
     TauFunction,
     TauTerm,
+    digits,
     evaluate_u,
     evaluate_u_grid,
     hirota_residual,
     kp_residual_numeric,
     lattice_alphas,
+    pack,
     spacetime_inversion_check,
     tau_from_grassmannian,
     tau_from_hirota_point,
@@ -77,7 +79,7 @@ class TestTauAssembly:
     def test_theta_route_terms(self):
         hp = hirota_point(KC4, 2, (1, 1, 1), "v1")
         tau = tau_from_hirota_point(hp)
-        by_label = {t.label: t for t in tau.terms}
+        by_label = tuple_keys({t.label: t for t in tau.terms}, 4)
         assert len(tau.terms) == 6
         assert by_label[(1, 1, 0, 0)].coeff == 1
         assert by_label[(1, 1, 0, 0)].wave == (0, 0, 0)
@@ -88,7 +90,7 @@ class TestTauAssembly:
     def test_grassmann_route_terms(self):
         A = matrix_A(KC4, 2, (1, 1, 1))
         tau = tau_from_grassmannian(A, KC4)
-        by_label = {t.label: t for t in tau.terms}
+        by_label = tuple_keys({t.label: t for t in tau.terms}, 4)
         assert len(tau.terms) == 6
         assert by_label[(1, 1, 0, 0)].coeff == 1
         assert by_label[(1, 1, 0, 0)].wave == (1, 1, 1)
@@ -157,7 +159,8 @@ class TestTauAssembly:
                 (tau_from_hirota_point(family), fraction_theta_terms(family)),
                 (tau_from_grassmannian(gp, kc), fraction_grassmann_terms(gp, kc)),
             ):
-                terms = [(t.coeff, t.label, t.wave) for t in built.terms]
+                labels = tuple_keys({t.label: t for t in built.terms}, n)
+                terms = [(t.coeff, label, t.wave) for label, t in labels.items()]
                 assert terms == expected
                 assert all(type(q) is F for t in built.terms for q in t.wave)
 
@@ -219,8 +222,8 @@ class TestTauAssembly:
     def test_identically_zero_signature_rejected(self):
         tau = TauFunction(
             terms=(
-                TauTerm(coeff=F(1), label=(0,), wave=(F(0), F(0), F(0))),
-                TauTerm(coeff=F(-1), label=(1,), wave=(F(0), F(0), F(0))),
+                TauTerm(coeff=F(1), label=pack(()), wave=(F(0), F(0), F(0))),
+                TauTerm(coeff=F(-1), label=pack((1,)), wave=(F(0), F(0), F(0))),
             )
         )
         with pytest.raises(ValueError, match="identically zero"):
@@ -243,11 +246,12 @@ def fraction_signature(tau):
     )
 
 
-def fraction_residual(tau):
-    """The bilinear residual summed pair by pair in Fractions."""
+def fraction_residual(tau, n):
+    """The bilinear residual summed pair by pair in Fractions, each pair
+    grouped by the sum of its labels' 0/1 indicators in {0, 1}^n."""
     groups = {}
     for t1, t2 in itertools.combinations(tau.terms, 2):
-        d = tuple(a + b for a, b in zip(t1.label, t2.label))
+        d = tuple(a + b for a, b in zip(digits(t1.label, n), digits(t2.label, n)))
         x, y, t = (a - b for a, b in zip(t1.wave, t2.wave))
         val = t1.coeff * t2.coeff * (x**4 - 4 * x * t + 3 * y**2)
         groups[d] = groups.get(d, F(0)) + val
@@ -277,16 +281,42 @@ def genuine_families(draw):
     return hirota_point(kappa_config(kappas), k, beta, draw(st.sampled_from(["v1", "v2"])))
 
 
+class TestPackedKeys:
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    @settings(max_examples=100, deadline=None)
+    def test_digits_read_back_the_multiplicities_pack_wrote(self, counts):
+        """Columns with multiplicities up to 3 pack to the key whose digits
+        are those multiplicities, and the columns spelled out by the digits
+        pack to the same key again."""
+        n = len(counts)
+        columns = [j for j, count in enumerate(counts, 1) for _ in range(count)]
+        key = pack(columns)
+        assert digits(key, n) == tuple(counts)
+        assert pack(j for j, d in enumerate(digits(key, n), 1) for _ in range(d)) == key
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), *(st.sets(st.integers(1, n)).map(sorted) for _ in range(2)))))
+    @settings(max_examples=100, deadline=None)
+    def test_two_labels_add_to_their_doubled_point(self, drawn):
+        """A column set's label reads back as its 0/1 indicator, and the sum
+        of two labels as the sum of their indicators."""
+        n, J1, J2 = drawn
+        e1, e2 = ([int(j in J) for j in range(1, n + 1)] for J in (J1, J2))
+        assert digits(pack(J1), n) == tuple(e1)
+        assert digits(pack(J1) + pack(J2), n) == tuple(map(operator.add, e1, e2))
+
+
 class TestHirotaResidual:
     def test_two_term_value(self):
         tau = TauFunction(
             terms=(
-                TauTerm(coeff=F(3), label=(0,), wave=(F(0), F(0), F(0))),
-                TauTerm(coeff=F(2), label=(1,), wave=(F(1), F(2), F(3))),
+                TauTerm(coeff=F(3), label=pack(()), wave=(F(0), F(0), F(0))),
+                TauTerm(coeff=F(2), label=pack((1,)), wave=(F(1), F(2), F(3))),
             )
         )
         res = hirota_residual(tau)
-        assert res == {(1,): F(6)}
+        assert tuple_keys(res, 1) == {(1,): F(6)}
 
     def test_image_family_vanishes(self):
         tau = tau_from_hirota_point(hirota_point(KC4, 2, (1, 1, 1), "v1"))
@@ -320,9 +350,7 @@ class TestHirotaResidual:
         exponents = {}
         for t1, t2 in itertools.combinations(tau.terms, 2):
             wave = tuple(a + b for a, b in zip(t1.wave, t2.wave))
-            exponents.setdefault(wave, set()).add(
-                tuple(a + b for a, b in zip(t1.label, t2.label))
-            )
+            exponents.setdefault(wave, set()).add(digits(t1.label + t2.label, 8))
         assert len(exponents) == 237
         assert [labels for labels in exponents.values() if len(labels) > 1] == [
             {(1, 0, 0, 1, 1, 0, 0, 1), (0, 1, 1, 0, 0, 1, 1, 0)}
@@ -335,8 +363,8 @@ class TestHirotaResidual:
         10^6 and beyond, returns the Fraction loop's groups: same keys in
         the same order, equal values, every value a Fraction."""
         tau = tau_from_hirota_point(hp)
-        res = hirota_residual(tau)
-        expected = fraction_residual(tau)
+        res = tuple_keys(hirota_residual(tau), len(hp.uvw.U) + 1)
+        expected = fraction_residual(tau, len(hp.uvw.U) + 1)
         assert list(res) == list(expected)
         assert res == expected
         assert all(type(v) is F for v in res.values())
@@ -510,8 +538,8 @@ class TestNumericEvaluation:
         grid as at single points."""
         big = 10**60
         tau = TauFunction(terms=(
-            TauTerm(coeff=F(big), label=(0,), wave=(F(0), F(0), F(0))),
-            TauTerm(coeff=F(1), label=(1,), wave=(F(1), F(1), F(1))),
+            TauTerm(coeff=F(big), label=pack(()), wave=(F(0), F(0), F(0))),
+            TauTerm(coeff=F(1), label=pack((1,)), wave=(F(1), F(1), F(1))),
         ))
         xs, ys, t = [-0.5, 0.0, 0.75], [0.25, -1.0], 0.5
         grid = evaluate_u_grid(tau, xs, ys, t)
@@ -851,8 +879,8 @@ def equal_phase_tau():
              (F(-5, 6), F(2, 3), F(7, 4)), (F(-5, 6), F(2, 3), F(7, 4))]
     coeffs = [2, -1, 1, 3, -3]
     return TauFunction(terms=tuple(
-        TauTerm(coeff=F(a), label=(i,), wave=tuple(map(F, w)))
-        for i, (a, w) in enumerate(zip(coeffs, waves))
+        TauTerm(coeff=F(a), label=pack((i,)), wave=tuple(map(F, w)))
+        for i, (a, w) in enumerate(zip(coeffs, waves), 1)
     ))
 
 
