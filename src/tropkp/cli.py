@@ -12,10 +12,11 @@ TROPKP_PRECISION sets the decimal digits (default 30, at least 15) to which
 the numeric layer rounds its exponentials, computed in Python integers to
 round((digits + 1) log2 10) bits (103 at the default).  They are the only
 rounding in u and the KP residual: one per tau term at each KP sample, and
-on a ``field`` grid one per distinct wave component on each grid line (each
-distinct x, each distinct y, and t; terms of equal exact phase at a point
-share one product), after which every weight and moment is exact integer
-arithmetic.  The package needs nothing beyond the standard library.
+on a ``field`` grid one per distinct argument, a wave component times a
+coordinate, over all the grid's lines (each distinct x, each distinct y, and
+t; terms of equal exact phase at a point share one product), after which
+every weight and moment is exact integer arithmetic.  The package needs
+nothing beyond the standard library.
 ``field`` refuses a grid whose tau terms times points exceed
 FIELD_MAX_EVALUATIONS, and ``certify`` refuses configs with more than
 CERTIFY_MAX_TERMS tau terms, an exact residual table of more than
@@ -44,11 +45,10 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .graph_jacobian import build_banana, check_genus, frac_vector
+from .graph_jacobian import build_banana, check_genus, frac_vector, point_text
 from .hirota_parametrization import (
     RouteMismatchError,
     alpha_from_beta,
@@ -160,8 +160,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved problem, parsed and validated once from a JSON config:
     the node configuration, the class, and both weight families (the one not
     given is derived from the one that is)."""
@@ -382,7 +381,9 @@ def _smatrix(rows) -> list[list[str]]:
 
 def _emit(payload: dict, as_json: bool, human_lines, out: Optional[str] = None) -> None:
     """Print the payload as sorted JSON, or the human lines rendered from it;
-    with ``out`` given, write the same text to that file instead."""
+    with ``out`` given, write the same text to that file instead.  Commands
+    with a JSON form pass their lines as a generator over the payload, so
+    ``--json`` renders none."""
     if as_json:
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
@@ -411,15 +412,17 @@ def _cmd_voronoi(args) -> int:
         "vertex_count": sum(len(v) for v in classes.values()),
         "classes": {str(k): [_svec(v.coords) for v in vs] for k, vs in classes.items()},
     }
-    lines = [
-        f"genus {args.genus}: {payload['vertex_count']} Voronoi vertices, "
-        f"f-vector {tuple(payload['f_vector'])}"
-    ]
-    for k, verts in payload["classes"].items():
-        lines.append(f"  class {k}: {len(verts)} vertices")
-        lines += ["    (" + ", ".join(v) + ")" for v in verts]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, _voronoi_lines(payload))
     return 0
+
+
+def _voronoi_lines(payload: dict) -> Iterator[str]:
+    yield (f"genus {payload['genus']}: {payload['vertex_count']} Voronoi vertices, "
+           f"f-vector {tuple(payload['f_vector'])}")
+    for k, verts in payload["classes"].items():
+        yield f"  class {k}: {len(verts)} vertices"
+        for v in verts:
+            yield "    " + point_text(v)
 
 
 def _parse_vertex(text: str) -> tuple[Fraction, ...]:
@@ -462,16 +465,16 @@ def _cmd_delaunay(args) -> int:
             {"c": list(c), "label": list(labels[c])} for c in sorted(labels)
         ],
     }
-    lines = [
-        "vertex (" + ", ".join(payload["vertex"]) + f") of class {payload['class']}",
-        f"shift vector {tuple(payload['shift_vector'])}",
-        f"{len(payload['points'])} Delaunay points:",
-    ]
-    lines += [
-        f"  c={tuple(p['c'])} -> label {set(p['label'])}" for p in payload["points"]
-    ]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, _delaunay_lines(payload))
     return 0
+
+
+def _delaunay_lines(payload: dict) -> Iterator[str]:
+    yield f"vertex {point_text(payload['vertex'])} of class {payload['class']}"
+    yield f"shift vector {tuple(payload['shift_vector'])}"
+    yield f"{len(payload['points'])} Delaunay points:"
+    for p in payload["points"]:
+        yield f"  c={tuple(p['c'])} -> label {set(p['label'])}"
 
 
 def _cmd_orient(args) -> int:
@@ -501,20 +504,20 @@ def _cmd_orient(args) -> int:
             for k, (base, *rest) in orients.items()
             for o in rest
         ]
-    lines = [
-        f"genus {g}: {payload['orientation_count']} strongly connected orientations"
-    ]
-    lines += [
-        "  (" + ", ".join(p["vertex"]) + f")  signs {tuple(p['signs'])}  "
-        f"out-degree {p['out_degree_v1']}"
-        for p in payload["pairs"]
-    ]
-    if args.circuits:
-        lines.append("circuit moves between same-class orientations:")
-        lines += [f"  class {c['class']}: flip {c['flip']}"
-                  for c in payload["circuits"]]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, _orient_lines(payload))
     return 0
+
+
+def _orient_lines(payload: dict) -> Iterator[str]:
+    yield (f"genus {payload['genus']}: {payload['orientation_count']} "
+           "strongly connected orientations")
+    for p in payload["pairs"]:
+        yield (f"  {point_text(p['vertex'])}  signs {tuple(p['signs'])}  "
+               f"out-degree {p['out_degree_v1']}")
+    if "circuits" in payload:
+        yield "circuit moves between same-class orientations:"
+        for c in payload["circuits"]:
+            yield f"  class {c['class']}: flip {c['flip']}"
 
 
 def _cmd_matroid(args) -> int:
@@ -534,14 +537,16 @@ def _cmd_matroid(args) -> int:
         "bases": sorted(sorted(b) for b in mb.bases),
         "routes_agree": mb == delaunaytroid(data, coords, args.vertex_choice),
     }
-    lines = [
-        f"uniform matroid of rank {payload['rank']} on {payload['n']} edges "
-        f"({len(payload['bases'])} bases); label and orientation routes "
-        + ("agree" if payload["routes_agree"] else "DISAGREE")
-    ]
-    lines += [f"  basis {b}" for b in payload["bases"]]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, _matroid_lines(payload))
     return 0 if payload["routes_agree"] else 2
+
+
+def _matroid_lines(payload: dict) -> Iterator[str]:
+    yield (f"uniform matroid of rank {payload['rank']} on {payload['n']} edges "
+           f"({len(payload['bases'])} bases); label and orientation routes "
+           + ("agree" if payload["routes_agree"] else "DISAGREE"))
+    for b in payload["bases"]:
+        yield f"  basis {b}"
 
 
 def _cmd_limits(args) -> int:
@@ -565,17 +570,20 @@ def _cmd_limits(args) -> int:
     }
     if cfg.divisor is not None:
         payload["abel_exp"] = _svec(abel_map(kc, cfg.divisor))
-    lines = [f"genus {payload['genus']} limit data on component {payload['component']}"]
-    lines += ["exp(R):"] + ["  [" + ", ".join(row) + "]" for row in payload["exp_R"]]
-    lines += [f"{key} = (" + ", ".join(payload[key]) + ")" for key in "UVW"]
-    lines.append(
-        "dispersion residuals: (" + ", ".join(payload["dispersion_residuals"]) + ")"
-    )
-    if "abel_exp" in payload:
-        lines.append("abel sums (as signed exponentials): ("
-                     + ", ".join(payload["abel_exp"]) + ")")
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, _limits_lines(payload))
     return 0
+
+
+def _limits_lines(payload: dict) -> Iterator[str]:
+    yield f"genus {payload['genus']} limit data on component {payload['component']}"
+    yield "exp(R):"
+    for row in payload["exp_R"]:
+        yield "  [" + ", ".join(row) + "]"
+    for key in "UVW":
+        yield f"{key} = {point_text(payload[key])}"
+    yield f"dispersion residuals: {point_text(payload['dispersion_residuals'])}"
+    if "abel_exp" in payload:
+        yield f"abel sums (as signed exponentials): {point_text(payload['abel_exp'])}"
 
 
 def _soliton_matrices(cfg: RunConfig, alphas: dict) -> tuple:
@@ -621,25 +629,24 @@ def _cmd_param(args) -> int:
         payload["matrix_A_dual"] = _smatrix(matrix_A_dual(kc, cfg.divisor))
         if kc.sorted_flag:
             payload["interlacing"] = check_dn_interlacing(kc, cfg.divisor)
-    lines = [
-        f"({payload['class_k']},{len(payload['kappas'])}) soliton data at kappas ("
-        + ", ".join(payload["kappas"]) + ")",
-        "beta   = (" + ", ".join(payload["beta"]) + ")",
-        "lambda = (" + ", ".join(payload["lambda"]) + ")",
-        "minor identity A_J K_J = alpha_J K_base: "
-        + ("ok" if payload["minor_identity"] else "FAILED"),
-        "echelon and Vandermonde routes match: "
-        + ("ok" if payload["parametrizations_match"] else "FAILED"),
-        "alphas:",
-    ]
-    lines += [
-        f"  alpha{tuple(map(int, J.split(',')))} = {v}"
-        for J, v in payload["alphas"].items()
-    ]
-    if "interlacing" in payload:
-        lines.append(f"divisor interlaces the nodes: {payload['interlacing']}")
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, _param_lines(payload))
     return 0 if minor_ok and match_ok else 2
+
+
+def _param_lines(payload: dict) -> Iterator[str]:
+    yield (f"({payload['class_k']},{len(payload['kappas'])}) soliton data at kappas "
+           + point_text(payload["kappas"]))
+    yield f"beta   = {point_text(payload['beta'])}"
+    yield f"lambda = {point_text(payload['lambda'])}"
+    yield ("minor identity A_J K_J = alpha_J K_base: "
+           + ("ok" if payload["minor_identity"] else "FAILED"))
+    yield ("echelon and Vandermonde routes match: "
+           + ("ok" if payload["parametrizations_match"] else "FAILED"))
+    yield "alphas:"
+    for J, v in payload["alphas"].items():
+        yield f"  alpha{tuple(map(int, J.split(',')))} = {v}"
+    if "interlacing" in payload:
+        yield f"divisor interlaces the nodes: {payload['interlacing']}"
 
 
 def _cmd_certify(args) -> int:
@@ -722,13 +729,14 @@ def _cmd_certify(args) -> int:
         "checks": [dict(zip(("name", "ok", "detail"), check)) for check in checks],
         "all_ok": all(ok for _, ok, _ in checks),
     }
-    lines = [
-        f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['detail']}"
-        for c in payload["checks"]
-    ]
-    lines.append("certification " + ("PASSED" if payload["all_ok"] else "FAILED"))
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, _certify_lines(payload))
     return 0 if payload["all_ok"] else 2
+
+
+def _certify_lines(payload: dict) -> Iterator[str]:
+    for c in payload["checks"]:
+        yield f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['detail']}"
+    yield "certification " + ("PASSED" if payload["all_ok"] else "FAILED")
 
 
 def _fmt_set(xs) -> str:

@@ -25,11 +25,9 @@ For unit lengths the cell is the permutohedral cell of the root lattice A_g.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -44,6 +42,7 @@ __all__ = [
     "frac",
     "frac_vector",
     "over_common_denominator",
+    "point_text",
 ]
 
 
@@ -67,6 +66,12 @@ def frac_vector(xs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(frac(x) for x in xs)
 
 
+def point_text(entries: Iterable[object]) -> str:
+    """A point as the commands print it, ``(1/2, 0, 0)``: each entry in its
+    ``str`` form, so a rational reads p/q rather than as a Fraction repr."""
+    return "(" + ", ".join(map(str, entries)) + ")"
+
+
 def over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Integers p_i and D > 0 with values_i = p_i / D, D the lcm of the
     denominators."""
@@ -74,16 +79,15 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[tuple[int, ...]
     return tuple(q.numerator * (D // q.denominator) for q in values), D
 
 
-@dataclass(frozen=True)
-class BananaData:
+class BananaData(NamedTuple):
     """A two-vertex graph with parallel edges; its Gram matrix ``Q`` is
-    computed when first read."""
+    computed on each read."""
 
     genus: int
     n: int
     edge_lengths: tuple[Fraction, ...]
 
-    @functools.cached_property
+    @property
     def Q(self) -> tuple[tuple[Fraction, ...], ...]:
         lengths = self.edge_lengths
         # Q[i][j] = sum_m l_m B[i][m] B[j][m] = l_0 + delta_ij * l_{i+1}
@@ -105,8 +109,7 @@ class BananaData:
         return d, (sum(scaled),) + tuple(-x for x in scaled)
 
 
-@dataclass(frozen=True)
-class VoronoiVertex:
+class VoronoiVertex(NamedTuple):
     """A vertex of the Voronoi cell of the origin, tagged by its class.
 
     The class of a vertex is the number of negative entries of its lift B^T a;
@@ -117,8 +120,7 @@ class VoronoiVertex:
     class_k: int
 
 
-@dataclass(frozen=True)
-class DelaunaySet:
+class DelaunaySet(NamedTuple):
     """Lattice points as close to the anchor vertex as the origin is.
 
     For a vertex ``a`` of the Voronoi cell these are the c in Z^g with
@@ -241,12 +243,12 @@ def delaunay_set(data: BananaData, a: Sequence[RationalLike]) -> DelaunaySet:
     """
     pt = frac_vector(a)
     if not voronoi_contains(data, pt):
-        raise ValueError(f"{pt} is not in the Voronoi cell of the origin")
+        raise ValueError(f"{point_text(pt)} is not in the Voronoi cell of the origin")
     points, rank = _equidistant_points(data, pt)
     if rank != data.genus:
         raise ValueError(
-            f"{pt} is not a Voronoi vertex: its {len(points)} equidistant lattice "
-            f"points span dimension {rank}, not {data.genus}"
+            f"{point_text(pt)} is not a Voronoi vertex: its {len(points)} equidistant "
+            f"lattice points span dimension {rank}, not {data.genus}"
         )
     _, X = data.lift_integer(pt)
     anchor = VoronoiVertex(coords=pt, class_k=sum(x < 0 for x in X))

@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph_jacobian import RationalLike, frac_vector, over_common_denominator
 from .tropical_limit import (
@@ -119,8 +118,7 @@ def hypersimplex_labels(n: int, k: int) -> tuple[Label, ...]:
     return tuple(itertools.combinations(range(1, n + 1), k))
 
 
-@dataclass
-class GrassmannPoint:
+class GrassmannPoint(NamedTuple):
     """A k x n rational matrix with its full family of maximal minors:
     ``pluecker[J]`` is the determinant of the columns J (1-based, sorted)."""
 
@@ -439,8 +437,7 @@ def check_dn_interlacing(kc: KappaConfig, d: Divisor) -> bool:
     )
 
 
-@dataclass
-class HirotaPoint:
+class HirotaPoint(NamedTuple):
     """A coefficient family and its period vectors: all a tau function needs.
 
     The vertex is read from the period vectors: "X+" vectors make a first

@@ -43,12 +43,10 @@ the two tables mostly compares identical objects.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .hirota_parametrization import HirotaPoint, hypersimplex_labels
 from .tau_kp import TauFunction, digits, hirota_residual, pack
@@ -68,8 +66,7 @@ __all__ = [
 Label = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SquaredPoint:
+class SquaredPoint(NamedTuple):
     """A sum of two distinct hypersimplex vertices with all realizing pairs."""
 
     d: tuple[int, ...]
@@ -77,12 +74,11 @@ class SquaredPoint:
     two_count: int
 
 
-@dataclass(frozen=True)
-class QuarticRelation:
+class QuarticRelation(NamedTuple):
     """One face equation over {1..n}: the sorted direction set I1 and the
     sorted frozen coordinates F.  ``pair_masks`` enumerates its terms as
     packed labels; ``terms`` spells them out as label pairs with sign
-    vectors, once, when first read."""
+    vectors on each read."""
 
     direction: tuple[int, ...]
     fixed_ones: tuple[int, ...]
@@ -104,7 +100,7 @@ class QuarticRelation:
         for extra in map(sum, itertools.combinations(rest, len(rest) // 2)):
             yield first + extra, both - first - extra
 
-    @functools.cached_property
+    @property
     def terms(self) -> tuple[tuple[Label, Label, tuple[int, ...]], ...]:
         """The unordered label pairs with their sign vectors
         delta = e_S - e_{I1-S}, for the ``eqs`` output and the tests."""

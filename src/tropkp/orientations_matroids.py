@@ -18,8 +18,7 @@ reversed edges, rather than filtering all 2^n - 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graph_jacobian import BananaData, RationalLike, VoronoiVertex
 from .voronoi_combinatorics import lift_signs, normalize_delaunay, vertex_from_lift_signs
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(NamedTuple):
     """Signs against the reference directions; +1 means pointing into the
     first graph vertex, so out_degree_v1 counts the -1 entries."""
 
@@ -46,8 +44,7 @@ class Orientation:
     out_degree_v1: int
 
 
-@dataclass(frozen=True)
-class MatroidBases:
+class MatroidBases(NamedTuple):
     """Bases of a matroid on the edge set {1..n}, all of size ``rank``."""
 
     rank: int

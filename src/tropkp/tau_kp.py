@@ -32,8 +32,9 @@ certification operate on them:
   ``_exp``, an integer-only exponential of an exact rational argument: at a
   sample, one exp(theta_i - peak) per term; on a grid (``evaluate_u_grid``,
   which ``evaluate_u`` is the 1 x 1 case of), the phase separates, so one
-  exponential per distinct wave component for each distinct x, for each
-  distinct y and for t (one in all at a zero coordinate), multiplied
+  exponential per distinct argument W_i v / D^power over the whole grid (a
+  wave component times a coordinate: one in all at a zero coordinate, and
+  one for the x and y lines that reach an equal value), multiplied
   exactly as integers, with each row's coefficients folded into its y-t
   products once and terms of equal exact phase sharing one product.
   Everything after the exponentials is exact: each weight is shifted to the
@@ -58,9 +59,8 @@ import functools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graph_jacobian import over_common_denominator
 from .hirota_parametrization import (
@@ -107,18 +107,20 @@ def digits(key: int, n: int) -> tuple[int, ...]:
     return tuple(key >> 2 * i & 3 for i in range(n))
 
 
-@dataclass(frozen=True)
-class TauTerm:
+class TauTerm(NamedTuple):
     coeff: Fraction
     label: int
     wave: Wave
 
 
-@dataclass(frozen=True)
-class TauFunction:
-    """Sum of coeff * exp(wave . (x, y, t)) over the terms."""
-
+class _TauTerms(NamedTuple):
     terms: tuple[TauTerm, ...]
+
+
+class TauFunction(_TauTerms):
+    """Sum of coeff * exp(wave . (x, y, t)) over the terms.  Equal terms
+    make equal tau functions; the instance dict, which the class keeps by
+    declaring no ``__slots__``, holds only the cached integer view."""
 
     @functools.cached_property
     def integer_view(
@@ -402,14 +404,16 @@ def evaluate_u_grid(
     one integer division per point.
 
     On a grid the phase separates: exp(theta_i) is the product of
-    exp(X_i x/D), exp(Y_i y/D^2) and exp(T_i t/D^3).  Each grid line (a
-    distinct x, a distinct y, or t) rounds one exponential per distinct
-    exact argument, that is per distinct wave component on the line, and
-    one in all at a zero coordinate; terms with equal arguments share the
-    dyadic, which is what ``_exp`` would return for each of them.  Each row
-    folds the coefficients into its exact y-t products once, C a_i m_y m_t,
-    and a grid point makes one exact product m_x (C a_i m_y m_t) per term,
-    the same integer as C a_i (m_x m_y m_t).  At each point the exact
+    exp(X_i x/D), exp(Y_i y/D^2) and exp(T_i t/D^3).  The grid rounds one
+    exponential per distinct exact argument over all its lines (each
+    distinct x, each distinct y, and t), keyed in lowest terms: one in all
+    at a zero coordinate, and one for an x and a y argument, or two x
+    arguments, of equal value; terms with equal arguments share the dyadic,
+    which is what ``_exp`` would return for each of them, since it reads
+    only the argument's rational value.  Each row folds the coefficients
+    into its exact y-t products once, C a_i m_y m_t, and a grid point makes
+    one exact product m_x (C a_i m_y m_t) per term, the same integer as
+    C a_i (m_x m_y m_t).  At each point the exact
     integer phases (over q D^3, q the largest power-of-two denominator of
     the coordinates) decide two things: the first term of the largest phase
     gives the peak exponential that ``_integer_weights`` aligns to, and when
@@ -428,12 +432,22 @@ def evaluate_u_grid(
     columns = list(zip(*waves))
     ratios = {v: float(v).as_integer_ratio() for v in (*xs, *ys, t)}
     q = max(r for _, r in ratios.values())
+    # the exponential of each distinct argument of the grid, keyed by the
+    # argument in lowest terms: ``_exp`` reads only its rational value
+    rounded: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def exp_of(num: int, den: int) -> tuple[int, int]:
+        g = math.gcd(num, den)
+        key = (num // g, den // g)
+        if key not in rounded:
+            rounded[key] = _exp(*key, bits)
+        return rounded[key]
 
     def axis(values, power):
         """For each distinct coordinate v = p/r on the axis whose waves are
         over D^power: the exact phase parts W_i v q D^3 / D^power of the
         terms, and the mantissas and exponents of their exponentials
-        exp(W_i v / D^power), one ``_exp`` per distinct argument."""
+        exp(W_i v / D^power), shared by every argument of equal value."""
         column = columns[power - 1]
         table = {}
         for v in values:
@@ -442,8 +456,8 @@ def evaluate_u_grid(
                 lift = p * (q // r) * D ** (3 - power)
                 den = r * D**power
                 nums = [w * p for w in column]
-                rounded = {num: _exp(num, den, bits) for num in set(nums)}
-                mans, exps = zip(*map(rounded.__getitem__, nums))
+                line = {num: exp_of(num, den) for num in set(nums)}
+                mans, exps = zip(*map(line.__getitem__, nums))
                 table[v] = ([w * lift for w in column], mans, exps)
         return table
 

@@ -24,11 +24,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .graph_jacobian import RationalLike, frac_vector, over_common_denominator
+from .graph_jacobian import (
+    RationalLike,
+    frac_vector,
+    over_common_denominator,
+    point_text,
+)
 
 __all__ = [
     "KappaConfig",
@@ -50,13 +54,15 @@ __all__ = [
 COMPONENTS = ("X+", "X-")
 
 
-@dataclass(frozen=True)
-class KappaConfig:
+class KappaConfig(NamedTuple):
     """n distinct rational node parameters; sorted_flag records whether they
-    are strictly increasing (some constructions require that)."""
+    are strictly increasing (some constructions require that), and integers
+    holds them over their common denominator: integers K_i and D > 0 with
+    kappa_i = K_i / D, computed once per configuration by ``kappa_config``."""
 
     kappas: tuple[Fraction, ...]
     sorted_flag: bool
+    integers: tuple[tuple[int, ...], int]
 
     @property
     def n(self) -> int:
@@ -74,25 +80,19 @@ class KappaConfig:
         """kappa_i - kappa_j, 1-based."""
         return self.kappas[i - 1] - self.kappas[j - 1]
 
-    @functools.cached_property
-    def integers(self) -> tuple[tuple[int, ...], int]:
-        """The kappas over their common denominator: integers K_i and D > 0
-        with kappa_i = K_i / D, computed once per configuration."""
-        return over_common_denominator(self.kappas)
-
 
 def kappa_config(values: Iterable[RationalLike]) -> KappaConfig:
     ks = frac_vector(values)
     if len(ks) < 2:
         raise ValueError("need at least two node parameters")
     if len(set(ks)) != len(ks):
-        raise ValueError(f"node parameters must be distinct, got {ks}")
+        raise ValueError(f"node parameters must be distinct, got {point_text(ks)}")
     is_sorted = all(a < b for a, b in zip(ks, ks[1:]))
-    return KappaConfig(kappas=ks, sorted_flag=is_sorted)
+    return KappaConfig(kappas=ks, sorted_flag=is_sorted,
+                       integers=over_common_denominator(ks))
 
 
-@dataclass(frozen=True)
-class RMatrix:
+class RMatrix(NamedTuple):
     """Limit period matrix; it stores only the node configuration, and each
     exact rational exp(R_ij) = (kappa_{i+1} - kappa_{j+1})^2 exp(R_ii / 2)
     exp(R_jj / 2) (exp(R_ii / 2)^2 on the diagonal) is computed when read.
@@ -210,8 +210,7 @@ def clear_denominators(
     return ints, scaled, C * C * D**4, D
 
 
-@dataclass(frozen=True)
-class PeriodVectors:
+class PeriodVectors(NamedTuple):
     """First three period vectors; component_choice flips the overall sign."""
 
     U: tuple[Fraction, ...]
@@ -241,19 +240,23 @@ def uvw(kc: KappaConfig, component: str = "X+") -> PeriodVectors:
     return PeriodVectors(U=U, V=V, W=W, component_choice=component)
 
 
-@dataclass(frozen=True)
-class Divisor:
-    """A degree-g rational divisor: the first split_k points share the
-    component X+ of the base point p0, the rest sit on X-."""
-
+class _DivisorFields(NamedTuple):
     points: tuple[Fraction, ...]
     split_k: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.split_k <= len(self.points):
+
+class Divisor(_DivisorFields):
+    """A degree-g rational divisor: the first split_k points share the
+    component X+ of the base point p0, the rest sit on X-."""
+
+    __slots__ = ()
+
+    def __new__(cls, points: tuple[Fraction, ...], split_k: int) -> "Divisor":
+        if not 0 <= split_k <= len(points):
             raise ValueError(
-                f"split_k must be between 0 and {len(self.points)}, got {self.split_k}"
+                f"split_k must be between 0 and {len(points)}, got {split_k}"
             )
+        return super().__new__(cls, points, split_k)
 
     def P_at(self, z: Fraction) -> Fraction:
         """prod_{j <= split_k} (z - p_j)."""

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph_jacobian import (
     BananaData,
@@ -29,6 +28,7 @@ from .graph_jacobian import (
     check_genus,
     delaunay_set,
     frac_vector,
+    point_text,
 )
 
 __all__ = [
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShiftVector:
+class ShiftVector(NamedTuple):
     """0/1 vector marking the negative lift entries of a vertex; the number
     of ones equals the vertex class."""
 
@@ -110,7 +109,9 @@ def shift_vector(data: BananaData, a: Sequence[RationalLike]) -> ShiftVector:
     """Indicator of the negative lift entries of the vertex ``a``."""
     signs = lift_signs(data, a)
     if 0 in signs:
-        raise ValueError(f"{tuple(frac_vector(a))} has a zero lift entry, not a vertex")
+        raise ValueError(
+            f"{point_text(frac_vector(a))} has a zero lift entry, not a vertex"
+        )
     return ShiftVector(s=tuple(1 if s < 0 else 0 for s in signs))
 
 

@@ -150,10 +150,11 @@ def _face_counts_by_dimension(genus: int) -> dict[int, int]:
     """
     data = build_banana(genus)
     verts = [v.coords for vs in voronoi_vertices(genus).values() for v in vs]
+    Q = data.Q
 
     def qdot(u, w):
         return sum(
-            u[i] * sum(data.Q[i][j] * w[j] for j in range(genus))
+            u[i] * sum(Q[i][j] * w[j] for j in range(genus))
             for i in range(genus)
         )
 

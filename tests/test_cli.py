@@ -1,6 +1,5 @@
 """End-to-end tests of the tropkp command line interface."""
 
-import dataclasses
 import json
 import math
 import os
@@ -1137,7 +1136,7 @@ class TestParametrizationMatch:
             lambdas = list(cfg.lambdas)
             lambdas[data.draw(st.integers(0, n - 2))] *= data.draw(
                 NONZERO.filter(lambda q: q != 1))
-            cfg = dataclasses.replace(cfg, lambdas=tuple(lambdas))
+            cfg = cfg._replace(lambdas=tuple(lambdas))
         A, At, det_G, _, match_ok = cli_mod._soliton_matrices(
             cfg, alpha_from_beta(cfg.kc, k, cfg.beta))
         tilde = grassmann_point(At).pluecker
@@ -1267,8 +1266,7 @@ class TestRowFaults:
         def faulty(self):
             hp = real(self)
             J = next(iter(hp.alphas))
-            return dataclasses.replace(
-                hp, alphas={**hp.alphas, J: hp.alphas[J] * Fraction(11, 10)})
+            return hp._replace(alphas={**hp.alphas, J: hp.alphas[J] * Fraction(11, 10)})
 
         monkeypatch.setattr(hirota_parametrization.HirotaPoint, "other_vertex", faulty)
         assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
@@ -1285,7 +1283,7 @@ class TestRowFaults:
 
         def faulty(*args):
             pv = real(*args)
-            return dataclasses.replace(pv, W=(pv.W[0] + 1, *pv.W[1:]))
+            return pv._replace(W=(pv.W[0] + 1, *pv.W[1:]))
 
         monkeypatch.setattr(hirota_parametrization, "uvw", faulty)
         assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
@@ -1303,7 +1301,7 @@ class TestRowFaults:
 
         def faulty(*args):
             pv = real(*args)
-            return dataclasses.replace(pv, V=(pv.V[0] + 1, *pv.V[1:]))
+            return pv._replace(V=(pv.V[0] + 1, *pv.V[1:]))
 
         monkeypatch.setattr(hirota_parametrization, "uvw", faulty)
         assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
@@ -1365,6 +1363,41 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: zero denominator in '1/0'\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["delaunay", "--genus", "3", "--vertex=1/2,0,0"],
+             "(1/2, 0, 0) is not a Voronoi vertex: its 2 equidistant lattice points "
+             "span dimension 1, not 3"),
+            (["delaunay", "--genus", "3", "--vertex=5,0,0", "--json"],
+             "(5, 0, 0) is not in the Voronoi cell of the origin"),
+            (["limits", "--config", {**BETA_CONFIG, "kappas": ["0", "1", "1", "3"]}],
+             "bad kappas/class_k: node parameters must be distinct, got (0, 1, 1, 3)"),
+        ],
+        ids=["non-vertex", "outside-cell", "repeated-node"],
+    )
+    def test_points_in_errors_read_as_rationals(
+        self, argv, message, config_file, capsys
+    ):
+        """A point in an error line is written as the commands write
+        rationals, p/q, and not as a tuple of Fraction reprs."""
+        argv = [config_file(arg) if isinstance(arg, dict) else arg for arg in argv]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_shift_vector_error_reads_as_rationals(self):
+        """``shift_vector`` refuses a point with a zero lift entry, which no
+        command reaches: ``delaunay`` refuses such a point as a non-vertex
+        first."""
+        from tropkp.graph_jacobian import build_banana
+        from tropkp.voronoi_combinatorics import shift_vector
+
+        with pytest.raises(ValueError) as raised:
+            shift_vector(build_banana(3), ("1/2", 0, 0))
+        assert str(raised.value) == "(1/2, 0, 0) has a zero lift entry, not a vertex"
 
     def test_limits_rejects_malformed_weights(self, config_file, capsys):
         """Weights are resolved when the config is read, so a command that
@@ -1613,9 +1646,9 @@ class TestIntegerView:
 
 class TestExponentialCount:
     """On a grid the phase separates, so the numeric layer rounds one
-    exponential per distinct exact argument on each grid line (each distinct
-    x, each distinct y, and t), not one per term per grid point; a single
-    sample rounds one per term."""
+    exponential per distinct exact argument over all the grid lines (each
+    distinct x, each distinct y, and t), not one per term per grid point; a
+    single sample rounds one per term."""
 
     @pytest.fixture
     def exps(self, monkeypatch):
@@ -1644,41 +1677,48 @@ class TestExponentialCount:
 
     @staticmethod
     def distinct_arguments(tau, nx, ny, t):
-        """The exact arguments W_i v / D^power of ``field``'s default
-        nx x ny grid at t, counted per grid line from the tau's integer
-        view: on a line the denominator is common, so they are the distinct
-        products W_i v of its wave column and its coordinate."""
-        _, waves, _, _ = tau.integer_view
+        """The distinct exact arguments W_i v / D^power of ``field``'s
+        default nx x ny grid at t over all its grid lines, from the tau's
+        integer view."""
+        _, waves, _, D = tau.integer_view
         lines = [
             [-10.0 + 20.0 * (i / (size - 1) if size > 1 else 0.0) for i in range(size)]
             for size in (nx, ny)
         ] + [[t]]
-        return sum(
-            len({w * Fraction(v) for w in column})
-            for column, values in zip(zip(*waves), lines)
-            for v in set(values)
-        )
+        return len({
+            w * Fraction(v) / D**power
+            for power, (column, values) in enumerate(zip(zip(*waves), lines), 1)
+            for v in values
+            for w in column
+        })
 
-    def test_field_rounds_one_exponential_per_distinct_argument_per_grid_line(
+    def test_field_rounds_one_exponential_per_distinct_argument_over_the_grid(
         self, exps, capsys
     ):
-        """``g3k2.json`` has 6 terms, so rounding one exponential per term
-        per grid line would take (5 + 4 + 1) * 6 = 60; its x components
-        1, 2, 3, 3, 4, 5 repeat once, and x = 0 has the single argument 0."""
+        """``g3k2.json`` has 6 terms with D = 1, so rounding one exponential
+        per term per grid line would take (5 + 4 + 1) * 6 = 60.  Per line
+        the distinct arguments are 51: the x components 2, 3, 0, 4, 1, 2
+        repeat once, and x = 0 has the single argument 0.  Over the grid
+        they are 34: every zero argument is one, x = 5 and x = 10 share the
+        values 10 and 20 (X = 2, 4 against X = 1, 2), y = 10 shares 30 and
+        40 with x = 10 (Y = 3, 4 against X = 3, 4), and so do their
+        negatives."""
         tau = self.g3k2_terms()
         argv = ["field", "--config", str(REPO / "g3k2.json"), "--nx", "5", "--ny", "4",
                 "--t=0.5"]
         assert run(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 4
-        assert len(exps) == self.distinct_arguments(tau, 5, 4, 0.5) == 51
+        assert len(exps) == self.distinct_arguments(tau, 5, 4, 0.5) == 34
         assert len(tau.terms) == 6
 
     def test_field_rounds_each_repeated_component_once(self, exps, capsys, config_file):
         """On the consecutive integer nodes 0..6 at class 2, the 21 terms
-        have 11 distinct x components and 20 distinct y components, and each
-        zero coordinate, x = 0, y = 0 and t = 0, is one argument for all of
-        them: the grid rounds 4 * 11 + 2 * 20 + 3 = 87 exponentials where
-        one per term per line would take (5 + 3 + 1) * 21 = 189."""
+        have 11 distinct x components and 20 distinct y components, so one
+        exponential per distinct argument on each grid line would take
+        4 * 11 + 2 * 20 + 3 = 87, where one per term per line would take
+        (5 + 3 + 1) * 21 = 189.  Over the grid the zero arguments of
+        x = 0, y = 0 and t = 0 and the equal values of x = 5 and x = 10
+        (10 X = 5 X' for X' = 2 X), and of the x and y lines, leave 61."""
         from tropkp.hirota_parametrization import hirota_point
         from tropkp.tau_kp import tau_from_hirota_point
 
@@ -1689,7 +1729,7 @@ class TestExponentialCount:
         assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 3
         xs, ys, _ = zip(*tau.integer_view[1])
         assert (len(tau.terms), len(set(xs)), len(set(ys))) == (21, 11, 20)
-        assert len(exps) == self.distinct_arguments(tau, 5, 3, 0.0) == 87
+        assert len(exps) == self.distinct_arguments(tau, 5, 3, 0.0) == 61
 
     def test_one_sample_rounds_one_exponential_per_term(self, exps):
         from tropkp.tau_kp import kp_residual_numeric
@@ -2078,14 +2118,50 @@ def test_module_entry_points(argv, code):
         assert done.stderr == "error: genus must be >= 1, got 0\n"
 
 
+def test_records_compare_and_hash_by_fields():
+    """Records built from equal fields are equal and hash equally, as a
+    frozen record should, and ``_replace`` gives a changed copy."""
+    from tropkp.graph_jacobian import build_banana
+    from tropkp.orientations_matroids import matroid_bases, vertex_to_orientation
+    from tropkp.voronoi_combinatorics import canonical_vertex
+
+    pairs = [
+        (canonical_vertex(3, 2), canonical_vertex(3, 2)),
+        (vertex_to_orientation(build_banana(3), canonical_vertex(3, 2).coords),
+         vertex_to_orientation(build_banana(3), ("1/2", "-1/2", "-1/2"))),
+        (matroid_bases(build_banana(3), canonical_vertex(3, 2).coords, "v1"),
+         matroid_bases(build_banana(3), canonical_vertex(3, 2).coords, "v1")),
+        (kappa_config([0, 1, 2, 3]), kappa_config(["0", "1", "2", "3"])),
+    ]
+    for first, second in pairs:
+        assert first is not second
+        assert first == second and hash(first) == hash(second), first
+    assert kappa_config([0, 1, 2, 3]) != kappa_config([0, 1, 2, 4])
+
+    cfg = RunConfig.from_file(str(REPO / "g3k2.json"))
+    changed = cfg._replace(samples=3)
+    assert (changed.samples, cfg.samples) == (3, 20)
+    assert changed._replace(samples=cfg.samples) == cfg
+
+
 def test_cli_import_does_not_load_numpy():
     """The package is pure Python on the standard library: importing the CLI
-    in a fresh interpreter must pull in neither numpy nor mpmath."""
+    in a fresh interpreter must pull in neither numpy nor mpmath.  Its
+    records are NamedTuples, so the import adds neither ``dataclasses`` nor
+    ``inspect``, which it would load; the modules it adds are read as the
+    difference of ``sys.modules`` around it, whatever ``site`` preloads."""
     src = str(Path(tropkp.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, tropkp.cli; print('numpy' in sys.modules, 'mpmath' in sys.modules)"
+    code = (
+        "import sys; before = set(sys.modules); import tropkp.cli; "
+        "print('numpy' in sys.modules, 'mpmath' in sys.modules); "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert done.stdout.strip() == "False False"
+    loaded, added = done.stdout.splitlines()
+    assert loaded == "False False"
+    assert "tropkp.cli" in added.split()
+    assert {"dataclasses", "inspect"}.isdisjoint(added.split()), added

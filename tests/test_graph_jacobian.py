@@ -528,8 +528,8 @@ class TestDelaunaySet:
         6 lattice points, more than g, which span dimension 3 only."""
         point = (F(1, 2), F(0), F(-1, 2), F(-1, 2))
         message = (
-            f"{point} is not a Voronoi vertex: its 6 equidistant lattice points "
-            "span dimension 3, not 4"
+            "(1/2, 0, -1/2, -1/2) is not a Voronoi vertex: its 6 equidistant "
+            "lattice points span dimension 3, not 4"
         )
         with pytest.raises(ValueError) as raised:
             delaunay_set(build_banana(4), point)

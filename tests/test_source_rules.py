@@ -149,6 +149,31 @@ def test_imports_only_the_standard_library():
     assert found == {}, f"imports outside the standard library: {found}"
 
 
+def test_no_dataclasses():
+    """No module imports ``dataclasses``: the package's records are
+    ``typing.NamedTuple`` classes.  ``dataclasses`` would load ``inspect``,
+    ``ast``, ``dis`` and ``tokenize`` with it and generate each class's
+    methods from source text, about a quarter of a fresh ``import
+    tropkp.cli``, which every command pays."""
+    modules = sorted(Path(tropkp.__file__).resolve().parent.glob("*.py"))
+    assert modules
+    found = {}
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (
+                isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+            )
+            or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        ]
+        if lines:
+            found[path.name] = lines
+    assert found == {}, f"dataclasses imports (module: lines): {found}"
+
+
 def test_tracer_targets_resolve():
     """Every ``module.function`` and ``module.Class.method`` that the
     benchmark tracer wraps exists in the package, so a rename or deletion

@@ -4,7 +4,6 @@ evaluation of u = 2 (log tau)_xx."""
 import itertools
 import math
 import operator
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -204,10 +203,10 @@ class TestTauAssembly:
         for term in list(terms):
             extra = data.draw(st.sampled_from(["none", "cancel", "pair"]))
             if extra == "cancel":
-                terms.append(replace(term, coeff=-term.coeff))
+                terms.append(term._replace(coeff=-term.coeff))
             elif extra == "pair":
                 part = data.draw(NONZERO)
-                terms += [replace(term, coeff=part), replace(term, coeff=-part)]
+                terms += [term._replace(coeff=part), term._replace(coeff=-part)]
         tau = TauFunction(terms=tuple(data.draw(st.permutations(terms))))
         try:
             expected = fraction_signature(tau)
@@ -467,8 +466,8 @@ class TestNumericEvaluation:
         beta = (F(2), F(1), F(1, 3))
         hp1 = hirota_point(KC4, 2, beta, "v1")
         hp2 = hp1.other_vertex()
-        pv = replace(hp2.uvw, W=hp1.uvw.W)
-        tau2 = tau_from_hirota_point(replace(hp2, uvw=pv))
+        pv = hp2.uvw._replace(W=hp1.uvw.W)
+        tau2 = tau_from_hirota_point(hp2._replace(uvw=pv))
         assert spacetime_inversion_check(tau_from_hirota_point(hp1), tau2) is False
 
     def test_spacetime_inversion_of_empty_tau_is_an_error(self):
