@@ -32,6 +32,9 @@ a listing of more than EQS_MAX_ENTRIES printed entries.  ``_check_budget``
 checks every budget on a count computed from the arguments, before any work.
 Run it as ``tropkp``, ``python -m tropkp`` or ``python -m tropkp.cli``;
 ``run()`` builds its argument parser once per process, on its first call.
+The four soliton modules (tropical_limit, hirota_parametrization, tau_kp,
+hirota_variety_eqs) are module handles compiled on their first attribute
+access, so voronoi, delaunay, orient and matroid load only the lattice half.
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
 certification check fails or two exact routes to the same object disagree.
 """
@@ -40,53 +43,21 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import itertools
 import json
 import math
-import random
 import sys
+import types
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .graph_jacobian import build_banana, check_genus, frac_vector, point_text
-from .hirota_parametrization import (
-    RouteMismatchError,
-    alpha_from_beta,
-    beta_lambda_convert,
-    check_dn_interlacing,
-    grassmann_point,
-    hirota_point,
-    invert_psi,
-    lambda_from_divisor,
-    matrix_A,
-    matrix_A_dual,
-    matrix_A_tilde,
-    verify_minor_identity,
-)
-from .hirota_variety_eqs import face_direction_classes, instantiate_and_check
 from .orientations_matroids import (
     circuit_difference,
     delaunaytroid,
     matroid_bases,
     vertex_to_orientation,
-)
-from .tau_kp import (
-    evaluate_u_grid,
-    hirota_residual,
-    kp_residual_numeric,
-    spacetime_inversion_check,
-    tau_from_grassmannian,
-    tau_from_hirota_point,
-)
-from .tropical_limit import (
-    Divisor,
-    KappaConfig,
-    abel_map,
-    kappa_config,
-    limit_R,
-    make_divisor,
-    uvw,
-    validate_divisor,
 )
 from .voronoi_combinatorics import (
     canonical_vertex,
@@ -95,6 +66,30 @@ from .voronoi_combinatorics import (
     shift_vector,
     voronoi_vertices,
 )
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The package module ``name``, registered in ``sys.modules`` and bound on
+    the package as an import binds it, but compiled and run only on its first
+    attribute access (``importlib.util.LazyLoader``, the semantics of PEP
+    810's ``lazy import``).  A module already imported is returned as is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the soliton half of the package, which the lattice commands never enter
+tropical_limit = _lazy("tropical_limit")
+hirota_parametrization = _lazy("hirota_parametrization")
+tau_kp = _lazy("tau_kp")
+hirota_variety_eqs = _lazy("hirota_variety_eqs")
 
 
 # largest comb(n, k) * nx * ny, tau terms times grid points, that ``field``
@@ -165,12 +160,12 @@ class RunConfig(NamedTuple):
     the node configuration, the class, and both weight families (the one not
     given is derived from the one that is)."""
 
-    kc: KappaConfig
+    kc: tropical_limit.KappaConfig
     class_k: int
     beta: tuple[Fraction, ...]
     lambdas: tuple[Fraction, ...]
     vertex_choice: str = "v1"
-    divisor: Optional[Divisor] = None
+    divisor: Optional[tropical_limit.Divisor] = None
     samples: int = 20
     seed: int = 0
     tolerance: float = 1e-8
@@ -196,7 +191,7 @@ class RunConfig(NamedTuple):
         computes from them."""
         _refuse_unknown_keys(raw, "config", CONFIG_KEYS)
         try:
-            kc = kappa_config(_rational_list(raw, "kappas"))
+            kc = tropical_limit.kappa_config(_rational_list(raw, "kappas"))
             class_k = _json_int(raw, "class_k")
         except KeyError as exc:
             raise ConfigError(f"config is missing required key {exc}") from exc
@@ -218,10 +213,10 @@ class RunConfig(NamedTuple):
         try:
             if weight_keys[0] == "beta":
                 beta = _rational_list(raw, "beta")
-                lambdas = beta_lambda_convert(kc, class_k, beta)
+                lambdas = hirota_parametrization.beta_lambda_convert(kc, class_k, beta)
             elif weight_keys[0] == "lambda":
                 lambdas = _rational_list(raw, "lambda")
-                beta = beta_lambda_convert(kc, class_k, lambdas)
+                beta = hirota_parametrization.beta_lambda_convert(kc, class_k, lambdas)
             else:
                 _check_budget(kc.n, LIMITS_MAX_NODES, "a divisor config has n", "nodes")
                 dv = raw["divisor"]
@@ -230,7 +225,7 @@ class RunConfig(NamedTuple):
                 p0 = dv.get("p0_component", "X+")
                 if p0 != "X+":
                     raise ConfigError(f"p0_component must be 'X+', got {p0!r}")
-                divisor = make_divisor(
+                divisor = tropical_limit.make_divisor(
                     _rational_list(dv, "points"), _json_int(dv, "split_k")
                 )
                 if divisor.split_k != class_k:
@@ -238,9 +233,9 @@ class RunConfig(NamedTuple):
                         f"divisor split_k must equal class_k ({class_k}), "
                         f"got {divisor.split_k}"
                     )
-                validate_divisor(kc, divisor)
-                lambdas = lambda_from_divisor(kc, divisor)
-                beta = beta_lambda_convert(kc, class_k, lambdas)
+                tropical_limit.validate_divisor(kc, divisor)
+                lambdas = hirota_parametrization.lambda_from_divisor(kc, divisor)
+                beta = hirota_parametrization.beta_lambda_convert(kc, class_k, lambdas)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad weight data: {exc}") from exc
         samples = _json_int(raw, "samples", 20)
@@ -396,6 +391,8 @@ def _emit(payload: dict, as_json: bool, human_lines, out: Optional[str] = None) 
 
 
 def _sample_points(samples: int, seed: int) -> list[tuple[float, float, float]]:
+    import random
+
     rng = random.Random(seed)
     return [
         (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -552,10 +549,10 @@ def _matroid_lines(payload: dict) -> Iterator[str]:
 def _cmd_limits(args) -> int:
     cfg = RunConfig.from_file(args.config, _limits_budget)
     kc = cfg.kc
-    R = limit_R(kc)
+    R = tropical_limit.limit_R(kc)
     g = kc.genus
     component = "X+" if cfg.vertex_choice == "v1" else "X-"
-    pv = uvw(kc, component)
+    pv = tropical_limit.uvw(kc, component)
     payload = {
         "kappas": _svec(kc.kappas),
         "genus": g,
@@ -569,7 +566,7 @@ def _cmd_limits(args) -> int:
         "dispersion_residuals": _svec(pv.dispersion_residuals()),
     }
     if cfg.divisor is not None:
-        payload["abel_exp"] = _svec(abel_map(kc, cfg.divisor))
+        payload["abel_exp"] = _svec(tropical_limit.abel_map(kc, cfg.divisor))
     _emit(payload, args.json, _limits_lines(payload))
     return 0
 
@@ -595,13 +592,13 @@ def _soliton_matrices(cfg: RunConfig, alphas: dict) -> tuple:
     exactly when At = G A and det G != 0; then each maximal minor of At is
     det G times A's (Cauchy-Binet), so At's own minors are never taken."""
     k = cfg.class_k
-    A = matrix_A(cfg.kc, k, cfg.beta)
-    At = matrix_A_tilde(cfg.kc, k, cfg.lambdas)
-    minor_ok = verify_minor_identity(A, alphas, cfg.kc)
+    A = hirota_parametrization.matrix_A(cfg.kc, k, cfg.beta)
+    At = hirota_parametrization.matrix_A_tilde(cfg.kc, k, cfg.lambdas)
+    minor_ok = hirota_parametrization.verify_minor_identity(A, alphas, cfg.kc)
     G = [row[:k] for row in At]
     columns = list(zip(*A.matrix))
     # det G is the one maximal minor of G
-    (det_G,) = grassmann_point(G).pluecker.values()
+    (det_G,) = hirota_parametrization.grassmann_point(G).pluecker.values()
     match_ok = det_G != 0 and all(
         entry == sum(g * a for g, a in zip(g_row, column))
         for row, g_row in zip(At, G) for entry, column in zip(row, columns)
@@ -612,7 +609,7 @@ def _soliton_matrices(cfg: RunConfig, alphas: dict) -> tuple:
 def _cmd_param(args) -> int:
     cfg = RunConfig.from_file(args.config, _param_budget)
     kc, k = cfg.kc, cfg.class_k
-    alphas = alpha_from_beta(kc, k, cfg.beta)
+    alphas = hirota_parametrization.alpha_from_beta(kc, k, cfg.beta)
     A, At, _, minor_ok, match_ok = _soliton_matrices(cfg, alphas)
     payload = {
         "kappas": _svec(kc.kappas),
@@ -626,9 +623,11 @@ def _cmd_param(args) -> int:
         "parametrizations_match": match_ok,
     }
     if cfg.divisor is not None:
-        payload["matrix_A_dual"] = _smatrix(matrix_A_dual(kc, cfg.divisor))
+        payload["matrix_A_dual"] = _smatrix(
+            hirota_parametrization.matrix_A_dual(kc, cfg.divisor))
         if kc.sorted_flag:
-            payload["interlacing"] = check_dn_interlacing(kc, cfg.divisor)
+            payload["interlacing"] = hirota_parametrization.check_dn_interlacing(
+                kc, cfg.divisor)
     _emit(payload, args.json, _param_lines(payload))
     return 0 if minor_ok and match_ok else 2
 
@@ -655,27 +654,29 @@ def _cmd_certify(args) -> int:
     _check_budget(math.comb(kc.n, k) * cfg.samples, CERTIFY_MAX_TERM_SAMPLES,
                   f"class {k} at n = {kc.n} with {cfg.samples} samples has "
                   f"comb({kc.n}, {k}) * {cfg.samples}", "KP term evaluations")
-    checks: list[tuple[str, bool, str]] = []
-
-    hp1 = hirota_point(kc, k, cfg.beta, "v1")  # raises if the two alpha routes disagree
-    checks.append(("alpha-double-route", True, "theta and product formulas agree on "
-                   f"{len(hp1.alphas)} coefficients"))
+    try:
+        hp1 = hirota_parametrization.hirota_point(kc, k, cfg.beta, "v1")
+    except hirota_parametrization.RouteMismatchError as exc:
+        # every other row reads the agreed family, so none of them runs
+        return _report_certify(cfg, [("alpha-double-route", False, str(exc))], args.json)
+    checks = [("alpha-double-route", True, "theta and product formulas agree on "
+               f"{len(hp1.alphas)} coefficients")]
     hp2 = hp1.other_vertex()
 
     A, _, det_G, minor_ok, match_ok = _soliton_matrices(cfg, hp1.alphas)
     checks.append(("minor-identity", minor_ok, "A_J K_J = alpha_J K_base for all J"))
     checks.append(("parametrization-match", match_ok, "echelon vs Vandermonde minors"))
 
-    tau1 = tau_from_hirota_point(hp1)
-    tau2 = tau_from_hirota_point(hp2)
+    tau1 = tau_kp.tau_from_hirota_point(hp1)
+    tau2 = tau_kp.tau_from_hirota_point(hp2)
     sig1 = tau1.normalized_signature()
-    ok = sig1 == tau_from_grassmannian(A, kc).normalized_signature()
+    ok = sig1 == tau_kp.tau_from_grassmannian(A, kc).normalized_signature()
     checks.append(("tau-routes", ok, "theta-route tau equals Grassmann-route tau"))
 
     # the residual, face and numeric checks read the family at the configured
     # vertex; its labels have size k at v1 and n - k at v2
     hp, tau = (hp1, tau1) if cfg.vertex_choice == "v1" else (hp2, tau2)
-    res = hirota_residual(tau)
+    res = tau_kp.hirota_residual(tau)
     ok = all(v == 0 for v in res.values())
     checks.append(("bilinear-residual", ok, f"{len(res)} residual groups all zero"))
 
@@ -685,7 +686,8 @@ def _cmd_certify(args) -> int:
     # one face quartic per direction, keyed by its representative's doubled
     # point; faces sharing a direction carry the same equation, and
     # bilinear-residual already covers every group
-    faces = instantiate_and_check(face_direction_classes(hp.label_size, kc.n), hp)
+    faces = hirota_variety_eqs.instantiate_and_check(
+        hirota_variety_eqs.face_direction_classes(hp.label_size, kc.n), hp)
     ok = all(v == 0 for v in faces.values())
     checks.append(("face-quartics", ok, f"{len(faces)} face equations vanish"))
     # each representative's key must be a residual group of equal value: a
@@ -695,33 +697,39 @@ def _cmd_certify(args) -> int:
 
     # after the config resolved, a family invert_psi refuses is a failed row
     try:
-        kc_back, beta_back = invert_psi(hp1)
+        kc_back, beta_back = hirota_parametrization.invert_psi(hp1)
     except ValueError as exc:
         checks.append(("inversion-roundtrip", False, str(exc)))
     else:
         ok = kc_back.kappas == kc.kappas and beta_back == cfg.beta
         checks.append(("inversion-roundtrip", ok, "nodes and weights recovered exactly"))
 
-    worst = kp_residual_numeric(tau, _sample_points(cfg.samples, cfg.seed))
+    worst = tau_kp.kp_residual_numeric(tau, _sample_points(cfg.samples, cfg.seed))
     checks.append(("kp-numeric", worst < cfg.tolerance,
                    f"max |KP residual| = {worst:.3e} over {cfg.samples} samples"))
 
-    ok = spacetime_inversion_check(tau1, tau2, sig1)
+    ok = tau_kp.spacetime_inversion_check(tau1, tau2, sig1)
     checks.append(("spacetime-inversion", ok, "tau_v2(-p) = c e^(l.p) tau_v1(p) "
                    f"exactly: {len(sig1)} merged terms"))
 
     # positivity is a claim only for an interlacing divisor, so the check is
     # emitted only there instead of passing vacuously
     if (cfg.divisor is not None and kc.sorted_flag
-            and check_dn_interlacing(kc, cfg.divisor)):
+            and hirota_parametrization.check_dn_interlacing(kc, cfg.divisor)):
         # A~'s minors are det G times A's once A~ = G A is decided
         pos = match_ok and all(det_G * v > 0 for v in A.pluecker.values())
         checks.append(("interlacing-positivity", pos,
                        f"interlacing=True, all minors positive={pos}"))
+    return _report_certify(cfg, checks, args.json)
 
+
+def _report_certify(cfg: RunConfig, checks: list[tuple[str, bool, str]],
+                    as_json: bool) -> int:
+    """Emit the rows ``checks``, each (name, ok, detail), under the config
+    they certify; the exit code is 0 only if every row passed."""
     payload = {
-        "kappas": _svec(kc.kappas),
-        "class_k": k,
+        "kappas": _svec(cfg.kc.kappas),
+        "class_k": cfg.class_k,
         "vertex_choice": cfg.vertex_choice,
         "samples": cfg.samples,
         "seed": cfg.seed,
@@ -729,7 +737,7 @@ def _cmd_certify(args) -> int:
         "checks": [dict(zip(("name", "ok", "detail"), check)) for check in checks],
         "all_ok": all(ok for _, ok, _ in checks),
     }
-    _emit(payload, args.json, _certify_lines(payload))
+    _emit(payload, as_json, _certify_lines(payload))
     return 0 if payload["all_ok"] else 2
 
 
@@ -774,7 +782,7 @@ def _cmd_eqs(args) -> int:
                 for lab1, lab2, delta in rel.terms
             ],
         }
-        for rel in face_direction_classes(k, n)
+        for rel in hirota_variety_eqs.face_direction_classes(k, n)
     ]
     payload = {"k": k, "n": n, "relations": relations, "relation_count": len(relations)}
     _emit(payload, args.json, _eqs_lines(payload), args.out)
@@ -791,13 +799,14 @@ def _cmd_field(args) -> int:
     if nx < 1 or ny < 1:
         raise ConfigError("grid must have at least one point per axis")
     cfg = RunConfig.from_file(args.config, functools.partial(_field_budget, nx, ny))
-    hp = hirota_point(cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
-    tau = tau_from_hirota_point(hp)
+    hp = hirota_parametrization.hirota_point(
+        cfg.kc, cfg.class_k, cfg.beta, cfg.vertex_choice)
+    tau = tau_kp.tau_from_hirota_point(hp)
     ys = [args.ymin + (args.ymax - args.ymin) * (iy / (ny - 1) if ny > 1 else 0.0)
           for iy in range(ny)]
     xs = [args.xmin + (args.xmax - args.xmin) * (ix / (nx - 1) if nx > 1 else 0.0)
           for ix in range(nx)]
-    us = evaluate_u_grid(tau, xs, ys, args.t)
+    us = tau_kp.evaluate_u_grid(tau, xs, ys, args.t)
     # each x and each (y, t) is formatted once and shared by its rows
     x_texts = [f"{x:.12g}," for x in xs]
     yt_texts = [f"{y:.12g},{args.t:.12g}," for y in ys]
@@ -891,7 +900,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RouteMismatchError as exc:
+    # read only for an exception none of the above, so a lattice command's
+    # error loads no soliton module
+    except hirota_parametrization.RouteMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

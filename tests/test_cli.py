@@ -25,7 +25,7 @@ from tropkp.cli import (
     RunConfig,
     run,
 )
-from tropkp import hirota_parametrization
+from tropkp import hirota_parametrization, hirota_variety_eqs, tau_kp
 from tropkp.hirota_parametrization import alpha_from_beta, grassmann_point, hirota_point
 from tropkp.hirota_variety_eqs import face_direction_classes
 from tropkp.tropical_limit import kappa_config
@@ -500,10 +500,9 @@ class TestConfigCommands:
     ):
         """One coefficient scaled by 7/5 breaks the face quartics, while the
         face table and the residual of the same family still agree."""
-        import tropkp.cli as cli_mod
         from tropkp.hirota_parametrization import HirotaPoint
 
-        real = cli_mod.hirota_point
+        real = hirota_parametrization.hirota_point
 
         def perturbed(*args):
             hp = real(*args)
@@ -511,7 +510,7 @@ class TestConfigCommands:
             alphas[(1, 3)] *= Fraction(7, 5)
             return HirotaPoint(alphas, hp.uvw)
 
-        monkeypatch.setattr(cli_mod, "hirota_point", perturbed)
+        monkeypatch.setattr(hirota_parametrization, "hirota_point", perturbed)
         cfg = dict(BETA_CONFIG, vertex_choice=choice)
         assert run(["certify", "--config", config_file(cfg), "--json"]) == 2
         checks = json.loads(capsys.readouterr().out)["checks"]
@@ -529,9 +528,9 @@ class TestConfigCommands:
         from tropkp.tau_kp import tau_from_hirota_point
 
         seen = []
-        real = cli_mod.hirota_residual
+        real = tau_kp.hirota_residual
         monkeypatch.setattr(
-            cli_mod, "hirota_residual", lambda tau: seen.append(tau) or real(tau)
+            tau_kp, "hirota_residual", lambda tau: seen.append(tau) or real(tau)
         )
         cfg = dict(BETA_CONFIG, vertex_choice=choice)
         assert run(["certify", "--config", config_file(cfg)]) == 0
@@ -586,10 +585,8 @@ class TestConfigCommands:
         """A non-finite bound or an empty axis is a usage error (non-finite
         bounds once printed rows of nan and exited 0), and it is found
         before any tau function is built."""
-        import tropkp.cli as cli_mod
-
         built = []
-        monkeypatch.setattr(cli_mod, "tau_from_hirota_point", built.append)
+        monkeypatch.setattr(tau_kp, "tau_from_hirota_point", built.append)
         assert run(["field", "--config", config_file(BETA_CONFIG), *grid]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
@@ -609,11 +606,9 @@ class TestConfigCommands:
         ``FIELD_MAX_EVALUATIONS`` is refused with exit 1 and a message that
         quotes the bound, as soon as the nodes and the class are read: no
         weight family is converted and no tau function is built."""
-        import tropkp.cli as cli_mod
-
         built = []
-        monkeypatch.setattr(cli_mod, "tau_from_hirota_point", built.append)
-        converted = _spy(monkeypatch, cli_mod, "beta_lambda_convert")
+        monkeypatch.setattr(tau_kp, "tau_from_hirota_point", built.append)
+        converted = _spy(monkeypatch, hirota_parametrization, "beta_lambda_convert")
         cfg = config_file({"kappas": ["0", "1"], "class_k": 1, "beta": ["1"]})
         nx, ny = axes
         assert run(["field", "--config", cfg, "--nx", str(nx), "--ny", str(ny)]) == 1
@@ -678,8 +673,6 @@ class TestConfigCommands:
         that quotes the bound, before any alpha is computed.  (12, 6), the
         largest family the tests, the examples and the benchmark certify,
         is within the bound."""
-        import tropkp.cli as cli_mod
-
         assert math.comb(12, 6) <= CERTIFY_MAX_TERMS
         n, k = next(
             (n, k)
@@ -688,7 +681,8 @@ class TestConfigCommands:
             if math.comb(n, k) > CERTIFY_MAX_TERMS
         )
         built = []
-        monkeypatch.setattr(cli_mod, "hirota_point", lambda *args: built.append(args))
+        monkeypatch.setattr(
+            hirota_parametrization, "hirota_point", lambda *args: built.append(args))
         kappas = [str(x) for x in range(n)]
         cfg = config_file({"kappas": kappas, "class_k": k, "beta": ["1"] * (n - 1)})
         assert run(["certify", "--config", cfg]) == 1
@@ -730,10 +724,8 @@ class TestConfigCommands:
         after work linear in n.  Certifying it grew past 7.6 GB and was
         killed after 18 minutes.  (183, 1) is the first class-1 family
         past the bound."""
-        import tropkp.cli as cli_mod
-
         n = 1001
-        converted = _spy(monkeypatch, cli_mod, "beta_lambda_convert")
+        converted = _spy(monkeypatch, hirota_parametrization, "beta_lambda_convert")
         cfg = config_file(
             {"kappas": [str(x) for x in range(n)], "class_k": 1, "beta": ["1"] * (n - 1)}
         )
@@ -760,7 +752,7 @@ class TestConfigCommands:
 
         assert CERTIFY_MAX_TERMS * 20 <= CERTIFY_MAX_TERM_SAMPLES == 100_000
         drawn = _spy(monkeypatch, cli_mod, "_sample_points")
-        located = _spy(monkeypatch, cli_mod, "hirota_point")
+        located = _spy(monkeypatch, hirota_parametrization, "hirota_point")
         for samples in (16_667, 10**12):
             cfg = config_file(dict(BETA_CONFIG, samples=samples))
             assert run(["certify", "--config", cfg]) == 1
@@ -836,7 +828,7 @@ class TestConfigCommands:
         import tropkp.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, name, bound - past)
-        converted = _spy(monkeypatch, cli_mod, "beta_lambda_convert")
+        converted = _spy(monkeypatch, hirota_parametrization, "beta_lambda_convert")
         status = run(["param", "--config", config_file(BETA_CONFIG), "--json"])
         captured = capsys.readouterr()
         if past:
@@ -856,7 +848,7 @@ class TestConfigCommands:
         import tropkp.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, "LIMITS_MAX_NODES", 4 - past)
-        converted = _spy(monkeypatch, cli_mod, "lambda_from_divisor")
+        converted = _spy(monkeypatch, hirota_parametrization, "lambda_from_divisor")
         status = run(["limits", "--config", config_file(DIVISOR_CONFIG), "--json"])
         captured = capsys.readouterr()
         if past:
@@ -881,7 +873,7 @@ class TestConfigCommands:
         with exit 1 before the divisor is converted to weights.  A beta
         config of as many nodes is not held to it."""
         monkeypatch.setattr(cli_mod, "LIMITS_MAX_NODES", 4 - past)
-        converted = _spy(monkeypatch, cli_mod, "lambda_from_divisor")
+        converted = _spy(monkeypatch, hirota_parametrization, "lambda_from_divisor")
         grid = ["--nx", "2", "--ny", "2"] if command == "field" else []
         status = run([command, "--config", config_file(DIVISOR_CONFIG), *grid])
         captured = capsys.readouterr()
@@ -946,7 +938,7 @@ class TestConfigCommands:
         import tropkp.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, "PARAM_MAX_MINOR_STEPS", 96 - past)
-        converted = _spy(monkeypatch, cli_mod, "beta_lambda_convert")
+        converted = _spy(monkeypatch, hirota_parametrization, "beta_lambda_convert")
         status = run(["certify", "--config", config_file(BETA_CONFIG)])
         captured = capsys.readouterr()
         if past:
@@ -970,7 +962,7 @@ class TestConfigCommands:
         converted; (40, 39) is admitted."""
         import tropkp.cli as cli_mod
 
-        converted = _spy(monkeypatch, cli_mod, "beta_lambda_convert")
+        converted = _spy(monkeypatch, hirota_parametrization, "beta_lambda_convert")
         cfg = dict(BETA_CONFIG, kappas=[str(i) for i in range(41)], class_k=40,
                    beta=["1"] * 40)
         assert run(["certify", "--config", config_file(cfg), "--json"]) == 1
@@ -1025,7 +1017,7 @@ class TestConfigCommands:
         import tropkp.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, "EQS_MAX_ENTRIES", 36 - past)
-        built = _spy(monkeypatch, cli_mod, "face_direction_classes")
+        built = _spy(monkeypatch, hirota_variety_eqs, "face_direction_classes")
         status = run(["eqs", "--k", "2", "--n", "4", "--json"])
         captured = capsys.readouterr()
         if past:
@@ -1152,14 +1144,14 @@ class TestParametrizationMatch:
     ):
         """One entry of A~'s rows plus 1, inside G or past it, fails
         ``parametrization-match`` alone, and ``param`` with it."""
-        real = cli_mod.matrix_A_tilde
+        real = hirota_parametrization.matrix_A_tilde
 
         def faulty(*args):
             rows = [list(row) for row in real(*args)]
             rows[i][j] += 1
             return tuple(map(tuple, rows))
 
-        monkeypatch.setattr(cli_mod, "matrix_A_tilde", faulty)
+        monkeypatch.setattr(hirota_parametrization, "matrix_A_tilde", faulty)
         path = config_file(BETA_CONFIG)
         assert run(["certify", "--config", path, "--json"]) == 2
         assert _failed_checks(capsys) == {"parametrization-match"}
@@ -1173,14 +1165,14 @@ class TestParametrizationMatch:
         """One entry of ``matrix_A``'s matrix plus 1, with the minors of the
         faulty matrix, fails ``parametrization-match`` along with the other
         checks that read A."""
-        real = cli_mod.matrix_A
+        real = hirota_parametrization.matrix_A
 
         def faulty(*args):
             rows = [list(row) for row in real(*args).matrix]
             rows[i][j] += 1
             return grassmann_point(rows)
 
-        monkeypatch.setattr(cli_mod, "matrix_A", faulty)
+        monkeypatch.setattr(hirota_parametrization, "matrix_A", faulty)
         assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
         assert _failed_checks(capsys) == {"minor-identity", "parametrization-match",
                                           "tau-routes"}
@@ -1192,8 +1184,8 @@ class TestParametrizationMatch:
     ):
         """Under an interlacing divisor, A~ with column j negated has
         negative minors and spans another point."""
-        real = cli_mod.matrix_A_tilde
-        monkeypatch.setattr(cli_mod, "matrix_A_tilde", lambda *args: tuple(
+        real = hirota_parametrization.matrix_A_tilde
+        monkeypatch.setattr(hirota_parametrization, "matrix_A_tilde", lambda *args: tuple(
             tuple(-v if c == j else v for c, v in enumerate(row)) for row in real(*args)))
         path = config_file(self.CONFIGS[config])
         assert run(["certify", "--config", path, "--json"]) == 2
@@ -1205,13 +1197,13 @@ class TestParametrizationMatch:
         """Under the interlacing (5, 2) divisor, A with its last column
         negated has negative minors: positivity reads A's minors and the
         match, so it fails with every row that reads A."""
-        real = cli_mod.matrix_A
+        real = hirota_parametrization.matrix_A
 
         def faulty(*args):
             return grassmann_point(
                 [(*row[:4], -row[4]) for row in real(*args).matrix])
 
-        monkeypatch.setattr(cli_mod, "matrix_A", faulty)
+        monkeypatch.setattr(hirota_parametrization, "matrix_A", faulty)
         path = config_file(self.INTERLACING_52)
         assert run(["certify", "--config", path, "--json"]) == 2
         assert _failed_checks(capsys) == {"minor-identity", "parametrization-match",
@@ -1230,13 +1222,13 @@ class TestParametrizationMatch:
         k = rc.class_k
         A = hirota_parametrization.matrix_A(rc.kc, k, rc.beta)
         At = hirota_parametrization.matrix_A_tilde(rc.kc, k, rc.lambdas)
-        built_by_matrix_a = _spy(monkeypatch, hirota_parametrization, "grassmann_point")
-        built_by_cli = _spy(monkeypatch, cli_mod, "grassmann_point")
+        # one spy sees both callers: ``matrix_A`` builds A's table, then the
+        # command takes det G
+        built = _spy(monkeypatch, hirota_parametrization, "grassmann_point")
         assert run([command, "--config", config_file(cfg), "--json"]) == 0
         capsys.readouterr()
-        assert [tuple(map(tuple, rows)) for rows, in built_by_matrix_a] == [A.matrix]
-        assert [tuple(map(tuple, rows)) for rows, in built_by_cli] == [
-            tuple(row[:k] for row in At)]
+        assert [tuple(map(tuple, rows)) for rows, in built] == [
+            A.matrix, tuple(row[:k] for row in At)]
 
 
 class TestRowFaults:
@@ -1246,13 +1238,13 @@ class TestRowFaults:
     def test_a_wrong_inverted_weight_fails_the_roundtrip(
         self, config_file, capsys, monkeypatch
     ):
-        real = cli_mod.invert_psi
+        real = hirota_parametrization.invert_psi
 
         def faulty(hp):
             kc, beta = real(hp)
             return kc, (beta[0] * Fraction(11, 10), *beta[1:])
 
-        monkeypatch.setattr(cli_mod, "invert_psi", faulty)
+        monkeypatch.setattr(hirota_parametrization, "invert_psi", faulty)
         assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
         assert _failed_checks(capsys) == {"inversion-roundtrip"}
 
@@ -1311,6 +1303,27 @@ class TestRowFaults:
                                "face-quartics", "inversion-roundtrip", "kp-numeric"}
         assert failed["inversion-roundtrip"] == (
             "period vectors are inconsistent: no common base node")
+
+    def test_a_wrong_product_coefficient_fails_the_double_route(
+        self, config_file, capsys, monkeypatch
+    ):
+        """The product route's alpha_(1, 3), whose exchange sets against
+        {1, 2} are out = [2] and into = [3], times 11/10 disagrees with the
+        theta route: that row fails with the mismatch as its detail, and no
+        other row runs."""
+        real = hirota_parametrization._alpha_product_form
+
+        def faulty(ints, D, out, into):
+            value = real(ints, D, out, into)
+            return value * Fraction(11, 10) if (out, into) == ([2], [3]) else value
+
+        monkeypatch.setattr(hirota_parametrization, "_alpha_product_form", faulty)
+        assert run(["certify", "--config", config_file(BETA_CONFIG), "--json"]) == 2
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert {c["name"] for c in checks if not c["ok"]} == {"alpha-double-route"}
+        assert checks[0]["detail"] == (
+            "alpha_(1, 3) disagrees between the theta route (1) and the "
+            "product route (11/10) before the beta monomial")
 
 
 class TestErrorHandling:
@@ -1547,12 +1560,13 @@ class TestErrorHandling:
         assert run(argv) == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("command", ["param", "certify"])
+    @pytest.mark.parametrize("command", ["param", "field"])
     def test_alpha_route_mismatch_is_a_failure(
         self, command, config_file, capsys, monkeypatch
     ):
         """Disagreeing alpha routes are an internal inconsistency: one
-        error line and exit 2, not a traceback."""
+        error line and exit 2, not a traceback.  ``certify`` reports it as
+        its failed ``alpha-double-route`` row instead."""
         import tropkp.hirota_parametrization as hp_mod
 
         real = hp_mod._alpha_product_form
@@ -1563,7 +1577,36 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: alpha_")
         assert captured.err.count("\n") == 1
-        assert "PASSED" not in captured.out
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_alpha_route_mismatch_is_the_one_certify_row(
+        self, as_json, config_file, capsys, monkeypatch
+    ):
+        """Under disagreeing alpha routes ``certify`` emits its payload with
+        ``alpha-double-route`` failed, the mismatch as its detail, and no
+        other row, since every other row reads the agreed family; exit 2."""
+        import tropkp.hirota_parametrization as hp_mod
+
+        real = hp_mod._alpha_product_form
+        monkeypatch.setattr(
+            hp_mod, "_alpha_product_form", lambda *a: 2 * real(*a)
+        )
+        argv = ["certify", "--config", config_file(BETA_CONFIG)]
+        assert run(argv + ["--json"] * as_json) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        detail = ("alpha_(1, 2) disagrees between the theta route (1) and the "
+                  "product route (2) before the beta monomial")
+        if as_json:
+            payload = json.loads(captured.out)
+            assert payload["checks"] == [
+                {"name": "alpha-double-route", "ok": False, "detail": detail}]
+            assert payload["all_ok"] is False
+            assert payload["class_k"] == BETA_CONFIG["class_k"]
+        else:
+            assert captured.out == (
+                f"[FAIL] alpha-double-route: {detail}\ncertification FAILED\n")
 
     @pytest.mark.parametrize("command", ["field", "certify"])
     def test_vanishing_tau_is_one_error_line(
@@ -1788,7 +1831,6 @@ class TestFaceRepresentatives:
     ):
         """One evaluation of one relation per face direction, at either
         vertex; no enumeration of every doubled point."""
-        import tropkp.cli as cli_mod
         import tropkp.hirota_variety_eqs as eqs_mod
 
         cfg = (
@@ -1815,7 +1857,6 @@ class TestFaceRepresentatives:
             return real_check(relations, hp)
 
         monkeypatch.setattr(eqs_mod, "instantiate_and_check", counting_check)
-        monkeypatch.setattr(cli_mod, "instantiate_and_check", counting_check)
         assert run(["certify", "--json", "--config", path]) == 0
         assert json.loads(capsys.readouterr().out)["all_ok"]
         assert calls == {"face_table": 0, "squared_set": 0}
@@ -1829,15 +1870,13 @@ class TestFaceRepresentatives:
         """A representative's residual group that holds another value, or
         that is missing, fails the comparison: a missing key is never
         skipped."""
-        import tropkp.cli as cli_mod
-
         path, label_size, n = self.certify_config(config_file, BETA_CONFIG, choice)
         rel = face_direction_classes(label_size, n)[0]
         # the representative's doubled point: 2 where frozen, 1 on the direction
         key = tuple(
             2 * (i in rel.fixed_ones) + (i in rel.direction) for i in range(1, n + 1)
         )
-        real = cli_mod.hirota_residual
+        real = tau_kp.hirota_residual
 
         def faulty(tau):
             res = real(tau)
@@ -1849,7 +1888,7 @@ class TestFaceRepresentatives:
                 del res[packed[key]]
             return res
 
-        monkeypatch.setattr(cli_mod, "hirota_residual", faulty)
+        monkeypatch.setattr(tau_kp, "hirota_residual", faulty)
         assert run(["certify", "--config", path]) == 2
         out = capsys.readouterr().out
         assert "[FAIL] face-vs-residual: " in out
@@ -1864,10 +1903,9 @@ class TestFaceRepresentatives:
         """With one coefficient scaled by 7/5, some representative values
         are nonzero, and each equals the residual group on its key, so the
         comparison certify passes is not one of zeros alone."""
-        import tropkp.cli as cli_mod
         from tropkp.hirota_parametrization import HirotaPoint
 
-        real_point = cli_mod.hirota_point
+        real_point = hirota_parametrization.hirota_point
 
         def perturbed(*args):
             hp = real_point(*args)
@@ -1883,9 +1921,10 @@ class TestFaceRepresentatives:
                 return tables[name]
             return record
 
-        monkeypatch.setattr(cli_mod, "hirota_point", perturbed)
-        for name in ("instantiate_and_check", "hirota_residual"):
-            monkeypatch.setattr(cli_mod, name, recording(name, getattr(cli_mod, name)))
+        monkeypatch.setattr(hirota_parametrization, "hirota_point", perturbed)
+        for module, name in ((hirota_variety_eqs, "instantiate_and_check"),
+                             (tau_kp, "hirota_residual")):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
         cfg = dict(TestFractionCount.CONFIG, kappas=[str(x) for x in range(n)],
                    class_k=k, beta=TestFractionCount.CONFIG["beta"][: n - 1], samples=2)
         path, label_size, _ = self.certify_config(config_file, cfg, choice)
@@ -2005,7 +2044,7 @@ class TestFractionCount:
 
         n = 301
         monkeypatch.setattr(cli_mod, "CERTIFY_MAX_TERMS", 300)
-        converted = _spy(monkeypatch, cli_mod, "lambda_from_divisor")
+        converted = _spy(monkeypatch, hirota_parametrization, "lambda_from_divisor")
         points = [f"{2 * i + 1}/2" for i in range(n - 1)]
         path = config_file({
             "kappas": [str(x) for x in range(n)],
@@ -2144,6 +2183,26 @@ def test_records_compare_and_hash_by_fields():
     assert changed._replace(samples=cfg.samples) == cfg
 
 
+# the package's soliton half, which the lattice commands never enter
+SOLITON_MODULES = ("tropical_limit", "hirota_parametrization", "tau_kp", "hirota_variety_eqs")
+
+# prints the soliton modules not yet compiled: a lazy handle's type is a
+# subclass of ModuleType until its first attribute access loads it
+_PRINT_UNLOADED = (
+    "import types; print(' '.join(sorted(name for name in "
+    f"{SOLITON_MODULES!r} if type(sys.modules['tropkp.' + name]) is not types.ModuleType)))"
+)
+
+_RUN_ONE_COMMAND = (
+    "import contextlib, io, sys\n"
+    "from tropkp.cli import run\n"
+    "with contextlib.redirect_stdout(io.StringIO()), "
+    "contextlib.redirect_stderr(io.StringIO()):\n"
+    "    print(run(sys.argv[1:]), file=sys.__stdout__)\n"
+    f"{_PRINT_UNLOADED}\n"
+)
+
+
 def test_cli_import_does_not_load_numpy():
     """The package is pure Python on the standard library: importing the CLI
     in a fresh interpreter must pull in neither numpy nor mpmath.  Its
@@ -2155,13 +2214,54 @@ def test_cli_import_does_not_load_numpy():
     code = (
         "import sys; before = set(sys.modules); import tropkp.cli; "
         "print('numpy' in sys.modules, 'mpmath' in sys.modules); "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
+        "print(' '.join(sorted(set(sys.modules) - before))); "
+        f"{_PRINT_UNLOADED}"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    loaded, added = done.stdout.splitlines()
+    loaded, added, unloaded = done.stdout.splitlines()
     assert loaded == "False False"
     assert "tropkp.cli" in added.split()
     assert {"dataclasses", "inspect"}.isdisjoint(added.split()), added
+    # the soliton modules are registered, but none has been compiled
+    assert unloaded.split() == sorted(SOLITON_MODULES)
+
+
+_G3K2 = str(REPO / "g3k2.json")
+_LATTICE_ONLY = set(SOLITON_MODULES)
+_COMMAND_LOADS = [
+    (["voronoi", "--genus", "3"], 0, _LATTICE_ONLY),
+    (["delaunay", "--genus", "3", "--class-k", "2"], 0, _LATTICE_ONLY),
+    (["orient", "--genus", "3", "--circuits"], 0, _LATTICE_ONLY),
+    (["matroid", "--genus", "3", "--class-k", "2"], 0, _LATTICE_ONLY),
+    (["voronoi", "--genus", "0"], 1, _LATTICE_ONLY),
+    (["voronoi"], 1, _LATTICE_ONLY),
+    (["limits", "--config", _G3K2], 0, {"tau_kp", "hirota_variety_eqs"}),
+    (["param", "--config", _G3K2], 0, {"tau_kp", "hirota_variety_eqs"}),
+    (["field", "--config", _G3K2, "--nx", "3", "--ny", "2"], 0, {"hirota_variety_eqs"}),
+    (["eqs", "--k", "2", "--n", "4"], 0, set()),
+    (["certify", "--config", _G3K2], 0, set()),
+]
+# every command but field again with --json, which changes what it emits
+_COMMAND_LOADS += [(argv + ["--json"], code, unloaded)
+                   for argv, code, unloaded in _COMMAND_LOADS if argv[0] != "field"]
+
+
+@pytest.mark.parametrize("argv, code, unloaded", _COMMAND_LOADS, ids=[
+    " ".join("g3k2.json" if arg == _G3K2 else arg for arg in argv)
+    for argv, _, _ in _COMMAND_LOADS])
+def test_each_command_loads_only_the_modules_it_enters(argv, code, unloaded):
+    """In a fresh interpreter, each command leaves unloaded the soliton
+    modules it never enters, with and without ``--json``: the lattice
+    commands, a usage error and a refused genus load none of the four."""
+    src = str(Path(tropkp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_ONE_COMMAND, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    status, left = done.stdout.splitlines()
+    assert int(status) == code
+    assert set(left.split()) == unloaded

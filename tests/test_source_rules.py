@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -243,6 +245,99 @@ def test_tracer_counts_work_on_real_commands(tmp_path, capsys):
                     "tau_kp.hirota_residual.pairs",
                     "tau_kp.kp_residual_numeric.samples"):
         assert tracer.counters[counter] > 0, counter
+
+
+# the soliton half of the package, and the lattice half that ``voronoi``,
+# ``delaunay``, ``orient`` and ``matroid`` run on alone
+SOLITON_MODULES = ("tropical_limit", "hirota_parametrization", "tau_kp", "hirota_variety_eqs")
+LATTICE_MODULES = ("graph_jacobian", "voronoi_combinatorics", "orientations_matroids")
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules an import anywhere in ``tree`` names:
+    ``from .x import ...``, ``from . import x``, ``import tropkp.x``,
+    ``from tropkp.x import ...`` and ``from tropkp import x``."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named |= {alias.name.removeprefix("tropkp.") for alias in node.names
+                      if alias.name.startswith("tropkp.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("tropkp."):
+                named.add(module.removeprefix("tropkp."))
+            elif node.level and module:
+                named.add(module)
+            elif node.level or module == "tropkp":
+                named |= {alias.name for alias in node.names}
+    return named
+
+
+def test_the_lattice_commands_compile_no_soliton_module():
+    """The lattice modules import none of the soliton modules, and ``cli``
+    imports none of them either: it binds each one only as a lazy handle,
+    ``name = _lazy("name")``, so that one stray eager import cannot make
+    every lattice command compile the soliton half again."""
+    package = Path(tropkp.__file__).resolve().parent
+    found = {}
+    for stem in (*LATTICE_MODULES, "cli"):
+        tree = ast.parse((package / f"{stem}.py").read_text())
+        eager = _package_imports(tree) & set(SOLITON_MODULES)
+        if eager:
+            found[stem] = sorted(eager)
+    assert found == {}, f"soliton modules imported eagerly (module: imports): {found}"
+    tree = ast.parse((package / "cli.py").read_text())
+    handles = {
+        target.id: node.value.args[0].value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "_lazy"
+        for target in node.targets
+    }
+    assert handles == {name: name for name in SOLITON_MODULES}
+
+
+def test_tracer_installs_right_after_the_cli_import():
+    """``perfbench/run.py --trace 1`` installs the tracer straight after
+    ``import tropkp.cli``, and its ``lattice`` workload runs only lattice
+    commands and ``field``, none of which enters ``hirota_variety_eqs``.
+    ``Tracer.install`` reads every module it wraps from ``sys.modules``, so
+    the import must register the soliton modules there.  In a fresh
+    interpreter, the tracer is installed in that order, then ``voronoi`` and
+    ``field`` run traced, and the tracer is uninstalled."""
+    repo = Path(__file__).resolve().parent.parent
+    code = (
+        "import contextlib, importlib.util, io, sys\n"
+        "import tropkp.cli\n"
+        "spec = importlib.util.spec_from_file_location('perfbench_tracer', sys.argv[1])\n"
+        "tracer_mod = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer_mod)\n"
+        "tracer = tracer_mod.Tracer()\n"
+        "tracer.install()\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['voronoi', '--genus', '3', '--json'],\n"
+        "                 ['field', '--config', sys.argv[2], '--nx', '3', '--ny', '3']):\n"
+        "        tracer.begin_command()\n"
+        "        codes.append(tropkp.cli.run(argv))\n"
+        "tracer.uninstall()\n"
+        "print(*codes)\n"
+        "print(*sorted({span[2] for span in tracer.spans}))\n"
+    )
+    src = str(Path(tropkp.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(repo / "perfbench" / "tracer.py"),
+         str(repo / "g3k2.json")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    codes, spans = done.stdout.splitlines()
+    assert codes == "0 0"
+    assert {"cli.voronoi", "voronoi_combinatorics.voronoi_vertices", "cli.field",
+            "hirota_parametrization.hirota_point",
+            "tau_kp.tau_from_hirota_point"} <= set(spans.split())
 
 
 def test_all_lists_the_public_names():
