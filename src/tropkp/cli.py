@@ -18,9 +18,9 @@ t; terms of equal exact phase at a point share one product), after which
 every weight and moment is exact integer arithmetic.  The package needs
 nothing beyond the standard library.
 ``field`` refuses a grid whose tau terms times points exceed
-FIELD_MAX_EVALUATIONS, and ``certify`` refuses configs with more than
-CERTIFY_MAX_TERMS tau terms, an exact residual table of more than
-CERTIFY_MAX_ENTRIES entries, or tau terms times KP samples past
+FIELD_MAX_EVALUATIONS, and ``certify`` refuses configs with an exact
+residual table of more than CERTIFY_MAX_ENTRIES entries (which refuses
+every family past 2,000 tau terms) or tau terms times KP samples past
 CERTIFY_MAX_TERM_SAMPLES.  ``voronoi`` and ``orient`` refuse a genus
 with more than LATTICE_MAX_VERTICES Voronoi vertices, ``delaunay`` and
 ``matroid`` a vertex whose Delaunay table of points times n entries is
@@ -47,6 +47,7 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 import sys
 import types
 from fractions import Fraction
@@ -97,21 +98,18 @@ hirota_variety_eqs = _lazy("hirota_variety_eqs")
 # 10^6 rows in memory, at T = 2
 FIELD_MAX_EVALUATIONS = 2_000_000
 
-# largest number comb(n, k) of tau terms that ``certify`` takes on: its exact
-# loops run over all comb(T, 2) term pairs
-CERTIFY_MAX_TERMS = 2000
-
 # largest exact residual table, groups times n entries, that ``certify``
 # builds: the bilinear residual holds one key of n entries per group (the
 # face check evaluates one representative per direction), so time and memory
 # grow with it (about 1 us per entry; (13, 6), with 2,599,051 entries, takes
-# about 3 s)
+# about 3 s), and it refuses every family of more than 2,000 tau terms
 CERTIFY_MAX_ENTRIES = 3_000_000
 
 # largest comb(n, k) * samples, tau terms times KP samples, that ``certify``
 # evaluates numerically: about 13 us each at T = 70 and 210, up to 34 us at
-# T = 2 where the per-sample work dominates, so at most about 3.5 s; 20
-# samples, the default, are admitted at every T within CERTIFY_MAX_TERMS
+# T = 2 where the per-sample work dominates, so at most about 3.5 s; the
+# largest family certify admits is (13, 6), with 1,716 terms, so 20 samples,
+# the default, are admitted at every family
 CERTIFY_MAX_TERM_SAMPLES = 100_000
 
 # the work of ``param`` has two parts, each bounded: a fixed cost per alpha
@@ -285,20 +283,31 @@ def _check_budget(count: int, bound: int, what: str, noun: str) -> None:
         )
 
 
+def _check_sum_budget(summands: Iterator[int], width: int, bound: int, what: str,
+                      counted: str, noun: str) -> None:
+    """``_check_budget`` on the sum of the ``counted`` summands times
+    ``width``.  The sum stops at its first partial sum past the bound, and
+    ``what`` then says "at least", so a huge n costs only a few summands."""
+    total = 0
+    for summand in summands:
+        total += summand
+        if total * width > bound:
+            if next(summands, None) is not None:
+                what += " at least"
+            break
+    _check_budget(total * width, bound, f"{what} {total} {counted} * {width}", noun)
+
+
 def _certify_budget(n: int, k: int) -> None:
-    """At most CERTIFY_MAX_TERMS tau terms comb(n, k), an exact residual
-    table of at most CERTIFY_MAX_ENTRIES entries: the doubled points
-    e_J1 + e_J2 of two distinct k-subsets, sum over h >= 1 of
+    """An exact residual table of at most CERTIFY_MAX_ENTRIES entries: the
+    doubled points e_J1 + e_J2 of two distinct k-subsets, sum over h >= 1 of
     comb(n, 2h) comb(n - 2h, k - h) (h the size of J1 minus J2), times the n
-    entries of each key, and ``param``'s bounds for the same minor table, det G
-    and A~ = G A, of which only the minor steps bind within CERTIFY_MAX_TERMS."""
-    _check_budget(math.comb(n, k), CERTIFY_MAX_TERMS,
-                  f"class {k} at n = {n} has comb({n}, {k})", "tau terms")
-    groups = sum(math.comb(n, 2 * h) * math.comb(n - 2 * h, k - h)
-                 for h in range(1, min(k, n - k) + 1))
-    _check_budget(groups * n, CERTIFY_MAX_ENTRIES,
-                  f"class {k} at n = {n} has {groups} residual groups * {n}",
-                  "table entries")
+    entries of each key, and ``param``'s bounds for the same minor table,
+    det G and A~ = G A.  The table bound refuses every family past 2,000
+    tau terms, so of ``param``'s bounds only the minor steps bind."""
+    _check_sum_budget((math.comb(n, 2 * h) * math.comb(n - 2 * h, k - h)
+                       for h in range(1, min(k, n - k) + 1)), n, CERTIFY_MAX_ENTRIES,
+                      f"class {k} at n = {n} has", "residual groups", "table entries")
     _param_budget(n, k)
 
 
@@ -326,19 +335,11 @@ def _limits_budget(n: int, k: int) -> None:
 def _eqs_budget(k: int, n: int) -> None:
     """At most EQS_MAX_ENTRIES printed entries: the relation terms, comb(n, 2l)
     directions of size 2l with comb(2l - 1, l - 1) terms each for
-    l = 1..min(k, n - k), times the n entries of each term's sign vector.
-    The sum stops at its first partial sum past the bound, so a huge n costs
-    only a few of its terms."""
-    what = f"the ({k},{n}) face equations have"
-    top = min(k, n - k)
-    terms = 0
-    for ell in range(1, top + 1):
-        terms += math.comb(n, 2 * ell) * math.comb(2 * ell - 1, ell - 1)
-        if terms * n > EQS_MAX_ENTRIES and ell < top:
-            what += " at least"
-            break
-    _check_budget(terms * n, EQS_MAX_ENTRIES, f"{what} {terms} relation terms * {n}",
-                  "printed entries")
+    l = 1..min(k, n - k), times the n entries of each term's sign vector."""
+    _check_sum_budget((math.comb(n, 2 * ell) * math.comb(2 * ell - 1, ell - 1)
+                       for ell in range(1, min(k, n - k) + 1)), n, EQS_MAX_ENTRIES,
+                      f"the ({k},{n}) face equations have", "relation terms",
+                      "printed entries")
 
 
 def _check_vertex_budget(genus: int) -> None:
@@ -374,11 +375,14 @@ def _smatrix(rows) -> list[list[str]]:
     return [[str(x) for x in row] for row in rows]
 
 
-def _emit(payload: dict, as_json: bool, human_lines, out: Optional[str] = None) -> None:
+def _emit(payload: dict, as_json: bool, human_lines, out: Optional[str] = None,
+          written: str = "") -> None:
     """Print the payload as sorted JSON, or the human lines rendered from it;
-    with ``out`` given, write the same text to that file instead.  Commands
-    with a JSON form pass their lines as a generator over the payload, so
-    ``--json`` renders none."""
+    with ``out`` given, write the text there and print that ``written`` went
+    there.  Commands with a JSON form pass their lines as a generator over
+    the payload, so ``--json`` renders none.  A reader that closes stdout
+    early ends only the output: stdout then points at os.devnull, so the
+    flush at exit is silent and the command returns its own exit code."""
     if as_json:
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
@@ -386,8 +390,12 @@ def _emit(payload: dict, as_json: bool, human_lines, out: Optional[str] = None) 
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        text = f"wrote {written} to {out}"
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _sample_points(samples: int, seed: int) -> list[tuple[float, float, float]]:
@@ -785,9 +793,7 @@ def _cmd_eqs(args) -> int:
         for rel in hirota_variety_eqs.face_direction_classes(k, n)
     ]
     payload = {"k": k, "n": n, "relations": relations, "relation_count": len(relations)}
-    _emit(payload, args.json, _eqs_lines(payload), args.out)
-    if args.out:
-        print(f"wrote {payload['relation_count']} relations to {args.out}")
+    _emit(payload, args.json, _eqs_lines(payload), args.out, f"{len(relations)} relations")
     return 0
 
 
@@ -814,9 +820,7 @@ def _cmd_field(args) -> int:
         f"{x_text}{yt_text}{u:.12g}"
         for (yt_text, x_text), u in zip(itertools.product(yt_texts, x_texts), us)
     ]
-    _emit({}, False, rows, args.out)
-    if args.out:
-        print(f"wrote {nx * ny} samples to {args.out}")
+    _emit({}, False, rows, args.out, f"{nx * ny} samples")
     return 0
 
 

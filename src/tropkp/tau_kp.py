@@ -19,7 +19,7 @@ certification operate on them:
   ``spacetime_inversion_check`` decides u_2(x, y, t) = u_1(-x, -y, -t)
   between the two vertex readings exactly, from the term lists: tau_2 with
   its waves negated must have tau_1's ``normalized_signature``, which merges
-  and sorts the terms on integer keys.
+  and sorts the terms of the integer view.
 * numeric: ``kp_residual_numeric`` evaluates
   (-4 u_t + 6 u u_x + u_xxx)_x + 3 u_yy for u = 2 (log tau)_xx at sample
   points, by Hirota's identity: it is d_x^2 (P(D) tau . tau / tau^2), with
@@ -142,30 +142,30 @@ class TauFunction(_TauTerms):
         by a nonzero constant factor and a shared exponential-linear factor,
         and that holds exactly when their signatures match.
 
-        The merging and sorting run on integer keys: each wave column over
-        its own common denominator (a positive scale per column, which keeps
-        the lexicographic order) and the coefficients over theirs.  Each
-        merged term's Fractions are made once, at the end.
+        The merging and sorting run on the cached ``integer_view``, whose
+        positive scales of x, y, t and the coefficients keep equality and the
+        lexicographic order; each merged term's Fractions are made once.
         """
-        waves = [term.wave for term in self.terms]
-        columns = [over_common_denominator(column) for column in zip(*waves)]
-        coeffs, _ = over_common_denominator([term.coeff for term in self.terms])
-        merged: dict[tuple[int, ...], int] = {}
-        for wave, coeff in zip(zip(*(ints for ints, _ in columns)), coeffs):
-            merged[wave] = merged.get(wave, 0) + coeff
-        merged = {w: v for w, v in merged.items() if v}
-        if not merged:
-            raise ValueError("tau function is identically zero")
-        base = min(merged)
-        scale = merged[base]
-        dens = [D for _, D in columns]
-        return tuple(
-            (
-                tuple(Fraction(a - b, D) for a, b, D in zip(w, base, dens)),
-                Fraction(v, scale),
-            )
-            for w, v in sorted(merged.items())
-        )
+        coeffs, waves, _, D = self.integer_view
+        return _signature(coeffs, waves, D)
+
+
+def _signature(coeffs: Sequence[int], waves: Iterable[tuple[int, int, int]],
+               D: int) -> tuple[tuple[Wave, Fraction], ...]:
+    """The signature of the integer coefficients C a_i and integer waves
+    (x D, y D^2, t D^3) of an integer view."""
+    merged: dict[tuple[int, int, int], int] = {}
+    for wave, coeff in zip(waves, coeffs):
+        merged[wave] = merged.get(wave, 0) + coeff
+    merged = {w: v for w, v in merged.items() if v}
+    if not merged:
+        raise ValueError("tau function is identically zero")
+    base = min(merged)
+    dens = (D, D * D, D**3)
+    return tuple(
+        (tuple(map(Fraction, map(operator.sub, w, base), dens)), Fraction(v, merged[base]))
+        for w, v in sorted(merged.items())
+    )
 
 
 def tau_from_grassmannian(gp: GrassmannPoint, kc: KappaConfig) -> TauFunction:
@@ -609,19 +609,14 @@ def spacetime_inversion_check(
 ) -> bool:
     """Whether u_2(x, y, t) = u_1(-x, -y, -t) identically, decided exactly.
 
-    tau_2 with every wave negated is tau_2(-p); its ``normalized_signature``
-    equals tau_1's exactly when tau_2(-p) = c exp(l . p) tau_1(p) for a
-    constant c and a linear form l, a gauge that u = 2 (log tau)_xx does
-    not see.  ``signature_v1`` is tau_1's signature when the caller already
-    holds it.  An identically zero tau is a ValueError, never a pass.
+    tau_2 with every wave negated is tau_2(-p), whose integer view is tau_2's
+    with the integer waves negated; its signature equals tau_1's exactly when
+    tau_2(-p) = c exp(l . p) tau_1(p) for a constant c and a linear form l,
+    a gauge that u = 2 (log tau)_xx does not see.  ``signature_v1`` is
+    tau_1's signature when the caller already holds it.  An identically zero
+    tau is a ValueError, never a pass.
     """
-    mirrored = TauFunction(
-        terms=tuple(
-            TauTerm(coeff=term.coeff, label=term.label,
-                    wave=tuple(-w for w in term.wave))
-            for term in tau_v2.terms
-        )
-    )
     if signature_v1 is None:
         signature_v1 = tau_v1.normalized_signature()
-    return mirrored.normalized_signature() == signature_v1
+    coeffs, waves, _, D = tau_v2.integer_view
+    return _signature(coeffs, ((-X, -Y, -T) for X, Y, T in waves), D) == signature_v1

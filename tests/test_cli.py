@@ -18,7 +18,6 @@ from tropkp import cli as cli_mod
 from tropkp.cli import (
     CERTIFY_MAX_ENTRIES,
     CERTIFY_MAX_TERM_SAMPLES,
-    CERTIFY_MAX_TERMS,
     FIELD_MAX_EVALUATIONS,
     LATTICE_MAX_ENTRIES,
     LATTICE_MAX_VERTICES,
@@ -665,21 +664,21 @@ class TestConfigCommands:
         for k, n in [(2, 4), (2, 5), (3, 6)]:
             cli_mod._eqs_budget(k, n)
 
-    def test_certify_refuses_a_family_past_the_term_budget(
+    def test_certify_refuses_a_family_past_2000_terms_for_its_table(
         self, config_file, capsys, monkeypatch
     ):
-        """The first (n, k), in order of n and then k, with more than
-        ``CERTIFY_MAX_TERMS`` tau terms is refused with exit 1 and a message
-        that quotes the bound, before any alpha is computed.  (12, 6), the
-        largest family the tests, the examples and the benchmark certify,
-        is within the bound."""
-        assert math.comb(12, 6) <= CERTIFY_MAX_TERMS
+        """The first (n, k), in order of n and then k, with more than 2,000
+        tau terms, (14, 5) with 2,002, is refused with exit 1 and a message
+        that quotes ``CERTIFY_MAX_ENTRIES``, before any alpha is computed:
+        its residual table passes the bound at the third of its five
+        summands, so the message says "at least".  (12, 6), the largest
+        family the tests, the examples and the benchmark certify, is
+        admitted."""
+        cli_mod._certify_budget(12, 6)
         n, k = next(
-            (n, k)
-            for n in range(2, CERTIFY_MAX_TERMS + 2)
-            for k in range(1, n)
-            if math.comb(n, k) > CERTIFY_MAX_TERMS
+            (n, k) for n in range(2, 2002) for k in range(1, n) if math.comb(n, k) > 2000
         )
+        assert (n, k, math.comb(n, k)) == (14, 5, 2002)
         built = []
         monkeypatch.setattr(
             hirota_parametrization, "hirota_point", lambda *args: built.append(args))
@@ -687,39 +686,53 @@ class TestConfigCommands:
         cfg = config_file({"kappas": kappas, "class_k": k, "beta": ["1"] * (n - 1)})
         assert run(["certify", "--config", cfg]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
-        assert f"= {math.comb(n, k)} tau terms" in captured.err
-        assert f"bound of {CERTIFY_MAX_TERMS} terms" in captured.err
+        assert captured.err == (
+            "error: class 5 at n = 14 has at least 249249 residual groups * 14 = "
+            f"3489486 table entries, exceeding the bound of {CERTIFY_MAX_ENTRIES} "
+            "entries\n"
+        )
         assert captured.out == ""
         assert built == []
 
-    @pytest.mark.parametrize("bound, code", [(5, 1), (6, 0)])
-    def test_certify_term_budget_is_inclusive(
-        self, bound, code, config_file, capsys, monkeypatch
-    ):
-        """With the bound lowered around the 6 terms of a (4, 2) config, one
-        term past it is refused and a family of exactly the bound is
-        certified."""
-        import tropkp.cli as cli_mod
+    def test_certify_budget_refuses_the_reference_set(self):
+        """For 2 <= n < 700, ``_certify_budget`` refuses exactly the (n, k)
+        that the bounds it once checked refuse: more than 2,000 tau terms, a
+        residual table past ``CERTIFY_MAX_ENTRIES``, or a ``param`` bound.
+        The table bound alone refuses every family past 2,000 terms; the
+        largest family admitted is (13, 6), with 1,716 terms.  From n = 700
+        on, both refuse every family: the h = 1 summand alone,
+        comb(n, k) k (n - k) / 2 groups of n entries, is at least
+        n^2 (n - 1) / 2 entries, as comb(n, k) >= n and k (n - k) >= n - 1."""
 
-        monkeypatch.setattr(cli_mod, "CERTIFY_MAX_TERMS", bound)
-        assert run(["certify", "--config", config_file(BETA_CONFIG)]) == code
-        captured = capsys.readouterr()
-        if code:
-            assert captured.err == (
-                "error: class 2 at n = 4 has comb(4, 2) = 6 tau terms, "
-                "exceeding the bound of 5 terms\n"
-            )
-            assert captured.out == ""
-        else:
-            assert captured.out.endswith("certification PASSED\n")
+        def reference_refuses(n, k, terms):
+            if terms > 2000:
+                return True
+            groups = sum(math.comb(n, 2 * h) * math.comb(n - 2 * h, k - h)
+                         for h in range(1, min(k, n - k) + 1))
+            return (groups * n > CERTIFY_MAX_ENTRIES or terms > cli_mod.PARAM_MAX_TERMS
+                    or terms * k**4 > cli_mod.PARAM_MAX_MINOR_STEPS)
+
+        largest = 0
+        for n in range(2, 700):
+            for k in range(1, n):
+                terms = math.comb(n, k)
+                try:
+                    cli_mod._certify_budget(n, k)
+                except cli_mod.ConfigError as exc:
+                    assert reference_refuses(n, k, terms), (n, k)
+                    if terms > 2000:
+                        assert str(exc).endswith("exceeding the bound of 3000000 entries")
+                else:
+                    assert not reference_refuses(n, k, terms), (n, k)
+                    largest = max(largest, terms)
+        assert largest == math.comb(13, 6) == 1716
+        assert 700 * 700 * 699 // 2 > CERTIFY_MAX_ENTRIES
 
     def test_certify_refuses_a_table_past_the_entry_budget(
         self, config_file, capsys, monkeypatch
     ):
-        """(1001, 1) has 1,001 tau terms, within ``CERTIFY_MAX_TERMS``, but
-        its residual table holds comb(1001, 2) groups of 1,001 entries each:
+        """(1001, 1) has 1,001 tau terms, fewer than 2,000, but its residual
+        table holds comb(1001, 2) groups of 1,001 entries each:
         it is refused with exit 1 as soon as its nodes and class are read,
         after work linear in n.  Certifying it grew past 7.6 GB and was
         killed after 18 minutes.  (183, 1) is the first class-1 family
@@ -746,11 +759,11 @@ class TestConfigCommands:
     ):
         """Tau terms times KP samples past ``CERTIFY_MAX_TERM_SAMPLES`` is
         refused with exit 1 before any exact work or sample list; the
-        default 20 samples are admitted at every family within
-        ``CERTIFY_MAX_TERMS``."""
+        default 20 samples are admitted at (13, 6), the family with the most
+        terms that the other bounds admit."""
         import tropkp.cli as cli_mod
 
-        assert CERTIFY_MAX_TERMS * 20 <= CERTIFY_MAX_TERM_SAMPLES == 100_000
+        assert math.comb(13, 6) * 20 <= CERTIFY_MAX_TERM_SAMPLES == 100_000
         drawn = _spy(monkeypatch, cli_mod, "_sample_points")
         located = _spy(monkeypatch, hirota_parametrization, "hirota_point")
         for samples in (16_667, 10**12):
@@ -1635,6 +1648,43 @@ class TestErrorHandling:
         assert run(["--help"]) == 0
         assert "tropkp" in capsys.readouterr().out
 
+    def test_a_reader_closing_the_pipe_ends_only_the_output(self):
+        """``voronoi --genus 12 | head -1``: the reader takes one line of the
+        682 kB listing and closes the pipe, and the run still exits 0 with
+        nothing on stderr, instead of ``error: [Errno 32] Broken pipe`` and
+        exit 1."""
+        src = str(Path(tropkp.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tropkp", "voronoi", "--genus", "12"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert first.startswith(b"genus 12: 8190 Voronoi vertices")
+        assert err == b""
+
+    def test_a_closed_stdout_keeps_the_exit_code(self, config_file, capsys, tmp_path):
+        """A failing certify whose stdout raises ``BrokenPipeError`` still
+        exits 2: the closed pipe ends the output, not the verdict."""
+        import contextlib
+
+        with open(tmp_path / "sink", "w") as sink:
+
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return sink.fileno()
+
+            strict = config_file(dict(BETA_CONFIG, tolerance=0.0))
+            with contextlib.redirect_stdout(ClosedPipe()):
+                assert run(["certify", "--config", strict]) == 2
+        assert capsys.readouterr() == ("", "")
+
 
 class TestIntegerView:
     """Each tau's integer view, ``clear_denominators`` of its terms, is
@@ -1677,14 +1727,29 @@ class TestIntegerView:
         assert rows == expected
 
     @pytest.mark.parametrize("choice", ["v1", "v2"])
-    def test_certify_builds_one_view_per_tau(self, choice, views, config_file):
-        """certify reads in integers only the tau of the selected vertex, whose
-        one residual both the bilinear and the face cross-check read; the
-        other vertex's tau and the Grassmann-route tau are only compared by
-        signature."""
+    def test_certify_builds_one_view_per_tau(
+        self, choice, views, config_file, monkeypatch
+    ):
+        """Each tau certify builds, at both vertices and by the Grassmann
+        route, is put over its denominators once, and every reader shares
+        that view: the residual, the KP samples and each signature."""
+        import tropkp.tau_kp as tau_mod
+
+        taus = []
+        for name in ("tau_from_hirota_point", "tau_from_grassmannian"):
+            real = getattr(tau_mod, name)
+
+            def building(*args, real=real):
+                taus.append(real(*args))
+                return taus[-1]
+
+            monkeypatch.setattr(tau_mod, name, building)
         cfg = dict(json.loads((REPO / "g3k2.json").read_text()), vertex_choice=choice)
         assert run(["certify", "--config", config_file(cfg)]) == 0
-        assert len(views) == 1
+        assert len(taus) == 3
+        terms = [(tuple(t.coeff for t in tau.terms), tuple(t.wave for t in tau.terms))
+                 for tau in taus]
+        assert sorted(views) == sorted(terms)
 
 
 class TestExponentialCount:
@@ -2010,40 +2075,43 @@ class TestFractionCount:
         assert one[0] > 0 and five[0] >= one[0]
         assert one[1] == five[1]
 
-    def test_term_budget_refuses_before_quadratic_work(
+    # the 45,150 residual groups of 301 entries of a (301, 1) family
+    TABLE_301 = "45150 residual groups * 301 = 13590150 table entries"
+
+    def test_entry_budget_refuses_before_quadratic_work(
         self, config_file, capsys, monkeypatch
     ):
-        """With the bound lowered to 300, a (301, 1) beta config is refused
-        after work linear in n: converting its weights reads only the
-        diagonal of the limit period matrix.  Building the whole g x g matrix
-        first made 540,601 Fractions."""
+        """With the bound lowered to one entry below its table, a (301, 1)
+        beta config is refused after work linear in n: converting its
+        weights reads only the diagonal of the limit period matrix.  Building
+        the whole g x g matrix first made 540,601 Fractions."""
         import tropkp.cli as cli_mod
 
         n = 301
-        monkeypatch.setattr(cli_mod, "CERTIFY_MAX_TERMS", 300)
+        monkeypatch.setattr(cli_mod, "CERTIFY_MAX_ENTRIES", 13590149)
         path = config_file(
             {"kappas": [str(x) for x in range(n)], "class_k": 1, "beta": ["1"] * (n - 1)}
         )
         status, made = _fractions_made(run, ["certify", "--config", path])
         assert status == 1
         assert capsys.readouterr().err == (
-            "error: class 1 at n = 301 has comb(301, 1) = 301 tau terms, "
-            "exceeding the bound of 300 terms\n"
+            f"error: class 1 at n = 301 has {self.TABLE_301}, "
+            "exceeding the bound of 13590149 entries\n"
         )
         assert 0 < made <= 10 * n
 
-    def test_term_budget_refuses_a_divisor_config_before_its_weights(
+    def test_entry_budget_refuses_a_divisor_config_before_its_weights(
         self, config_file, capsys, monkeypatch
     ):
-        """With the bound lowered to 300, a (301, 1) divisor config is
-        refused as soon as its nodes and class are read: its divisor is
-        never converted to weights.  Converting it first
+        """With the bound lowered to one entry below its table, a (301, 1)
+        divisor config is refused as soon as its nodes and class are read:
+        its divisor is never converted to weights.  Converting it first
         (``lambda_from_divisor``, O(n g) Fraction work) made 184,206
         Fractions; reading the 301 nodes makes 301."""
         import tropkp.cli as cli_mod
 
         n = 301
-        monkeypatch.setattr(cli_mod, "CERTIFY_MAX_TERMS", 300)
+        monkeypatch.setattr(cli_mod, "CERTIFY_MAX_ENTRIES", 13590149)
         converted = _spy(monkeypatch, hirota_parametrization, "lambda_from_divisor")
         points = [f"{2 * i + 1}/2" for i in range(n - 1)]
         path = config_file({
@@ -2054,8 +2122,8 @@ class TestFractionCount:
         status, made = _fractions_made(run, ["certify", "--config", path])
         assert status == 1
         assert capsys.readouterr().err == (
-            "error: class 1 at n = 301 has comb(301, 1) = 301 tau terms, "
-            "exceeding the bound of 300 terms\n"
+            f"error: class 1 at n = 301 has {self.TABLE_301}, "
+            "exceeding the bound of 13590149 entries\n"
         )
         assert converted == []
         assert 0 < made <= 10 * n

@@ -176,6 +176,39 @@ def test_no_dataclasses():
     assert found == {}, f"dataclasses imports (module: lines): {found}"
 
 
+def test_taus_are_built_only_by_their_two_routes():
+    """``TauFunction(...)`` and ``TauTerm(...)`` are called only inside
+    ``tau_from_hirota_point`` and ``tau_from_grassmannian``: every check
+    reads a tau those builders made, and a restated tau (a mirrored or a
+    rescaled copy) is derived from its integer view instead."""
+    builders = {"tau_from_hirota_point", "tau_from_grassmannian"}
+    modules = sorted(Path(tropkp.__file__).resolve().parent.glob("*.py"))
+    assert modules
+    def called(node):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+    allowed, found = set(), {}
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = {
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and called(node) in ("TauFunction", "TauTerm")
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in builders:
+                inside = calls.intersection(ast.walk(node))
+                allowed |= {(path.name, node.name, called(call)) for call in inside}
+                calls -= inside
+        if calls:
+            found[path.name] = sorted(call.lineno for call in calls)
+    assert found == {}, f"taus built outside their builders (module: lines): {found}"
+    # each builder makes its terms and its tau
+    assert {(name, call) for _, name, call in allowed} == {
+        (name, call) for name in builders for call in ("TauFunction", "TauTerm")
+    }
+
+
 def test_tracer_targets_resolve():
     """Every ``module.function`` and ``module.Class.method`` that the
     benchmark tracer wraps exists in the package, so a rename or deletion

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from tropkp import tau_kp
+from tropkp.graph_jacobian import over_common_denominator
 from tropkp.hirota_parametrization import (
     GrassmannPoint,
     HirotaPoint,
@@ -241,6 +242,66 @@ def fraction_signature(tau):
         sorted(
             (tuple(a - b for a, b in zip(w, base)), v / merged[base])
             for w, v in merged.items()
+        )
+    )
+
+
+def column_signature(tau):
+    """The signature as ``normalized_signature`` took it before it read the
+    integer view: each wave column over its own common denominator and the
+    coefficients over theirs, merged and sorted on those integer keys."""
+    waves = [term.wave for term in tau.terms]
+    columns = [over_common_denominator(column) for column in zip(*waves)]
+    coeffs, _ = over_common_denominator([term.coeff for term in tau.terms])
+    merged = {}
+    for wave, coeff in zip(zip(*(ints for ints, _ in columns)), coeffs):
+        merged[wave] = merged.get(wave, 0) + coeff
+    merged = {w: v for w, v in merged.items() if v}
+    if not merged:
+        raise ValueError("tau function is identically zero")
+    base = min(merged)
+    dens = [D for _, D in columns]
+    return tuple(
+        (tuple(F(a - b, D) for a, b, D in zip(w, base, dens)), F(v, merged[base]))
+        for w, v in sorted(merged.items())
+    )
+
+
+def mirrored_inversion_check(tau_v1, tau_v2):
+    """The space-time inversion check as it was before it read the integer
+    view: a whole mirrored tau of negated Fraction waves, compared with
+    tau_v1 by ``column_signature``."""
+    mirrored = TauFunction(
+        terms=tuple(t._replace(wave=tuple(-w for w in t.wave)) for t in tau_v2.terms)
+    )
+    signature_v1 = column_signature(tau_v1)
+    return column_signature(mirrored) == signature_v1
+
+
+@st.composite
+def pooled_taus(draw):
+    """A tau of up to 8 terms whose waves come from a pool of 1 to 3
+    triples of rationals with mixed denominators, so that waves repeat; a
+    term may be followed by one that cancels it, so a wave can merge to
+    zero and the whole tau can vanish identically."""
+    pool = draw(st.lists(st.tuples(RATIONALS, RATIONALS, RATIONALS), min_size=1, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        term = TauTerm(coeff=draw(NONZERO), label=pack(()), wave=draw(st.sampled_from(pool)))
+        terms.append(term)
+        if draw(st.booleans()):
+            terms.append(term._replace(coeff=-term.coeff))
+    return TauFunction(terms=tuple(draw(st.permutations(terms))))
+
+
+def gauged_mirror(tau, factor, shift):
+    """The tau of factor * exp(shift . p) * tau(-p): every wave negated and
+    shifted, every coefficient scaled."""
+    return TauFunction(
+        terms=tuple(
+            t._replace(coeff=factor * t.coeff,
+                       wave=tuple(s - w for w, s in zip(t.wave, shift)))
+            for t in tau.terms
         )
     )
 
@@ -764,6 +825,54 @@ def test_spacetime_inversion_holds_on_families(hp):
     tau_there = tau_from_hirota_point(hp.other_vertex())
     tau1, tau2 = (tau_here, tau_there) if hp.vertex_choice == "v1" else (tau_there, tau_here)
     assert spacetime_inversion_check(tau1, tau2) is True
+
+
+@given(families(), pooled_taus())
+@settings(max_examples=80, deadline=None)
+def test_signature_matches_column_reference(hp, pooled):
+    """The signature read off the integer view is the tuple of Fractions
+    the per-column signature made, at both vertex readings of a family and
+    on pooled taus with repeated waves and cancelling coefficients; a tau
+    that vanishes identically is a ValueError for both."""
+    for tau in (tau_from_hirota_point(hp), tau_from_hirota_point(hp.other_vertex()), pooled):
+        try:
+            expected = column_signature(tau)
+        except ValueError:
+            with pytest.raises(ValueError, match="identically zero"):
+                tau.normalized_signature()
+            continue
+        signature = tau.normalized_signature()
+        assert signature == expected
+        assert all(type(q) is F for wave, coeff in signature for q in (*wave, coeff))
+
+
+@given(families(), pooled_taus(), NONZERO, st.tuples(RATIONALS, RATIONALS, RATIONALS))
+@settings(max_examples=80, deadline=None)
+def test_inversion_check_matches_mirrored_reference(hp, pooled, factor, shift):
+    """Negating the integer waves of tau_v2's view decides what a mirrored
+    tau of negated Fraction waves decided: on the two vertex readings of a
+    family in both orders, on a tau against itself, and on a pooled tau
+    against its mirror under a gauge, c exp(l . p) tau(-p), which passes
+    unless the tau vanishes identically, when both raise."""
+    here = tau_from_hirota_point(hp)
+    there = tau_from_hirota_point(hp.other_vertex())
+    mirror = gauged_mirror(pooled, factor, shift)
+    pairs = [(here, there), (there, here), (here, here), (pooled, mirror), (pooled, here),
+             (here, mirror)]
+    for tau1, tau2 in pairs:
+        try:
+            expected = mirrored_inversion_check(tau1, tau2)
+        except ValueError:
+            with pytest.raises(ValueError, match="identically zero"):
+                spacetime_inversion_check(tau1, tau2)
+            continue
+        assert spacetime_inversion_check(tau1, tau2) is expected
+        assert spacetime_inversion_check(tau1, tau2, tau1.normalized_signature()) is expected
+    try:
+        column_signature(pooled)
+    except ValueError:
+        return
+    assert spacetime_inversion_check(pooled, mirror) is True
 
 
 def fraction_moments(tau, weights, total):
